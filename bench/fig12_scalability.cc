@@ -10,6 +10,7 @@
 
 #include <chrono>
 #include <iostream>
+#include <string>
 
 #include "bench/bench_util.h"
 #include "src/common/stats.h"
@@ -18,10 +19,9 @@ using namespace threesigma;
 
 namespace {
 
-struct ScaleResult {
-  RunMetrics dist;
-  RunMetrics point;
-};
+// Cycle and solver times are milliseconds: at this scale they are single-digit
+// ms, which three decimals of seconds would flatten to 0.000-0.008.
+std::string Ms(double seconds) { return TablePrinter::Fmt(1000.0 * seconds, 2); }
 
 }  // namespace
 
@@ -37,10 +37,10 @@ int main() {
             << "cluster=" << ClusterGoogleScale().total_nodes() << " nodes, load 0.95, "
             << "window=" << hours << "h\n\n";
 
-  TablePrinter cycle({"jobs/hour", "Dist mean (s)", "Dist max (s)", "Point mean (s)",
-                      "Point max (s)"});
-  TablePrinter solver({"jobs/hour", "Dist mean (s)", "Dist max (s)", "Point mean (s)",
-                       "Point max (s)", "Dist max vars", "Dist max rows"});
+  TablePrinter cycle({"jobs/hour", "Dist mean (ms)", "Dist max (ms)", "Point mean (ms)",
+                      "Point max (ms)"});
+  TablePrinter solver({"jobs/hour", "Dist mean (ms)", "Dist max (ms)", "Point mean (ms)",
+                       "Point max (ms)", "Dist max vars", "Dist max rows"});
   for (int rate : rates) {
     ExperimentConfig config;
     config.cluster = ClusterGoogleScale();
@@ -59,15 +59,11 @@ int main() {
 
     const RunMetrics dist = RunSystem(SystemKind::kThreeSigma, config, workload);
     const RunMetrics point = RunSystem(SystemKind::kPointRealEst, config, workload);
-    cycle.AddRow({std::to_string(rate), TablePrinter::Fmt(dist.mean_cycle_seconds, 3),
-                  TablePrinter::Fmt(dist.max_cycle_seconds, 3),
-                  TablePrinter::Fmt(point.mean_cycle_seconds, 3),
-                  TablePrinter::Fmt(point.max_cycle_seconds, 3)});
-    solver.AddRow({std::to_string(rate), TablePrinter::Fmt(dist.mean_solver_seconds, 3),
-                   TablePrinter::Fmt(dist.max_solver_seconds, 3),
-                   TablePrinter::Fmt(point.mean_solver_seconds, 3),
-                   TablePrinter::Fmt(point.max_solver_seconds, 3),
-                   std::to_string(dist.max_milp_variables),
+    cycle.AddRow({std::to_string(rate), Ms(dist.mean_cycle_seconds), Ms(dist.max_cycle_seconds),
+                  Ms(point.mean_cycle_seconds), Ms(point.max_cycle_seconds)});
+    solver.AddRow({std::to_string(rate), Ms(dist.mean_solver_seconds),
+                   Ms(dist.max_solver_seconds), Ms(point.mean_solver_seconds),
+                   Ms(point.max_solver_seconds), std::to_string(dist.max_milp_variables),
                    std::to_string(dist.max_milp_rows)});
   }
   std::cout << "(a) Scheduling cycle runtime:\n";
@@ -81,8 +77,8 @@ int main() {
   // toggling the incremental Eq. 3 cache.
   std::cout << "\n(c) Wave-parallel solver and capacity-cache ablation:\n";
   {
-    TablePrinter par({"config", "mean solver (s)", "speedup", "nodes/s",
-                      "mean cycle (s)", "cache hit %"});
+    TablePrinter par({"config", "mean solver (ms)", "speedup", "nodes/s",
+                      "mean cycle (ms)", "cache hit %"});
     ExperimentConfig config;
     config.cluster = ClusterGoogleScale();
     config.workload.duration = Hours(hours);
@@ -108,27 +104,26 @@ int main() {
       const double speedup =
           m.mean_solver_seconds > 0.0 ? base_solver / m.mean_solver_seconds : 0.0;
       par.AddRow({std::to_string(threads) + " thread" + (threads == 1 ? "" : "s"),
-                  TablePrinter::Fmt(m.mean_solver_seconds, 3), TablePrinter::Fmt(speedup, 2),
+                  Ms(m.mean_solver_seconds), TablePrinter::Fmt(speedup, 2),
                   TablePrinter::Fmt(m.solver_nodes_per_second, 0),
-                  TablePrinter::Fmt(m.mean_cycle_seconds, 3),
+                  Ms(m.mean_cycle_seconds),
                   TablePrinter::Fmt(100.0 * m.capacity_cache_hit_rate, 1)});
     }
     config.sched.solver_threads = 1;
     config.sched.capacity_cache = false;
     const RunMetrics nocache = RunSystem(SystemKind::kThreeSigma, config, workload);
-    par.AddRow({"1 thread, no cache", TablePrinter::Fmt(nocache.mean_solver_seconds, 3), "-",
+    par.AddRow({"1 thread, no cache", Ms(nocache.mean_solver_seconds), "-",
                 TablePrinter::Fmt(nocache.solver_nodes_per_second, 0),
-                TablePrinter::Fmt(nocache.mean_cycle_seconds, 3), "-"});
+                Ms(nocache.mean_cycle_seconds), "-"});
     // Cold-basis ablation: every branch-and-bound node solves its LP from the
     // slack basis instead of re-optimizing the parent's basis with dual pivots
     // (deterministic, but degenerate LP ties may break differently than warm).
     config.sched.capacity_cache = true;
     config.sched.solver_basis_warmstart = false;
     const RunMetrics coldbasis = RunSystem(SystemKind::kThreeSigma, config, workload);
-    par.AddRow({"1 thread, cold basis",
-                TablePrinter::Fmt(coldbasis.mean_solver_seconds, 3), "-",
+    par.AddRow({"1 thread, cold basis", Ms(coldbasis.mean_solver_seconds), "-",
                 TablePrinter::Fmt(coldbasis.solver_nodes_per_second, 0),
-                TablePrinter::Fmt(coldbasis.mean_cycle_seconds, 3),
+                Ms(coldbasis.mean_cycle_seconds),
                 TablePrinter::Fmt(100.0 * coldbasis.capacity_cache_hit_rate, 1)});
     par.Print(std::cout);
 
@@ -142,14 +137,14 @@ int main() {
     // EXPERIMENTS.md.
     std::cout << "\n(d) Shard decomposition sweep (node budget unchanged; work metric is "
                  "total B&B nodes):\n";
-    TablePrinter shards({"config", "mean solver (s)", "total B&B nodes", "node ratio",
+    TablePrinter shards({"config", "mean solver (ms)", "total B&B nodes", "node ratio",
                          "mean shards", "max shard vars"});
     config.sched.solver_threads = 1;
     config.sched.capacity_cache = true;
     config.sched.solver_basis_warmstart = true;
     config.sched.solver_shards = false;
     const RunMetrics shard_off = RunSystem(SystemKind::kThreeSigma, config, workload);
-    shards.AddRow({"shards off", TablePrinter::Fmt(shard_off.mean_solver_seconds, 3),
+    shards.AddRow({"shards off", Ms(shard_off.mean_solver_seconds),
                    std::to_string(shard_off.total_milp_nodes), "1.00", "-", "-"});
     config.sched.solver_shards = true;
     for (const int threads : {1, 4}) {
@@ -161,7 +156,7 @@ int main() {
                                : 0.0;
       shards.AddRow({"shards on, " + std::to_string(threads) + " thread" +
                          (threads == 1 ? "" : "s"),
-                     TablePrinter::Fmt(m.mean_solver_seconds, 3),
+                     Ms(m.mean_solver_seconds),
                      std::to_string(m.total_milp_nodes), TablePrinter::Fmt(ratio, 2),
                      TablePrinter::Fmt(m.mean_milp_shards, 2),
                      std::to_string(m.max_milp_shard_vars)});

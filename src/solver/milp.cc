@@ -22,20 +22,13 @@ namespace {
 // that the incumbent bound (which only advances at wave commits) stays fresh.
 constexpr int kDefaultBatchWidth = 16;
 
-// A branching decision along the current tree path.
-struct BoundFix {
-  int var;
-  double lower;
-  double upper;
-};
-
 struct Node {
   // Tree path: '0' for the floor child, '1' for the ceil child. Lexicographic
   // order on ids is the deterministic tie-break between equal-objective
   // incumbents; '~' (warm start) and a trailing 'r' (greedy rounding) sort
   // after real tree ids so exact tree solutions take precedence.
   std::string id;
-  std::vector<BoundFix> fixes;  // Full path from the root.
+  std::vector<BoundFix> fixes;  // Branching decisions, full path from the root.
   double parent_bound;          // LP bound of the parent (pruning hint).
   // The parent's optimal basis (shared between siblings). The child differs
   // from the parent by one bound change, so this basis is dual feasible for
@@ -45,69 +38,72 @@ struct Node {
 
 bool IsIntegral(double v, double tol) { return std::fabs(v - std::round(v)) <= tol; }
 
-// Per-worker scratch: a private model copy whose bounds are mutated along the
-// assigned node's tree path, then restored.
-struct Workspace {
-  explicit Workspace(const LpModel& model) : work(model) {}
-  LpModel work;
-  std::vector<int> touched;
-};
-
 }  // namespace
 
 MilpSolver::MilpSolver(const LpModel& model, std::vector<int> integer_vars)
-    : model_(model), integer_vars_(std::move(integer_vars)) {
+    : model_(model), integer_vars_(std::move(integer_vars)), core_(model) {
   for (int v : integer_vars_) {
     TS_CHECK_GE(v, 0);
     TS_CHECK_LT(v, model_.num_variables());
   }
+  for (const LpRow& row : model_.rows()) {
+    all_rows_le_ = all_rows_le_ && row.sense == RowSense::kLessEqual;
+  }
 }
 
-bool MilpSolver::GreedyRound(const std::vector<double>& relaxed, std::vector<double>* out) const {
+bool MilpSolver::GreedyRound(const std::vector<double>& relaxed, std::vector<double>* out) {
   // Greedy only supports the scheduler's row shapes (all <=); bail otherwise
   // and let branch-and-bound find incumbents on its own.
-  for (const LpRow& row : model_.rows()) {
-    if (row.sense != RowSense::kLessEqual) {
-      return false;
-    }
+  if (!all_rows_le_) {
+    return false;
   }
   std::vector<double> x = relaxed;
   // Pull every integer variable down to its floor first (feasible for pure
   // <=-rows with non-negative coefficients, and a safe starting point
-  // otherwise — final feasibility is re-checked at the end).
+  // otherwise — final feasibility is re-checked at the end). Only variables
+  // with room to rise and a non-negative objective are candidates.
+  std::vector<RoundCandidate>& order = round_order_;
+  order.clear();
   for (int v : integer_vars_) {
-    x[v] = std::floor(relaxed[v] + 1e-9);
+    const double floor_v = std::floor(relaxed[v] + 1e-9);
+    x[v] = floor_v;
+    const double target = std::min(std::ceil(relaxed[v] - 1e-9), model_.upper(v));
+    if (target - floor_v > 0.0 && model_.objective(v) >= 0.0) {
+      order.push_back(RoundCandidate{relaxed[v] - floor_v, model_.objective(v), v, target});
+    }
   }
   // Row activities for the floored point.
-  std::vector<double> activity(model_.num_rows(), 0.0);
-  std::vector<std::vector<LpTerm>> columns(model_.num_variables());
+  std::vector<double>& activity = round_activity_;
+  activity.assign(static_cast<size_t>(model_.num_rows()), 0.0);
   for (int r = 0; r < model_.num_rows(); ++r) {
-    const LpRow& row = model_.row(r);
-    for (const LpTerm& t : row.terms) {
-      activity[r] += t.coeff * x[t.var];
-      columns[t.var].push_back(LpTerm{r, t.coeff});
+    for (const LpTerm& t : model_.row(r).terms) {
+      activity[static_cast<size_t>(r)] += t.coeff * x[t.var];
     }
   }
-  // Try raising integer variables toward their relaxed value, most-fractional
-  // and highest-objective first.
-  std::vector<int> order = integer_vars_;
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    const double fa = relaxed[a] - std::floor(relaxed[a] + 1e-9);
-    const double fb = relaxed[b] - std::floor(relaxed[b] + 1e-9);
-    if (fa != fb) {
-      return fa > fb;
+  // Try raising the candidates toward their relaxed value, most-fractional
+  // and highest-objective first; the index makes the order total, so it does
+  // not depend on which variables were filtered out.
+  std::sort(order.begin(), order.end(), [](const RoundCandidate& a, const RoundCandidate& b) {
+    if (a.frac != b.frac) {
+      return a.frac > b.frac;
     }
-    return model_.objective(a) > model_.objective(b);
+    if (a.objective != b.objective) {
+      return a.objective > b.objective;
+    }
+    return a.var < b.var;
   });
-  for (int v : order) {
-    const double target = std::min(std::ceil(relaxed[v] - 1e-9), model_.upper(v));
-    const double delta = target - x[v];
-    if (delta <= 0.0 || model_.objective(v) < 0.0) {
-      continue;
+  for (const RoundCandidate& c : order) {
+    const int v = c.var;
+    const double delta = c.target - x[v];
+    if (delta <= 0.0) {
+      continue;  // A repeated entry of integer_vars_, already raised.
     }
+    const int begin = core_.col_start[static_cast<size_t>(v)];
+    const int end = core_.col_start[static_cast<size_t>(v) + 1];
     bool fits = true;
-    for (const LpTerm& t : columns[v]) {
-      if (activity[t.var] + t.coeff * delta > model_.row(t.var).rhs + 1e-9) {
+    for (int k = begin; k < end; ++k) {
+      const size_t r = static_cast<size_t>(core_.col_row[static_cast<size_t>(k)]);
+      if (activity[r] + core_.col_value[static_cast<size_t>(k)] * delta > core_.rhs[r] + 1e-9) {
         fits = false;
         break;
       }
@@ -115,9 +111,10 @@ bool MilpSolver::GreedyRound(const std::vector<double>& relaxed, std::vector<dou
     if (!fits) {
       continue;
     }
-    x[v] = target;
-    for (const LpTerm& t : columns[v]) {
-      activity[t.var] += t.coeff * delta;
+    x[v] = c.target;
+    for (int k = begin; k < end; ++k) {
+      activity[static_cast<size_t>(core_.col_row[static_cast<size_t>(k)])] +=
+          core_.col_value[static_cast<size_t>(k)] * delta;
     }
   }
   if (!model_.IsFeasible(x)) {
@@ -163,11 +160,9 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
   const int workers = pool != nullptr ? pool->size() : 1;
   const int batch_width = options.batch_width > 0 ? options.batch_width : kDefaultBatchWidth;
 
-  std::vector<Workspace> workspaces;
-  workspaces.reserve(static_cast<size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    workspaces.emplace_back(model_);
-  }
+  // Per-worker simplex state; every node LP runs on the shared core_ with
+  // its branching decisions as a bound overlay.
+  std::vector<LpWorkspace> workspaces(static_cast<size_t>(workers));
 
   // Install the warm start as the initial incumbent if it is valid.
   bool have_incumbent = false;
@@ -247,7 +242,7 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
       stack.pop_back();
     }
 
-    // --- Solve: LP relaxations in parallel on private model copies. --------
+    // --- Solve: LP relaxations in parallel, one workspace per worker. -------
     // Per-node outcome: 0 = unsolved (wall clock expired), 1 = LP solved,
     // 2 = pruned lock-free against the incumbent bound.
     constexpr char kUnsolved = 0, kSolved = 1, kPruned = 2;
@@ -265,11 +260,6 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
         solved[static_cast<size_t>(index)] = kPruned;
         return;
       }
-      Workspace& ws = workspaces[static_cast<size_t>(worker)];
-      for (const BoundFix& fix : node.fixes) {
-        ws.work.SetVariableBounds(fix.var, fix.lower, fix.upper);
-        ws.touched.push_back(fix.var);
-      }
       SimplexOptions lp_options;
       if (options.basis_warmstart && node.parent_basis != nullptr) {
         lp_options.start_basis = *node.parent_basis;
@@ -280,11 +270,8 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
         // pricing skips them.
         lp_options.presolve = false;
       }
-      relaxations[static_cast<size_t>(index)] = SolveLp(ws.work, lp_options);
-      for (int v : ws.touched) {
-        ws.work.SetVariableBounds(v, model_.lower(v), model_.upper(v));
-      }
-      ws.touched.clear();
+      relaxations[static_cast<size_t>(index)] =
+          workspaces[static_cast<size_t>(worker)].Solve(core_, node.fixes, lp_options);
       solved[static_cast<size_t>(index)] = kSolved;
     };
     if (pool != nullptr) {
@@ -336,6 +323,11 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
         // Integral restriction of an unbounded relaxation: give up on
         // bounding and rely on incumbents only (does not occur for scheduler
         // models).
+        continue;
+      }
+      if (relax.values.empty()) {
+        // Phase 1 stopped at the pivot cap or broke down numerically: no
+        // point to bound or branch on, so the subtree is dropped.
         continue;
       }
       if (have_incumbent && relax.objective <= best_obj + 1e-9) {

@@ -11,12 +11,17 @@
 //   - a greedy rounding pass on each LP relaxation supplies incumbents early
 //     so pruning is effective.
 //
+// Node LPs: the solver builds the model's LpCore (simplex.h) once, and every
+// node LP runs on it with the node's branching decisions as a bound overlay,
+// in a per-worker LpWorkspace whose simplex state is reused from node to
+// node. The model must not change while the solver lives.
+//
 // Parallel search: the tree is explored in deterministic *waves*. Each wave
 // pops up to `batch_width` nodes off the subproblem stack, solves their LP
-// relaxations concurrently (`num_threads` workers, each with a private
-// LpModel copy, pulling node indices from a shared atomic cursor and reading
-// the atomic incumbent bound lock-free to skip dominated nodes), then
-// commits the results sequentially in pop order. Because the wave schedule
+// relaxations concurrently (`num_threads` workers sharing the read-only core,
+// pulling node indices from a shared atomic cursor and reading the atomic
+// incumbent bound lock-free to skip dominated nodes), then commits the
+// results sequentially in pop order. Because the wave schedule
 // depends only on `batch_width` (never on thread count) and the incumbent
 // advances only at the sequential commits — with ties between equal-objective
 // incumbents broken toward the lexicographically smallest node id — the
@@ -132,10 +137,26 @@ class MilpSolver {
  private:
   // Rounds an LP-relaxation point to a feasible integral point greedily;
   // returns true on success.
-  bool GreedyRound(const std::vector<double>& relaxed, std::vector<double>* out) const;
+  bool GreedyRound(const std::vector<double>& relaxed, std::vector<double>* out);
+
+  // A variable GreedyRound may raise from its floor to `target`.
+  struct RoundCandidate {
+    double frac;
+    double objective;
+    int var;
+    double target;
+  };
 
   const LpModel& model_;
   std::vector<int> integer_vars_;
+  // The model in solver form, built once: every node LP of every Solve runs
+  // on it, and GreedyRound walks its columns.
+  LpCore core_;
+  // GreedyRound supports only all-<= models.
+  bool all_rows_le_ = true;
+  // GreedyRound scratch, reused across calls.
+  std::vector<RoundCandidate> round_order_;
+  std::vector<double> round_activity_;
 };
 
 }  // namespace threesigma

@@ -63,6 +63,19 @@ LpBasis PresolveResult::MapBasisToFull(const LpBasis& reduced_basis, int num_var
 }
 
 PresolveResult Presolve(const LpModel& model) {
+  std::vector<double> lower(static_cast<size_t>(model.num_variables()));
+  std::vector<double> upper(lower.size());
+  for (int v = 0; v < model.num_variables(); ++v) {
+    lower[static_cast<size_t>(v)] = model.lower(v);
+    upper[static_cast<size_t>(v)] = model.upper(v);
+  }
+  return Presolve(model, lower, upper);
+}
+
+PresolveResult Presolve(const LpModel& model, std::span<const double> lower,
+                        std::span<const double> upper) {
+  TS_CHECK_EQ(static_cast<int>(lower.size()), model.num_variables());
+  TS_CHECK_EQ(static_cast<int>(upper.size()), model.num_variables());
   PresolveResult result;
   const int n = model.num_variables();
   result.eliminated_values.assign(static_cast<size_t>(n), 0.0);
@@ -79,8 +92,8 @@ PresolveResult Presolve(const LpModel& model) {
 
   // Eliminate fixed variables and row-free variables.
   for (int v = 0; v < n; ++v) {
-    const double lo = model.lower(v);
-    const double up = model.upper(v);
+    const double lo = lower[static_cast<size_t>(v)];
+    const double up = upper[static_cast<size_t>(v)];
     if (up - lo <= kTol) {
       result.eliminated[static_cast<size_t>(v)] = true;
       result.eliminated_values[static_cast<size_t>(v)] = lo;
@@ -115,7 +128,8 @@ PresolveResult Presolve(const LpModel& model) {
       continue;
     }
     new_index[static_cast<size_t>(v)] = result.reduced.AddVariable(
-        model.lower(v), model.upper(v), model.objective(v), model.var_name(v));
+        lower[static_cast<size_t>(v)], upper[static_cast<size_t>(v)], model.objective(v),
+        model.var_name(v));
     result.var_map.push_back(v);
   }
 
@@ -136,8 +150,8 @@ PresolveResult Presolve(const LpModel& model) {
         continue;
       }
       terms.push_back(LpTerm{new_index[static_cast<size_t>(t.var)], t.coeff});
-      const double lo = model.lower(t.var);
-      const double up = model.upper(t.var);
+      const double lo = lower[static_cast<size_t>(t.var)];
+      const double up = upper[static_cast<size_t>(t.var)];
       const double a = t.coeff * (t.coeff >= 0.0 ? lo : up);
       const double b = t.coeff * (t.coeff >= 0.0 ? up : lo);
       if (a <= -kLpInfinity || a >= kLpInfinity) {

@@ -13,6 +13,7 @@
 #ifndef SRC_SOLVER_PRESOLVE_H_
 #define SRC_SOLVER_PRESOLVE_H_
 
+#include <span>
 #include <vector>
 
 #include "src/solver/lp_model.h"
@@ -59,6 +60,10 @@ struct PresolveResult {
 };
 
 PresolveResult Presolve(const LpModel& model);
+// Presolves `model` with its variable bounds replaced by `lower`/`upper`
+// (one entry per variable; a branch-and-bound node's bounds).
+PresolveResult Presolve(const LpModel& model, std::span<const double> lower,
+                        std::span<const double> upper);
 
 }  // namespace threesigma
 

@@ -17,26 +17,34 @@ constexpr double kPivotTol = 1e-9;
 // bounds both FTRAN/BTRAN cost growth and numerical drift of the
 // incrementally-updated basic values (reinversion recomputes them exactly).
 constexpr int kRefactorInterval = 64;
+// Consecutive failed reinversions after which a run counts as broken down
+// (see Refactorize). Transient failure streaks on scheduler models were at
+// most 10 long over about 700 benchmark instances; a singular basis never
+// recovers.
+constexpr int kMaxFailedReinversions = 32;
+
+}  // namespace
 
 // Internal solver state over the extended variable set:
 //   [0, n)            structural variables
 //   [n, n+m)          slack variables (one per row)
 //   [n+m, n+m+k)      Phase-1 artificials (cold starts only)
+// One object serves a sequence of solves; each Solve starts from the state a
+// fresh object would have, so only allocations carry over between solves.
 class SimplexSolver {
  public:
-  SimplexSolver(const LpModel& model, const SimplexOptions& options)
-      : model_(model), options_(options), m_(model.num_rows()), n_(model.num_variables()) {}
-
-  LpSolution Solve();
+  LpSolution Solve(const LpCore& core, const std::vector<BoundFix>& fixes,
+                   const SimplexOptions& options);
 
  private:
-  // Model ingestion: CSC structural columns, extended bounds/objective for
-  // structural + slack variables, right-hand sides.
-  void BuildCore();
+  // Points the solver at `core`, copies its extended bounds and objective,
+  // applies `fixes`, and resets every per-solve field.
+  void Bind(const LpCore& core, const std::vector<BoundFix>& fixes,
+            const SimplexOptions& options);
   // Cold start: structural vars parked at their bound nearest zero, slack
   // basis where residuals fit, Phase-1 artificials where they do not.
   void ColdStart();
-  // Installs options_.start_basis (statuses over structural + slack vars)
+  // Installs options_->start_basis (statuses over structural + slack vars)
   // with repair; returns false when the basis is unusable outright.
   bool TryWarmStart();
 
@@ -51,7 +59,10 @@ class SimplexSolver {
   void Btran(std::vector<double>* y);
   void AppendEta(const std::vector<double>& column, int pivot_row);
   void RecomputeBasicValues();
-  void Refactorize();  // FactorFromSet(basis_, strict) + value recompute.
+  // FactorFromSet(basis_, strict) + value recompute. False when reinversion
+  // has kept failing long enough that the run has broken down numerically;
+  // the engines then set broken_down_ and give up.
+  bool Refactorize();
 
   // --- Iteration engines ---------------------------------------------------
   // Primal simplex on the current (phase-dependent) objective.
@@ -83,6 +94,11 @@ class SimplexSolver {
     }
   }
   double ReducedCost(int j, const std::vector<double>& y) const;
+  // Full scans (pricing, dual-feasibility repair): fills reduced_ for every
+  // structural column at once, then ScanReducedCost reads it (and prices
+  // slacks and artificials directly).
+  void ComputeStructuralReducedCosts(const std::vector<double>& y);
+  double ScanReducedCost(int j, const std::vector<double>& y) const;
   void ComputeDuals(std::vector<double>* y);
   bool PrimalFeasible() const;
   // Flips nonbasic variables whose reduced cost has the wrong sign to their
@@ -91,20 +107,24 @@ class SimplexSolver {
   void ParkNonbasic(int j, BasisStatus preferred);
   LpSolution Finish(LpStatus status);
 
-  const LpModel& model_;
-  SimplexOptions options_;
-  int m_;                  // rows
-  int n_;                  // structural vars
+  const LpCore* core_ = nullptr;
+  const SimplexOptions* options_ = nullptr;
+  int m_ = 0;              // rows
+  int n_ = 0;              // structural vars
   int total_ = 0;          // structural + slack + artificial
   int num_artificials_ = 0;
 
-  // Compressed-sparse-column structural matrix.
-  std::vector<int> col_start_;
-  std::vector<int> col_row_;
-  std::vector<double> col_val_;
+  // The core's compressed-sparse-column structural matrix and right-hand
+  // sides (read-only, shared).
+  const int* col_start_ = nullptr;
+  const int* col_row_ = nullptr;
+  const double* col_val_ = nullptr;
+  const int* row_start_ = nullptr;
+  const int* row_col_ = nullptr;
+  const double* row_val_ = nullptr;
+  const double* rhs_ = nullptr;
 
   std::vector<double> lower_, upper_, obj_;        // extended, length total_
-  std::vector<double> rhs_;                        // row right-hand sides
   std::vector<int> artificial_row_;                // artificial var -> its row
   std::vector<double> artificial_sign_;            // +-1 coefficient of artificial
 
@@ -122,17 +142,31 @@ class SimplexSolver {
   std::vector<Eta> etas_;
   std::vector<int> eta_rows_;
   std::vector<double> eta_vals_;
+  // The eta file a strict reinversion backs out to (see FactorFromSet).
+  std::vector<Eta> saved_etas_;
+  std::vector<int> saved_eta_rows_;
+  std::vector<double> saved_eta_vals_;
 
-  // Scratch (allocated once in BuildCore).
+  // Scratch, sized in Bind.
   std::vector<double> y_, alpha_, rho_, work_;
+  std::vector<double> reduced_;  // See ComputeStructuralReducedCosts.
+  std::vector<char> row_pivoted_, used_;
+  std::vector<int> new_basis_, demoted_;
   std::vector<int> cand_;  // Partial-pricing candidate list (indices only —
                            // reduced costs are always re-priced fresh).
+  struct Scored {
+    double score;
+    int j;
+  };
+  std::vector<Scored> scored_;  // RebuildCandidates scratch.
 
   LpStats stats_;
   int iterations_ = 0;
   int max_iterations_ = 0;
   int degenerate_streak_ = 0;
   int pivots_since_refactor_ = 0;
+  int failed_reinversions_ = 0;  // Consecutive, since the last good one.
+  bool broken_down_ = false;     // See Refactorize.
 };
 
 double SimplexSolver::ReducedCost(int j, const std::vector<double>& y) const {
@@ -141,66 +175,71 @@ double SimplexSolver::ReducedCost(int j, const std::vector<double>& y) const {
   return d;
 }
 
-void SimplexSolver::BuildCore() {
-  // CSC structural columns.
-  col_start_.assign(static_cast<size_t>(n_) + 1, 0);
-  for (int r = 0; r < m_; ++r) {
-    for (const LpTerm& t : model_.row(r).terms) {
-      ++col_start_[static_cast<size_t>(t.var) + 1];
-    }
-  }
-  for (int j = 0; j < n_; ++j) {
-    col_start_[static_cast<size_t>(j) + 1] += col_start_[static_cast<size_t>(j)];
-  }
-  col_row_.resize(static_cast<size_t>(col_start_[static_cast<size_t>(n_)]));
-  col_val_.resize(col_row_.size());
-  {
-    std::vector<int> fill(col_start_.begin(), col_start_.end() - 1);
-    for (int r = 0; r < m_; ++r) {
-      for (const LpTerm& t : model_.row(r).terms) {
-        const int k = fill[static_cast<size_t>(t.var)]++;
-        col_row_[static_cast<size_t>(k)] = r;
-        col_val_[static_cast<size_t>(k)] = t.coeff;
-      }
-    }
-  }
+double SimplexSolver::ScanReducedCost(int j, const std::vector<double>& y) const {
+  return j < n_ ? reduced_[static_cast<size_t>(j)] : ReducedCost(j, y);
+}
 
-  rhs_.resize(static_cast<size_t>(m_));
+void SimplexSolver::ComputeStructuralReducedCosts(const std::vector<double>& y) {
+  // Row-wise over the nonzeros of y in ascending row order: each column
+  // receives its terms in the order ReducedCost subtracts them, and a skipped
+  // y_r = 0 term could only flip the sign of a zero result, which no
+  // tolerance test or magnitude can tell apart.
+  std::copy(obj_.begin(), obj_.begin() + n_, reduced_.begin());
   for (int r = 0; r < m_; ++r) {
-    rhs_[static_cast<size_t>(r)] = model_.row(r).rhs;
-  }
-
-  lower_.assign(static_cast<size_t>(n_), 0.0);
-  upper_.assign(static_cast<size_t>(n_), 0.0);
-  obj_.assign(static_cast<size_t>(n_), 0.0);
-  for (int j = 0; j < n_; ++j) {
-    lower_[static_cast<size_t>(j)] = model_.lower(j);
-    upper_[static_cast<size_t>(j)] = model_.upper(j);
-    obj_[static_cast<size_t>(j)] = model_.objective(j);
-    TS_CHECK_MSG(lower_[static_cast<size_t>(j)] > -kLpInfinity ||
-                     upper_[static_cast<size_t>(j)] < kLpInfinity,
-                 "variable " << j << " must have a finite bound");
-  }
-  // Slack variables: row sense becomes a bound on the slack.
-  for (int r = 0; r < m_; ++r) {
-    const RowSense sense = model_.row(r).sense;
-    double lo = 0.0;
-    double up = 0.0;
-    if (sense == RowSense::kLessEqual) {
-      up = kLpInfinity;
-    } else if (sense == RowSense::kGreaterEqual) {
-      lo = -kLpInfinity;
+    const double yr = y[static_cast<size_t>(r)];
+    if (yr == 0.0) {
+      continue;
     }
-    lower_.push_back(lo);
-    upper_.push_back(up);
-    obj_.push_back(0.0);
+    for (int k = row_start_[r]; k < row_start_[r + 1]; ++k) {
+      reduced_[static_cast<size_t>(row_col_[k])] -= yr * row_val_[k];
+    }
+  }
+}
+
+void SimplexSolver::Bind(const LpCore& core, const std::vector<BoundFix>& fixes,
+                         const SimplexOptions& options) {
+  core_ = &core;
+  options_ = &options;
+  m_ = core.num_rows;
+  n_ = core.num_variables;
+  col_start_ = core.col_start.data();
+  col_row_ = core.col_row.data();
+  col_val_ = core.col_value.data();
+  row_start_ = core.row_start.data();
+  row_col_ = core.row_col.data();
+  row_val_ = core.row_value.data();
+  rhs_ = core.rhs.data();
+  lower_.assign(core.lower.begin(), core.lower.end());
+  upper_.assign(core.upper.begin(), core.upper.end());
+  obj_.assign(core.objective.begin(), core.objective.end());
+  for (const BoundFix& fix : fixes) {
+    TS_CHECK_GE(fix.var, 0);
+    TS_CHECK_LT(fix.var, n_);
+    TS_CHECK_LE(fix.lower, fix.upper);
+    lower_[static_cast<size_t>(fix.var)] = fix.lower;
+    upper_[static_cast<size_t>(fix.var)] = fix.upper;
   }
   total_ = n_ + m_;
-
-  y_.resize(static_cast<size_t>(m_));
-  alpha_.resize(static_cast<size_t>(m_));
-  rho_.resize(static_cast<size_t>(m_));
-  work_.resize(static_cast<size_t>(m_));
+  num_artificials_ = 0;
+  artificial_row_.clear();
+  artificial_sign_.clear();
+  etas_.clear();
+  eta_rows_.clear();
+  eta_vals_.clear();
+  cand_.clear();
+  stats_ = LpStats{};
+  failed_reinversions_ = 0;
+  broken_down_ = false;
+  iterations_ = 0;
+  degenerate_streak_ = 0;
+  pivots_since_refactor_ = 0;
+  max_iterations_ = options.max_iterations > 0 ? options.max_iterations
+                                               : 200 * (n_ + 2 * m_) + 2000;
+  y_.assign(static_cast<size_t>(m_), 0.0);
+  alpha_.assign(static_cast<size_t>(m_), 0.0);
+  rho_.assign(static_cast<size_t>(m_), 0.0);
+  reduced_.resize(static_cast<size_t>(n_));
+  work_.assign(static_cast<size_t>(m_), 0.0);
 }
 
 void SimplexSolver::Ftran(std::vector<double>* x) {
@@ -244,6 +283,12 @@ void SimplexSolver::AppendEta(const std::vector<double>& column, int pivot_row) 
     }
   }
   e.end = static_cast<int>(eta_rows_.size());
+  // A unit column pivoting on 1 (a slack, typically) gives the identity eta:
+  // x / 1.0 == x exactly, so FTRAN and BTRAN would pass over it without
+  // changing a bit. It is not stored.
+  if (e.pivot_value == 1.0 && e.end == e.begin) {
+    return;
+  }
   etas_.push_back(e);
 }
 
@@ -266,18 +311,15 @@ bool SimplexSolver::FactorFromSet(std::vector<int> proposed, bool strict) {
   // Strict mode must be able to back out: a numerically near-singular basis
   // (legal — pivot magnitudes are only bounded below by kPivotTol) fails
   // reinversion, and the run then simply keeps its current eta file.
-  std::vector<Eta> saved_etas;
-  std::vector<int> saved_rows;
-  std::vector<double> saved_vals;
   if (strict) {
-    saved_etas = std::move(etas_);
-    saved_rows = std::move(eta_rows_);
-    saved_vals = std::move(eta_vals_);
+    saved_etas_.swap(etas_);
+    saved_eta_rows_.swap(eta_rows_);
+    saved_eta_vals_.swap(eta_vals_);
   }
   const auto restore = [&]() {
-    etas_ = std::move(saved_etas);
-    eta_rows_ = std::move(saved_rows);
-    eta_vals_ = std::move(saved_vals);
+    etas_.swap(saved_etas_);
+    eta_rows_.swap(saved_eta_rows_);
+    eta_vals_.swap(saved_eta_vals_);
   };
   etas_.clear();
   eta_rows_.clear();
@@ -294,11 +336,15 @@ bool SimplexSolver::FactorFromSet(std::vector<int> proposed, bool strict) {
   std::sort(proposed.begin(), proposed.end(),
             [&](int a, int b) { return nnz(a) != nnz(b) ? nnz(a) < nnz(b) : a < b; });
 
-  std::vector<char> row_pivoted(static_cast<size_t>(m_), 0);
-  std::vector<char> used(static_cast<size_t>(total_), 0);
-  std::vector<int> new_basis(static_cast<size_t>(m_), -1);
-  std::vector<double> col(static_cast<size_t>(m_));
-  std::vector<int> demoted;
+  std::vector<char>& row_pivoted = row_pivoted_;
+  std::vector<char>& used = used_;
+  std::vector<int>& new_basis = new_basis_;
+  std::vector<double>& col = work_;
+  std::vector<int>& demoted = demoted_;
+  row_pivoted.assign(static_cast<size_t>(m_), 0);
+  used.assign(static_cast<size_t>(total_), 0);
+  new_basis.assign(static_cast<size_t>(m_), -1);
+  demoted.clear();
   for (int j : proposed) {
     if (used[static_cast<size_t>(j)]) {
       if (strict) {
@@ -364,7 +410,7 @@ bool SimplexSolver::FactorFromSet(std::vector<int> proposed, bool strict) {
       ParkNonbasic(j, BasisStatus::kAtLower);
     }
   }
-  basis_ = std::move(new_basis);
+  basis_.swap(new_basis);
   for (int r = 0; r < m_; ++r) {
     status_[static_cast<size_t>(basis_[static_cast<size_t>(r)])] = BasisStatus::kBasic;
   }
@@ -388,18 +434,24 @@ void SimplexSolver::ResetToSlackBasis() {
   }
 }
 
-void SimplexSolver::Refactorize() {
-  // Opportunistic: if the basis is too ill-conditioned to reinvert, keep the
-  // existing (restored) eta file and try again after the next interval. The
-  // eta file is always a valid representation — reinversion only compacts it.
+bool SimplexSolver::Refactorize() {
   if (FactorFromSet(basis_, /*strict=*/true)) {
+    failed_reinversions_ = 0;
     RecomputeBasicValues();
+    return true;
   }
+  // A numerically singular basis (one pivot barely above kPivotTol) cannot
+  // be reinverted. The eta file still represents it, so keep the file and
+  // retry after the next interval: the offending column usually leaves
+  // within a few. Until it does, the eta file grows by one per pivot and the
+  // basic values are never recomputed, so they drift; past this many retries
+  // the run has broken down.
+  return ++failed_reinversions_ <= kMaxFailedReinversions;
 }
 
 void SimplexSolver::RecomputeBasicValues() {
   // w = b - A_N x_N, then x_B = B⁻¹ w via FTRAN.
-  work_ = rhs_;
+  work_.assign(rhs_, rhs_ + m_);
   for (int j = 0; j < total_; ++j) {
     if (status_[static_cast<size_t>(j)] == BasisStatus::kBasic ||
         value_[static_cast<size_t>(j)] == 0.0) {
@@ -425,8 +477,8 @@ bool SimplexSolver::PrimalFeasible() const {
   for (int r = 0; r < m_; ++r) {
     const int bv = basis_[static_cast<size_t>(r)];
     const double v = value_[static_cast<size_t>(bv)];
-    if (v < lower_[static_cast<size_t>(bv)] - options_.feasibility_tol ||
-        v > upper_[static_cast<size_t>(bv)] + options_.feasibility_tol) {
+    if (v < lower_[static_cast<size_t>(bv)] - options_->feasibility_tol ||
+        v > upper_[static_cast<size_t>(bv)] + options_->feasibility_tol) {
       return false;
     }
   }
@@ -434,21 +486,22 @@ bool SimplexSolver::PrimalFeasible() const {
 }
 
 bool SimplexSolver::MakeDualFeasible(const std::vector<double>& y) {
+  ComputeStructuralReducedCosts(y);
   for (int j = 0; j < total_; ++j) {
     if (status_[static_cast<size_t>(j)] == BasisStatus::kBasic ||
         lower_[static_cast<size_t>(j)] == upper_[static_cast<size_t>(j)]) {
       continue;
     }
-    const double d = ReducedCost(j, y);
+    const double d = ScanReducedCost(j, y);
     if (status_[static_cast<size_t>(j)] == BasisStatus::kAtLower &&
-        d > options_.optimality_tol) {
+        d > options_->optimality_tol) {
       if (upper_[static_cast<size_t>(j)] >= kLpInfinity) {
         return false;
       }
       status_[static_cast<size_t>(j)] = BasisStatus::kAtUpper;
       value_[static_cast<size_t>(j)] = upper_[static_cast<size_t>(j)];
     } else if (status_[static_cast<size_t>(j)] == BasisStatus::kAtUpper &&
-               d < -options_.optimality_tol) {
+               d < -options_->optimality_tol) {
       if (lower_[static_cast<size_t>(j)] <= -kLpInfinity) {
         return false;
       }
@@ -478,7 +531,8 @@ void SimplexSolver::ColdStart() {
   }
 
   // Residual of each row with all structural vars at their initial bound.
-  std::vector<double> residual = rhs_;
+  std::vector<double>& residual = work_;
+  residual.assign(rhs_, rhs_ + m_);
   for (int j = 0; j < n_; ++j) {
     const double xj = value_[static_cast<size_t>(j)];
     if (xj != 0.0) {
@@ -494,8 +548,8 @@ void SimplexSolver::ColdStart() {
   for (int r = 0; r < m_; ++r) {
     const int sv = n_ + r;
     const double res = residual[static_cast<size_t>(r)];
-    if (res >= lower_[static_cast<size_t>(sv)] - options_.feasibility_tol &&
-        res <= upper_[static_cast<size_t>(sv)] + options_.feasibility_tol) {
+    if (res >= lower_[static_cast<size_t>(sv)] - options_->feasibility_tol &&
+        res <= upper_[static_cast<size_t>(sv)] + options_->feasibility_tol) {
       basis_[static_cast<size_t>(r)] = sv;
       status_[static_cast<size_t>(sv)] = BasisStatus::kBasic;
       value_[static_cast<size_t>(sv)] = res;
@@ -521,11 +575,12 @@ void SimplexSolver::ColdStart() {
 
   cand_.clear();
   degenerate_streak_ = 0;
-  Refactorize();
+  broken_down_ = false;
+  Refactorize();  // Unit columns only: always reinverts.
 }
 
 bool SimplexSolver::TryWarmStart() {
-  const LpBasis& b = options_.start_basis;
+  const LpBasis& b = options_->start_basis;
   if (static_cast<int>(b.status.size()) != n_ + m_) {
     return false;  // Different model shape; the hint is meaningless.
   }
@@ -562,44 +617,41 @@ bool SimplexSolver::TryWarmStart() {
 // ---------------------------------------------------------------------------
 
 void SimplexSolver::RebuildCandidates(const std::vector<double>& y) {
-  struct Scored {
-    double score;
-    int j;
-  };
-  std::vector<Scored> scored;
+  ComputeStructuralReducedCosts(y);
+  std::vector<Scored>& scored = scored_;
+  scored.clear();
   for (int j = 0; j < total_; ++j) {
     if (status_[static_cast<size_t>(j)] == BasisStatus::kBasic ||
         lower_[static_cast<size_t>(j)] == upper_[static_cast<size_t>(j)]) {
       continue;
     }
-    const double d = ReducedCost(j, y);
+    const double d = ScanReducedCost(j, y);
     const bool favorable =
         (status_[static_cast<size_t>(j)] == BasisStatus::kAtLower &&
-         d > options_.optimality_tol) ||
+         d > options_->optimality_tol) ||
         (status_[static_cast<size_t>(j)] == BasisStatus::kAtUpper &&
-         d < -options_.optimality_tol);
+         d < -options_->optimality_tol);
     if (favorable) {
       scored.push_back(Scored{std::fabs(d), j});
     }
   }
-  std::sort(scored.begin(), scored.end(), [](const Scored& a, const Scored& b) {
-    return a.score != b.score ? a.score > b.score : a.j < b.j;
-  });
-  const size_t cap = static_cast<size_t>(
-      std::clamp(total_ / 8, 8, 64));
-  if (scored.size() > cap) {
-    scored.resize(cap);
-  }
+  // Keep the `cap` best. The order (score desc, index asc) is a strict total
+  // order, so a partial sort yields exactly the prefix a full sort would.
+  const size_t cap = std::min(scored.size(), static_cast<size_t>(std::clamp(total_ / 8, 8, 64)));
+  std::partial_sort(scored.begin(), scored.begin() + static_cast<std::ptrdiff_t>(cap),
+                    scored.end(), [](const Scored& a, const Scored& b) {
+                      return a.score != b.score ? a.score > b.score : a.j < b.j;
+                    });
   cand_.clear();
-  for (const Scored& s : scored) {
-    cand_.push_back(s.j);
+  for (size_t i = 0; i < cap; ++i) {
+    cand_.push_back(scored[i].j);
   }
 }
 
 int SimplexSolver::PriceList(const std::vector<double>& y, int* direction) {
   int pick = -1;
   int dir = +1;
-  double best = options_.optimality_tol;
+  double best = options_->optimality_tol;
   size_t keep = 0;
   for (const int j : cand_) {
     if (status_[static_cast<size_t>(j)] == BasisStatus::kBasic ||
@@ -609,10 +661,10 @@ int SimplexSolver::PriceList(const std::vector<double>& y, int* direction) {
     const double d = ReducedCost(j, y);
     int dj = 0;
     if (status_[static_cast<size_t>(j)] == BasisStatus::kAtLower &&
-        d > options_.optimality_tol) {
+        d > options_->optimality_tol) {
       dj = +1;
     } else if (status_[static_cast<size_t>(j)] == BasisStatus::kAtUpper &&
-               d < -options_.optimality_tol) {
+               d < -options_->optimality_tol) {
       dj = -1;
     }
     if (dj == 0) {
@@ -668,11 +720,11 @@ LpStatus SimplexSolver::RunPrimal(bool phase1) {
         }
         const double d = ReducedCost(j, y_);
         if (status_[static_cast<size_t>(j)] == BasisStatus::kAtLower &&
-            d > options_.optimality_tol) {
+            d > options_->optimality_tol) {
           entering = j;
           direction = +1;
         } else if (status_[static_cast<size_t>(j)] == BasisStatus::kAtUpper &&
-                   d < -options_.optimality_tol) {
+                   d < -options_->optimality_tol) {
           entering = j;
           direction = -1;
         }
@@ -796,8 +848,9 @@ LpStatus SimplexSolver::RunPrimal(bool phase1) {
     TS_CHECK_MSG(std::fabs(alpha_[static_cast<size_t>(leaving_row)]) > kPivotTol,
                  "numerically zero pivot");
     AppendEta(alpha_, leaving_row);
-    if (++pivots_since_refactor_ >= kRefactorInterval) {
-      Refactorize();
+    if (++pivots_since_refactor_ >= kRefactorInterval && !Refactorize()) {
+      broken_down_ = true;
+      return LpStatus::kIterationLimit;
     }
   }
 }
@@ -823,7 +876,7 @@ LpStatus SimplexSolver::RunDual() {
     // Leaving row: the basic variable with the largest bound violation
     // (tie-break: smallest row index — deterministic).
     int lrow = -1;
-    double viol = options_.feasibility_tol;
+    double viol = options_->feasibility_tol;
     bool below = false;
     for (int r = 0; r < m_; ++r) {
       const int bv = basis_[static_cast<size_t>(r)];
@@ -927,8 +980,9 @@ LpStatus SimplexSolver::RunDual() {
     status_[static_cast<size_t>(entering)] = BasisStatus::kBasic;
     value_[static_cast<size_t>(entering)] = entering_value;
     AppendEta(alpha_, lrow);
-    if (++pivots_since_refactor_ >= kRefactorInterval) {
-      Refactorize();
+    if (++pivots_since_refactor_ >= kRefactorInterval && !Refactorize()) {
+      broken_down_ = true;
+      return LpStatus::kIterationLimit;
     }
   }
 }
@@ -942,14 +996,22 @@ LpSolution SimplexSolver::Finish(LpStatus status) {
   result.status = status;
   result.iterations = iterations_;
   if (status == LpStatus::kOptimal || status == LpStatus::kIterationLimit) {
+    if (broken_down_) {
+      // A cold run broke down: repair the basis (dependent columns make way
+      // for slacks) so the exported point and basis agree with each other.
+      if (!FactorFromSet(basis_, /*strict=*/false)) {
+        ResetToSlackBasis();
+      }
+    }
     RecomputeBasicValues();  // Squash incremental drift before export.
     result.values.resize(static_cast<size_t>(n_));
     for (int j = 0; j < n_; ++j) {
       // Clamp tiny numerical overshoot back into the box.
       result.values[static_cast<size_t>(j)] =
-          std::clamp(value_[static_cast<size_t>(j)], model_.lower(j), model_.upper(j));
+          std::clamp(value_[static_cast<size_t>(j)], lower_[static_cast<size_t>(j)],
+                     upper_[static_cast<size_t>(j)]);
     }
-    result.objective = model_.ObjectiveValue(result.values);
+    result.objective = core_->model.ObjectiveValue(result.values);
     result.basis.status.resize(static_cast<size_t>(n_ + m_));
     for (int j = 0; j < n_ + m_; ++j) {
       result.basis.status[static_cast<size_t>(j)] = status_[static_cast<size_t>(j)];
@@ -959,7 +1021,9 @@ LpSolution SimplexSolver::Finish(LpStatus status) {
   return result;
 }
 
-LpSolution SimplexSolver::Solve() {
+LpSolution SimplexSolver::Solve(const LpCore& core, const std::vector<BoundFix>& fixes,
+                                const SimplexOptions& options) {
+  Bind(core, fixes, options);
   LpSolution result;
   if (m_ == 0) {
     // Pure bound problem: each variable sits at whichever bound its objective
@@ -968,14 +1032,16 @@ LpSolution SimplexSolver::Solve() {
     result.values.resize(static_cast<size_t>(n_));
     result.basis.status.resize(static_cast<size_t>(n_));
     for (int j = 0; j < n_; ++j) {
-      const double c = model_.objective(j);
+      const double c = obj_[static_cast<size_t>(j)];
+      const double lo = lower_[static_cast<size_t>(j)];
+      const double up = upper_[static_cast<size_t>(j)];
       double v;
       if (c > 0.0) {
-        v = model_.upper(j);
+        v = up;
       } else if (c < 0.0) {
-        v = model_.lower(j);
+        v = lo;
       } else {
-        v = model_.lower(j) > -kLpInfinity ? model_.lower(j) : model_.upper(j);
+        v = lo > -kLpInfinity ? lo : up;
       }
       if (v >= kLpInfinity || v <= -kLpInfinity) {
         result.status = LpStatus::kUnbounded;
@@ -985,42 +1051,47 @@ LpSolution SimplexSolver::Solve() {
       }
       result.values[static_cast<size_t>(j)] = v;
       result.basis.status[static_cast<size_t>(j)] =
-          v == model_.upper(j) ? BasisStatus::kAtUpper : BasisStatus::kAtLower;
+          v == up ? BasisStatus::kAtUpper : BasisStatus::kAtLower;
       result.objective += c * v;
     }
     return result;
   }
-
-  BuildCore();
-  max_iterations_ = options_.max_iterations > 0 ? options_.max_iterations
-                                                : 200 * (n_ + 2 * m_) + 2000;
 
   // Warm path: install the hint; if it lands primal feasible Phase 1 is
   // skipped outright, if it lands dual feasible the dual simplex re-optimizes
   // in a few pivots (the branch-and-bound child case). Anything else falls
   // through to a cold start — a warm start can change the pivot count, never
   // the answer.
-  if (!options_.start_basis.empty() && TryWarmStart()) {
+  // A warm run that breaks down numerically (see Refactorize) also falls
+  // through to the cold start.
+  if (!options_->start_basis.empty() && TryWarmStart()) {
     stats_.warm_basis_used = true;
     if (PrimalFeasible()) {
-      return Finish(RunPrimal(/*phase1=*/false));
-    }
-    ComputeDuals(&y_);
-    if (MakeDualFeasible(y_)) {
-      RecomputeBasicValues();  // Bound flips moved nonbasic values.
-      const LpStatus dual = RunDual();
-      if (dual == LpStatus::kInfeasible) {
-        result.status = LpStatus::kInfeasible;
-        result.iterations = iterations_;
-        result.stats = stats_;
-        return result;
+      const LpStatus primal = RunPrimal(/*phase1=*/false);
+      if (!broken_down_) {
+        return Finish(primal);
       }
-      if (dual == LpStatus::kOptimal) {
-        // Certify: dual pivots preserved dual feasibility, so this is
-        // normally zero extra pivots.
-        return Finish(RunPrimal(/*phase1=*/false));
+    } else {
+      ComputeDuals(&y_);
+      if (MakeDualFeasible(y_)) {
+        RecomputeBasicValues();  // Bound flips moved nonbasic values.
+        const LpStatus dual = RunDual();
+        if (dual == LpStatus::kInfeasible) {
+          result.status = LpStatus::kInfeasible;
+          result.iterations = iterations_;
+          result.stats = stats_;
+          return result;
+        }
+        if (dual == LpStatus::kOptimal) {
+          // Certify: dual pivots preserved dual feasibility, so this is
+          // normally zero extra pivots.
+          const LpStatus primal = RunPrimal(/*phase1=*/false);
+          if (!broken_down_) {
+            return Finish(primal);
+          }
+        }
+        // Dual gave up (degeneracy/numerics): cold-start below.
       }
-      // Dual gave up (degeneracy/numerics): cold-start below.
     }
     stats_.warm_basis_used = false;
   }
@@ -1065,52 +1136,10 @@ LpSolution SimplexSolver::Solve() {
   return Finish(RunPrimal(/*phase1=*/false));
 }
 
-}  // namespace
-
 namespace {
 
-LpSolution SolveLpImpl(const LpModel& model, const SimplexOptions& options) {
-  if (options.presolve) {
-    PresolveResult pre = Presolve(model);
-    if (pre.proven_infeasible) {
-      LpSolution result;
-      result.status = LpStatus::kInfeasible;
-      return result;
-    }
-    if (!pre.proven_unbounded) {
-      SimplexOptions reduced_options = options;
-      reduced_options.presolve = false;
-      // A start basis rides through the reductions (statuses of surviving
-      // variables and rows); the simplex repairs whatever the eliminations
-      // knocked out of the basic set.
-      if (!options.start_basis.empty()) {
-        reduced_options.start_basis =
-            pre.MapBasisToReduced(options.start_basis, model.num_variables(),
-                                  model.num_rows());
-      }
-      SimplexSolver solver(pre.reduced, reduced_options);
-      LpSolution reduced = solver.Solve();
-      if (reduced.status == LpStatus::kOptimal ||
-          reduced.status == LpStatus::kIterationLimit) {
-        reduced.values = pre.ExpandSolution(reduced.values);
-        reduced.objective = model.ObjectiveValue(reduced.values);
-        reduced.basis =
-            pre.MapBasisToFull(reduced.basis, model.num_variables(), model.num_rows());
-      }
-      return reduced;
-    }
-    // A row-free variable with an unbounded preferred direction: the model is
-    // unbounded iff the rest is feasible — let the full simplex decide.
-  }
-  SimplexSolver solver(model, options);
-  return solver.Solve();
-}
-
-}  // namespace
-
-LpSolution SolveLp(const LpModel& model, const SimplexOptions& options) {
-  LpSolution result = SolveLpImpl(model, options);
-  // LP work counters. SolveLp runs on solver worker threads too, so this uses
+void RecordLpCounters(const LpSolution& result) {
+  // LP work counters. Node LPs run on solver worker threads too, so this uses
   // only striped registry adds — never spans (span rings are driver-thread
   // state; worker emission would make trace export thread-count-dependent).
   struct LpCounters {
@@ -1145,7 +1174,125 @@ LpSolution SolveLp(const LpModel& model, const SimplexOptions& options) {
     counters->warm_basis_used->Increment();
   }
   counters->pivots_hist->Observe(static_cast<double>(result.iterations));
+}
+
+}  // namespace
+
+LpCore::LpCore(const LpModel& lp)
+    : model(lp), num_rows(lp.num_rows()), num_variables(lp.num_variables()) {
+  const int m = num_rows;
+  const int n = num_variables;
+  // CSC structural columns; scanning rows in order leaves each column's
+  // entries in ascending row order.
+  col_start.assign(static_cast<size_t>(n) + 1, 0);
+  for (int r = 0; r < m; ++r) {
+    for (const LpTerm& t : lp.row(r).terms) {
+      ++col_start[static_cast<size_t>(t.var) + 1];
+    }
+  }
+  for (int j = 0; j < n; ++j) {
+    col_start[static_cast<size_t>(j) + 1] += col_start[static_cast<size_t>(j)];
+  }
+  col_row.resize(static_cast<size_t>(col_start[static_cast<size_t>(n)]));
+  col_value.resize(col_row.size());
+  {
+    std::vector<int> fill(col_start.begin(), col_start.end() - 1);
+    for (int r = 0; r < m; ++r) {
+      for (const LpTerm& t : lp.row(r).terms) {
+        const int k = fill[static_cast<size_t>(t.var)]++;
+        col_row[static_cast<size_t>(k)] = r;
+        col_value[static_cast<size_t>(k)] = t.coeff;
+      }
+    }
+  }
+
+  row_start.reserve(static_cast<size_t>(m) + 1);
+  row_start.push_back(0);
+  row_col.reserve(col_row.size());
+  row_value.reserve(col_row.size());
+  rhs.resize(static_cast<size_t>(m));
+  for (int r = 0; r < m; ++r) {
+    for (const LpTerm& t : lp.row(r).terms) {
+      row_col.push_back(t.var);
+      row_value.push_back(t.coeff);
+    }
+    row_start.push_back(static_cast<int>(row_col.size()));
+    rhs[static_cast<size_t>(r)] = lp.row(r).rhs;
+  }
+
+  lower.reserve(static_cast<size_t>(n + m));
+  upper.reserve(static_cast<size_t>(n + m));
+  objective.reserve(static_cast<size_t>(n + m));
+  for (int j = 0; j < n; ++j) {
+    TS_CHECK_MSG(lp.lower(j) > -kLpInfinity || lp.upper(j) < kLpInfinity,
+                 "variable " << j << " must have a finite bound");
+    lower.push_back(lp.lower(j));
+    upper.push_back(lp.upper(j));
+    objective.push_back(lp.objective(j));
+  }
+  // Slack variables: row sense becomes a bound on the slack.
+  for (int r = 0; r < m; ++r) {
+    const RowSense sense = lp.row(r).sense;
+    lower.push_back(sense == RowSense::kGreaterEqual ? -kLpInfinity : 0.0);
+    upper.push_back(sense == RowSense::kLessEqual ? kLpInfinity : 0.0);
+    objective.push_back(0.0);
+  }
+}
+
+LpWorkspace::LpWorkspace() : solver_(std::make_unique<SimplexSolver>()) {}
+LpWorkspace::~LpWorkspace() = default;
+
+LpSolution LpWorkspace::Solve(const LpCore& core, const std::vector<BoundFix>& fixes,
+                              const SimplexOptions& options) {
+  LpSolution result = [&]() -> LpSolution {
+    if (!options.presolve) {
+      return solver_->Solve(core, fixes, options);
+    }
+    const size_t n = static_cast<size_t>(core.num_variables);
+    lower_.assign(core.lower.begin(), core.lower.begin() + static_cast<std::ptrdiff_t>(n));
+    upper_.assign(core.upper.begin(), core.upper.begin() + static_cast<std::ptrdiff_t>(n));
+    for (const BoundFix& fix : fixes) {
+      lower_[static_cast<size_t>(fix.var)] = fix.lower;
+      upper_[static_cast<size_t>(fix.var)] = fix.upper;
+    }
+    const PresolveResult pre = Presolve(core.model, lower_, upper_);
+    if (pre.proven_infeasible) {
+      LpSolution infeasible;
+      infeasible.status = LpStatus::kInfeasible;
+      return infeasible;
+    }
+    if (pre.proven_unbounded) {
+      // A row-free variable with an unbounded preferred direction: the model
+      // is unbounded iff the rest is feasible — let the full simplex decide.
+      return solver_->Solve(core, fixes, options);
+    }
+    SimplexOptions reduced_options = options;
+    reduced_options.presolve = false;
+    // A start basis rides through the reductions (statuses of surviving
+    // variables and rows); the simplex repairs whatever the eliminations
+    // knocked out of the basic set.
+    if (!options.start_basis.empty()) {
+      reduced_options.start_basis = pre.MapBasisToReduced(
+          options.start_basis, core.num_variables, core.num_rows);
+    }
+    const LpCore reduced_core(pre.reduced);
+    LpSolution reduced = solver_->Solve(reduced_core, {}, reduced_options);
+    if (reduced.status == LpStatus::kOptimal ||
+        reduced.status == LpStatus::kIterationLimit) {
+      reduced.values = pre.ExpandSolution(reduced.values);
+      reduced.objective = core.model.ObjectiveValue(reduced.values);
+      reduced.basis = pre.MapBasisToFull(reduced.basis, core.num_variables, core.num_rows);
+    }
+    return reduced;
+  }();
+  RecordLpCounters(result);
   return result;
+}
+
+LpSolution SolveLp(const LpModel& model, const SimplexOptions& options) {
+  const LpCore core(model);
+  LpWorkspace workspace;
+  return workspace.Solve(core, {}, options);
 }
 
 }  // namespace threesigma

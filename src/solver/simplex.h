@@ -35,6 +35,7 @@
 #define SRC_SOLVER_SIMPLEX_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/solver/lp_model.h"
@@ -104,6 +105,60 @@ struct SimplexOptions {
 
 // Solves the LP relaxation of `model` (integrality is ignored).
 LpSolution SolveLp(const LpModel& model, const SimplexOptions& options = {});
+
+// A model's constraint data in the simplex's working form, built once and
+// then shared read-only: the structural matrix by column (CSC, each column's
+// entries in ascending row order) and by row, row right-hand sides, and
+// bounds and objective over the structural variables followed by one slack
+// per row (a row's sense becomes its slack's bounds). Branch-and-bound nodes
+// differ from their model only in variable bounds, so every node LP of a
+// MILP solve runs on one core plus a bound overlay. Holds `model` by
+// reference; the model must outlive the core and not change while it lives.
+struct LpCore {
+  explicit LpCore(const LpModel& model);
+
+  const LpModel& model;
+  int num_rows;
+  int num_variables;
+  std::vector<int> col_start;  // num_variables + 1 offsets into col_row/col_value.
+  std::vector<int> col_row;
+  std::vector<double> col_value;
+  std::vector<int> row_start;  // num_rows + 1 offsets into row_col/row_value.
+  std::vector<int> row_col;
+  std::vector<double> row_value;
+  std::vector<double> rhs;
+  std::vector<double> lower, upper, objective;  // num_variables + num_rows.
+};
+
+// One variable-bound override applied over the model's bounds (a branching
+// decision). Overrides apply in order, so a later one for the same variable
+// wins.
+struct BoundFix {
+  int var;
+  double lower;
+  double upper;
+};
+
+class SimplexSolver;
+
+// Simplex state kept alive across a sequence of solves on one thread: basis,
+// values, eta file and scratch vectors keep their allocations from one
+// branch-and-bound node to the next. Not thread-safe; use one per worker.
+class LpWorkspace {
+ public:
+  LpWorkspace();
+  ~LpWorkspace();  // Out of line: SimplexSolver is complete only in simplex.cc.
+
+  // Solves the relaxation of core.model with `fixes` applied over its
+  // variable bounds. Pivot for pivot the same as SolveLp on a copy of the
+  // model whose bounds were set to `fixes`.
+  LpSolution Solve(const LpCore& core, const std::vector<BoundFix>& fixes,
+                   const SimplexOptions& options);
+
+ private:
+  std::unique_ptr<SimplexSolver> solver_;
+  std::vector<double> lower_, upper_;  // Node bounds handed to presolve.
+};
 
 }  // namespace threesigma
 

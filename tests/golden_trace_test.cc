@@ -46,6 +46,9 @@ ExperimentConfig BaseConfig() {
   config.sched.cycle_period = 10.0;
   config.sched.solver_threads = 1;
   config.sched.solver_basis_warmstart = false;
+  // No wall-clock budget: a limit that expires on a slow machine would
+  // truncate the search and make the decisions depend on timing.
+  config.sched.solver_time_limit_seconds = 0.0;
   return config;
 }
 

@@ -6,6 +6,8 @@
 // plus hand-checked textbook instances.
 
 #include <cmath>
+#include <fstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include "src/solver/lp_model.h"
 #include "src/solver/milp.h"
 #include "src/solver/simplex.h"
+#include "src/solver/synthetic.h"
 
 namespace threesigma {
 namespace {
@@ -685,6 +688,149 @@ TEST(SimplexTest, BasisSurvivesPresolveRoundTrip) {
   EXPECT_NEAR(second.objective, first.objective, 1e-9);
   EXPECT_TRUE(second.stats.warm_basis_used);
   EXPECT_EQ(second.iterations, 0);
+}
+
+// Field-by-field equality of two LP results: same status, pivots by phase,
+// basis solves, refactorizations, point and basis.
+void ExpectSameLpRun(const LpSolution& a, const LpSolution& b, const std::string& what) {
+  EXPECT_EQ(a.status, b.status) << what;
+  EXPECT_EQ(a.iterations, b.iterations) << what;
+  EXPECT_EQ(a.stats.phase1_iterations, b.stats.phase1_iterations) << what;
+  EXPECT_EQ(a.stats.phase2_iterations, b.stats.phase2_iterations) << what;
+  EXPECT_EQ(a.stats.dual_iterations, b.stats.dual_iterations) << what;
+  EXPECT_EQ(a.stats.ftran, b.stats.ftran) << what;
+  EXPECT_EQ(a.stats.btran, b.stats.btran) << what;
+  EXPECT_EQ(a.stats.refactorizations, b.stats.refactorizations) << what;
+  EXPECT_EQ(a.stats.warm_basis_used, b.stats.warm_basis_used) << what;
+  EXPECT_EQ(a.objective, b.objective) << what;
+  EXPECT_EQ(a.values, b.values) << what;
+  EXPECT_EQ(a.basis.status, b.basis.status) << what;
+}
+
+TEST(SimplexTest, BoundOverlayMatchesModelCopyPivotForPivot) {
+  // Branch-and-bound nodes solve on one shared LpCore with their branching
+  // decisions as a bound overlay, reusing one workspace. That must be the
+  // same run, pivot for pivot, as SolveLp on a model copy whose bounds were
+  // set — with and without presolve and a parent basis.
+  Rng rng(4242);
+  std::vector<int> int_vars;
+  LpModel model = SchedulerShapedModel(12, 6, 10, rng, &int_vars);
+  const LpCore core(model);
+  LpWorkspace workspace;
+  SimplexOptions root_options;
+  root_options.presolve = false;
+  const LpSolution root = SolveLp(model, root_options);
+  ASSERT_EQ(root.status, LpStatus::kOptimal);
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<BoundFix> fixes;
+    const int depth = static_cast<int>(rng.UniformInt(0, 6));
+    for (int d = 0; d < depth; ++d) {
+      const int v = int_vars[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(int_vars.size()) - 1))];
+      const double side = rng.Bernoulli(0.5) ? 1.0 : 0.0;
+      fixes.push_back(BoundFix{v, side, side});
+    }
+    LpModel copy = model;
+    for (const BoundFix& fix : fixes) {
+      copy.SetVariableBounds(fix.var, fix.lower, fix.upper);
+    }
+    SimplexOptions options;
+    options.presolve = trial % 2 == 0;
+    if (trial % 3 != 0) {
+      options.start_basis = root.basis;
+    }
+    const std::string what = "trial " + std::to_string(trial);
+    ExpectSameLpRun(workspace.Solve(core, fixes, options), SolveLp(copy, options), what);
+  }
+}
+
+// Reads an LP captured from a scheduler run: "n m", n lines "lower upper
+// objective", m lines "sense rhs k (var coeff)*k" (sense as RowSense), then
+// "f" and f lines "var lower upper" (branching fixes), then "presolve s" and
+// s start-basis statuses (as BasisStatus).
+struct CapturedLp {
+  LpModel model;
+  std::vector<BoundFix> fixes;
+  LpBasis start_basis;
+};
+
+CapturedLp ReadCapturedLp(const std::string& path) {
+  CapturedLp lp;
+  std::ifstream in(path);
+  int n = 0;
+  int m = 0;
+  in >> n >> m;
+  for (int j = 0; j < n; ++j) {
+    double lower = 0.0;
+    double upper = 0.0;
+    double objective = 0.0;
+    in >> lower >> upper >> objective;
+    lp.model.AddVariable(lower, upper, objective);
+  }
+  for (int r = 0; r < m; ++r) {
+    int sense = 0;
+    double rhs = 0.0;
+    size_t k = 0;
+    in >> sense >> rhs >> k;
+    std::vector<LpTerm> terms(k);
+    for (LpTerm& t : terms) {
+      in >> t.var >> t.coeff;
+    }
+    lp.model.AddRow(static_cast<RowSense>(sense), rhs, std::move(terms));
+  }
+  size_t f = 0;
+  in >> f;
+  lp.fixes.resize(f);
+  for (BoundFix& fix : lp.fixes) {
+    in >> fix.var >> fix.lower >> fix.upper;
+  }
+  int presolve = 0;
+  size_t s = 0;
+  in >> presolve >> s;
+  lp.start_basis.status.resize(s);
+  for (BasisStatus& status : lp.start_basis.status) {
+    int code = 0;
+    in >> code;
+    status = static_cast<BasisStatus>(code);
+  }
+  EXPECT_TRUE(static_cast<bool>(in)) << "malformed " << path;
+  return lp;
+}
+
+TEST(SimplexTest, SingularWarmBasisFallsBackToColdStart) {
+  // A node LP captured from a 2 h, load-1.4 Google run (seed 2008, variable
+  // job count) and reduced to 85 variables and 51 rows. Warm-started from its
+  // parent's basis, the dual simplex pivots on a ~1e-9 entry and leaves a
+  // numerically singular basis that no reinversion can factor. Unless the
+  // run is declared broken down, the eta file grows by one per pivot and the
+  // drifting run pivots until the 200(n+2m)+2000 cap (minutes on the full
+  // model). The warm run must break off, cold-start, and return the cold
+  // optimum in bounded pivots.
+  const CapturedLp lp = ReadCapturedLp(std::string(TEST_DATA_DIR) + "/singular_basis_lp.txt");
+  ASSERT_EQ(lp.model.num_variables(), 85);
+  ASSERT_EQ(lp.model.num_rows(), 51);
+  const LpCore core(lp.model);
+  LpWorkspace workspace;
+  SimplexOptions cold_options;
+  cold_options.presolve = false;
+  const LpSolution cold = workspace.Solve(core, lp.fixes, cold_options);
+  ASSERT_EQ(cold.status, LpStatus::kOptimal);
+
+  SimplexOptions warm_options = cold_options;
+  warm_options.start_basis = lp.start_basis;
+  const LpSolution warm = workspace.Solve(core, lp.fixes, warm_options);
+  ASSERT_EQ(warm.status, LpStatus::kOptimal);
+  EXPECT_FALSE(warm.stats.warm_basis_used);
+  EXPECT_NEAR(warm.objective, cold.objective, 1e-6);
+  // About 2,270 pivots: the dual pivots, the broken primal run until 32
+  // reinversions in a row have failed, then the cold solve. The pivot cap
+  // the stall ran into is 39,400.
+  EXPECT_LT(warm.iterations, 3000);
+  LpModel fixed = lp.model;
+  for (const BoundFix& fix : lp.fixes) {
+    fixed.SetVariableBounds(fix.var, fix.lower, fix.upper);
+  }
+  EXPECT_TRUE(fixed.IsFeasible(warm.values, 1e-6));
 }
 
 TEST(MilpTest, BasisWarmstartSlashesLpIterations) {
