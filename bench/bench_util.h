@@ -16,13 +16,6 @@
 //       per-cycle MILP into independently solved sub-MILPs; default 0. Exact
 //       and byte-identical at any shard/thread count when the node budget
 //       does not bind — see DESIGN.md for the budget caveat.)
-//   THREESIGMA_VALUATION_ENGINE=0|1      (closed-form Eq. 1 kernels + parallel
-//       valuation fan-out; default 1. Decisions are byte-identical either way;
-//       0 is the generic per-atom baseline for A/B timing.)
-//   THREESIGMA_VALUATION_CACHE=0|1       (cross-cycle (job, scale) valuation
-//       tables; default 1; engine only)
-//   THREESIGMA_VALUATION_CROSSCHECK=0|1  (re-derive every kernel answer with
-//       the generic loop, abort on bitwise divergence; default 0)
 //   THREESIGMA_FAULT_MTTF=<s>            (node mean time to failure; 0 = off)
 //   THREESIGMA_FAULT_MTTR=<s>            (node mean time to repair)
 //   THREESIGMA_FAULT_KILL_PROB=<p>       (per-run task-fault kill probability)
@@ -122,9 +115,6 @@ inline ExperimentConfig MakeE2EConfig(double base_hours, double load = 1.4) {
       static_cast<int>(GetEnvInt("THREESIGMA_SOLVER_THREADS", 1));
   config.sched.solver_basis_warmstart = SolverWarmstartEnv();
   config.sched.solver_shards = SolverShardsEnv();
-  config.sched.valuation_engine = GetEnvInt("THREESIGMA_VALUATION_ENGINE", 1) != 0;
-  config.sched.valuation_cache = GetEnvInt("THREESIGMA_VALUATION_CACHE", 1) != 0;
-  config.sched.valuation_crosscheck = GetEnvInt("THREESIGMA_VALUATION_CROSSCHECK", 0) != 0;
   ApplyFaultEnv(&config.sim.faults);
   ApplyObsEnv(&config.obs);
   return config;

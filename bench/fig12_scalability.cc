@@ -71,11 +71,10 @@ int main() {
   std::cout << "\n(b) Solver runtime:\n";
   solver.Print(std::cout);
 
-  // (c) Parallel solver + expected-capacity cache: same workload, sweeping
-  // branch-and-bound worker threads (the returned schedules are identical by
-  // construction; only wall clock moves, and only on multi-core hardware) and
-  // toggling the incremental Eq. 3 cache.
-  std::cout << "\n(c) Wave-parallel solver and capacity-cache ablation:\n";
+  // (c) Parallel solver: same workload, sweeping branch-and-bound worker
+  // threads (the returned schedules are identical by construction; only wall
+  // clock moves, and only on multi-core hardware), plus a cold-basis row.
+  std::cout << "\n(c) Wave-parallel solver and cold-basis ablation:\n";
   {
     TablePrinter par({"config", "mean solver (ms)", "speedup", "nodes/s",
                       "mean cycle (ms)", "cache hit %"});
@@ -96,7 +95,6 @@ int main() {
     double base_solver = 0.0;
     for (const int threads : {1, 2, 4}) {
       config.sched.solver_threads = threads;
-      config.sched.capacity_cache = true;
       const RunMetrics m = RunSystem(SystemKind::kThreeSigma, config, workload);
       if (threads == 1) {
         base_solver = m.mean_solver_seconds;
@@ -110,15 +108,9 @@ int main() {
                   TablePrinter::Fmt(100.0 * m.capacity_cache_hit_rate, 1)});
     }
     config.sched.solver_threads = 1;
-    config.sched.capacity_cache = false;
-    const RunMetrics nocache = RunSystem(SystemKind::kThreeSigma, config, workload);
-    par.AddRow({"1 thread, no cache", Ms(nocache.mean_solver_seconds), "-",
-                TablePrinter::Fmt(nocache.solver_nodes_per_second, 0),
-                Ms(nocache.mean_cycle_seconds), "-"});
     // Cold-basis ablation: every branch-and-bound node solves its LP from the
     // slack basis instead of re-optimizing the parent's basis with dual pivots
     // (deterministic, but degenerate LP ties may break differently than warm).
-    config.sched.capacity_cache = true;
     config.sched.solver_basis_warmstart = false;
     const RunMetrics coldbasis = RunSystem(SystemKind::kThreeSigma, config, workload);
     par.AddRow({"1 thread, cold basis", Ms(coldbasis.mean_solver_seconds), "-",
@@ -140,7 +132,6 @@ int main() {
     TablePrinter shards({"config", "mean solver (ms)", "total B&B nodes", "node ratio",
                          "mean shards", "max shard vars"});
     config.sched.solver_threads = 1;
-    config.sched.capacity_cache = true;
     config.sched.solver_basis_warmstart = true;
     config.sched.solver_shards = false;
     const RunMetrics shard_off = RunSystem(SystemKind::kThreeSigma, config, workload);

@@ -51,9 +51,9 @@ UtilityFunction UtilityFor(int kind) {
   }
 }
 
-// The generic path exactly as the scheduler's engine-off branch runs it:
-// Scaled() materialization per group, Survival per slot offset, and the
-// std::function-free template ExpectedValue per start slot.
+// The generic computation the engine replaces: Scaled() materialization per
+// group, Survival per slot offset, and the std::function-free template
+// ExpectedValue per start slot.
 double ValueJobGeneric(const EmpiricalDistribution& dist, const UtilityFunction& u) {
   double acc = 0.0;
   for (int g = 0; g < kGroups; ++g) {
@@ -88,7 +88,7 @@ double ValueJobEngine(const ValuationEngine& engine, const UtilityFunction& u) {
 }
 
 ValuationEngine WarmEngine(const EmpiricalDistribution& dist, const UtilityFunction& u) {
-  ValuationEngine engine(ValuationEngine::Config{/*cache=*/true, /*crosscheck=*/false});
+  ValuationEngine engine;
   for (int g = 0; g < kGroups; ++g) {
     engine.Tables(1, kGroupMult[g], dist, u, nullptr);
   }
@@ -162,7 +162,7 @@ void BM_TablesBuildMiss(benchmark::State& state) {
   const EmpiricalDistribution dist = Fig06Distribution();
   const UtilityFunction u = UtilityFor(0);
   for (auto _ : state) {
-    ValuationEngine engine(ValuationEngine::Config{true, false});
+    ValuationEngine engine;
     benchmark::DoNotOptimize(engine.Tables(1, 1.5, dist, u, nullptr));
   }
 }

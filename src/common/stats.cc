@@ -40,18 +40,6 @@ double RunningStats::cov() const {
   return stddev() / m;
 }
 
-RunningStats RunningStats::Restore(size_t count, double mean, double m2, double min,
-                                   double max, double sum) {
-  RunningStats rs;
-  rs.count_ = count;
-  rs.mean_ = mean;
-  rs.m2_ = m2;
-  rs.min_ = min;
-  rs.max_ = max;
-  rs.sum_ = sum;
-  return rs;
-}
-
 void RunningStats::SaveState(SnapshotWriter& writer) const {
   writer.WriteVarU64(count_);
   writer.WriteDouble(mean_);
@@ -68,23 +56,6 @@ void RunningStats::RestoreState(SnapshotReader& reader) {
   min_ = reader.ReadDouble();
   max_ = reader.ReadDouble();
   sum_ = reader.ReadDouble();
-}
-
-EwmaEstimator EwmaEstimator::Restore(double alpha, bool seeded, double value) {
-  EwmaEstimator e(alpha);
-  e.seeded_ = seeded;
-  e.value_ = value;
-  return e;
-}
-
-RecentWindow RecentWindow::Restore(size_t capacity, size_t next,
-                                   std::vector<double> values) {
-  RecentWindow w(capacity);
-  TS_CHECK_LE(values.size(), capacity);
-  TS_CHECK_LT(next, capacity);
-  w.next_ = next;
-  w.values_ = std::move(values);
-  return w;
 }
 
 void EwmaEstimator::SaveState(SnapshotWriter& writer) const {

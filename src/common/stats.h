@@ -21,12 +21,6 @@ class RunningStats {
  public:
   void Add(double x);
 
-  // Persistence support (predict/predictor_io.h): raw accumulator access and
-  // exact state restoration.
-  double m2() const { return m2_; }
-  static RunningStats Restore(size_t count, double mean, double m2, double min, double max,
-                              double sum);
-
   size_t count() const { return count_; }
   double mean() const { return count_ > 0 ? mean_ : 0.0; }
   // Sample variance (n-1 denominator); 0 with fewer than two samples.
@@ -61,7 +55,6 @@ class EwmaEstimator {
   bool empty() const { return !seeded_; }
   double value() const { return value_; }
   double alpha() const { return alpha_; }
-  static EwmaEstimator Restore(double alpha, bool seeded, double value);
 
   void SaveState(SnapshotWriter& writer) const;
   void RestoreState(SnapshotReader& reader);
@@ -85,9 +78,6 @@ class RecentWindow {
   double Median() const;
 
   size_t capacity() const { return capacity_; }
-  size_t next() const { return next_; }
-  const std::vector<double>& values() const { return values_; }
-  static RecentWindow Restore(size_t capacity, size_t next, std::vector<double> values);
 
   void SaveState(SnapshotWriter& writer) const;
   void RestoreState(SnapshotReader& reader);

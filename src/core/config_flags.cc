@@ -26,19 +26,11 @@ void RegisterExperimentFlags(FlagParser& parser, ExperimentFlags* flags) {
               "first; the rest waits)")
       .AddInt("start-slots", &flags->start_slots,
               "candidate deferred-start slots per (job, group) option")
-      .AddBool("capacity-cache", &flags->capacity_cache,
-               "incremental expected-capacity cache (vs. full Eq. 3 recompute "
-               "per cycle)")
-      .AddBool("valuation-engine", &flags->valuation_engine,
-               "closed-form Eq. 1 valuation kernels + parallel fan-out (off = "
-               "the generic per-atom loop; decisions are byte-identical either "
-               "way)")
-      .AddBool("valuation-cache", &flags->valuation_cache,
-               "memoize per-(job, scale) valuation tables across cycles "
-               "(engine only)")
-      .AddBool("valuation-crosscheck", &flags->valuation_crosscheck,
-               "debug: re-derive every kernel answer with the generic loop and "
-               "abort on any bitwise divergence")
+      .AddBool("crosscheck", &flags->crosscheck,
+               "debug: check the capacity rows against a full Eq. 3 recompute, "
+               "every valuation kernel against the generic per-atom loop, and "
+               "every valuation-table cache hit against a fresh rebuild; abort "
+               "on any divergence (decisions unchanged)")
       .AddBool("solver-basis-warmstart", &flags->solver_basis_warmstart,
                "re-optimize parent simplex bases with dual pivots across "
                "branch-and-bound nodes and cycles; off = cold Phase-1 solves "
@@ -118,10 +110,7 @@ bool BuildExperimentConfig(const ExperimentFlags& flags, ExperimentConfig* confi
   config->sched.solver_max_nodes = static_cast<int>(flags.solver_max_nodes);
   config->sched.max_pending_considered = static_cast<int>(flags.max_pending);
   config->sched.num_start_slots = static_cast<int>(flags.start_slots);
-  config->sched.capacity_cache = flags.capacity_cache;
-  config->sched.valuation_engine = flags.valuation_engine;
-  config->sched.valuation_cache = flags.valuation_cache;
-  config->sched.valuation_crosscheck = flags.valuation_crosscheck;
+  config->sched.crosscheck = flags.crosscheck;
   config->sched.solver_basis_warmstart = flags.solver_basis_warmstart;
   config->obs.trace_json_out = flags.trace_out;
   config->obs.trace_bin_out = flags.trace_bin_out;

@@ -32,10 +32,7 @@ struct ExperimentFlags {
   int64_t solver_max_nodes = 6;
   int64_t max_pending = 48;
   int64_t start_slots = 6;
-  bool capacity_cache = true;
-  bool valuation_engine = true;
-  bool valuation_cache = true;
-  bool valuation_crosscheck = false;
+  bool crosscheck = false;
   bool solver_basis_warmstart = true;
   bool high_fidelity = false;
   double fault_mttf = 0.0;

@@ -14,25 +14,6 @@ StreamHistogram::StreamHistogram(size_t max_bins) : max_bins_(max_bins) {
   bins_.reserve(max_bins + 1);
 }
 
-StreamHistogram StreamHistogram::Restore(size_t max_bins, double min, double max,
-                                         std::vector<Bin> bins) {
-  StreamHistogram h(max_bins);
-  TS_CHECK_LE(bins.size(), max_bins);
-  double total = 0.0;
-  for (size_t i = 0; i < bins.size(); ++i) {
-    TS_CHECK_GT(bins[i].count, 0.0);
-    if (i > 0) {
-      TS_CHECK_LT(bins[i - 1].centroid, bins[i].centroid);
-    }
-    total += bins[i].count;
-  }
-  h.bins_ = std::move(bins);
-  h.total_count_ = total;
-  h.min_ = min;
-  h.max_ = max;
-  return h;
-}
-
 void StreamHistogram::Update(double value) {
   if (bins_.empty()) {
     min_ = value;

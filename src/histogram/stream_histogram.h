@@ -40,11 +40,6 @@ class StreamHistogram {
   // Approximate q-quantile, q in [0, 1].
   double Quantile(double q) const;
 
-  // Exact state restoration (predict/predictor_io.h). `bins` must be sorted
-  // by centroid with positive counts.
-  static StreamHistogram Restore(size_t max_bins, double min, double max,
-                                 std::vector<Bin> bins);
-
   double total_count() const { return total_count_; }
   double min() const { return min_; }
   double max() const { return max_; }

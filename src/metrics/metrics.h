@@ -68,8 +68,7 @@ struct RunMetrics {
   int64_t capacity_cache_hits = 0;
   int64_t capacity_cache_misses = 0;
   double capacity_cache_hit_rate = 0.0;
-  // Valuation engine: Eq. 1 table-cache traffic and kernel evaluations
-  // (all zero when the engine is off).
+  // Valuation engine: Eq. 1 table-cache traffic and kernel evaluations.
   int64_t valuation_cache_hits = 0;
   int64_t valuation_cache_misses = 0;
   double valuation_cache_hit_rate = 0.0;

@@ -1,10 +1,7 @@
 #include "src/predict/feature_history.h"
 
 #include <cmath>
-#include <iomanip>
-#include <istream>
 #include <limits>
-#include <ostream>
 
 #include "src/common/check.h"
 #include "src/snapshot/snapshot_io.h"
@@ -91,88 +88,6 @@ double FeatureHistory::NmaeScore(ExpertKind kind) const {
 
 size_t FeatureHistory::NmaeSamples(ExpertKind kind) const {
   return nmae_[static_cast<size_t>(kind)].samples;
-}
-
-void FeatureHistory::SaveTo(std::ostream& os) const {
-  const auto save_precision = os.precision(17);  // Exact double round-trip.
-  os << "hist " << histogram_.max_bins() << " " << histogram_.min() << " "
-     << histogram_.max() << " " << histogram_.bin_count();
-  for (const StreamHistogram::Bin& b : histogram_.bins()) {
-    os << " " << b.centroid << " " << b.count;
-  }
-  os << "\n";
-  os << "avg " << average_.count() << " " << average_.mean() << " " << average_.m2() << " "
-     << average_.min() << " " << average_.max() << " " << average_.sum() << "\n";
-  os << "ewma " << rolling_.alpha() << " " << (rolling_.empty() ? 0 : 1) << " "
-     << rolling_.value() << "\n";
-  os << "recent " << recent_.capacity() << " " << recent_.next() << " " << recent_.size();
-  for (double v : recent_.values()) {
-    os << " " << v;
-  }
-  os << "\n";
-  for (const NmaeAccumulator& acc : nmae_) {
-    os << "nmae " << acc.abs_error << " " << acc.actual_sum << " " << acc.samples << "\n";
-  }
-  os.precision(save_precision);
-}
-
-bool FeatureHistory::LoadFrom(std::istream& is) {
-  std::string tag;
-  // hist
-  size_t max_bins = 0;
-  size_t bin_count = 0;
-  double hist_min = 0.0;
-  double hist_max = 0.0;
-  if (!(is >> tag >> max_bins >> hist_min >> hist_max >> bin_count) || tag != "hist") {
-    return false;
-  }
-  std::vector<StreamHistogram::Bin> bins(bin_count);
-  for (StreamHistogram::Bin& b : bins) {
-    if (!(is >> b.centroid >> b.count)) {
-      return false;
-    }
-  }
-  // avg
-  size_t avg_count = 0;
-  double mean = 0.0, m2 = 0.0, mn = 0.0, mx = 0.0, sum = 0.0;
-  if (!(is >> tag >> avg_count >> mean >> m2 >> mn >> mx >> sum) || tag != "avg") {
-    return false;
-  }
-  // ewma
-  double alpha = 0.0, ewma_value = 0.0;
-  int seeded = 0;
-  if (!(is >> tag >> alpha >> seeded >> ewma_value) || tag != "ewma") {
-    return false;
-  }
-  // recent
-  size_t capacity = 0, next = 0, size = 0;
-  if (!(is >> tag >> capacity >> next >> size) || tag != "recent" || capacity == 0 ||
-      size > capacity || next >= capacity) {
-    return false;
-  }
-  std::vector<double> recent_values(size);
-  for (double& v : recent_values) {
-    if (!(is >> v)) {
-      return false;
-    }
-  }
-  std::array<NmaeAccumulator, kNumExperts> nmae;
-  for (NmaeAccumulator& acc : nmae) {
-    if (!(is >> tag >> acc.abs_error >> acc.actual_sum >> acc.samples) || tag != "nmae") {
-      return false;
-    }
-  }
-
-  options_.max_histogram_bins = max_bins;
-  options_.rolling_alpha = alpha;
-  options_.recent_window = capacity;
-  histogram_ = StreamHistogram::Restore(max_bins, hist_min, hist_max, std::move(bins));
-  average_ = RunningStats::Restore(avg_count, mean, m2, mn, mx, sum);
-  rolling_ = EwmaEstimator::Restore(alpha, seeded != 0, ewma_value);
-  recent_ = RecentWindow::Restore(capacity, next, std::move(recent_values));
-  nmae_ = nmae;
-  count_ = avg_count;
-  return true;
 }
 
 void FeatureHistory::SaveState(SnapshotWriter& writer) const {

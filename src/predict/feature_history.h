@@ -16,8 +16,6 @@
 
 #include <array>
 #include <cstddef>
-#include <iosfwd>
-#include <string>
 
 #include "src/common/stats.h"
 #include "src/histogram/stream_histogram.h"
@@ -71,14 +69,8 @@ class FeatureHistory {
 
   const StreamHistogram& histogram() const { return histogram_; }
 
-  // Persistence (predict/predictor_io.h): exact text round-trip of all
-  // streaming state. Legacy v1 format, kept so old predictor files load.
-  void SaveTo(std::ostream& os) const;
-  // Returns false on malformed input.
-  bool LoadFrom(std::istream& is);
-
-  // Snapshot codec hooks (the v2 binary format): exact round-trip of the
-  // same streaming state, composable into a parent section.
+  // Snapshot codec hooks: exact round-trip of all streaming state,
+  // composable into a parent section.
   void SaveState(SnapshotWriter& writer) const;
   void RestoreState(SnapshotReader& reader);
 

@@ -35,10 +35,6 @@ void RuntimePredictor::RestoreState(SnapshotReader& reader) {
 ThreeSigmaPredictor::ThreeSigmaPredictor(const ThreeSigmaPredictorOptions& options)
     : options_(options) {}
 
-void ThreeSigmaPredictor::RestoreHistory(const std::string& feature, FeatureHistory history) {
-  histories_.insert_or_assign(feature, std::move(history));
-}
-
 const FeatureHistory* ThreeSigmaPredictor::history(const std::string& feature) const {
   const auto it = histories_.find(feature);
   return it == histories_.end() ? nullptr : &it->second;

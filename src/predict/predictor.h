@@ -67,13 +67,6 @@ class ThreeSigmaPredictor : public RuntimePredictor {
   // Read access for tests/examples; nullptr when untracked.
   const FeatureHistory* history(const std::string& feature) const;
 
-  // Persistence support (predict/predictor_io.h).
-  const std::unordered_map<std::string, FeatureHistory>& histories() const {
-    return histories_;
-  }
-  void RestoreHistory(const std::string& feature, FeatureHistory history);
-  void ClearHistories() { histories_.clear(); }
-
   // Serializes every feature history (sorted by key for determinism).
   // RestoreState replaces all histories wholesale, so pre-training done
   // before a resume cannot double-count.

@@ -1,8 +1,8 @@
 #include "src/predict/predictor_io.h"
 
 #include <istream>
+#include <iterator>
 #include <ostream>
-#include <sstream>
 
 #include "src/snapshot/snapshot_io.h"
 
@@ -10,85 +10,6 @@ namespace threesigma {
 namespace {
 
 constexpr uint32_t kPredictorSectionVersion = 2;
-
-// Feature keys may contain spaces; percent-escape space/percent/newline.
-std::string EscapeKey(const std::string& key) {
-  std::string out;
-  out.reserve(key.size());
-  for (char c : key) {
-    if (c == ' ' || c == '%' || c == '\n' || c == '\r') {
-      char buf[4];
-      std::snprintf(buf, sizeof(buf), "%%%02X", static_cast<unsigned char>(c));
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-bool UnescapeKey(const std::string& in, std::string* out) {
-  out->clear();
-  out->reserve(in.size());
-  for (size_t i = 0; i < in.size(); ++i) {
-    if (in[i] != '%') {
-      *out += in[i];
-      continue;
-    }
-    if (i + 2 >= in.size()) {
-      return false;
-    }
-    const std::string hex = in.substr(i + 1, 2);
-    char* end = nullptr;
-    const long v = std::strtol(hex.c_str(), &end, 16);
-    if (end != hex.c_str() + 2) {
-      return false;
-    }
-    *out += static_cast<char>(v);
-    i += 2;
-  }
-  return true;
-}
-
-}  // namespace
-
-namespace {
-
-// The legacy v1 text reader, kept so predictor files written before the
-// binary codec still load.
-bool LoadPredictorTextV1(std::istream& is, ThreeSigmaPredictor* predictor) {
-  std::string magic;
-  std::string version;
-  if (!(is >> magic >> version) || magic != "threesigma-predictor" || version != "v1") {
-    return false;
-  }
-  std::string tag;
-  size_t feature_count = 0;
-  if (!(is >> tag >> feature_count) || tag != "features") {
-    return false;
-  }
-  predictor->ClearHistories();
-  for (size_t i = 0; i < feature_count; ++i) {
-    std::string escaped;
-    size_t count = 0;
-    if (!(is >> tag >> escaped >> count) || tag != "feature") {
-      return false;
-    }
-    std::string key;
-    if (!UnescapeKey(escaped, &key)) {
-      return false;
-    }
-    FeatureHistory history;
-    if (!history.LoadFrom(is)) {
-      return false;
-    }
-    if (history.count() != count) {
-      return false;
-    }
-    predictor->RestoreHistory(key, std::move(history));
-  }
-  return true;
-}
 
 }  // namespace
 
@@ -101,23 +22,8 @@ void SavePredictor(std::ostream& os, const ThreeSigmaPredictor& predictor) {
   os.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
 }
 
-void SavePredictorTextV1(std::ostream& os, const ThreeSigmaPredictor& predictor) {
-  os << "threesigma-predictor v1\n";
-  os << "features " << predictor.histories().size() << "\n";
-  for (const auto& [key, history] : predictor.histories()) {
-    os << "feature " << EscapeKey(key) << " " << history.count() << "\n";
-    history.SaveTo(os);
-  }
-}
-
 bool LoadPredictor(std::istream& is, ThreeSigmaPredictor* predictor) {
-  // Sniff the magic: binary v2 containers start with "3SGSNAP1", the legacy
-  // text format with "threesigma-predictor".
   std::string buffer((std::istreambuf_iterator<char>(is)), std::istreambuf_iterator<char>());
-  if (buffer.rfind("threesigma-predictor", 0) == 0) {
-    std::istringstream text(buffer);
-    return LoadPredictorTextV1(text, predictor);
-  }
   SnapshotReader reader(std::move(buffer));
   uint32_t version = 0;
   if (!reader.BeginSection("predict", &version) || version != kPredictorSectionVersion) {

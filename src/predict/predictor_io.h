@@ -6,14 +6,12 @@
 // the full per-feature state — streaming histogram bins, the four experts'
 // accumulators, and NMAE scores — exactly.
 //
-// v2 (current): a snapshot container (snapshot/snapshot_io.h, magic
-// "3SGSNAP1") holding one "predict" section whose payload is
+// The format is a snapshot container (snapshot/snapshot_io.h, magic
+// "3SGSNAP1") holding one "predict" section (version 2) whose payload is
 // ThreeSigmaPredictor::SaveState — the same bytes a full run checkpoint
-// embeds, so there is exactly one serialization framework.
-//
-// v1 (legacy, read-only): the original line-oriented text format
-// ("threesigma-predictor v1" header, one record per feature). LoadPredictor
-// sniffs the leading magic and accepts both.
+// embeds, so there is exactly one serialization framework. Version 1, a
+// line-oriented text format, is no longer read: LoadPredictor rejects it
+// like any other non-container input.
 
 #ifndef SRC_PREDICT_PREDICTOR_IO_H_
 #define SRC_PREDICT_PREDICTOR_IO_H_
@@ -24,16 +22,10 @@
 
 namespace threesigma {
 
-// Writes the current (v2 binary) format.
 void SavePredictor(std::ostream& os, const ThreeSigmaPredictor& predictor);
 
-// Writes the legacy v1 text format. Exists so the v1 read path stays
-// exercised by tests; new files should use SavePredictor.
-void SavePredictorTextV1(std::ostream& os, const ThreeSigmaPredictor& predictor);
-
-// Replaces `predictor`'s state with the stream's contents; accepts both the
-// v2 binary and the legacy v1 text format. Returns false on malformed input
-// (predictor state is unspecified then).
+// Replaces `predictor`'s state with the stream's contents. Returns false on
+// malformed input (predictor state is unspecified then).
 bool LoadPredictor(std::istream& is, ThreeSigmaPredictor* predictor);
 
 }  // namespace threesigma

@@ -18,8 +18,8 @@ namespace {
 // Options below this expected utility are pruned from the MILP (§4.3.6).
 constexpr double kMinOptionUtility = 1e-6;
 
-// Full consumed_ rebuild period (in solves) when the capacity cache is on;
-// squashes accumulated add/subtract float drift.
+// Full consumed_ rebuild period (in solves); squashes accumulated
+// add/subtract float drift.
 constexpr int kCacheRebuildPeriod = 256;
 
 // Cap on the fingerprint-keyed shard basis map; exceeding it clears the map
@@ -39,7 +39,7 @@ DistributionScheduler::DistributionScheduler(const ClusterConfig& cluster,
     : cluster_(cluster),
       predictor_(predictor),
       config_(std::move(config)),
-      valuation_(ValuationEngine::Config{config_.valuation_cache, config_.valuation_crosscheck}) {
+      valuation_(config_.crosscheck) {
   TS_CHECK(predictor_ != nullptr);
   TS_CHECK_GT(config_.num_start_slots, 0);
   TS_CHECK_GT(config_.planahead, 0.0);
@@ -55,8 +55,6 @@ void DistributionScheduler::UpdateConfig(const DistSchedulerConfig& config) {
   TS_CHECK_GT(config.planahead, 0.0);
   const bool dist_flip = config.use_distribution != config_.use_distribution;
   const bool pool_change = config.solver_threads != config_.solver_threads;
-  const bool valuation_change = config.valuation_cache != config_.valuation_cache ||
-                                config.valuation_crosscheck != config_.valuation_crosscheck;
   config_ = config;
 
   // The expected-capacity rows, cached survival vectors, planned options,
@@ -85,12 +83,7 @@ void DistributionScheduler::UpdateConfig(const DistSchedulerConfig& config) {
     // outlives any policy change); everyone else re-runs the adaptive gate.
     ApplyOverestimateDecay(info, /*force=*/info.attempts > 0);
   }
-  if (valuation_change) {
-    valuation_ = ValuationEngine(
-        ValuationEngine::Config{config_.valuation_cache, config_.valuation_crosscheck});
-  } else {
-    valuation_.Clear();
-  }
+  valuation_ = ValuationEngine(config_.crosscheck);
   last_root_basis_ = LpBasis();
   shard_bases_.clear();
   dirty_ = true;
@@ -298,29 +291,13 @@ void DistributionScheduler::ComputeRunningSurvival(const JobInfo& info, Time now
   // S(elapsed), in the scaled (on-this-group) time base.
   const double mult = info.spec.RuntimeMultiplier(info.group);
   const double elapsed = now - info.start_time;
-  if (config_.valuation_engine) {
-    // Zero-copy conditional: both survival queries are prefix-mass lookups
-    // on the job's cached tables — no per-refresh Scaled() materialization.
-    // Lookups here are uncounted (counters cover the valuation phase), so
-    // the counter stream is invariant to crosscheck reruns of this method.
-    const ValuationTables& tables = valuation_.Tables(
-        info.spec.id, mult, info.sched_dist, info.effective_utility, /*counters=*/nullptr);
-    const double s_elapsed = valuation_.Survival(tables, elapsed);
-    if (s_elapsed <= 0.0) {
-      // Raced past the max between updates; treat as one more cycle.
-      for (int i = 0; i < slots; ++i) {
-        (*out)[static_cast<size_t>(i)] = i * delta < config_.cycle_period ? 1.0 : 0.0;
-      }
-      return;
-    }
-    for (int i = 0; i < slots; ++i) {
-      (*out)[static_cast<size_t>(i)] = valuation_.Survival(tables, elapsed + i * delta) / s_elapsed;
-    }
-    return;
-  }
-  const EmpiricalDistribution scaled =
-      mult == 1.0 ? info.sched_dist : info.sched_dist.Scaled(mult);
-  const double s_elapsed = scaled.Survival(elapsed);
+  // Zero-copy conditional: both survival queries are prefix-mass lookups on
+  // the job's cached tables. Lookups here are uncounted (counters cover the
+  // valuation phase), so the counter stream is invariant to crosscheck reruns
+  // of this method.
+  const ValuationTables& tables = valuation_.Tables(
+      info.spec.id, mult, info.sched_dist, info.effective_utility, /*counters=*/nullptr);
+  const double s_elapsed = valuation_.Survival(tables, elapsed);
   if (s_elapsed <= 0.0) {
     // Raced past the max between updates; treat as one more cycle.
     for (int i = 0; i < slots; ++i) {
@@ -329,7 +306,7 @@ void DistributionScheduler::ComputeRunningSurvival(const JobInfo& info, Time now
     return;
   }
   for (int i = 0; i < slots; ++i) {
-    (*out)[static_cast<size_t>(i)] = scaled.Survival(elapsed + i * delta) / s_elapsed;
+    (*out)[static_cast<size_t>(i)] = valuation_.Survival(tables, elapsed + i * delta) / s_elapsed;
   }
 }
 
@@ -425,47 +402,6 @@ void DistributionScheduler::ValueJobOptions(const JobInfo& info, Time now,
   }
 }
 
-void DistributionScheduler::ValueJobOptionsGeneric(const JobInfo& info, Time now,
-                                                   ValuationScratch& scratch,
-                                                   JobValuation* out) const {
-  out->Clear();
-  const int num_groups = cluster_.num_groups();
-  const int slots = config_.num_start_slots;
-  const double delta = config_.planahead / slots;
-  const double k = info.spec.num_tasks;
-  scratch.survival.resize(static_cast<size_t>(slots));
-  for (int g = 0; g < num_groups; ++g) {
-    if (info.spec.num_tasks > cluster_.group(g).node_count) {
-      continue;
-    }
-    const double mult = info.spec.RuntimeMultiplier(g);
-    const EmpiricalDistribution dist =
-        mult == 1.0 ? info.sched_dist : info.sched_dist.Scaled(mult);
-    for (int d = 0; d < slots; ++d) {
-      scratch.survival[static_cast<size_t>(d)] = dist.Survival(d * delta);
-    }
-    scratch.survival[0] = 1.0;
-    for (int s = 0; s < slots; ++s) {
-      const Time start = now + s * delta;
-      const double eu = dist.ExpectedValue(
-          [&](double t) { return info.effective_utility.ValueAtCompletion(start + t); });
-      if (eu <= kMinOptionUtility) {
-        continue;
-      }
-      ValuedOption opt;
-      opt.group = g;
-      opt.slot = s;
-      opt.eu = eu;
-      opt.cons_offset = out->consumption.size();
-      opt.cons_len = slots - s;
-      for (int i = s; i < slots; ++i) {
-        out->consumption.push_back(k * scratch.survival[static_cast<size_t>(i - s)]);
-      }
-      out->options.push_back(opt);
-    }
-  }
-}
-
 void DistributionScheduler::RetireCapacityContribution(JobInfo& info) {
   if (!info.capacity_applied) {
     return;
@@ -480,8 +416,7 @@ void DistributionScheduler::RetireCapacityContribution(JobInfo& info) {
 
 void DistributionScheduler::UpdateConsumed(Time now, const ClusterStateView& state,
                                            CycleResult* result) {
-  const bool incremental =
-      config_.capacity_cache && solves_since_rebuild_ < kCacheRebuildPeriod;
+  const bool incremental = solves_since_rebuild_ < kCacheRebuildPeriod;
   if (!incremental) {
     solves_since_rebuild_ = 0;
     for (std::vector<double>& row : consumed_) {
@@ -511,14 +446,12 @@ void DistributionScheduler::UpdateConsumed(Time now, const ClusterStateView& sta
       row[i] += k * info.cached_survival[i];
     }
     info.capacity_applied = true;
-    if (config_.capacity_cache) {
-      ++result->capacity_cache_misses;
-    }
+    ++result->capacity_cache_misses;
   }
   cache_hits_ += result->capacity_cache_hits;
   cache_misses_ += result->capacity_cache_misses;
 
-  if (config_.capacity_cache && config_.capacity_cache_crosscheck) {
+  if (config_.crosscheck) {
     // The cache invariant: delta-updated rows must equal a from-scratch
     // recompute (up to float accumulation noise).
     std::vector<std::vector<double>> expected(
@@ -630,7 +563,7 @@ CycleResult DistributionScheduler::RunCycleImpl(Time now, const ClusterStateView
   const double delta = config_.planahead / slots;
 
   // --- 1. Running jobs: conditional consumption per (group, slot). ---------
-  // Brings consumed_[g][i] up to date (incrementally when the cache is on);
+  // Brings consumed_[g][i] up to date incrementally (see UpdateConsumed);
   // every running job's cached_survival is fresh as of `now` afterwards —
   // either because it was just recomputed or because its validity horizon has
   // not expired.
@@ -725,8 +658,7 @@ CycleResult DistributionScheduler::RunCycleImpl(Time now, const ClusterStateView
   if (static_cast<int>(value_stage_.size()) < n) {
     value_stage_.resize(static_cast<size_t>(n));
   }
-  const int workers =
-      (config_.valuation_engine && pool_ != nullptr) ? pool_->size() : 1;
+  const int workers = pool_ != nullptr ? pool_->size() : 1;
   if (static_cast<int>(value_scratch_.size()) < workers) {
     value_scratch_.resize(static_cast<size_t>(workers));
   }
@@ -734,52 +666,41 @@ CycleResult DistributionScheduler::RunCycleImpl(Time now, const ClusterStateView
     s.counters = ValuationCounters{};
   }
 
-  if (config_.valuation_engine) {
-    if (!config_.valuation_cache) {
-      valuation_.Clear();  // Cache off: tables live for one cycle only.
-    }
-    // Serial prepare pass: build/refresh every (job, group-scale) table so
-    // the fan-out below reads the cache without mutating it. All hit/miss
-    // traffic happens here, in `considered` order — thread-count invariant.
-    ValuationCounters prepare;
-    for (JobId id : considered) {
-      const JobInfo& info = jobs_.at(id);
-      for (int g = 0; g < num_groups; ++g) {
-        if (info.spec.num_tasks > cluster_.group(g).node_count) {
-          continue;
-        }
-        valuation_.Tables(id, info.spec.RuntimeMultiplier(g), info.sched_dist,
-                          info.effective_utility, &prepare);
+  // Serial prepare pass: build/refresh every (job, group-scale) table so
+  // the fan-out below reads the cache without mutating it. All hit/miss
+  // traffic happens here, in `considered` order — thread-count invariant.
+  ValuationCounters prepare;
+  for (JobId id : considered) {
+    const JobInfo& info = jobs_.at(id);
+    for (int g = 0; g < num_groups; ++g) {
+      if (info.spec.num_tasks > cluster_.group(g).node_count) {
+        continue;
       }
+      valuation_.Tables(id, info.spec.RuntimeMultiplier(g), info.sched_dist,
+                        info.effective_utility, &prepare);
     }
-    result.valuation_cache_hits = prepare.cache_hits;
-    result.valuation_cache_misses = prepare.cache_misses;
+  }
+  result.valuation_cache_hits = prepare.cache_hits;
+  result.valuation_cache_misses = prepare.cache_misses;
 
-    // Deterministic fan-out: static index-ordered output slots. Workers read
-    // shared state (jobs_, the table cache) and write only their own
-    // value_stage_[index] / scratch, so any thread count — including the
-    // serial fallback — produces byte-identical staged results.
-    const auto value_one = [&](int worker, int index) {
-      const JobInfo& info = jobs_.at(considered[static_cast<size_t>(index)]);
-      ValueJobOptions(info, now, value_scratch_[static_cast<size_t>(worker)],
-                      &value_stage_[static_cast<size_t>(index)]);
-    };
-    if (pool_ != nullptr) {
-      pool_->ParallelFor(n, value_one);
-    } else {
-      for (int i = 0; i < n; ++i) {
-        value_one(0, i);
-      }
-    }
-    for (const ValuationScratch& s : value_scratch_) {
-      result.valuation_kernel_calls += s.counters.kernel_calls;
-    }
+  // Deterministic fan-out: static index-ordered output slots. Workers read
+  // shared state (jobs_, the table cache) and write only their own
+  // value_stage_[index] / scratch, so any thread count — including the
+  // serial fallback — produces byte-identical staged results.
+  const auto value_one = [&](int worker, int index) {
+    const JobInfo& info = jobs_.at(considered[static_cast<size_t>(index)]);
+    ValueJobOptions(info, now, value_scratch_[static_cast<size_t>(worker)],
+                    &value_stage_[static_cast<size_t>(index)]);
+  };
+  if (pool_ != nullptr) {
+    pool_->ParallelFor(n, value_one);
   } else {
     for (int i = 0; i < n; ++i) {
-      const JobInfo& info = jobs_.at(considered[static_cast<size_t>(i)]);
-      ValueJobOptionsGeneric(info, now, value_scratch_[0],
-                             &value_stage_[static_cast<size_t>(i)]);
+      value_one(0, i);
     }
+  }
+  for (const ValuationScratch& s : value_scratch_) {
+    result.valuation_kernel_calls += s.counters.kernel_calls;
   }
   val_hits_ += result.valuation_cache_hits;
   val_misses_ += result.valuation_cache_misses;

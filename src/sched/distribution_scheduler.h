@@ -97,18 +97,6 @@ struct DistSchedulerConfig {
   // any thread count returns bit-identical solutions.
   int solver_threads = 1;
 
-  // Incremental expected-capacity cache: per (group, slot) Eq. 3 rows are
-  // updated by delta when a running job starts/completes/needs reconditioning
-  // instead of re-summing Σ k·(1 − CDF) over all running jobs every cycle.
-  // Each job's per-slot survival vector carries a validity horizon (the next
-  // time an atom of its conditioned distribution crosses a slot boundary);
-  // rows stay untouched until a horizon expires.
-  bool capacity_cache = true;
-  // Debug mode: after every incremental update, recompute all rows from
-  // scratch and TS_CHECK the delta-updated values match (the cache
-  // invariant). Costs the full recompute the cache saves; tests only.
-  bool capacity_cache_crosscheck = false;
-
   // Simplex basis warm-starting (MilpOptions::basis_warmstart): B&B children
   // re-optimize from their parent's basis via dual pivots, and the previous
   // cycle's root basis seeds the next cycle's root relaxation. Affects LP
@@ -126,23 +114,14 @@ struct DistSchedulerConfig {
   // solver_max_nodes = 0 when comparing against the monolithic solve).
   bool solver_shards = false;
 
-  // Eq. 1 valuation engine (src/sched/valuation.h): closed-form utility
-  // kernels over precomputed prefix-sum tables, a deterministic parallel
-  // per-job fan-out across the solver thread pool, and zero-copy Eq. 2
-  // conditional-survival queries for running jobs. Off = the generic
-  // per-atom std::function path with per-cycle Scaled() materializations.
-  // Decisions are bit-identical either way (the kernels replay the generic
-  // accumulation exactly); only speed and the valuation counters change.
-  bool valuation_engine = true;
-  // Retain per-(job, scale) valuation tables across cycles, invalidated on
-  // re-prediction (arrival, fault restart — which covers OE-gate flips) and
-  // job exit. Off = the cache is cleared every cycle, so each (job, group)
-  // pays one table rebuild per cycle.
-  bool valuation_cache = true;
-  // Debug mode: every kernel and survival answer is re-derived with the
-  // generic per-atom loop and TS_CHECKed for bitwise equality. Costs what
-  // the kernels save; tests only.
-  bool valuation_crosscheck = false;
+  // Debug oracle for the two incremental caches; costs what they save, tests
+  // only. Every cycle the expected-capacity rows are TS_CHECKed against a
+  // from-scratch Eq. 3 recompute, every valuation kernel and survival answer
+  // against the generic per-atom loop (bitwise), and every valuation table
+  // cache hit against a table rebuilt from the job's current distribution
+  // and utility (bitwise) — so a missed InvalidateJob aborts. Decisions and
+  // counters are unchanged.
+  bool crosscheck = false;
 };
 
 class DistributionScheduler : public Scheduler {
@@ -256,28 +235,24 @@ class DistributionScheduler : public Scheduler {
 
   // Pure per-slot survival vector of a running job at `now` (no cache or
   // under-estimate state mutation; shared by the cache refresh and the
-  // cross-check recompute). With the valuation engine on, the Eq. 2 ratios
-  // are served from the job's prefix-sum tables (zero-copy; may populate the
-  // mutable table cache) instead of a per-refresh Scaled() materialization.
+  // crosscheck recompute). The Eq. 2 ratios are served from the job's
+  // prefix-sum tables (zero-copy; may populate the mutable table cache).
   void ComputeRunningSurvival(const JobInfo& info, Time now, std::vector<double>* out) const;
 
   // Values one considered job's (group, slot) options into `out` using the
   // valuation engine's tables (which must already exist: the serial prepare
   // pass in RunCycleImpl builds them, so this is read-only and safe to run
-  // from pool workers). Bit-identical to ValueJobOptionsGeneric.
+  // from pool workers).
   void ValueJobOptions(const JobInfo& info, Time now, ValuationScratch& scratch,
                        JobValuation* out) const;
-  // The pre-engine path: per-(job, group) Scaled() materialization and the
-  // generic per-atom Eq. 1 loop.
-  void ValueJobOptionsGeneric(const JobInfo& info, Time now, ValuationScratch& scratch,
-                              JobValuation* out) const;
   // Recomputes a job's cached survival vector and its validity horizon
   // (calls UpdateUnderestimate first).
   void RefreshRunningSurvival(JobInfo& info, Time now);
   // Removes a job's applied contribution from consumed_ (no-op if none).
   void RetireCapacityContribution(JobInfo& info);
-  // Step 1 of RunCycle: brings consumed_ up to date for `now`, incrementally
-  // when the cache is enabled; fills the cycle's hit/miss counters.
+  // Step 1 of RunCycle: brings consumed_ up to date for `now` by delta
+  // updates (with a periodic full rebuild); fills the cycle's hit/miss
+  // counters.
   void UpdateConsumed(Time now, const ClusterStateView& state, CycleResult* result);
 
   // RunCycle's body; the public wrapper publishes the cycle's outcome to the
@@ -296,7 +271,11 @@ class DistributionScheduler : public Scheduler {
   Time last_solve_ = -1e18;
 
   // Incremental Eq. 3 state: consumed_[g][i] = Σ k·(1 − CDF) over running
-  // jobs, maintained by delta updates (see DistSchedulerConfig::capacity_cache).
+  // jobs. Rows are updated by delta when a running job starts, completes, or
+  // needs reconditioning, instead of being re-summed every cycle: each job's
+  // per-slot survival vector carries a validity horizon (the next time an
+  // atom of its conditioned distribution crosses a slot boundary), and rows
+  // stay untouched until a horizon expires.
   std::vector<std::vector<double>> consumed_;
   int64_t cache_hits_ = 0;
   int64_t cache_misses_ = 0;

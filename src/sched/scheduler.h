@@ -93,8 +93,7 @@ struct CycleResult {
   int64_t capacity_cache_hits = 0;
   int64_t capacity_cache_misses = 0;
   // Valuation-engine traffic this cycle: table cache hits/misses from the
-  // serial prepare pass and Eq. 1 kernel evaluations from the fan-out. All
-  // zero when the engine is off.
+  // serial prepare pass and Eq. 1 kernel evaluations from the fan-out.
   int64_t valuation_cache_hits = 0;
   int64_t valuation_cache_misses = 0;
   int64_t valuation_kernel_calls = 0;

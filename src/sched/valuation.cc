@@ -37,39 +37,15 @@ size_t FlatRegionEnd(const ValuationTables& t, double start, double deadline) {
   return static_cast<size_t>(it - t.value.begin());
 }
 
-}  // namespace
-
-size_t ValuationTables::CountAtMost(double t) const {
-  // CdfAtMost includes atoms until `value > t` breaks the loop, which means
-  // the inclusion predicate is !(value > t) — kept in that form so a NaN t
-  // (all comparisons false) includes every atom, exactly like the generic
-  // loop that never breaks.
-  const auto it = std::partition_point(value.begin(), value.end(),
-                                       [t](double v) { return !(v > t); });
-  return static_cast<size_t>(it - value.begin());
-}
-
-const ValuationTables& ValuationEngine::Tables(JobId job, double scale,
-                                               const EmpiricalDistribution& dist,
-                                               const UtilityFunction& utility,
-                                               ValuationCounters* counters) {
-  const Key key{job, DoubleBits(scale)};
-  const auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    if (counters != nullptr) {
-      ++counters->cache_hits;
-    }
-    return it->second;
-  }
-  if (counters != nullptr) {
-    ++counters->cache_misses;
-  }
-
+// The table contract: scaled atoms and prefix sums accumulated in exactly
+// the generic code's order (see the header comment).
+ValuationTables BuildTables(double scale, const EmpiricalDistribution& dist,
+                            const UtilityFunction& utility) {
   ValuationTables t;
   t.scale = scale;
   // Bit-exactness by construction: a scale != 1 table adopts the atoms of a
-  // real Scaled() call (same sort/merge/renormalization rounding the generic
-  // path pays every cycle); scale == 1 adopts the distribution verbatim,
+  // real Scaled() call (same sort/merge/renormalization rounding as the
+  // generic computation); scale == 1 adopts the distribution verbatim,
   // matching the generic path's skip of Scaled() there. An empty distribution
   // (no prediction mass) yields trivial tables: EU 0.0, survival 1.0 —
   // matching the generic loops, which never execute.
@@ -97,7 +73,54 @@ const ValuationTables& ValuationEngine::Tables(JobId job, double scale,
     t.prefix_mass.push_back(mass);
     t.prefix_util.push_back(util);
   }
-  return cache_.emplace(key, std::move(t)).first->second;
+  return t;
+}
+
+bool BitEqual(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(),
+                    [](double x, double y) { return BitEqual(x, y); });
+}
+
+}  // namespace
+
+size_t ValuationTables::CountAtMost(double t) const {
+  // CdfAtMost includes atoms until `value > t` breaks the loop, which means
+  // the inclusion predicate is !(value > t) — kept in that form so a NaN t
+  // (all comparisons false) includes every atom, exactly like the generic
+  // loop that never breaks.
+  const auto it = std::partition_point(value.begin(), value.end(),
+                                       [t](double v) { return !(v > t); });
+  return static_cast<size_t>(it - value.begin());
+}
+
+const ValuationTables& ValuationEngine::Tables(JobId job, double scale,
+                                               const EmpiricalDistribution& dist,
+                                               const UtilityFunction& utility,
+                                               ValuationCounters* counters) {
+  const Key key{job, DoubleBits(scale)};
+  const auto it = cache_.find(key);
+  if (it != cache_.end()) {
+    if (counters != nullptr) {
+      ++counters->cache_hits;
+    }
+    if (crosscheck_) {
+      // A hit must be exactly what a miss would build now; anything else
+      // means a prediction changed without InvalidateJob.
+      const ValuationTables fresh = BuildTables(scale, dist, utility);
+      const ValuationTables& cached = it->second;
+      TS_CHECK_MSG(BitEqual(cached.value, fresh.value) && BitEqual(cached.prob, fresh.prob) &&
+                       BitEqual(cached.prefix_mass, fresh.prefix_mass) &&
+                       BitEqual(cached.prefix_util, fresh.prefix_util),
+                   "stale valuation table for job " << job << " scale " << scale
+                                                    << " (missed InvalidateJob?)");
+    }
+    return it->second;
+  }
+  if (counters != nullptr) {
+    ++counters->cache_misses;
+  }
+  return cache_.emplace(key, BuildTables(scale, dist, utility)).first->second;
 }
 
 const ValuationTables* ValuationEngine::Find(JobId job, double scale) const {
@@ -142,7 +165,7 @@ double ValuationEngine::ExpectedUtility(const ValuationTables& t, const UtilityF
       break;
     }
   }
-  if (config_.crosscheck) {
+  if (crosscheck_) {
     double ref = 0.0;
     for (size_t k = 0; k < t.size(); ++k) {
       ref += u.ValueAtCompletion(start + t.value[k]) * t.prob[k];
@@ -155,7 +178,7 @@ double ValuationEngine::ExpectedUtility(const ValuationTables& t, const UtilityF
 
 double ValuationEngine::Survival(const ValuationTables& t, double x) const {
   const double s = t.Survival(x);
-  if (config_.crosscheck) {
+  if (crosscheck_) {
     // Replay CdfAtMost over the table arrays.
     double mass = 0.0;
     for (size_t k = 0; k < t.size(); ++k) {

@@ -3,14 +3,14 @@
 // The scheduling cycle's hottest loop values every (pending job, group, start
 // slot) option by expected utility over the job's predicted runtime
 // distribution (Eq. 1) and charges every running job's conditional survival
-// into the Eq. 3 capacity rows (Eq. 2). The generic path does both through
-// EmpiricalDistribution: a std::function-indirected per-atom loop for Eq. 1,
-// plus a full Scaled() materialization per (job, group) per cycle whenever a
-// group runs the job slower than its preferred one. This engine replaces
-// that with per-(job, scale) query tables and closed-form kernels — and it
-// does so *bit-exactly*, because the committed golden decision traces (and
-// the MILP's float-tie-sensitive branching) must not move when the engine is
-// toggled.
+// into the Eq. 3 capacity rows (Eq. 2). The generic way to do both goes
+// through EmpiricalDistribution: a std::function-indirected per-atom loop for
+// Eq. 1, plus a full Scaled() materialization per (job, group) per cycle
+// whenever a group runs the job slower than its preferred one. This engine
+// replaces that with per-(job, scale) query tables and closed-form kernels —
+// and it does so *bit-exactly*: the generic loop stays behind as the
+// crosscheck oracle, and the committed golden decision traces (and the
+// MILP's float-tie-sensitive branching) were recorded against it.
 //
 // Tables. For each (job, scale) pair the engine stores the scaled atom
 // values, their renormalized probabilities, and two prefix-sum arrays
@@ -46,6 +46,9 @@
 // the scheduler invalidates per job on arrival, fault-restart re-prediction
 // (which covers the forced OE-gate flip), and job exit. Scale comes from
 // JobSpec::RuntimeMultiplier, fixed per (job, group) for the job's lifetime.
+// In crosscheck mode every hit rebuilds the table from the caller's inputs
+// and TS_CHECKs it bitwise against the cached one, so a missed invalidation
+// aborts instead of silently valuing a stale prediction.
 //
 // Determinism. The scheduler's parallel fan-out builds all tables in a
 // serial prepare pass, then queries them read-only from ThreadPool workers
@@ -130,19 +133,10 @@ struct ValuationScratch {
 
 class ValuationEngine {
  public:
-  struct Config {
-    // Retain tables across cycles. Off still builds tables (the kernels need
-    // them) but the scheduler clears the cache every cycle, so every lookup
-    // is a miss.
-    bool cache = true;
-    // Debug: re-derive every kernel and survival answer with the generic
-    // per-atom loop and TS_CHECK bitwise equality. Tests only.
-    bool crosscheck = false;
-  };
-
-  explicit ValuationEngine(Config config) : config_(config) {}
-
-  const Config& config() const { return config_; }
+  // `crosscheck` (debug, tests only): re-derive every kernel and survival
+  // answer with the generic per-atom loop, and every cache hit's table from
+  // the caller's inputs, and TS_CHECK bitwise equality.
+  explicit ValuationEngine(bool crosscheck = false) : crosscheck_(crosscheck) {}
 
   // Returns the tables for (job, scale), building them from `dist` /
   // `utility` on a miss. `counters`, when non-null, records the hit or miss.
@@ -183,7 +177,7 @@ class ValuationEngine {
   // Key: (job, exact bit pattern of the scale factor).
   using Key = std::pair<JobId, uint64_t>;
 
-  Config config_;
+  bool crosscheck_;
   std::map<Key, ValuationTables> cache_;
 };
 

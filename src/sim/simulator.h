@@ -141,12 +141,12 @@ struct CycleStats {
   int milp_nodes = 0;
   int pending = 0;
   int running_jobs = 0;
-  // Parallel-solver and expected-capacity-cache diagnostics (see CycleResult).
+  // Parallel-solver and expected-capacity cache diagnostics (see CycleResult).
   int milp_max_queue_depth = 0;
   int milp_incumbent_improvements = 0;
   int64_t capacity_cache_hits = 0;
   int64_t capacity_cache_misses = 0;
-  // Valuation-engine diagnostics (see CycleResult; zero with the engine off).
+  // Valuation-engine diagnostics (see CycleResult).
   int64_t valuation_cache_hits = 0;
   int64_t valuation_cache_misses = 0;
   int64_t valuation_kernel_calls = 0;

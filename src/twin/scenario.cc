@@ -1,7 +1,10 @@
 #include "src/twin/scenario.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace threesigma {
 namespace {
@@ -15,16 +18,21 @@ std::string FmtDouble(double v) {
   return buf;
 }
 
+// Rejects inf/nan: every double knob feeds simulated-time arithmetic or a
+// clone count.
 bool ParseDouble(const std::string& value, double* out) {
   char* end = nullptr;
   *out = std::strtod(value.c_str(), &end);
-  return end != nullptr && *end == '\0' && !value.empty();
+  return end != nullptr && *end == '\0' && !value.empty() && std::isfinite(*out);
 }
 
+// Rejects values outside int's range instead of narrowing them.
 bool ParseInt(const std::string& value, int* out) {
   char* end = nullptr;
+  errno = 0;
   const long v = std::strtol(value.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || value.empty()) {
+  if (end == nullptr || *end != '\0' || value.empty() || errno == ERANGE ||
+      v < std::numeric_limits<int>::min() || v > std::numeric_limits<int>::max()) {
     return false;
   }
   *out = static_cast<int>(v);
@@ -102,18 +110,21 @@ bool ParseScenario(const std::string& text, Scenario* out, std::string* error) {
       ok = ParseDouble(value, &out->oe_probability_threshold) &&
            out->oe_probability_threshold >= 0.0 && out->oe_probability_threshold <= 1.0;
     } else if (key == "solver_threads") {
-      ok = ParseInt(value, &out->solver_threads) && out->solver_threads > 0;
+      ok = ParseInt(value, &out->solver_threads) && out->solver_threads > 0 &&
+           out->solver_threads <= kMaxScenarioSolverThreads;
     } else if (key == "solver_shards") {
       ok = ParseInt(value, &out->solver_shards) &&
            (out->solver_shards == 0 || out->solver_shards == 1);
     } else if (key == "padding") {
       ok = ParseDouble(value, &out->padding) && out->padding > 0.0;
     } else if (key == "surge") {
-      ok = ParseDouble(value, &out->arrival_surge) && out->arrival_surge >= 1.0;
+      ok = ParseDouble(value, &out->arrival_surge) && out->arrival_surge >= 1.0 &&
+           out->arrival_surge <= kMaxScenarioSurge;
     } else if (key == "surge_window") {
       ok = ParseDouble(value, &out->surge_window) && out->surge_window > 0.0;
     } else if (key == "failures") {
-      ok = ParseInt(value, &out->extra_node_failures) && out->extra_node_failures >= 0;
+      ok = ParseInt(value, &out->extra_node_failures) && out->extra_node_failures >= 0 &&
+           out->extra_node_failures <= kMaxScenarioFailures;
     } else if (key == "failure_after") {
       ok = ParseDouble(value, &out->failure_after) && out->failure_after > 0.0;
     } else if (key == "failure_duration") {

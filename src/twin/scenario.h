@@ -14,7 +14,8 @@
 //
 // Keys: name, system, planahead, oe_threshold, solver_threads, solver_shards,
 // padding, surge, surge_window, failures, failure_after, failure_duration,
-// inflation.
+// inflation. Specs arrive over the wire, so numbers must be finite and
+// in range, and the knobs that size allocations are capped below.
 
 #ifndef SRC_TWIN_SCENARIO_H_
 #define SRC_TWIN_SCENARIO_H_
@@ -25,6 +26,12 @@
 #include "src/common/units.h"
 
 namespace threesigma {
+
+// Caps on the scenario knobs that size a fork's resources: its solver thread
+// pool, its cloned arrivals, and its injected fault events.
+inline constexpr int kMaxScenarioSolverThreads = 64;
+inline constexpr double kMaxScenarioSurge = 100.0;
+inline constexpr int kMaxScenarioFailures = 100000;
 
 struct Scenario {
   std::string name = "scenario";

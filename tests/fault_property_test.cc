@@ -2,7 +2,9 @@
 // stack:
 //   - chaos on: same-seed runs at solver_threads 1 vs 4 are byte-identical
 //     (every fault event is pre-materialized or hash-drawn, so churn cannot
-//     leak thread-count nondeterminism into the trace),
+//     leak thread-count nondeterminism into the trace); the 4-thread run has
+//     the scheduler crosscheck on, so a valuation table left stale by a
+//     fault restart's re-prediction aborts it,
 //   - chaos off: inert fault options (all processes disabled) change nothing
 //     relative to the default-constructed options,
 //   - capacity conservation: at every instant — including the instants of
@@ -87,7 +89,11 @@ TEST(FaultPropertyTest, ChaosRunsAreByteReproducibleAcrossThreadCounts) {
 
   config.sched.solver_threads = 1;
   const SimResult serial = SimulateSystem(SystemKind::kThreeSigma, config, workload);
+  // Fault restarts re-predict the job, which is where valuation tables are
+  // really invalidated; crosscheck mode checks every cached table against a
+  // fresh rebuild (and must not move a decision).
   config.sched.solver_threads = 4;
+  config.sched.crosscheck = true;
   const SimResult parallel = SimulateSystem(SystemKind::kThreeSigma, config, workload);
 
   // The chaos must actually bite for this to prove anything.

@@ -131,9 +131,17 @@ TEST(StreamHistogramTest, RestoreRoundTrip) {
   for (int i = 0; i < 5000; ++i) {
     original.Update(rng.LogNormal(3.0, 1.2));
   }
-  const StreamHistogram restored = StreamHistogram::Restore(
-      original.max_bins(), original.min(), original.max(),
-      std::vector<StreamHistogram::Bin>(original.bins().begin(), original.bins().end()));
+  SnapshotWriter writer;
+  writer.BeginSection("hist", 1);
+  original.SaveState(writer);
+  writer.EndSection();
+  SnapshotReader reader(writer.Finish());
+  ASSERT_TRUE(reader.BeginSection("hist"));
+  StreamHistogram restored(2);  // The payload carries the bin budget.
+  restored.RestoreState(reader);
+  reader.EndSection();
+  ASSERT_TRUE(reader.ok());
+  EXPECT_EQ(restored.max_bins(), original.max_bins());
   EXPECT_DOUBLE_EQ(restored.total_count(), original.total_count());
   EXPECT_EQ(restored.bin_count(), original.bin_count());
   for (double q : {0.1, 0.5, 0.9}) {

@@ -105,6 +105,9 @@ TEST(PredictorIoTest, RejectsGarbage) {
   EXPECT_FALSE(LoadPredictor(bad2, &p));
   std::istringstream bad3("threesigma-predictor v1\nfeatures 1\nfeature k 5\nhist oops");
   EXPECT_FALSE(LoadPredictor(bad3, &p));
+  // A well-formed file in the retired v1 text format is rejected too.
+  std::istringstream v1("threesigma-predictor v1\nfeatures 0\n");
+  EXPECT_FALSE(LoadPredictor(v1, &p));
 }
 
 TEST(PredictorIoTest, CurrentFormatIsSnapshotContainer) {
@@ -112,24 +115,6 @@ TEST(PredictorIoTest, CurrentFormatIsSnapshotContainer) {
   std::stringstream buffer;
   SavePredictor(buffer, original);
   EXPECT_EQ(buffer.str().substr(0, 8), "3SGSNAP1");
-}
-
-TEST(PredictorIoTest, LoadsLegacyTextV1Format) {
-  ThreeSigmaPredictor original = MakeTrainedPredictor(800);
-  std::stringstream buffer;
-  SavePredictorTextV1(buffer, original);
-  EXPECT_EQ(buffer.str().rfind("threesigma-predictor v1", 0), 0u);
-
-  ThreeSigmaPredictor restored;
-  ASSERT_TRUE(LoadPredictor(buffer, &restored));
-  EXPECT_EQ(restored.history_count(), original.history_count());
-  for (int user = 0; user < 10; ++user) {
-    const JobFeatures features = {"user=u" + std::to_string(user)};
-    const RuntimePrediction a = original.Predict(features, 0.0);
-    const RuntimePrediction b = restored.Predict(features, 0.0);
-    EXPECT_DOUBLE_EQ(a.point_estimate, b.point_estimate);
-    EXPECT_EQ(a.source, b.source);
-  }
 }
 
 TEST(PredictorIoTest, RejectsTruncatedStream) {

@@ -1,14 +1,17 @@
-// Property tests for the scheduling layer around the parallel solver and the
-// expected-capacity cache:
+// Property tests for the scheduling layer around the parallel solver, the
+// expected-capacity cache and the valuation table cache:
 //   - same-seed simulations at solver_threads 1 vs 4 produce byte-identical
-//     decision traces (the solver's thread-count determinism survives the
-//     full scheduler/simulator stack),
+//     decision traces, valuation counters included (the solver's and the
+//     valuation fan-out's thread-count determinism survives the full
+//     scheduler/simulator stack),
 //   - expected free capacity is monotone non-increasing in added running
 //     load (Eq. 3),
 //   - Eq. 2 conditioning yields a valid survival function: 1 − CDF(t)
 //     non-increasing in t, within [0, 1], and equal to S(e + t)/S(e),
-//   - the incremental cache's delta-updated rows match a from-scratch
-//     recompute across a whole simulation (crosscheck mode),
+//   - crosscheck mode stays silent across whole simulations and moves no
+//     decision: delta-updated capacity rows match a from-scratch recompute,
+//     every kernel matches the generic Eq. 1 loop, and every table cache
+//     hit matches a fresh rebuild,
 //   - shard decomposition (--solver-shards) never moves a decision: sharded
 //     unbudgeted runs match monolithic ones byte-for-byte, stay identical
 //     across solver thread counts and fault injection, and survive a
@@ -55,15 +58,11 @@ ExperimentConfig PropertyConfig() {
 // Serializes everything decision-relevant in a SimResult — job outcomes and
 // per-cycle solver/queue/cache counters in simulated time — while excluding
 // wall-clock measurements (cycle_seconds, solver_seconds), which legitimately
-// vary run to run. `include_valuation_counters` is dropped when comparing
-// valuation-engine on vs off: those runs must agree on every decision but
-// legitimately differ in hit/miss/kernel tallies (the generic path has none).
-// `include_solver_counters` is dropped when comparing shards off vs on: the
-// decomposed search visits a different (smaller) node set, so node/queue/
-// incumbent tallies and the shard counters legitimately differ while every
-// decision stays identical.
-std::string DecisionTrace(const SimResult& result, bool include_valuation_counters = true,
-                          bool include_solver_counters = true) {
+// vary run to run. `include_solver_counters` is dropped when comparing
+// shards off vs on: the decomposed search visits a different (smaller) node
+// set, so node/queue/incumbent tallies and the shard counters legitimately
+// differ while every decision stays identical.
+std::string DecisionTrace(const SimResult& result, bool include_solver_counters = true) {
   std::ostringstream os;
   os << std::setprecision(17);
   for (const JobRecord& job : result.jobs) {
@@ -84,12 +83,8 @@ std::string DecisionTrace(const SimResult& result, bool include_valuation_counte
          << c.milp_max_shard_vars;
     }
     os << " h" << c.capacity_cache_hits << " m" << c.capacity_cache_misses << " p" << c.pending
-       << " j" << c.running_jobs;
-    if (include_valuation_counters) {
-      os << " vh" << c.valuation_cache_hits << " vm" << c.valuation_cache_misses << " vk"
-         << c.valuation_kernel_calls;
-    }
-    os << "\n";
+       << " j" << c.running_jobs << " vh" << c.valuation_cache_hits << " vm"
+       << c.valuation_cache_misses << " vk" << c.valuation_kernel_calls << "\n";
   }
   os << "rejected " << result.rejected_placements << " preempts " << result.total_preemptions
      << " end " << result.end_time << "\n";
@@ -107,6 +102,11 @@ TEST(SchedPropertyTest, ThreadCountNeverChangesTheSchedule) {
 
   EXPECT_GT(serial.jobs.size(), 0u);
   EXPECT_EQ(DecisionTrace(serial), DecisionTrace(parallel));
+  // The traces only prove something if both caches serve traffic.
+  const RunMetrics m = ComputeMetrics(serial, "3Sigma");
+  EXPECT_GT(m.capacity_cache_hits + m.capacity_cache_misses, 0);
+  EXPECT_GT(m.valuation_kernel_calls, 0);
+  EXPECT_GT(m.valuation_cache_hits, 0) << "table cache never hit";
 }
 
 TEST(SchedPropertyTest, BasisWarmstartPreservesThreadCountDeterminism) {
@@ -244,111 +244,47 @@ TEST(SchedPropertyTest, ConditionedSurvivalIsMonotoneAndNormalized) {
 }
 
 // ---------------------------------------------------------------------------
-// The incremental cache invariant holds across a whole simulation, and the
-// cache actually serves traffic.
+// Crosscheck mode: the oracle for both incremental caches. It TS_CHECKs every
+// cycle that the delta-updated capacity rows match a from-scratch Eq. 3
+// recompute, that every kernel and survival answer matches the generic
+// per-atom loop bitwise, and that every valuation table cache hit matches a
+// table rebuilt from the job's current prediction; any divergence aborts the
+// process. It must not move a decision or a counter.
 
 TEST(SchedPropertyTest, CapacityCacheCrosscheckCleanOverFullRun) {
-  ExperimentConfig config = PropertyConfig();
-  const GeneratedWorkload workload = GenerateWorkload(config.cluster, config.workload);
-  config.sched.capacity_cache = true;
-  // Crosscheck mode TS_CHECKs every cycle that delta-updated rows match a
-  // from-scratch Eq. 3 recompute; any drift aborts the process. 3Sigma's
-  // dense per-feature histograms cross a slot boundary nearly every cycle,
-  // so this run exercises the recompute/retire path heavily.
-  config.sched.capacity_cache_crosscheck = true;
-  const SimResult dist_run = SimulateSystem(SystemKind::kThreeSigma, config, workload);
-  const RunMetrics md = ComputeMetrics(dist_run, "3Sigma");
-  EXPECT_GT(md.capacity_cache_hits + md.capacity_cache_misses, 0);
-
   // Point-mass distributions (one atom) have long validity horizons, so the
-  // hit path must actually fire there.
-  const SimResult point_run = SimulateSystem(SystemKind::kPointRealEst, config, workload);
-  const RunMetrics mp = ComputeMetrics(point_run, "PointRealEst");
-  EXPECT_GT(mp.capacity_cache_hits, 0) << "cache never hit; horizons are broken";
-  EXPECT_GT(mp.capacity_cache_hit_rate, 0.0);
-
-  // Cached vs uncached runs agree up to float-tie sensitivity: the delta
-  // updates leave ~1e-15 residue on the capacity rows ((x+p)-p != x), which
-  // can flip a degenerate tie in the budget-truncated search. Aggregate
-  // outcomes must stay close; exactness is the crosscheck's job above.
-  config.sched.capacity_cache_crosscheck = false;
-  const SimResult cached = SimulateSystem(SystemKind::kThreeSigma, config, workload);
-  config.sched.capacity_cache = false;
-  const SimResult uncached = SimulateSystem(SystemKind::kThreeSigma, config, workload);
-  const RunMetrics mc = ComputeMetrics(cached, "3Sigma");
-  const RunMetrics mu = ComputeMetrics(uncached, "3Sigma");
-  EXPECT_NEAR(mc.goodput_machine_hours, mu.goodput_machine_hours,
-              0.1 * mu.goodput_machine_hours);
-  EXPECT_NEAR(mc.slo_miss_rate_percent, mu.slo_miss_rate_percent, 15.0);
-}
-
-// ---------------------------------------------------------------------------
-// Valuation engine: the closed-form kernels, the cross-cycle table cache,
-// and the parallel fan-out never move a decision.
-
-TEST(SchedPropertyTest, ValuationEngineOffMatchesEngineOn) {
-  // The engine's contract is bit-exact replay of the generic Eq. 1 loop, so
-  // an engine-off run must produce a byte-identical decision trace (valuation
-  // counters excluded: the generic path records none) — at 1 and 4 solver
-  // threads, with the cache on and off.
+  // capacity cache's hit path fires here (3Sigma's dense histograms cross a
+  // slot boundary nearly every cycle and exercise the recompute/retire path;
+  // see the valuation run below).
   ExperimentConfig config = PropertyConfig();
   const GeneratedWorkload workload = GenerateWorkload(config.cluster, config.workload);
-
-  config.sched.valuation_engine = false;
-  const SimResult generic = SimulateSystem(SystemKind::kThreeSigma, config, workload);
-  EXPECT_GT(generic.jobs.size(), 0u);
-  const std::string generic_trace = DecisionTrace(generic, /*include_valuation_counters=*/false);
-
-  config.sched.valuation_engine = true;
-  for (const int threads : {1, 4}) {
-    config.sched.solver_threads = threads;
-    config.sched.valuation_cache = true;
-    const SimResult with_cache = SimulateSystem(SystemKind::kThreeSigma, config, workload);
-    EXPECT_EQ(generic_trace, DecisionTrace(with_cache, /*include_valuation_counters=*/false))
-        << "engine decisions drifted at solver_threads=" << threads << " (cache on)";
-    const RunMetrics mc = ComputeMetrics(with_cache, "3Sigma");
-    EXPECT_GT(mc.valuation_kernel_calls, 0);
-    EXPECT_GT(mc.valuation_cache_hits, 0) << "table cache never hit";
-
-    // Cache off clears the tables each cycle, so misses must grow; hits can
-    // stay nonzero (groups sharing a runtime multiplier hit within a cycle).
-    config.sched.valuation_cache = false;
-    const SimResult no_cache = SimulateSystem(SystemKind::kThreeSigma, config, workload);
-    EXPECT_EQ(generic_trace, DecisionTrace(no_cache, /*include_valuation_counters=*/false))
-        << "engine decisions drifted at solver_threads=" << threads << " (cache off)";
-    const RunMetrics mn = ComputeMetrics(no_cache, "3Sigma");
-    EXPECT_GT(mn.valuation_cache_misses, mc.valuation_cache_misses)
-        << "cache off should rebuild tables every cycle";
-  }
-
-  // The full per-cycle counter stream is itself thread-count invariant (the
-  // prepare pass and kernel-call set do not depend on the fan-out width).
-  config.sched.valuation_cache = true;
-  config.sched.solver_threads = 1;
-  const SimResult serial = SimulateSystem(SystemKind::kThreeSigma, config, workload);
-  config.sched.solver_threads = 4;
-  const SimResult parallel = SimulateSystem(SystemKind::kThreeSigma, config, workload);
-  EXPECT_EQ(DecisionTrace(serial), DecisionTrace(parallel));
+  const SimResult plain = SimulateSystem(SystemKind::kPointRealEst, config, workload);
+  config.sched.crosscheck = true;
+  const SimResult checked = SimulateSystem(SystemKind::kPointRealEst, config, workload);
+  const RunMetrics m = ComputeMetrics(checked, "PointRealEst");
+  EXPECT_GT(m.capacity_cache_hits, 0) << "cache never hit; horizons are broken";
+  EXPECT_GT(m.capacity_cache_hit_rate, 0.0);
+  EXPECT_EQ(DecisionTrace(plain), DecisionTrace(checked));
 }
 
 TEST(SchedPropertyTest, ValuationCrosscheckCleanOverFullRun) {
-  // Crosscheck mode re-derives every kernel and survival answer with the
-  // generic per-atom loop and TS_CHECKs bitwise equality; any divergence
-  // aborts the process. Run the full stack through it, cache on and off
-  // (off exercises fresh tables every cycle).
+  // 3Sigma through the full stack, at 1 and 4 solver threads (the kernel
+  // checks then run on pool workers).
   ExperimentConfig config = PropertyConfig();
   const GeneratedWorkload workload = GenerateWorkload(config.cluster, config.workload);
-  config.sched.valuation_crosscheck = true;
-  const SimResult cached = SimulateSystem(SystemKind::kThreeSigma, config, workload);
-  const RunMetrics m = ComputeMetrics(cached, "3Sigma");
-  EXPECT_GT(m.valuation_kernel_calls, 0);
-  EXPECT_GT(m.valuation_cache_hits, 0);
-  EXPECT_GT(m.valuation_cache_hit_rate, 0.0);
-
-  config.sched.valuation_cache = false;
-  const SimResult uncached = SimulateSystem(SystemKind::kThreeSigma, config, workload);
-  EXPECT_EQ(DecisionTrace(cached, /*include_valuation_counters=*/false),
-            DecisionTrace(uncached, /*include_valuation_counters=*/false));
+  const SimResult plain = SimulateSystem(SystemKind::kThreeSigma, config, workload);
+  const std::string plain_trace = DecisionTrace(plain);
+  config.sched.crosscheck = true;
+  for (const int threads : {1, 4}) {
+    config.sched.solver_threads = threads;
+    const SimResult checked = SimulateSystem(SystemKind::kThreeSigma, config, workload);
+    const RunMetrics m = ComputeMetrics(checked, "3Sigma");
+    EXPECT_GT(m.capacity_cache_misses, 0);
+    EXPECT_GT(m.valuation_kernel_calls, 0);
+    EXPECT_GT(m.valuation_cache_hits, 0);
+    EXPECT_EQ(plain_trace, DecisionTrace(checked))
+        << "crosscheck moved a decision at solver_threads=" << threads;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -397,15 +333,13 @@ TEST(SchedPropertyTest, SolverShardsNeverChangeTheSchedule) {
     config.sched.solver_threads = 1;
     const SimResult mono = SimulateSystem(SystemKind::kThreeSigma, config, workload);
     ASSERT_GT(mono.jobs.size(), 0u);
-    const std::string mono_trace = DecisionTrace(mono, /*include_valuation_counters=*/true,
-                                                 /*include_solver_counters=*/false);
+    const std::string mono_trace = DecisionTrace(mono, /*include_solver_counters=*/false);
 
     // Sharded decisions are byte-identical to the monolithic ones (solver
     // counters excluded: the decomposed search visits fewer nodes).
     config.sched.solver_shards = true;
     const SimResult sharded1 = SimulateSystem(SystemKind::kThreeSigma, config, workload);
-    EXPECT_EQ(mono_trace, DecisionTrace(sharded1, /*include_valuation_counters=*/true,
-                                        /*include_solver_counters=*/false))
+    EXPECT_EQ(mono_trace, DecisionTrace(sharded1, /*include_solver_counters=*/false))
         << "shards on moved a decision (faults=" << faults << ")";
 
     // And the sharded run itself is fully byte-identical — counters included —

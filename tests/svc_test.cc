@@ -22,12 +22,15 @@
 #include <vector>
 
 #include "src/cluster/cluster.h"
+#include "src/predict/predictor.h"
+#include "src/sched/distribution_scheduler.h"
 #include "src/sched/prio_scheduler.h"
 #include "src/svc/client.h"
 #include "src/svc/server.h"
 #include "src/svc/socket_transport.h"
 #include "src/svc/transport.h"
 #include "src/svc/wire.h"
+#include "src/twin/twin.h"
 
 namespace threesigma::svc {
 namespace {
@@ -611,6 +614,37 @@ TEST_F(LoopbackServiceTest, CheckpointRestoreKeepsTokenTable) {
   EXPECT_EQ(state.completed_jobs + state.abandoned_jobs, state.total_jobs)
       << "no submission may be lost or duplicated across kill/restore";
   std::remove(path.c_str());
+}
+
+// --- What-if scenario validation ---------------------------------------------
+
+TEST(WhatIfServiceTest, OversizedSolverThreadsIsInvalidArgument) {
+  // A remote scenario spec may not size a fork's thread pool: the request
+  // is refused before any fork is built.
+  const ClusterConfig cluster = ClusterConfig::Uniform(2, 8);
+  ThreeSigmaPredictor predictor;
+  DistributionScheduler sched(cluster, &predictor, DistSchedulerConfig{});
+  LoopbackTransport transport;
+  ServiceOptions options;
+  options.drain_linger_seconds = 0.0;
+  Server server(cluster, &sched, SimOptions{}, options, &transport);
+  WhatIfEngine engine(cluster, &sched, TwinOptions{});
+  server.AttachWhatIfEngine(&engine);
+  std::unique_ptr<LoopbackTransport::Client> channel = transport.Connect();
+  channel->SetPump([&server] { server.HandleReady(); });
+
+  Request request;
+  request.verb = Verb::kWhatIf;
+  request.request_id = 1;
+  request.scenarios = "name=huge,solver_threads=100000";
+  std::string error;
+  ASSERT_TRUE(channel->SendFrame(EncodeRequest(request), &error)) << error;
+  std::string payload;
+  ASSERT_TRUE(channel->RecvFrame(&payload, 1.0, &error)) << error;
+  Reply reply;
+  ASSERT_TRUE(DecodeReply(payload, &reply, &error)) << error;
+  EXPECT_EQ(reply.code, StatusCode::kInvalidArgument);
+  EXPECT_NE(reply.message.find("solver_threads=100000"), std::string::npos) << reply.message;
 }
 
 // --- Socket transport end-to-end ---------------------------------------------

@@ -146,6 +146,51 @@ TEST(ScenarioTest, ParseListAndErrors) {
   EXPECT_FALSE(ParseScenario("planahead=abc", &scenario, &error));
 }
 
+TEST(ScenarioTest, RejectsNonFiniteOutOfRangeAndOversizedValues) {
+  // Scenario specs arrive over the WhatIf RPC, so each of these must fail
+  // with an error instead of reaching a fork.
+  const std::vector<std::string> bad = {
+      "surge=inf",
+      "surge=nan",
+      "surge=1e309",
+      "surge=100.5",
+      "planahead=inf",
+      "padding=nan",
+      "inflation=-inf",
+      "failure_after=inf",
+      "surge_window=nan",
+      "solver_threads=0",
+      "solver_threads=65",
+      "solver_threads=100000",
+      "solver_threads=4294967297",  // Would narrow to 1.
+      "solver_threads=99999999999999999999",
+      "failures=-1",
+      "failures=100001",
+      "failures=4294967296",  // Would narrow to 0.
+      "solver_shards=4294967297",
+  };
+  for (const std::string& spec : bad) {
+    Scenario scenario;
+    std::string error;
+    EXPECT_FALSE(ParseScenario(spec, &scenario, &error)) << spec;
+    EXPECT_FALSE(error.empty()) << spec;
+    std::vector<Scenario> list;
+    error.clear();
+    EXPECT_FALSE(ParseScenarioList("name=ok;" + spec, &list, &error)) << spec;
+    EXPECT_FALSE(error.empty()) << spec;
+  }
+
+  // The caps themselves are accepted.
+  Scenario scenario;
+  std::string error;
+  EXPECT_TRUE(ParseScenario("solver_threads=" + std::to_string(kMaxScenarioSolverThreads) +
+                                ",surge=100,failures=" + std::to_string(kMaxScenarioFailures),
+                            &scenario, &error))
+      << error;
+  EXPECT_EQ(scenario.solver_threads, kMaxScenarioSolverThreads);
+  EXPECT_EQ(scenario.extra_node_failures, kMaxScenarioFailures);
+}
+
 TEST(ScenarioTest, DefaultScenariosAreWellFormed) {
   const std::vector<Scenario> defaults = DefaultScenarios();
   ASSERT_GE(defaults.size(), 4u);

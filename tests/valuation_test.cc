@@ -7,7 +7,8 @@
 // time, including the degenerate inputs (NaN starts, single-atom
 // distributions, empty distributions, elapsed past the last atom). Equality
 // is checked on the bit pattern, not operator==, so a NaN divergence cannot
-// slip through.
+// slip through. The crosscheck mode that turns these comparisons into
+// runtime aborts must also catch a stale cached table.
 
 #include <cmath>
 #include <cstdint>
@@ -32,8 +33,8 @@ uint64_t Bits(double x) {
 }
 
 // The generic Eq. 1 evaluation the kernels must replicate: materialize the
-// scaled distribution exactly as the scheduler's generic path does, then
-// accumulate utility·probability per atom in order.
+// scaled distribution (skipped at scale 1), then accumulate
+// utility·probability per atom in order.
 double GenericExpectedUtility(const EmpiricalDistribution& dist, double scale,
                               const UtilityFunction& u, double start) {
   const EmpiricalDistribution scaled = scale == 1.0 ? dist : dist.Scaled(scale);
@@ -79,7 +80,7 @@ TEST(ValuationTest, KernelsMatchGenericLoopBitwise) {
     const std::vector<double> scales = {1.0, 0.5, rng.Uniform(0.25, 4.0)};
     for (const UtilityFunction& u : utilities) {
       for (const double scale : scales) {
-        ValuationEngine engine(ValuationEngine::Config{/*cache=*/true, /*crosscheck=*/false});
+        ValuationEngine engine;
         const ValuationTables& tables =
             engine.Tables(/*job=*/1, scale, dist, u, /*counters=*/nullptr);
         // Starts spanning before / across / far past the deadline, plus NaN.
@@ -110,7 +111,7 @@ TEST(ValuationTest, EmptyDistributionYieldsTrivialTables) {
   // in Scaled()/FromAtoms.
   const EmpiricalDistribution empty;
   const UtilityFunction u = UtilityFunction::SloStep(5.0, 100.0);
-  ValuationEngine engine(ValuationEngine::Config{true, true});  // Crosscheck on.
+  ValuationEngine engine(/*crosscheck=*/true);
   for (const double scale : {1.0, 0.5, 2.0}) {
     const ValuationTables& tables = engine.Tables(7, scale, empty, u, nullptr);
     EXPECT_EQ(tables.size(), 0u);
@@ -127,7 +128,7 @@ TEST(ValuationTest, CrosscheckModePassesOnRandomInputs) {
     const EmpiricalDistribution dist = RandomDistribution(rng, 60);
     const double deadline = rng.Uniform(10.0, dist.MaxValue());
     const UtilityFunction u = UtilityFunction::SloStepWithDecay(10.0, deadline, deadline);
-    ValuationEngine engine(ValuationEngine::Config{true, /*crosscheck=*/true});
+    ValuationEngine engine(/*crosscheck=*/true);
     const ValuationTables& tables = engine.Tables(1, 1.25, dist, u, nullptr);
     for (double start = 0.0; start < 2.0 * deadline; start += deadline / 16.0) {
       (void)engine.ExpectedUtility(tables, u, start, nullptr);
@@ -136,11 +137,24 @@ TEST(ValuationTest, CrosscheckModePassesOnRandomInputs) {
   }
 }
 
+TEST(ValuationTest, CrosscheckCatchesStaleTable) {
+  // A prediction that changes without InvalidateJob leaves a stale table in
+  // the cache; crosscheck mode rebuilds the table on every hit and aborts.
+  Rng rng(5);
+  const EmpiricalDistribution dist_a = RandomDistribution(rng, 30);
+  const EmpiricalDistribution dist_b = RandomDistribution(rng, 30);
+  const UtilityFunction u = UtilityFunction::SloStep(5.0, 500.0);
+  ValuationEngine engine(/*crosscheck=*/true);
+  engine.Tables(1, 1.5, dist_a, u, nullptr);
+  engine.Tables(1, 1.5, dist_a, u, nullptr);  // A true hit passes.
+  EXPECT_DEATH(engine.Tables(1, 1.5, dist_b, u, nullptr), "stale valuation table");
+}
+
 TEST(ValuationTest, CacheCountsHitsAndInvalidates) {
   Rng rng(3);
   const EmpiricalDistribution dist = RandomDistribution(rng, 40);
   const UtilityFunction u = UtilityFunction::SloStep(5.0, 500.0);
-  ValuationEngine engine(ValuationEngine::Config{true, false});
+  ValuationEngine engine;
   ValuationCounters c;
   engine.Tables(1, 1.0, dist, u, &c);
   engine.Tables(1, 2.0, dist, u, &c);
@@ -166,7 +180,7 @@ TEST(ValuationTest, SaveStateRoundTripsKeySet) {
   Rng rng(4);
   const EmpiricalDistribution dist = RandomDistribution(rng, 20);
   const UtilityFunction u = UtilityFunction::SloStep(5.0, 500.0);
-  ValuationEngine engine(ValuationEngine::Config{true, false});
+  ValuationEngine engine;
   engine.Tables(3, 1.0, dist, u, nullptr);
   engine.Tables(3, 0.75, dist, u, nullptr);
   engine.Tables(9, 1.0, dist, u, nullptr);
