@@ -36,7 +36,7 @@ int main() {
                   TablePrinter::Fmt(m.slo_miss_rate_percent, 1),
                   TablePrinter::Fmt(m.mean_be_latency_seconds, 0),
                   TablePrinter::Fmt(m.mean_cycle_seconds * 1000, 1),
-                  std::to_string(m.max_milp_variables)});
+                  std::to_string(m.cycle_max.milp_variables)});
   }
   table.Print(std::cout);
   return 0;

@@ -33,7 +33,8 @@ int main() {
                   TablePrinter::Fmt(m.slo_miss_rate_percent, 1),
                   TablePrinter::Fmt(m.goodput_machine_hours, 1),
                   TablePrinter::Fmt(m.mean_solver_seconds * 1000, 1),
-                  std::to_string(m.max_milp_variables), std::to_string(m.max_milp_rows)});
+                  std::to_string(m.cycle_max.milp_variables),
+                  std::to_string(m.cycle_max.milp_rows)});
   }
   table.Print(std::cout);
   std::cout << "\nNote: workloads are regenerated per cluster shape (gang width is capped\n"

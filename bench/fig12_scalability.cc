@@ -59,12 +59,14 @@ int main() {
 
     const RunMetrics dist = RunSystem(SystemKind::kThreeSigma, config, workload);
     const RunMetrics point = RunSystem(SystemKind::kPointRealEst, config, workload);
-    cycle.AddRow({std::to_string(rate), Ms(dist.mean_cycle_seconds), Ms(dist.max_cycle_seconds),
-                  Ms(point.mean_cycle_seconds), Ms(point.max_cycle_seconds)});
+    cycle.AddRow({std::to_string(rate), Ms(dist.mean_cycle_seconds),
+                  Ms(dist.cycle_max.cycle_seconds), Ms(point.mean_cycle_seconds),
+                  Ms(point.cycle_max.cycle_seconds)});
     solver.AddRow({std::to_string(rate), Ms(dist.mean_solver_seconds),
-                   Ms(dist.max_solver_seconds), Ms(point.mean_solver_seconds),
-                   Ms(point.max_solver_seconds), std::to_string(dist.max_milp_variables),
-                   std::to_string(dist.max_milp_rows)});
+                   Ms(dist.cycle_max.solver_seconds), Ms(point.mean_solver_seconds),
+                   Ms(point.cycle_max.solver_seconds),
+                   std::to_string(dist.cycle_max.milp_variables),
+                   std::to_string(dist.cycle_max.milp_rows)});
   }
   std::cout << "(a) Scheduling cycle runtime:\n";
   cycle.Print(std::cout);
@@ -136,21 +138,21 @@ int main() {
     config.sched.solver_shards = false;
     const RunMetrics shard_off = RunSystem(SystemKind::kThreeSigma, config, workload);
     shards.AddRow({"shards off", Ms(shard_off.mean_solver_seconds),
-                   std::to_string(shard_off.total_milp_nodes), "1.00", "-", "-"});
+                   std::to_string(shard_off.cycle_sum.milp_nodes), "1.00", "-", "-"});
     config.sched.solver_shards = true;
     for (const int threads : {1, 4}) {
       config.sched.solver_threads = threads;
       const RunMetrics m = RunSystem(SystemKind::kThreeSigma, config, workload);
-      const double ratio = m.total_milp_nodes > 0
-                               ? static_cast<double>(shard_off.total_milp_nodes) /
-                                     static_cast<double>(m.total_milp_nodes)
+      const double ratio = m.cycle_sum.milp_nodes > 0
+                               ? static_cast<double>(shard_off.cycle_sum.milp_nodes) /
+                                     static_cast<double>(m.cycle_sum.milp_nodes)
                                : 0.0;
       shards.AddRow({"shards on, " + std::to_string(threads) + " thread" +
                          (threads == 1 ? "" : "s"),
                      Ms(m.mean_solver_seconds),
-                     std::to_string(m.total_milp_nodes), TablePrinter::Fmt(ratio, 2),
+                     std::to_string(m.cycle_sum.milp_nodes), TablePrinter::Fmt(ratio, 2),
                      TablePrinter::Fmt(m.mean_milp_shards, 2),
-                     std::to_string(m.max_milp_shard_vars)});
+                     std::to_string(m.cycle_max.milp_max_shard_vars)});
     }
     shards.Print(std::cout);
     config.sched.solver_shards = false;

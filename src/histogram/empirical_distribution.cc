@@ -60,16 +60,6 @@ EmpiricalDistribution EmpiricalDistribution::FromHistogram(const StreamHistogram
   return FromAtoms(std::move(atoms));
 }
 
-EmpiricalDistribution EmpiricalDistribution::FromTDigest(const TDigest& digest) {
-  TS_CHECK(!digest.empty());
-  std::vector<Atom> atoms;
-  atoms.reserve(digest.centroid_count());
-  for (const TDigest::Centroid& c : digest.centroids()) {
-    atoms.push_back(Atom{c.mean, c.weight});
-  }
-  return FromAtoms(std::move(atoms));
-}
-
 EmpiricalDistribution EmpiricalDistribution::FromNormal(double mean, double stddev,
                                                         size_t atoms) {
   TS_CHECK_GE(atoms, 1u);

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "src/histogram/stream_histogram.h"
-#include "src/histogram/tdigest.h"
 
 namespace threesigma {
 
@@ -39,9 +38,6 @@ class EmpiricalDistribution {
   static EmpiricalDistribution FromSamples(std::vector<double> samples);
   // One atom per histogram bin, weighted by bin count.
   static EmpiricalDistribution FromHistogram(const StreamHistogram& hist);
-  // One atom per t-digest centroid, weighted by centroid weight (sketch
-  // ablation; see histogram/tdigest.h).
-  static EmpiricalDistribution FromTDigest(const TDigest& digest);
   // Discretized normal truncated at zero; used by the Fig. 9 perturbation
   // study, which feeds the scheduler ~N(runtime·(1+shift), runtime·CoV).
   static EmpiricalDistribution FromNormal(double mean, double stddev, size_t atoms = 41);

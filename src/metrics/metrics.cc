@@ -62,51 +62,35 @@ RunMetrics ComputeMetrics(const SimResult& result, const std::string& system_nam
     m.p99_be_latency_seconds = Quantile(be_latencies, 0.99);
   }
 
-  double cycle_sum = 0.0;
-  double solver_sum = 0.0;
   int64_t sharded_solves = 0;
   for (const CycleStats& c : result.cycles) {
-    cycle_sum += c.cycle_seconds;
-    solver_sum += c.solver_seconds;
-    m.max_cycle_seconds = std::max(m.max_cycle_seconds, c.cycle_seconds);
-    m.max_solver_seconds = std::max(m.max_solver_seconds, c.solver_seconds);
-    m.max_milp_variables = std::max(m.max_milp_variables, c.milp_variables);
-    m.max_milp_rows = std::max(m.max_milp_rows, c.milp_rows);
-    m.total_milp_nodes += c.milp_nodes;
-    m.max_milp_queue_depth = std::max(m.max_milp_queue_depth, c.milp_max_queue_depth);
-    m.total_incumbent_improvements += c.milp_incumbent_improvements;
-    m.capacity_cache_hits += c.capacity_cache_hits;
-    m.capacity_cache_misses += c.capacity_cache_misses;
-    m.valuation_cache_hits += c.valuation_cache_hits;
-    m.valuation_cache_misses += c.valuation_cache_misses;
-    m.valuation_kernel_calls += c.valuation_kernel_calls;
-    m.total_milp_shards += c.milp_shards;
-    m.max_milp_shard_vars = std::max(m.max_milp_shard_vars, c.milp_max_shard_vars);
+    for (const CycleField& f : kCycleFields) {
+      if (f.count != nullptr) {
+        m.cycle_sum.*f.count += c.*f.count;
+        m.cycle_max.*f.count = std::max(m.cycle_max.*f.count, c.*f.count);
+      } else {
+        m.cycle_sum.*f.seconds += c.*f.seconds;
+        m.cycle_max.*f.seconds = std::max(m.cycle_max.*f.seconds, c.*f.seconds);
+      }
+    }
     if (c.milp_shards > 0) {
       ++sharded_solves;
     }
   }
-  if (sharded_solves > 0) {
-    m.mean_milp_shards =
-        static_cast<double>(m.total_milp_shards) / static_cast<double>(sharded_solves);
-  }
-  if (!result.cycles.empty()) {
-    m.mean_cycle_seconds = cycle_sum / static_cast<double>(result.cycles.size());
-    m.mean_solver_seconds = solver_sum / static_cast<double>(result.cycles.size());
-  }
-  if (solver_sum > 0.0) {
-    m.solver_nodes_per_second = static_cast<double>(m.total_milp_nodes) / solver_sum;
-  }
-  const int64_t cache_total = m.capacity_cache_hits + m.capacity_cache_misses;
-  if (cache_total > 0) {
-    m.capacity_cache_hit_rate = static_cast<double>(m.capacity_cache_hits) /
-                                static_cast<double>(cache_total);
-  }
-  const int64_t val_total = m.valuation_cache_hits + m.valuation_cache_misses;
-  if (val_total > 0) {
-    m.valuation_cache_hit_rate = static_cast<double>(m.valuation_cache_hits) /
-                                 static_cast<double>(val_total);
-  }
+  const CycleTelemetry& sum = m.cycle_sum;
+  const auto ratio = [](double num, double den) { return den > 0.0 ? num / den : 0.0; };
+  const double cycles = static_cast<double>(result.cycles.size());
+  m.mean_cycle_seconds = ratio(sum.cycle_seconds, cycles);
+  m.mean_solver_seconds = ratio(sum.solver_seconds, cycles);
+  m.solver_nodes_per_second = ratio(static_cast<double>(sum.milp_nodes), sum.solver_seconds);
+  m.mean_milp_shards =
+      ratio(static_cast<double>(sum.milp_shards), static_cast<double>(sharded_solves));
+  m.capacity_cache_hit_rate =
+      ratio(static_cast<double>(sum.capacity_cache_hits),
+            static_cast<double>(sum.capacity_cache_hits + sum.capacity_cache_misses));
+  m.valuation_cache_hit_rate =
+      ratio(static_cast<double>(sum.valuation_cache_hits),
+            static_cast<double>(sum.valuation_cache_hits + sum.valuation_cache_misses));
 
   m.tasks_killed_by_faults = result.tasks_killed_by_faults;
   m.fault_node_events = result.fault_node_events;

@@ -45,34 +45,21 @@ struct RunMetrics {
   double p90_be_latency_seconds = 0.0;
   double p99_be_latency_seconds = 0.0;
 
+  // Per-cycle telemetry over the run (src/obs/cycle_telemetry.h): every
+  // field's total and its per-cycle maximum. A field's declared roll-up
+  // picks which of the two its exports report.
+  CycleTelemetry cycle_sum;
+  CycleTelemetry cycle_max;
+  // Derived means and rates (0 when the denominator is 0): per-cycle mean
+  // latencies, B&B nodes per solver second, shards per sharded solve, and
+  // the share of capacity (running-job survival) and valuation (Eq. 1
+  // table) lookups served from cache.
   double mean_cycle_seconds = 0.0;
-  double max_cycle_seconds = 0.0;
   double mean_solver_seconds = 0.0;
-  double max_solver_seconds = 0.0;
-  int max_milp_variables = 0;
-  int max_milp_rows = 0;
-
-  // Parallel-solver throughput: total branch-and-bound nodes over total
-  // solver wall-clock (0 when no solver time was recorded).
-  int64_t total_milp_nodes = 0;
   double solver_nodes_per_second = 0.0;
-  int max_milp_queue_depth = 0;
-  int total_incumbent_improvements = 0;
-  // Shard decomposition: total shards across solved cycles, mean shards per
-  // sharded solve, and the largest sub-MILP seen (all zero with shards off).
-  int64_t total_milp_shards = 0;
   double mean_milp_shards = 0.0;
-  int max_milp_shard_vars = 0;
-  // Expected-capacity cache: fraction of running-job survival lookups served
-  // without a recompute (0 when the cache recorded no traffic).
-  int64_t capacity_cache_hits = 0;
-  int64_t capacity_cache_misses = 0;
   double capacity_cache_hit_rate = 0.0;
-  // Valuation engine: Eq. 1 table-cache traffic and kernel evaluations.
-  int64_t valuation_cache_hits = 0;
-  int64_t valuation_cache_misses = 0;
   double valuation_cache_hit_rate = 0.0;
-  int64_t valuation_kernel_calls = 0;
 
   // Fault-injection observability (all zero when chaos is off).
   int tasks_killed_by_faults = 0;

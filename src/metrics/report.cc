@@ -21,6 +21,20 @@ const char* StatusName(JobStatus status) {
   return "unknown";
 }
 
+// The run-level telemetry columns: Sum fields report their total
+// (cycle_sum), Max fields their maximum (cycle_max), wall-clock fields both.
+// Writes the column names when `m` is null.
+void WriteCycleRollups(std::ostream& os, const RunMetrics* m) {
+  for (const CycleField& f : kCycleFields) {
+    if (f.rollup != Rollup::kMax) {
+      m != nullptr ? WriteCycleField(os << ",", m->cycle_sum, f) : os << ",total_" << f.name;
+    }
+    if (f.rollup != Rollup::kSum) {
+      m != nullptr ? WriteCycleField(os << ",", m->cycle_max, f) : os << ",max_" << f.name;
+    }
+  }
+}
+
 }  // namespace
 
 void WriteJobRecordsCsv(std::ostream& os, const std::vector<JobRecord>& jobs) {
@@ -41,15 +55,12 @@ void WriteRunMetricsCsv(std::ostream& os, const std::vector<RunMetrics>& runs) {
   os << "system,slo_jobs,slo_censored,be_jobs,slo_missed,slo_miss_rate_percent,"
         "slo_completed,be_completed,abandoned,unfinished,preemptions,"
         "goodput_machine_hours,slo_goodput_machine_hours,be_goodput_machine_hours,"
-        "mean_be_latency_s,p50_be_latency_s,p90_be_latency_s,p99_be_latency_s,"
-        "mean_cycle_s,max_cycle_s,mean_solver_s,max_solver_s,max_milp_variables,"
-        "max_milp_rows,total_milp_nodes,solver_nodes_per_s,max_milp_queue_depth,"
-        "incumbent_improvements,capacity_cache_hits,capacity_cache_misses,"
-        "capacity_cache_hit_rate,tasks_killed_by_faults,fault_node_events,"
-        "stalled_cycles,node_downtime_fraction,rework_machine_hours,rework_ratio,"
-        "goodput_per_available_hour,valuation_cache_hits,valuation_cache_misses,"
-        "valuation_cache_hit_rate,valuation_kernel_calls,total_milp_shards,"
-        "mean_milp_shards,max_milp_shard_vars\n";
+        "mean_be_latency_s,p50_be_latency_s,p90_be_latency_s,p99_be_latency_s";
+  WriteCycleRollups(os, nullptr);
+  os << ",mean_cycle_seconds,mean_solver_seconds,solver_nodes_per_second,mean_milp_shards,"
+        "capacity_cache_hit_rate,valuation_cache_hit_rate,tasks_killed_by_faults,"
+        "fault_node_events,stalled_cycles,node_downtime_fraction,rework_machine_hours,"
+        "rework_ratio,goodput_per_available_hour\n";
   for (const RunMetrics& m : runs) {
     os << m.system << "," << m.slo_jobs << "," << m.slo_censored << "," << m.be_jobs << ","
        << m.slo_missed << "," << m.slo_miss_rate_percent << "," << m.slo_completed << ","
@@ -57,20 +68,14 @@ void WriteRunMetricsCsv(std::ostream& os, const std::vector<RunMetrics>& runs) {
        << m.preemptions << "," << m.goodput_machine_hours << ","
        << m.slo_goodput_machine_hours << "," << m.be_goodput_machine_hours << ","
        << m.mean_be_latency_seconds << "," << m.p50_be_latency_seconds << ","
-       << m.p90_be_latency_seconds << "," << m.p99_be_latency_seconds << ","
-       << m.mean_cycle_seconds << "," << m.max_cycle_seconds << "," << m.mean_solver_seconds
-       << "," << m.max_solver_seconds << "," << m.max_milp_variables << ","
-       << m.max_milp_rows << "," << m.total_milp_nodes << "," << m.solver_nodes_per_second
-       << "," << m.max_milp_queue_depth << "," << m.total_incumbent_improvements << ","
-       << m.capacity_cache_hits << "," << m.capacity_cache_misses << ","
-       << m.capacity_cache_hit_rate << "," << m.tasks_killed_by_faults << ","
-       << m.fault_node_events << "," << m.stalled_cycles << ","
-       << m.node_downtime_fraction << "," << m.rework_machine_hours << ","
-       << m.rework_ratio << "," << m.goodput_per_available_hour << ","
-       << m.valuation_cache_hits << "," << m.valuation_cache_misses << ","
-       << m.valuation_cache_hit_rate << "," << m.valuation_kernel_calls << ","
-       << m.total_milp_shards << "," << m.mean_milp_shards << ","
-       << m.max_milp_shard_vars << "\n";
+       << m.p90_be_latency_seconds << "," << m.p99_be_latency_seconds;
+    WriteCycleRollups(os, &m);
+    os << "," << m.mean_cycle_seconds << "," << m.mean_solver_seconds << ","
+       << m.solver_nodes_per_second << "," << m.mean_milp_shards << ","
+       << m.capacity_cache_hit_rate << "," << m.valuation_cache_hit_rate << ","
+       << m.tasks_killed_by_faults << "," << m.fault_node_events << "," << m.stalled_cycles
+       << "," << m.node_downtime_fraction << "," << m.rework_machine_hours << ","
+       << m.rework_ratio << "," << m.goodput_per_available_hour << "\n";
   }
 }
 

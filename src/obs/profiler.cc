@@ -45,24 +45,11 @@ void CycleProfiler::AddTwinSweep(double seconds) {
   }
 }
 
-void CycleProfiler::SetCycleCounters(int64_t valuation_cache_hits,
-                                     int64_t valuation_cache_misses,
-                                     int64_t valuation_kernel_calls,
-                                     int64_t milp_shards) {
+void CycleProfiler::EndCycle(const CycleTelemetry& telemetry) {
   if (!cycle_open_) {
     return;
   }
-  current_.valuation_cache_hits = valuation_cache_hits;
-  current_.valuation_cache_misses = valuation_cache_misses;
-  current_.valuation_kernel_calls = valuation_kernel_calls;
-  current_.milp_shards = milp_shards;
-}
-
-void CycleProfiler::EndCycle(double cycle_seconds) {
-  if (!cycle_open_) {
-    return;
-  }
-  current_.cycle_seconds = cycle_seconds;
+  static_cast<CycleTelemetry&>(current_) = telemetry;
   rows_.push_back(current_);
   cycle_open_ = false;
   Tracer::Global().SetCycle(-1);
@@ -73,17 +60,21 @@ void CycleProfiler::WriteCsv(std::ostream& os) const {
   for (size_t p = 0; p < static_cast<size_t>(Phase::kCount); ++p) {
     os << "," << PhaseName(static_cast<Phase>(p)) << "_s";
   }
-  os << ",sched_phase_sum_s,cycle_s,val_cache_hits,val_cache_misses,val_kernel_calls"
-     << ",milp_shards,twin_sweep_s\n";
+  os << ",sched_phase_sum_s";
+  for (const CycleField& f : kCycleFields) {
+    os << "," << f.name;
+  }
+  os << ",twin_sweep_s\n";
   for (const CyclePhaseRow& row : rows_) {
     os << row.cycle << "," << row.sim_time;
     for (size_t p = 0; p < static_cast<size_t>(Phase::kCount); ++p) {
       os << "," << row.phase_seconds[p];
     }
-    os << "," << row.sched_phase_seconds() << "," << row.cycle_seconds << ","
-       << row.valuation_cache_hits << "," << row.valuation_cache_misses << ","
-       << row.valuation_kernel_calls << "," << row.milp_shards << ","
-       << row.twin_sweep_seconds << "\n";
+    os << "," << row.sched_phase_seconds();
+    for (const CycleField& f : kCycleFields) {
+      WriteCycleField(os << ",", row, f);
+    }
+    os << "," << row.twin_sweep_seconds << "\n";
   }
 }
 

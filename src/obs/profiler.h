@@ -8,11 +8,13 @@
 // predictor calls on arrival) accumulates into a pending row that folds into
 // the next BeginCycle, so nothing is lost.
 //
-// The row's `cycle_seconds` is the scheduler-reported full-cycle latency
-// (CycleResult::cycle_seconds); `sched_phase_seconds()` sums the six
-// scheduler pipeline phases, which are disjoint sub-intervals of the cycle,
-// so the two agree to within the unwrapped slivers between scopes (the
-// golden acceptance check in tests and EXPERIMENTS.md).
+// EndCycle stamps the row with the cycle's telemetry (cycle_telemetry.h), so
+// the phase CSV carries every per-cycle counter next to the phase times. Its
+// `cycle_seconds` is the scheduler-reported full-cycle latency;
+// `sched_phase_seconds()` sums the six scheduler pipeline phases, which are
+// disjoint sub-intervals of the cycle, so the two agree to within the
+// unwrapped slivers between scopes (the golden acceptance check in tests and
+// EXPERIMENTS.md).
 //
 // DecisionLog captures the *decisions* of every cycle (starts, preemptions,
 // abandonments, deferrals) in a deterministic CSV — the golden-trace
@@ -31,22 +33,16 @@
 #include <string>
 #include <vector>
 
+#include "src/obs/cycle_telemetry.h"
 #include "src/obs/trace.h"
 
 namespace threesigma {
 namespace obs {
 
-struct CyclePhaseRow {
+struct CyclePhaseRow : CycleTelemetry {
   int64_t cycle = 0;
   double sim_time = 0.0;
   std::array<double, static_cast<size_t>(Phase::kCount)> phase_seconds{};
-  double cycle_seconds = 0.0;  // Scheduler-reported full-cycle latency.
-  // Valuation-engine traffic this cycle (deterministic, unlike the timings).
-  int64_t valuation_cache_hits = 0;
-  int64_t valuation_cache_misses = 0;
-  int64_t valuation_kernel_calls = 0;
-  // Shard count of this cycle's MILP solve (0 = shards off or no solve).
-  int64_t milp_shards = 0;
   // Wall time spent in digital-twin advisory sweeps between the previous
   // cycle and this one (zero when the twin is off).
   double twin_sweep_seconds = 0.0;
@@ -78,11 +74,8 @@ class CycleProfiler {
   // Digital-twin sweep wall time; folded into the next cycle's row like
   // inter-cycle phase time (driver thread only).
   void AddTwinSweep(double seconds);
-  // Stamps the open row's valuation and shard counters; no-op without an
-  // open cycle.
-  void SetCycleCounters(int64_t valuation_cache_hits, int64_t valuation_cache_misses,
-                        int64_t valuation_kernel_calls, int64_t milp_shards = 0);
-  void EndCycle(double cycle_seconds);
+  // Closes the open row with the cycle's telemetry; no-op without one.
+  void EndCycle(const CycleTelemetry& telemetry);
 
   const std::vector<CyclePhaseRow>& rows() const { return rows_; }
   void WriteCsv(std::ostream& os) const;

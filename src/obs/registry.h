@@ -63,6 +63,14 @@ class Counter {
     cells_[static_cast<size_t>(ThreadStripe())].v.fetch_add(delta, std::memory_order_relaxed);
   }
   void Increment() { Add(1); }
+  // High-water mark: raises the value to `value` if that is larger. Not
+  // safe against concurrent writers (it reads, then sets); the simulation
+  // thread calls it once per cycle.
+  void RaiseTo(int64_t value) {
+    if (!SpeculativeSuppressed() && value > Value()) {
+      Set(value);
+    }
+  }
 
   // Aggregate over all stripes plus the restore base.
   int64_t Value() const;

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "src/common/check.h"
-#include "src/obs/registry.h"
 #include "src/obs/trace.h"
 #include "src/solver/milp.h"
 #include "src/solver/sharded_milp.h"
@@ -448,8 +447,6 @@ void DistributionScheduler::UpdateConsumed(Time now, const ClusterStateView& sta
     info.capacity_applied = true;
     ++result->capacity_cache_misses;
   }
-  cache_hits_ += result->capacity_cache_hits;
-  cache_misses_ += result->capacity_cache_misses;
 
   if (config_.crosscheck) {
     // The cache invariant: delta-updated rows must equal a from-scratch
@@ -477,65 +474,6 @@ void DistributionScheduler::UpdateConsumed(Time now, const ClusterStateView& sta
 }
 
 CycleResult DistributionScheduler::RunCycle(Time now, const ClusterStateView& state) {
-  CycleResult result = RunCycleImpl(now, state);
-  // Publish the cycle's outcome to the metrics registry: the unified counter
-  // plumbing the report layer and tests read instead of ad-hoc totals.
-  struct SchedCounters {
-    obs::Counter* cycles;
-    obs::Counter* starts;
-    obs::Counter* preempt_decisions;
-    obs::Counter* abandons;
-    obs::Counter* deferred;
-    obs::Counter* cache_hits;
-    obs::Counter* cache_misses;
-    obs::Counter* milp_nodes;
-    obs::Counter* valuation_cache_hits;
-    obs::Counter* valuation_cache_misses;
-    obs::Counter* valuation_kernel_calls;
-    obs::Counter* milp_shards;
-    obs::Counter* milp_max_shard_vars;
-    obs::Histogram* shards_hist;
-  };
-  static const SchedCounters* const counters = [] {
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-    auto* c = new SchedCounters();
-    c->cycles = reg.GetCounter("sched.cycles");
-    c->starts = reg.GetCounter("sched.starts");
-    c->preempt_decisions = reg.GetCounter("sched.preempt_decisions");
-    c->abandons = reg.GetCounter("sched.abandons");
-    c->deferred = reg.GetCounter("sched.deferred");
-    c->cache_hits = reg.GetCounter("sched.capacity_cache_hits");
-    c->cache_misses = reg.GetCounter("sched.capacity_cache_misses");
-    c->milp_nodes = reg.GetCounter("sched.milp_nodes");
-    c->valuation_cache_hits = reg.GetCounter("sched.valuation_cache_hits");
-    c->valuation_cache_misses = reg.GetCounter("sched.valuation_cache_misses");
-    c->valuation_kernel_calls = reg.GetCounter("sched.valuation_kernel_calls");
-    c->milp_shards = reg.GetCounter("sched.milp_shards");
-    c->milp_max_shard_vars = reg.GetCounter("sched.milp_max_shard_vars");
-    c->shards_hist = reg.GetHistogram("sched.shards_per_solve",
-                                      {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0});
-    return c;
-  }();
-  counters->cycles->Increment();
-  counters->starts->Add(static_cast<int64_t>(result.start.size()));
-  counters->preempt_decisions->Add(static_cast<int64_t>(result.preempt.size()));
-  counters->abandons->Add(static_cast<int64_t>(result.abandon.size()));
-  counters->deferred->Add(static_cast<int64_t>(result.deferred.size()));
-  counters->cache_hits->Add(result.capacity_cache_hits);
-  counters->cache_misses->Add(result.capacity_cache_misses);
-  counters->milp_nodes->Add(result.milp_nodes);
-  counters->valuation_cache_hits->Add(result.valuation_cache_hits);
-  counters->valuation_cache_misses->Add(result.valuation_cache_misses);
-  counters->valuation_kernel_calls->Add(result.valuation_kernel_calls);
-  counters->milp_shards->Add(result.milp_shards);
-  counters->milp_max_shard_vars->Add(result.milp_max_shard_vars);
-  if (result.milp_shards > 0) {
-    counters->shards_hist->Observe(static_cast<double>(result.milp_shards));
-  }
-  return result;
-}
-
-CycleResult DistributionScheduler::RunCycleImpl(Time now, const ClusterStateView& state) {
   const auto cycle_start = std::chrono::steady_clock::now();
   CycleResult result;
   TS_CHECK(state.cluster != nullptr);
@@ -702,9 +640,6 @@ CycleResult DistributionScheduler::RunCycleImpl(Time now, const ClusterStateView
   for (const ValuationScratch& s : value_scratch_) {
     result.valuation_kernel_calls += s.counters.kernel_calls;
   }
-  val_hits_ += result.valuation_cache_hits;
-  val_misses_ += result.valuation_cache_misses;
-  val_kernel_calls_ += result.valuation_kernel_calls;
 
   // Serial merge in `considered` order: reproduces the exact (job, group,
   // slot) option ordering the pre-fan-out serial loop emitted.
@@ -912,7 +847,8 @@ CycleResult DistributionScheduler::RunCycleImpl(Time now, const ClusterStateView
   }
   result.milp_nodes = solution.nodes_explored;
   result.milp_max_queue_depth = solution.max_queue_depth;
-  result.milp_incumbent_improvements = static_cast<int>(solution.incumbent_improvements.size());
+  result.milp_incumbent_improvements =
+      static_cast<int64_t>(solution.incumbent_improvements.size());
 
   if (solution.status != MilpStatus::kInfeasible) {
     TS_OBS_SPAN("sched.place", obs::Phase::kPlacement);
@@ -947,7 +883,9 @@ CycleResult DistributionScheduler::RunCycleImpl(Time now, const ClusterStateView
 }
 
 void DistributionScheduler::SaveState(SnapshotWriter& writer) const {
-  writer.BeginSection("sched", 3);
+  // v4 dropped the lifetime cache/valuation totals (v2, v3 carry them; the
+  // registry's "obs" section and RunMetrics hold lifetime totals).
+  writer.BeginSection("sched", 4);
   writer.WriteString("3sigma-sched");
   writer.WriteVarU64(jobs_.size());
   for (const auto& [id, info] : jobs_) {
@@ -982,21 +920,16 @@ void DistributionScheduler::SaveState(SnapshotWriter& writer) const {
   for (const std::vector<double>& row : consumed_) {
     writer.WriteDoubleVec(row);
   }
-  writer.WriteVarI64(cache_hits_);
-  writer.WriteVarI64(cache_misses_);
   writer.WriteVarI64(solves_since_rebuild_);
   writer.WriteVarU64(last_root_basis_.status.size());
   for (BasisStatus s : last_root_basis_.status) {
     writer.WriteU8(static_cast<uint8_t>(s));
   }
-  // v2: the valuation engine's cached key set plus its lifetime counters.
-  // Tables themselves are rebuilt from restored job state on resume (they
-  // are pure functions of it), so only the keys need to be persisted for
-  // the resumed hit/miss stream to stay byte-identical.
+  // v2: the valuation engine's cached key set. Tables themselves are rebuilt
+  // from restored job state on resume (they are pure functions of it), so
+  // only the keys need to be persisted for the resumed hit/miss stream to
+  // stay byte-identical.
   valuation_.SaveState(writer);
-  writer.WriteVarI64(val_hits_);
-  writer.WriteVarI64(val_misses_);
-  writer.WriteVarI64(val_kernel_calls_);
   // v3: per-shard warm-start bases keyed by component fingerprint
   // (sharded_milp.h). std::map iterates in ascending key order, so the
   // encoding is deterministic.
@@ -1066,8 +999,10 @@ void DistributionScheduler::RestoreState(SnapshotReader& reader) {
       row = reader.ReadDoubleVec();
     }
   }
-  cache_hits_ = reader.ReadVarI64();
-  cache_misses_ = reader.ReadVarI64();
+  if (sched_version < 4) {
+    reader.ReadVarI64();  // Lifetime capacity cache hits and misses.
+    reader.ReadVarI64();
+  }
   solves_since_rebuild_ = static_cast<int>(reader.ReadVarI64());
   const uint64_t basis_size = reader.ReadVarU64();
   last_root_basis_.status.clear();
@@ -1075,9 +1010,6 @@ void DistributionScheduler::RestoreState(SnapshotReader& reader) {
     last_root_basis_.status.push_back(static_cast<BasisStatus>(reader.ReadU8()));
   }
   valuation_.Clear();
-  val_hits_ = 0;
-  val_misses_ = 0;
-  val_kernel_calls_ = 0;
   if (sched_version >= 2) {
     // Rebuild the cached tables from the restored job state; a key whose job
     // exited between save and restore (impossible today, but harmless) is
@@ -1092,9 +1024,11 @@ void DistributionScheduler::RestoreState(SnapshotReader& reader) {
                           /*counters=*/nullptr);
       }
     }
-    val_hits_ = reader.ReadVarI64();
-    val_misses_ = reader.ReadVarI64();
-    val_kernel_calls_ = reader.ReadVarI64();
+    if (sched_version < 4) {
+      reader.ReadVarI64();  // Lifetime valuation hits, misses, kernel calls.
+      reader.ReadVarI64();
+      reader.ReadVarI64();
+    }
   }
   shard_bases_.clear();
   if (sched_version >= 3) {

@@ -181,11 +181,6 @@ class DistributionScheduler : public Scheduler {
   // Eq. 3 running-job consumption per (group, slot) as of the last full
   // cycle: expected free capacity is node_count − expected_consumed()[g][i].
   const std::vector<std::vector<double>>& expected_consumed() const { return consumed_; }
-  int64_t capacity_cache_hits() const { return cache_hits_; }
-  int64_t capacity_cache_misses() const { return cache_misses_; }
-  int64_t valuation_cache_hits() const { return val_hits_; }
-  int64_t valuation_cache_misses() const { return val_misses_; }
-  int64_t valuation_kernel_calls() const { return val_kernel_calls_; }
 
  private:
   struct JobInfo {
@@ -241,7 +236,7 @@ class DistributionScheduler : public Scheduler {
 
   // Values one considered job's (group, slot) options into `out` using the
   // valuation engine's tables (which must already exist: the serial prepare
-  // pass in RunCycleImpl builds them, so this is read-only and safe to run
+  // pass in RunCycle builds them, so this is read-only and safe to run
   // from pool workers).
   void ValueJobOptions(const JobInfo& info, Time now, ValuationScratch& scratch,
                        JobValuation* out) const;
@@ -254,10 +249,6 @@ class DistributionScheduler : public Scheduler {
   // updates (with a periodic full rebuild); fills the cycle's hit/miss
   // counters.
   void UpdateConsumed(Time now, const ClusterStateView& state, CycleResult* result);
-
-  // RunCycle's body; the public wrapper publishes the cycle's outcome to the
-  // metrics registry around it.
-  CycleResult RunCycleImpl(Time now, const ClusterStateView& state);
 
   const ClusterConfig& cluster_;
   RuntimePredictor* predictor_;
@@ -277,12 +268,6 @@ class DistributionScheduler : public Scheduler {
   // atom of its conditioned distribution crosses a slot boundary), and rows
   // stay untouched until a horizon expires.
   std::vector<std::vector<double>> consumed_;
-  int64_t cache_hits_ = 0;
-  int64_t cache_misses_ = 0;
-  // Valuation-engine totals (per-cycle deltas land in CycleResult).
-  int64_t val_hits_ = 0;
-  int64_t val_misses_ = 0;
-  int64_t val_kernel_calls_ = 0;
   // Delta updates accumulate float error; a periodic full rebuild squashes
   // any drift long before it can reach the cross-check tolerance.
   int solves_since_rebuild_ = 0;

@@ -16,6 +16,7 @@
 #include "src/cluster/job.h"
 #include "src/common/check.h"
 #include "src/common/units.h"
+#include "src/obs/cycle_telemetry.h"
 #include "src/snapshot/snapshot_io.h"
 
 namespace threesigma {
@@ -62,7 +63,9 @@ struct PlannedPlacement {
   Time start = 0.0;
 };
 
-struct CycleResult {
+// One cycle's decisions plus its telemetry (the Fig. 12 diagnostics; see
+// src/obs/cycle_telemetry.h).
+struct CycleResult : CycleTelemetry {
   // Jobs to start now, on the given group.
   std::vector<Placement> start;
   // Running jobs to preempt (kill-and-requeue).
@@ -72,31 +75,6 @@ struct CycleResult {
   std::vector<JobId> abandon;
   // Deferred reservations (observability only; nothing to execute).
   std::vector<PlannedPlacement> deferred;
-
-  // Diagnostics for the Fig. 12 scalability study.
-  double solver_seconds = 0.0;  // MILP solve time.
-  double cycle_seconds = 0.0;   // Full cycle: valuation + formulation + solve.
-  int milp_variables = 0;
-  int milp_rows = 0;
-  int milp_nodes = 0;
-  // Parallel-solver diagnostics: deepest the subproblem queue got and how
-  // many times the incumbent improved during the solve.
-  int milp_max_queue_depth = 0;
-  int milp_incumbent_improvements = 0;
-  // Shard decomposition diagnostics (0 when solver_shards is off or the
-  // cycle skipped its solve): connected components in the cycle MILP and the
-  // largest component's variable count (imbalance indicator).
-  int milp_shards = 0;
-  int milp_max_shard_vars = 0;
-  // Expected-capacity cache traffic this cycle (running jobs served from
-  // their cached survival vector vs. recomputed).
-  int64_t capacity_cache_hits = 0;
-  int64_t capacity_cache_misses = 0;
-  // Valuation-engine traffic this cycle: table cache hits/misses from the
-  // serial prepare pass and Eq. 1 kernel evaluations from the fan-out.
-  int64_t valuation_cache_hits = 0;
-  int64_t valuation_cache_misses = 0;
-  int64_t valuation_kernel_calls = 0;
 };
 
 class Scheduler {

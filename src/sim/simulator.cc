@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <map>
+#include <string>
 #include <utility>
 
 #include "src/common/check.h"
@@ -27,6 +29,15 @@ struct SimCounters {
   obs::Counter* fault_job_kills;
   obs::Counter* preemptions;
   obs::Counter* rejected_placements;
+  // Per executed cycle: sched.<name> for every count field of its telemetry
+  // (indexed like kCycleFields), the decision sizes, and shards per solve.
+  obs::Counter* sched_fields[std::size(kCycleFields)] = {};
+  obs::Counter* sched_cycles;
+  obs::Counter* sched_starts;
+  obs::Counter* sched_preempt_decisions;
+  obs::Counter* sched_abandons;
+  obs::Counter* sched_deferred;
+  obs::Histogram* sched_shards_per_solve;
 
   static const SimCounters& Get() {
     static const SimCounters* const counters = [] {
@@ -42,9 +53,42 @@ struct SimCounters {
       c->fault_job_kills = reg.GetCounter("sim.fault_job_kills");
       c->preemptions = reg.GetCounter("sim.preemptions");
       c->rejected_placements = reg.GetCounter("sim.rejected_placements");
+      for (size_t i = 0; i < std::size(kCycleFields); ++i) {
+        if (kCycleFields[i].count != nullptr) {
+          c->sched_fields[i] = reg.GetCounter(std::string("sched.") + kCycleFields[i].name);
+        }
+      }
+      c->sched_cycles = reg.GetCounter("sched.cycles");
+      c->sched_starts = reg.GetCounter("sched.starts");
+      c->sched_preempt_decisions = reg.GetCounter("sched.preempt_decisions");
+      c->sched_abandons = reg.GetCounter("sched.abandons");
+      c->sched_deferred = reg.GetCounter("sched.deferred");
+      c->sched_shards_per_solve =
+          reg.GetHistogram("sched.shards_per_solve", {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0});
       return c;
     }();
     return *counters;
+  }
+
+  // Publishes one executed cycle: Sum fields are added, Max fields raise
+  // their high-water mark, wall-clock fields stay out.
+  void PublishCycle(const CycleStats& stats, const CycleResult& decision) const {
+    for (size_t i = 0; i < std::size(kCycleFields); ++i) {
+      const CycleField& f = kCycleFields[i];
+      if (f.rollup == Rollup::kSum) {
+        sched_fields[i]->Add(stats.*f.count);
+      } else if (f.rollup == Rollup::kMax) {
+        sched_fields[i]->RaiseTo(stats.*f.count);
+      }
+    }
+    sched_cycles->Increment();
+    sched_starts->Add(static_cast<int64_t>(decision.start.size()));
+    sched_preempt_decisions->Add(static_cast<int64_t>(decision.preempt.size()));
+    sched_abandons->Add(static_cast<int64_t>(decision.abandon.size()));
+    sched_deferred->Add(static_cast<int64_t>(decision.deferred.size()));
+    if (stats.milp_shards > 0) {
+      sched_shards_per_solve->Observe(static_cast<double>(stats.milp_shards));
+    }
   }
 };
 
@@ -556,13 +600,16 @@ bool Simulator::ProcessEvent() {
         obs::CycleProfiler::Global().BeginCycle(cycle_index, s.now);
       }
       const CycleResult decision = scheduler_->RunCycle(s.now, view);
+      // The one consumer of the cycle's telemetry: the run's record, the
+      // phase CSV row and the registry all take it from here.
+      CycleStats stats{decision, s.now};
+      stats.pending = pending_count;
+      stats.running_jobs = running_count;
+      result.cycles.push_back(stats);
       if (obs::CycleProfiler::enabled()) {
-        obs::CycleProfiler::Global().SetCycleCounters(decision.valuation_cache_hits,
-                                                      decision.valuation_cache_misses,
-                                                      decision.valuation_kernel_calls,
-                                                      decision.milp_shards);
-        obs::CycleProfiler::Global().EndCycle(decision.cycle_seconds);
+        obs::CycleProfiler::Global().EndCycle(stats);
       }
+      SimCounters::Get().PublishCycle(stats, decision);
       if (obs::Tracer::enabled()) {
         obs::Tracer::Global().SetCycle(-1);
       }
@@ -584,19 +631,6 @@ bool Simulator::ProcessEvent() {
         }
         obs::DecisionLog::Global().Record(std::move(record));
       }
-      result.cycles.push_back(CycleStats{s.now, decision.cycle_seconds,
-                                         decision.solver_seconds, decision.milp_variables,
-                                         decision.milp_rows, decision.milp_nodes,
-                                         pending_count, running_count,
-                                         decision.milp_max_queue_depth,
-                                         decision.milp_incumbent_improvements,
-                                         decision.capacity_cache_hits,
-                                         decision.capacity_cache_misses,
-                                         decision.valuation_cache_hits,
-                                         decision.valuation_cache_misses,
-                                         decision.valuation_kernel_calls,
-                                         decision.milp_shards,
-                                         decision.milp_max_shard_vars});
 
       // 1. Preemptions free capacity first (slot-0 placements may rely on
       //    the freed nodes).
@@ -1036,28 +1070,22 @@ std::string Simulator::SaveStateToBuffer() {
   writer.WriteVarU64(s.result.cycles.size());
   for (const CycleStats& c : s.result.cycles) {
     writer.WriteDouble(c.time);
-    writer.WriteVarI64(c.milp_variables);
-    writer.WriteVarI64(c.milp_rows);
-    writer.WriteVarI64(c.milp_nodes);
-    writer.WriteVarI64(c.pending);
-    writer.WriteVarI64(c.running_jobs);
-    writer.WriteVarI64(c.milp_max_queue_depth);
-    writer.WriteVarI64(c.milp_incumbent_improvements);
-    writer.WriteVarI64(c.capacity_cache_hits);
-    writer.WriteVarI64(c.capacity_cache_misses);
-    writer.WriteVarI64(c.valuation_cache_hits);
-    writer.WriteVarI64(c.valuation_cache_misses);
-    writer.WriteVarI64(c.valuation_kernel_calls);
-    writer.WriteVarI64(c.milp_shards);
-    writer.WriteVarI64(c.milp_max_shard_vars);
+    for (const CycleField& f : kCycleFields) {
+      if (f.count != nullptr) {
+        writer.WriteVarI64(c.*f.count);
+      }
+    }
   }
   writer.EndSection();
 
   writer.BeginSection("timing", kSnapshotVersion);
   writer.WriteVarU64(s.result.cycles.size());
   for (const CycleStats& c : s.result.cycles) {
-    writer.WriteDouble(c.cycle_seconds);
-    writer.WriteDouble(c.solver_seconds);
+    for (const CycleField& f : kCycleFields) {
+      if (f.seconds != nullptr) {
+        writer.WriteDouble(c.*f.seconds);
+      }
+    }
   }
   writer.EndSection();
 
@@ -1233,20 +1261,11 @@ bool Simulator::TryRestoreStateFromBuffer(const std::string& buffer, std::string
     for (uint64_t i = 0; reader.ok() && i < n; ++i) {
       CycleStats& c = s.result.cycles[i];
       c.time = reader.ReadDouble();
-      c.milp_variables = static_cast<int>(reader.ReadVarI64());
-      c.milp_rows = static_cast<int>(reader.ReadVarI64());
-      c.milp_nodes = static_cast<int>(reader.ReadVarI64());
-      c.pending = static_cast<int>(reader.ReadVarI64());
-      c.running_jobs = static_cast<int>(reader.ReadVarI64());
-      c.milp_max_queue_depth = static_cast<int>(reader.ReadVarI64());
-      c.milp_incumbent_improvements = static_cast<int>(reader.ReadVarI64());
-      c.capacity_cache_hits = reader.ReadVarI64();
-      c.capacity_cache_misses = reader.ReadVarI64();
-      c.valuation_cache_hits = reader.ReadVarI64();
-      c.valuation_cache_misses = reader.ReadVarI64();
-      c.valuation_kernel_calls = reader.ReadVarI64();
-      c.milp_shards = static_cast<int>(reader.ReadVarI64());
-      c.milp_max_shard_vars = static_cast<int>(reader.ReadVarI64());
+      for (const CycleField& f : kCycleFields) {
+        if (f.count != nullptr) {
+          c.*f.count = reader.ReadVarI64();
+        }
+      }
     }
   }
   reader.EndSection();
@@ -1255,8 +1274,11 @@ bool Simulator::TryRestoreStateFromBuffer(const std::string& buffer, std::string
   {
     const uint64_t n = reader.ReadVarU64();
     for (uint64_t i = 0; reader.ok() && i < n && i < s.result.cycles.size(); ++i) {
-      s.result.cycles[i].cycle_seconds = reader.ReadDouble();
-      s.result.cycles[i].solver_seconds = reader.ReadDouble();
+      for (const CycleField& f : kCycleFields) {
+        if (f.seconds != nullptr) {
+          s.result.cycles[i].*f.seconds = reader.ReadDouble();
+        }
+      }
     }
   }
   reader.EndSection();

@@ -132,27 +132,9 @@ struct JobRecord {
   bool MissedDeadline() const;
 };
 
-struct CycleStats {
+// One executed cycle: its simulated time and telemetry.
+struct CycleStats : CycleTelemetry {
   Time time = 0.0;
-  double cycle_seconds = 0.0;
-  double solver_seconds = 0.0;
-  int milp_variables = 0;
-  int milp_rows = 0;
-  int milp_nodes = 0;
-  int pending = 0;
-  int running_jobs = 0;
-  // Parallel-solver and expected-capacity cache diagnostics (see CycleResult).
-  int milp_max_queue_depth = 0;
-  int milp_incumbent_improvements = 0;
-  int64_t capacity_cache_hits = 0;
-  int64_t capacity_cache_misses = 0;
-  // Valuation-engine diagnostics (see CycleResult).
-  int64_t valuation_cache_hits = 0;
-  int64_t valuation_cache_misses = 0;
-  int64_t valuation_kernel_calls = 0;
-  // Shard-decomposition diagnostics (see CycleResult; zero with shards off).
-  int milp_shards = 0;
-  int milp_max_shard_vars = 0;
 };
 
 struct SimResult {

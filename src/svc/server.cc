@@ -300,11 +300,24 @@ Reply Server::HandleWhatIf(const Request& request) {
     reply.message = "server started without a what-if engine";
     return reply;
   }
+  // The wire carries an int64 horizon; 0 means the engine's default.
+  if (request.horizon < 0 || request.horizon > kMaxWhatIfHorizon) {
+    reply.code = StatusCode::kInvalidArgument;
+    reply.message = "horizon " + std::to_string(request.horizon) + " outside [0, " +
+                    std::to_string(kMaxWhatIfHorizon) + "]";
+    return reply;
+  }
   std::vector<Scenario> scenarios;
   std::string error;
   if (!ParseScenarioList(request.scenarios, &scenarios, &error)) {
     reply.code = StatusCode::kInvalidArgument;
     reply.message = error;
+    return reply;
+  }
+  if (scenarios.size() > kMaxWhatIfScenarios) {
+    reply.code = StatusCode::kInvalidArgument;
+    reply.message = std::to_string(scenarios.size()) + " scenarios exceed the limit of " +
+                    std::to_string(kMaxWhatIfScenarios);
     return reply;
   }
   if (scenarios.empty()) {

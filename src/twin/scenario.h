@@ -20,6 +20,8 @@
 #ifndef SRC_TWIN_SCENARIO_H_
 #define SRC_TWIN_SCENARIO_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -32,6 +34,10 @@ namespace threesigma {
 inline constexpr int kMaxScenarioSolverThreads = 64;
 inline constexpr double kMaxScenarioSurge = 100.0;
 inline constexpr int kMaxScenarioFailures = 100000;
+// Caps on one WhatIf request: speculative cycles per fork (each reserves a
+// queue-depth sample) and forks per request.
+inline constexpr int64_t kMaxWhatIfHorizon = 10000;
+inline constexpr size_t kMaxWhatIfScenarios = 64;
 
 struct Scenario {
   std::string name = "scenario";

@@ -12,8 +12,6 @@
 //     available (non-crashed) node count implied by the applied fault events.
 
 #include <algorithm>
-#include <iomanip>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -22,6 +20,7 @@
 #include "src/core/experiment.h"
 #include "src/faults/fault_schedule.h"
 #include "src/metrics/metrics.h"
+#include "tests/sim_trace.h"
 
 namespace threesigma {
 namespace {
@@ -51,38 +50,6 @@ ExperimentConfig ChaosConfig() {
   return config;
 }
 
-// DecisionTrace extended with the fault-observability fields: anything that
-// could diverge between runs must be serialized.
-std::string FaultTrace(const SimResult& result) {
-  std::ostringstream os;
-  os << std::setprecision(17);
-  for (const JobRecord& job : result.jobs) {
-    os << "job " << job.spec.id << " s" << static_cast<int>(job.status) << " g" << job.group
-       << " " << job.start_time << " " << job.finish_time << " p" << job.preemptions << " f"
-       << job.fault_kills << " w" << job.completed_work << " runs";
-    for (const JobRun& run : job.runs) {
-      os << " [" << run.group << " " << run.start << " " << run.end << " " << run.completed
-         << "]";
-    }
-    os << "\n";
-  }
-  for (const CycleStats& c : result.cycles) {
-    os << "cycle " << c.time << " v" << c.milp_variables << " r" << c.milp_rows << " n"
-       << c.milp_nodes << " q" << c.milp_max_queue_depth << " i"
-       << c.milp_incumbent_improvements << " h" << c.capacity_cache_hits << " m"
-       << c.capacity_cache_misses << " p" << c.pending << " j" << c.running_jobs << "\n";
-  }
-  for (const FaultEvent& ev : result.fault_events) {
-    os << "fault " << ev.time << " k" << static_cast<int>(ev.kind) << " g" << ev.group << " c"
-       << ev.count << "\n";
-  }
-  os << "rejected " << result.rejected_placements << " preempts " << result.total_preemptions
-     << " kills " << result.tasks_killed_by_faults << " stalls " << result.stalled_cycles
-     << " rework " << result.rework_node_seconds << " down " << result.node_downtime_fraction
-     << " end " << result.end_time << "\n";
-  return os.str();
-}
-
 TEST(FaultPropertyTest, ChaosRunsAreByteReproducibleAcrossThreadCounts) {
   ExperimentConfig config = ChaosConfig();
   const GeneratedWorkload workload = GenerateWorkload(config.cluster, config.workload);
@@ -99,7 +66,7 @@ TEST(FaultPropertyTest, ChaosRunsAreByteReproducibleAcrossThreadCounts) {
   // The chaos must actually bite for this to prove anything.
   EXPECT_GT(serial.fault_node_events, 0);
   EXPECT_GT(serial.tasks_killed_by_faults, 0);
-  EXPECT_EQ(FaultTrace(serial), FaultTrace(parallel));
+  EXPECT_EQ(SimTrace(serial), SimTrace(parallel));
 }
 
 TEST(FaultPropertyTest, InertFaultOptionsAreAStrictNoOp) {
@@ -118,7 +85,7 @@ TEST(FaultPropertyTest, InertFaultOptionsAreAStrictNoOp) {
   config.sim.faults.seed = 999;
   const SimResult inert = SimulateSystem(SystemKind::kThreeSigma, config, workload);
 
-  EXPECT_EQ(FaultTrace(baseline), FaultTrace(inert));
+  EXPECT_EQ(SimTrace(baseline), SimTrace(inert));
   const RunMetrics m = ComputeMetrics(inert, "3Sigma");
   EXPECT_EQ(m.tasks_killed_by_faults, 0);
   EXPECT_EQ(m.fault_node_events, 0);

@@ -113,15 +113,15 @@ TEST(MetricsTest, BeLatencyMeanOverCompleted) {
 
 TEST(MetricsTest, CycleAggregates) {
   SimResult result;
-  result.cycles.push_back(CycleStats{0.0, 0.1, 0.05, 100, 20, 3, 5, 2});
-  result.cycles.push_back(CycleStats{10.0, 0.3, 0.2, 400, 50, 7, 6, 3});
+  result.cycles.push_back(CycleStats{{0.1, 0.05, 100, 20, 3, 5, 2}, 0.0});
+  result.cycles.push_back(CycleStats{{0.3, 0.2, 400, 50, 7, 6, 3}, 10.0});
   const RunMetrics m = ComputeMetrics(result, "s");
   EXPECT_DOUBLE_EQ(m.mean_cycle_seconds, 0.2);
-  EXPECT_DOUBLE_EQ(m.max_cycle_seconds, 0.3);
+  EXPECT_DOUBLE_EQ(m.cycle_max.cycle_seconds, 0.3);
   EXPECT_DOUBLE_EQ(m.mean_solver_seconds, 0.125);
-  EXPECT_DOUBLE_EQ(m.max_solver_seconds, 0.2);
-  EXPECT_EQ(m.max_milp_variables, 400);
-  EXPECT_EQ(m.max_milp_rows, 50);
+  EXPECT_DOUBLE_EQ(m.cycle_max.solver_seconds, 0.2);
+  EXPECT_EQ(m.cycle_max.milp_variables, 400);
+  EXPECT_EQ(m.cycle_max.milp_rows, 50);
 }
 
 TEST(MetricsTest, PreemptionAndRejectionCarriedThrough) {

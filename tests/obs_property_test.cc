@@ -18,14 +18,13 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/core/experiment.h"
-#include "src/metrics/report.h"
 #include "src/obs/obs.h"
 #include "src/snapshot/snapshot_io.h"
+#include "tests/sim_trace.h"
 
 namespace threesigma {
 namespace {
@@ -42,12 +41,6 @@ ExperimentConfig SmallConfig(int solver_threads) {
   config.sched.cycle_period = 10.0;
   config.sched.solver_threads = solver_threads;
   return config;
-}
-
-std::string JobsCsv(const SimResult& result) {
-  std::ostringstream os;
-  WriteJobRecordsCsv(os, result.jobs);
-  return os.str();
 }
 
 // One full simulation from a clean observability slate. With `obs_on` all
@@ -73,13 +66,13 @@ SimResult RunOnce(int solver_threads, bool obs_on) {
 }
 
 TEST(ObsPropertyTest, EnablingObsPerturbsNoDecision) {
-  const std::string baseline = JobsCsv(RunOnce(1, /*obs_on=*/false));
+  const std::string baseline = SimTrace(RunOnce(1, /*obs_on=*/false));
   ASSERT_FALSE(baseline.empty());
-  EXPECT_EQ(baseline, JobsCsv(RunOnce(1, /*obs_on=*/true)))
+  EXPECT_EQ(baseline, SimTrace(RunOnce(1, /*obs_on=*/true)))
       << "obs on changed per-job results at 1 solver thread";
-  EXPECT_EQ(baseline, JobsCsv(RunOnce(4, /*obs_on=*/false)))
+  EXPECT_EQ(baseline, SimTrace(RunOnce(4, /*obs_on=*/false)))
       << "solver thread count changed per-job results";
-  EXPECT_EQ(baseline, JobsCsv(RunOnce(4, /*obs_on=*/true)))
+  EXPECT_EQ(baseline, SimTrace(RunOnce(4, /*obs_on=*/true)))
       << "obs on changed per-job results at 4 solver threads";
 }
 
@@ -149,13 +142,13 @@ TEST(ObsPropertyTest, RegistryCountersContinueAcrossResume) {
 
   // Uninterrupted reference run.
   obs::ResetAll();
-  std::string full_jobs;
+  std::string full_trace;
   {
     SystemInstance instance =
         MakeSystem(SystemKind::kThreeSigma, config.cluster, config.sched);
     pretrain(instance);
     Simulator sim(config.cluster, instance.scheduler.get(), workload.jobs, config.sim);
-    full_jobs = JobsCsv(sim.Run());
+    full_trace = SimTrace(sim.Run());
   }
   const auto full = obs::MetricsRegistry::Global().CounterValues();
 
@@ -183,6 +176,7 @@ TEST(ObsPropertyTest, RegistryCountersContinueAcrossResume) {
       ResumeSystem(SystemKind::kThreeSigma, path, config.sched, config.sim, &resumed, &error))
       << error;
   const auto continued = obs::MetricsRegistry::Global().CounterValues();
+  EXPECT_EQ(SimTrace(resumed), full_trace);
 
   ASSERT_EQ(full.size(), continued.size());
   for (size_t i = 0; i < full.size(); ++i) {

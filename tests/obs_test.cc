@@ -376,7 +376,7 @@ TEST_F(ProfilerTest, RowsAccumulatePhasesAndFoldPending) {
   prof.AddPhase(Phase::kSolve, 0.5);
   prof.AddPhase(Phase::kSolve, 0.25);
   prof.AddPhase(Phase::kBuild, 0.125);
-  prof.EndCycle(1.0);
+  prof.EndCycle(CycleTelemetry{1.0});
   prof.SetEnabled(false);
   ASSERT_EQ(prof.rows().size(), 1u);
   const CyclePhaseRow& row = prof.rows()[0];
@@ -395,14 +395,14 @@ TEST_F(ProfilerTest, CsvHasHeaderAndOneRowPerCycle) {
   for (int64_t c = 0; c < 3; ++c) {
     prof.BeginCycle(c, c * 10.0);
     prof.AddPhase(Phase::kValuation, 0.001);
-    prof.EndCycle(0.002);
+    prof.EndCycle(CycleTelemetry{0.002});
   }
   prof.SetEnabled(false);
   std::ostringstream os;
   prof.WriteCsv(os);
   const std::string csv = os.str();
   EXPECT_EQ(csv.rfind("cycle,sim_time,", 0), 0u);
-  EXPECT_NE(csv.find("sched_phase_sum_s,cycle_s"), std::string::npos);
+  EXPECT_NE(csv.find("sched_phase_sum_s,cycle_seconds"), std::string::npos);
   int lines = 0;
   for (char ch : csv) {
     lines += ch == '\n';
@@ -480,7 +480,7 @@ TEST_F(FrontDoorTest, FlushWritesEverySink) {
     TS_OBS_SPAN("test.flush_span", Phase::kSolve);
   }
   CycleProfiler::Global().BeginCycle(0, 0.0);
-  CycleProfiler::Global().EndCycle(0.001);
+  CycleProfiler::Global().EndCycle(CycleTelemetry{0.001});
   DecisionLog::Global().Record(DecisionRecord{});
   MetricsRegistry::Global().GetCounter("test.flush_counter")->Increment();
   std::string error;
@@ -534,7 +534,7 @@ TEST_F(FrontDoorTest, ResetAllDisablesAndClears) {
     TS_OBS_SPAN("test.reset_span", Phase::kSolve);
   }
   CycleProfiler::Global().BeginCycle(0, 0.0);
-  CycleProfiler::Global().EndCycle(0.001);
+  CycleProfiler::Global().EndCycle(CycleTelemetry{0.001});
   DecisionLog::Global().Record(DecisionRecord{});
   MetricsRegistry::Global().GetCounter("test.resetall_counter")->Increment();
   ResetAll();

@@ -17,9 +17,8 @@
 //     across solver thread counts and fault injection, and survive a
 //     checkpoint→kill→resume with the per-shard basis map restored.
 
-#include <iomanip>
 #include <map>
-#include <sstream>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -31,6 +30,7 @@
 #include "src/histogram/empirical_distribution.h"
 #include "src/predict/predictor.h"
 #include "src/sched/distribution_scheduler.h"
+#include "tests/sim_trace.h"
 
 namespace threesigma {
 namespace {
@@ -55,41 +55,12 @@ ExperimentConfig PropertyConfig() {
   return config;
 }
 
-// Serializes everything decision-relevant in a SimResult — job outcomes and
-// per-cycle solver/queue/cache counters in simulated time — while excluding
-// wall-clock measurements (cycle_seconds, solver_seconds), which legitimately
-// vary run to run. `include_solver_counters` is dropped when comparing
-// shards off vs on: the decomposed search visits a different (smaller) node
-// set, so node/queue/incumbent tallies and the shard counters legitimately
-// differ while every decision stays identical.
-std::string DecisionTrace(const SimResult& result, bool include_solver_counters = true) {
-  std::ostringstream os;
-  os << std::setprecision(17);
-  for (const JobRecord& job : result.jobs) {
-    os << "job " << job.spec.id << " s" << static_cast<int>(job.status) << " g" << job.group
-       << " " << job.start_time << " " << job.finish_time << " p" << job.preemptions << " w"
-       << job.completed_work << " runs";
-    for (const JobRun& run : job.runs) {
-      os << " [" << run.group << " " << run.start << " " << run.end << " " << run.completed
-         << "]";
-    }
-    os << "\n";
-  }
-  for (const CycleStats& c : result.cycles) {
-    os << "cycle " << c.time << " v" << c.milp_variables << " r" << c.milp_rows;
-    if (include_solver_counters) {
-      os << " n" << c.milp_nodes << " q" << c.milp_max_queue_depth << " i"
-         << c.milp_incumbent_improvements << " sd" << c.milp_shards << " sv"
-         << c.milp_max_shard_vars;
-    }
-    os << " h" << c.capacity_cache_hits << " m" << c.capacity_cache_misses << " p" << c.pending
-       << " j" << c.running_jobs << " vh" << c.valuation_cache_hits << " vm"
-       << c.valuation_cache_misses << " vk" << c.valuation_kernel_calls << "\n";
-  }
-  os << "rejected " << result.rejected_placements << " preempts " << result.total_preemptions
-     << " end " << result.end_time << "\n";
-  return os.str();
-}
+// Solver work counters: the decomposed (sharded) search visits a different,
+// smaller node set, so these tallies legitimately differ between shards off
+// and on while every decision stays identical.
+const std::set<std::string> kSolverWork = {"milp_nodes", "milp_max_queue_depth",
+                                           "milp_incumbent_improvements", "milp_shards",
+                                           "milp_max_shard_vars"};
 
 TEST(SchedPropertyTest, ThreadCountNeverChangesTheSchedule) {
   ExperimentConfig config = PropertyConfig();
@@ -101,12 +72,12 @@ TEST(SchedPropertyTest, ThreadCountNeverChangesTheSchedule) {
   const SimResult parallel = SimulateSystem(SystemKind::kThreeSigma, config, workload);
 
   EXPECT_GT(serial.jobs.size(), 0u);
-  EXPECT_EQ(DecisionTrace(serial), DecisionTrace(parallel));
+  EXPECT_EQ(SimTrace(serial), SimTrace(parallel));
   // The traces only prove something if both caches serve traffic.
   const RunMetrics m = ComputeMetrics(serial, "3Sigma");
-  EXPECT_GT(m.capacity_cache_hits + m.capacity_cache_misses, 0);
-  EXPECT_GT(m.valuation_kernel_calls, 0);
-  EXPECT_GT(m.valuation_cache_hits, 0) << "table cache never hit";
+  EXPECT_GT(m.cycle_sum.capacity_cache_hits + m.cycle_sum.capacity_cache_misses, 0);
+  EXPECT_GT(m.cycle_sum.valuation_kernel_calls, 0);
+  EXPECT_GT(m.cycle_sum.valuation_cache_hits, 0) << "table cache never hit";
 }
 
 TEST(SchedPropertyTest, BasisWarmstartPreservesThreadCountDeterminism) {
@@ -123,7 +94,7 @@ TEST(SchedPropertyTest, BasisWarmstartPreservesThreadCountDeterminism) {
   const SimResult parallel = SimulateSystem(SystemKind::kThreeSigma, config, workload);
 
   EXPECT_GT(serial.jobs.size(), 0u);
-  EXPECT_EQ(DecisionTrace(serial), DecisionTrace(parallel));
+  EXPECT_EQ(SimTrace(serial), SimTrace(parallel));
 
   // And warm-start-off is a sane fallback: same workload completes, and the
   // schedule is again thread-count invariant.
@@ -133,7 +104,7 @@ TEST(SchedPropertyTest, BasisWarmstartPreservesThreadCountDeterminism) {
   config.sched.solver_threads = 4;
   const SimResult cold_parallel = SimulateSystem(SystemKind::kThreeSigma, config, workload);
   EXPECT_EQ(cold_serial.jobs.size(), serial.jobs.size());
-  EXPECT_EQ(DecisionTrace(cold_serial), DecisionTrace(cold_parallel));
+  EXPECT_EQ(SimTrace(cold_serial), SimTrace(cold_parallel));
 }
 
 // ---------------------------------------------------------------------------
@@ -262,9 +233,9 @@ TEST(SchedPropertyTest, CapacityCacheCrosscheckCleanOverFullRun) {
   config.sched.crosscheck = true;
   const SimResult checked = SimulateSystem(SystemKind::kPointRealEst, config, workload);
   const RunMetrics m = ComputeMetrics(checked, "PointRealEst");
-  EXPECT_GT(m.capacity_cache_hits, 0) << "cache never hit; horizons are broken";
+  EXPECT_GT(m.cycle_sum.capacity_cache_hits, 0) << "cache never hit; horizons are broken";
   EXPECT_GT(m.capacity_cache_hit_rate, 0.0);
-  EXPECT_EQ(DecisionTrace(plain), DecisionTrace(checked));
+  EXPECT_EQ(SimTrace(plain), SimTrace(checked));
 }
 
 TEST(SchedPropertyTest, ValuationCrosscheckCleanOverFullRun) {
@@ -273,16 +244,16 @@ TEST(SchedPropertyTest, ValuationCrosscheckCleanOverFullRun) {
   ExperimentConfig config = PropertyConfig();
   const GeneratedWorkload workload = GenerateWorkload(config.cluster, config.workload);
   const SimResult plain = SimulateSystem(SystemKind::kThreeSigma, config, workload);
-  const std::string plain_trace = DecisionTrace(plain);
+  const std::string plain_trace = SimTrace(plain);
   config.sched.crosscheck = true;
   for (const int threads : {1, 4}) {
     config.sched.solver_threads = threads;
     const SimResult checked = SimulateSystem(SystemKind::kThreeSigma, config, workload);
     const RunMetrics m = ComputeMetrics(checked, "3Sigma");
-    EXPECT_GT(m.capacity_cache_misses, 0);
-    EXPECT_GT(m.valuation_kernel_calls, 0);
-    EXPECT_GT(m.valuation_cache_hits, 0);
-    EXPECT_EQ(plain_trace, DecisionTrace(checked))
+    EXPECT_GT(m.cycle_sum.capacity_cache_misses, 0);
+    EXPECT_GT(m.cycle_sum.valuation_kernel_calls, 0);
+    EXPECT_GT(m.cycle_sum.valuation_cache_hits, 0);
+    EXPECT_EQ(plain_trace, SimTrace(checked))
         << "crosscheck moved a decision at solver_threads=" << threads;
   }
 }
@@ -333,20 +304,20 @@ TEST(SchedPropertyTest, SolverShardsNeverChangeTheSchedule) {
     config.sched.solver_threads = 1;
     const SimResult mono = SimulateSystem(SystemKind::kThreeSigma, config, workload);
     ASSERT_GT(mono.jobs.size(), 0u);
-    const std::string mono_trace = DecisionTrace(mono, /*include_solver_counters=*/false);
+    const std::string mono_trace = SimTrace(mono, kSolverWork);
 
     // Sharded decisions are byte-identical to the monolithic ones (solver
     // counters excluded: the decomposed search visits fewer nodes).
     config.sched.solver_shards = true;
     const SimResult sharded1 = SimulateSystem(SystemKind::kThreeSigma, config, workload);
-    EXPECT_EQ(mono_trace, DecisionTrace(sharded1, /*include_solver_counters=*/false))
+    EXPECT_EQ(mono_trace, SimTrace(sharded1, kSolverWork))
         << "shards on moved a decision (faults=" << faults << ")";
 
     // And the sharded run itself is fully byte-identical — counters included —
     // at any solver thread count.
     config.sched.solver_threads = 4;
     const SimResult sharded4 = SimulateSystem(SystemKind::kThreeSigma, config, workload);
-    EXPECT_EQ(DecisionTrace(sharded1), DecisionTrace(sharded4))
+    EXPECT_EQ(SimTrace(sharded1), SimTrace(sharded4))
         << "sharded run depends on thread count (faults=" << faults << ")";
 
     // The decomposition layer must actually be in the loop. On a uniform
@@ -355,7 +326,7 @@ TEST(SchedPropertyTest, SolverShardsNeverChangeTheSchedule) {
     // DisjointPreferenceJobsDecomposeIntoShards below and by the
     // shard_differential suite.
     const RunMetrics m = ComputeMetrics(sharded4, "3Sigma");
-    EXPECT_GT(m.total_milp_shards, 0) << "sharded path never ran (faults=" << faults << ")";
+    EXPECT_GT(m.cycle_sum.milp_shards, 0) << "sharded path never ran (faults=" << faults << ")";
     EXPECT_GE(m.mean_milp_shards, 1.0);
     config.sched.solver_threads = 1;
     config.sched.solver_shards = false;
@@ -454,10 +425,10 @@ TEST(SchedPropertyTest, ShardedCheckpointResumeIsByteIdentical) {
   Pretrain(reference, workload);
   Simulator ref_sim(config.cluster, reference.scheduler.get(), workload.jobs, config.sim);
   const SimResult ref_result = ref_sim.Run();
-  const std::string ref_trace = DecisionTrace(ref_result);
+  const std::string ref_trace = SimTrace(ref_result);
   ASSERT_GT(ref_result.cycles.size(), 20u) << "config too small to exercise checkpointing";
   const RunMetrics ref_metrics = ComputeMetrics(ref_result, "3Sigma");
-  ASSERT_GT(ref_metrics.total_milp_shards, 0);
+  ASSERT_GT(ref_metrics.cycle_sum.milp_shards, 0);
 
   for (const uint64_t checkpoint_cycle : {5u, 23u}) {
     std::string buffer;
@@ -478,7 +449,7 @@ TEST(SchedPropertyTest, ShardedCheckpointResumeIsByteIdentical) {
     sim.RestoreStateFromBuffer(buffer);
     EXPECT_EQ(sim.cycles_completed(), checkpoint_cycle);
     const SimResult result = sim.Run();
-    EXPECT_EQ(DecisionTrace(result), ref_trace)
+    EXPECT_EQ(SimTrace(result), ref_trace)
         << "divergence after resuming a sharded run at cycle " << checkpoint_cycle;
   }
 }

@@ -9,9 +9,7 @@
 
 #include <cmath>
 #include <cstdio>
-#include <iomanip>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -19,8 +17,8 @@
 
 #include "src/common/rng.h"
 #include "src/core/experiment.h"
-#include "src/metrics/report.h"
 #include "src/snapshot/snapshot_io.h"
+#include "tests/sim_trace.h"
 
 namespace threesigma {
 namespace {
@@ -489,29 +487,6 @@ void Pretrain(SystemInstance& instance, const GeneratedWorkload& workload) {
   }
 }
 
-// Every deterministic field of a finished run, serialized for comparison.
-std::string ResultTrace(const SimResult& result) {
-  std::ostringstream os;
-  os << std::setprecision(17);
-  WriteJobRecordsCsv(os, result.jobs);
-  for (const CycleStats& c : result.cycles) {
-    os << "cycle " << c.time << " v" << c.milp_variables << " r" << c.milp_rows << " n"
-       << c.milp_nodes << " q" << c.milp_max_queue_depth << " i"
-       << c.milp_incumbent_improvements << " h" << c.capacity_cache_hits << " m"
-       << c.capacity_cache_misses << " p" << c.pending << " j" << c.running_jobs << "\n";
-  }
-  for (const FaultEvent& ev : result.fault_events) {
-    os << "fault " << ev.time << " k" << static_cast<int>(ev.kind) << " g" << ev.group << " c"
-       << ev.count << "\n";
-  }
-  os << "rejected " << result.rejected_placements << " preempts " << result.total_preemptions
-     << " kills " << result.tasks_killed_by_faults << " node_events "
-     << result.fault_node_events << " stalls " << result.stalled_cycles << " rework "
-     << result.rework_node_seconds << " down " << result.node_downtime_fraction << " avail "
-     << result.available_node_seconds << " end " << result.end_time << "\n";
-  return os.str();
-}
-
 TEST(CheckpointResumeTest, ResumeAtRandomCyclesIsByteIdentical) {
   const ExperimentConfig config = CheckpointChaosConfig();
   const GeneratedWorkload workload =
@@ -522,7 +497,7 @@ TEST(CheckpointResumeTest, ResumeAtRandomCyclesIsByteIdentical) {
   Pretrain(reference, workload);
   Simulator ref_sim(config.cluster, reference.scheduler.get(), workload.jobs, config.sim);
   const SimResult ref_result = ref_sim.Run();
-  const std::string ref_trace = ResultTrace(ref_result);
+  const std::string ref_trace = SimTrace(ref_result);
   ASSERT_GT(ref_result.cycles.size(), 10u) << "config too small to exercise checkpointing";
 
   Rng cycle_picker(1234);
@@ -552,7 +527,7 @@ TEST(CheckpointResumeTest, ResumeAtRandomCyclesIsByteIdentical) {
     EXPECT_EQ(sim.cycles_completed(), checkpoint_cycle);
     const SimResult result = sim.Run();
 
-    EXPECT_EQ(ResultTrace(result), ref_trace)
+    EXPECT_EQ(SimTrace(result), ref_trace)
         << "divergence after resuming at cycle " << checkpoint_cycle;
   }
 }
@@ -585,7 +560,7 @@ TEST(CheckpointResumeTest, FileRoundTripAndPeek) {
   ASSERT_TRUE(ResumeSystem(SystemKind::kThreeSigma, path, config.sched, config.sim, &result,
                            &error))
       << error;
-  EXPECT_EQ(ResultTrace(result), ResultTrace(ref_result));
+  EXPECT_EQ(SimTrace(result), SimTrace(ref_result));
   std::remove(path.c_str());
 }
 

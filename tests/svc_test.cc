@@ -618,9 +618,9 @@ TEST_F(LoopbackServiceTest, CheckpointRestoreKeepsTokenTable) {
 
 // --- What-if scenario validation ---------------------------------------------
 
-TEST(WhatIfServiceTest, OversizedSolverThreadsIsInvalidArgument) {
-  // A remote scenario spec may not size a fork's thread pool: the request
-  // is refused before any fork is built.
+// Sends one raw WhatIf frame (the wire's int64 horizon, unclamped by the
+// Client API) to a fresh 3Sigma server with a what-if engine attached.
+Reply RawWhatIf(const std::string& scenarios, int64_t horizon) {
   const ClusterConfig cluster = ClusterConfig::Uniform(2, 8);
   ThreeSigmaPredictor predictor;
   DistributionScheduler sched(cluster, &predictor, DistSchedulerConfig{});
@@ -636,15 +636,42 @@ TEST(WhatIfServiceTest, OversizedSolverThreadsIsInvalidArgument) {
   Request request;
   request.verb = Verb::kWhatIf;
   request.request_id = 1;
-  request.scenarios = "name=huge,solver_threads=100000";
+  request.scenarios = scenarios;
+  request.horizon = horizon;
   std::string error;
-  ASSERT_TRUE(channel->SendFrame(EncodeRequest(request), &error)) << error;
   std::string payload;
-  ASSERT_TRUE(channel->RecvFrame(&payload, 1.0, &error)) << error;
   Reply reply;
-  ASSERT_TRUE(DecodeReply(payload, &reply, &error)) << error;
+  EXPECT_TRUE(channel->SendFrame(EncodeRequest(request), &error) &&
+              channel->RecvFrame(&payload, 1.0, &error) && DecodeReply(payload, &reply, &error))
+      << error;
+  return reply;
+}
+
+TEST(WhatIfServiceTest, OversizedSolverThreadsIsInvalidArgument) {
+  // A remote scenario spec may not size a fork's thread pool: the request
+  // is refused before any fork is built.
+  const Reply reply = RawWhatIf("name=huge,solver_threads=100000", 0);
   EXPECT_EQ(reply.code, StatusCode::kInvalidArgument);
   EXPECT_NE(reply.message.find("solver_threads=100000"), std::string::npos) << reply.message;
+}
+
+TEST(WhatIfServiceTest, OutOfRangeHorizonIsInvalidArgument) {
+  // 2^32 + 5 once narrowed to a 5-cycle horizon and ran.
+  EXPECT_EQ(RawWhatIf("name=a", (1LL << 32) + 5).code, StatusCode::kInvalidArgument);
+  EXPECT_EQ(RawWhatIf("name=a", -1).code, StatusCode::kInvalidArgument);
+  EXPECT_EQ(RawWhatIf("name=a", kMaxWhatIfHorizon + 1).code, StatusCode::kInvalidArgument);
+  EXPECT_EQ(RawWhatIf("name=a", 2).code, StatusCode::kOk);
+  EXPECT_EQ(RawWhatIf("name=a", 0).code, StatusCode::kOk);  // The engine default.
+}
+
+TEST(WhatIfServiceTest, TooManyScenariosIsInvalidArgument) {
+  std::string list;
+  for (size_t i = 0; i <= kMaxWhatIfScenarios; ++i) {
+    list += "name=s" + std::to_string(i) + ";";
+  }
+  const Reply reply = RawWhatIf(list, 1);
+  EXPECT_EQ(reply.code, StatusCode::kInvalidArgument);
+  EXPECT_NE(reply.message.find("limit"), std::string::npos) << reply.message;
 }
 
 // --- Socket transport end-to-end ---------------------------------------------
