@@ -12,10 +12,6 @@
 //       pivot-count comparisons. Each setting is deterministic, but warm and
 //       cold runs may return different equally-scored schedules: a warm LP
 //       can surface a different optimal vertex of a degenerate relaxation.)
-//   THREESIGMA_SOLVER_SHARDS=0|1    (connected-component decomposition of the
-//       per-cycle MILP into independently solved sub-MILPs; default 0. Exact
-//       and byte-identical at any shard/thread count when the node budget
-//       does not bind — see DESIGN.md for the budget caveat.)
 //   THREESIGMA_FAULT_MTTF=<s>            (node mean time to failure; 0 = off)
 //   THREESIGMA_FAULT_MTTR=<s>            (node mean time to repair)
 //   THREESIGMA_FAULT_KILL_PROB=<p>       (per-run task-fault kill probability)
@@ -92,12 +88,6 @@ inline bool SolverWarmstartEnv() {
   return GetEnvInt("THREESIGMA_SOLVER_WARMSTART", 1) != 0;
 }
 
-// THREESIGMA_SOLVER_SHARDS: connected-component decomposition (default off,
-// matching the production default).
-inline bool SolverShardsEnv() {
-  return GetEnvInt("THREESIGMA_SOLVER_SHARDS", 0) != 0;
-}
-
 // Baseline experiment configuration; `base_hours` is the workload length at
 // default scale (the paper's counterpart is usually 2 or 5 hours).
 inline ExperimentConfig MakeE2EConfig(double base_hours, double load = 1.4) {
@@ -114,7 +104,6 @@ inline ExperimentConfig MakeE2EConfig(double base_hours, double load = 1.4) {
   config.sched.solver_threads =
       static_cast<int>(GetEnvInt("THREESIGMA_SOLVER_THREADS", 1));
   config.sched.solver_basis_warmstart = SolverWarmstartEnv();
-  config.sched.solver_shards = SolverShardsEnv();
   ApplyFaultEnv(&config.sim.faults);
   ApplyObsEnv(&config.obs);
   return config;

@@ -120,42 +120,6 @@ int main() {
                 Ms(coldbasis.mean_cycle_seconds),
                 TablePrinter::Fmt(100.0 * coldbasis.capacity_cache_hit_rate, 1)});
     par.Print(std::cout);
-
-    // (d) Shard decomposition sweep (--solver-shards): the same workload with
-    // the per-cycle MILP split into connected components. The SCALABILITY
-    // cluster is uniform, so every job is eligible on every group and cycles
-    // stay one component (mean shards ~ 1, node ratio ~ 1x) — the honest
-    // number for this workload. The decomposable regime (disjoint eligible
-    // group sets, >= 4 components) is measured by micro_solver's
-    // BM_MilpShardDecomposition, where node counts drop superlinearly; see
-    // EXPERIMENTS.md.
-    std::cout << "\n(d) Shard decomposition sweep (node budget unchanged; work metric is "
-                 "total B&B nodes):\n";
-    TablePrinter shards({"config", "mean solver (ms)", "total B&B nodes", "node ratio",
-                         "mean shards", "max shard vars"});
-    config.sched.solver_threads = 1;
-    config.sched.solver_basis_warmstart = true;
-    config.sched.solver_shards = false;
-    const RunMetrics shard_off = RunSystem(SystemKind::kThreeSigma, config, workload);
-    shards.AddRow({"shards off", Ms(shard_off.mean_solver_seconds),
-                   std::to_string(shard_off.cycle_sum.milp_nodes), "1.00", "-", "-"});
-    config.sched.solver_shards = true;
-    for (const int threads : {1, 4}) {
-      config.sched.solver_threads = threads;
-      const RunMetrics m = RunSystem(SystemKind::kThreeSigma, config, workload);
-      const double ratio = m.cycle_sum.milp_nodes > 0
-                               ? static_cast<double>(shard_off.cycle_sum.milp_nodes) /
-                                     static_cast<double>(m.cycle_sum.milp_nodes)
-                               : 0.0;
-      shards.AddRow({"shards on, " + std::to_string(threads) + " thread" +
-                         (threads == 1 ? "" : "s"),
-                     Ms(m.mean_solver_seconds),
-                     std::to_string(m.cycle_sum.milp_nodes), TablePrinter::Fmt(ratio, 2),
-                     TablePrinter::Fmt(m.mean_milp_shards, 2),
-                     std::to_string(m.cycle_max.milp_max_shard_vars)});
-    }
-    shards.Print(std::cout);
-    config.sched.solver_shards = false;
   }
 
   // §6.5: 3σPredict latency at job submission. Build a loaded predictor and

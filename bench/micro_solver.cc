@@ -9,7 +9,6 @@
 #include "src/common/thread_pool.h"
 #include "src/solver/lp_model.h"
 #include "src/solver/milp.h"
-#include "src/solver/sharded_milp.h"
 #include "src/solver/simplex.h"
 #include "src/solver/synthetic.h"
 
@@ -141,94 +140,6 @@ void BM_BnbNodeStreamBasis(benchmark::State& state) {
   state.SetLabel(warm ? "warm-basis" : "cold-basis");
 }
 BENCHMARK(BM_BnbNodeStreamBasis)->Arg(0)->Arg(1);
-
-// The decomposable regime of the per-cycle MILP: `components` independent
-// scheduler-shaped blocks (jobs whose eligible groups partition into disjoint
-// sets share no capacity rows). Each block has its own jobs, demand rows, and
-// capacity rows, so the constraint graph has exactly `components` connected
-// components.
-LpModel MultiComponentModel(int components, int jobs_per_component, int options_per_job,
-                            int capacity_rows, Rng& rng, std::vector<int>* int_vars) {
-  LpModel model;
-  for (int k = 0; k < components; ++k) {
-    std::vector<std::vector<LpTerm>> capacity(static_cast<size_t>(capacity_rows));
-    for (int j = 0; j < jobs_per_component; ++j) {
-      std::vector<LpTerm> demand;
-      for (int o = 0; o < options_per_job; ++o) {
-        const int var = model.AddVariable(0.0, 1.0, rng.Uniform(0.1, 10.0));
-        int_vars->push_back(var);
-        demand.push_back({var, 1.0});
-        for (int c = 0; c < capacity_rows; ++c) {
-          if (rng.Bernoulli(0.4)) {
-            capacity[static_cast<size_t>(c)].push_back({var, rng.Uniform(0.5, 4.0)});
-          }
-        }
-      }
-      model.AddRow(RowSense::kLessEqual, 1.0, std::move(demand));
-    }
-    for (int c = 0; c < capacity_rows; ++c) {
-      model.AddRow(RowSense::kLessEqual, rng.Uniform(2.0, 8.0),
-                   std::move(capacity[static_cast<size_t>(c)]));
-    }
-  }
-  return model;
-}
-
-// Shard decomposition ablation: monolithic vs sharded solve of a K-component
-// program, both run to optimality under a non-binding node cap so the node
-// counts are the honest work metric (B&B trees on separable programs multiply
-// across blocks; decomposition solves each block's tree once). The "nodes"
-// counter is the headline: sharded total nodes should drop superlinearly as
-// `components` grows, while the answers stay bitwise identical.
-void BM_MilpShardDecomposition(benchmark::State& state) {
-  const int components = static_cast<int>(state.range(0));
-  const bool sharded = state.range(1) != 0;
-  Rng rng(99);
-  std::vector<int> int_vars;
-  const LpModel model = MultiComponentModel(components, 6, 3, 4, rng, &int_vars);
-  ThreadPool pool(4);
-  // Cap far above the sharded need; the monolithic tree may hit it at high
-  // component counts, making the reported reduction a lower bound.
-  constexpr int64_t kNodeCap = 50000;
-  int64_t nodes = 0;
-  int64_t replays = 0;
-  double objective = 0.0;
-  if (sharded) {
-    ShardedMilpOptions options;
-    options.base.max_nodes = kNodeCap;
-    options.base.pool = &pool;
-    for (auto _ : state) {
-      const ShardedMilpSolution sol = SolveShardedMilp(model, int_vars, options);
-      nodes += sol.merged.nodes_explored;
-      ++replays;
-      objective = sol.merged.objective;
-      benchmark::DoNotOptimize(sol.merged.objective);
-    }
-  } else {
-    MilpOptions options;
-    options.max_nodes = kNodeCap;
-    options.pool = &pool;
-    for (auto _ : state) {
-      MilpSolver solver(model, int_vars);
-      const MilpSolution sol = solver.Solve(options);
-      nodes += sol.nodes_explored;
-      ++replays;
-      objective = sol.objective;
-      benchmark::DoNotOptimize(sol.objective);
-    }
-  }
-  state.counters["components"] = components;
-  state.counters["nodes"] = static_cast<double>(nodes) / static_cast<double>(replays);
-  state.counters["objective"] = objective;
-  state.SetLabel(sharded ? "sharded" : "monolithic");
-}
-BENCHMARK(BM_MilpShardDecomposition)
-    ->Args({1, 0})
-    ->Args({1, 1})
-    ->Args({4, 0})
-    ->Args({4, 1})
-    ->Args({8, 0})
-    ->Args({8, 1});
 
 void BM_SimplexDense(benchmark::State& state) {
   // Dense random LP: stresses pricing and the basis inverse.

@@ -13,14 +13,8 @@ void RegisterExperimentFlags(FlagParser& parser, ExperimentFlags* flags) {
       .AddInt("solver-threads", &flags->solver_threads,
               "MILP branch-and-bound worker threads (deterministic: any count "
               "returns the same solution)")
-      .AddBool("solver-shards", &flags->solver_shards,
-               "decompose each cycle MILP into connected components and solve "
-               "them as independent sub-MILPs on the solver pool (exact; "
-               "byte-identical at any shard/thread count — see DESIGN.md for "
-               "the node-budget caveat)")
       .AddInt("solver-max-nodes", &flags->solver_max_nodes,
-              "branch-and-bound node budget per solve (0 = unbudgeted; with "
-              "--solver-shards every shard gets the full budget)")
+              "branch-and-bound node budget per solve (0 = unbudgeted)")
       .AddInt("max-pending", &flags->max_pending,
               "pending jobs admitted into one cycle MILP (SLO-deadline order "
               "first; the rest waits)")
@@ -106,7 +100,6 @@ bool BuildExperimentConfig(const ExperimentFlags& flags, ExperimentConfig* confi
   config->sim.max_cycles = flags.max_cycles;
   config->sched.cycle_period = flags.cycle;
   config->sched.solver_threads = static_cast<int>(flags.solver_threads);
-  config->sched.solver_shards = flags.solver_shards;
   config->sched.solver_max_nodes = static_cast<int>(flags.solver_max_nodes);
   config->sched.max_pending_considered = static_cast<int>(flags.max_pending);
   config->sched.num_start_slots = static_cast<int>(flags.start_slots);

@@ -28,7 +28,6 @@ struct ExperimentFlags {
   int64_t nodes_per_group = 64;
   double cycle = 10.0;
   int64_t solver_threads = 1;
-  bool solver_shards = false;
   int64_t solver_max_nodes = 6;
   int64_t max_pending = 48;
   int64_t start_slots = 6;

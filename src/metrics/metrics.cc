@@ -62,7 +62,6 @@ RunMetrics ComputeMetrics(const SimResult& result, const std::string& system_nam
     m.p99_be_latency_seconds = Quantile(be_latencies, 0.99);
   }
 
-  int64_t sharded_solves = 0;
   for (const CycleStats& c : result.cycles) {
     for (const CycleField& f : kCycleFields) {
       if (f.count != nullptr) {
@@ -73,9 +72,6 @@ RunMetrics ComputeMetrics(const SimResult& result, const std::string& system_nam
         m.cycle_max.*f.seconds = std::max(m.cycle_max.*f.seconds, c.*f.seconds);
       }
     }
-    if (c.milp_shards > 0) {
-      ++sharded_solves;
-    }
   }
   const CycleTelemetry& sum = m.cycle_sum;
   const auto ratio = [](double num, double den) { return den > 0.0 ? num / den : 0.0; };
@@ -83,8 +79,6 @@ RunMetrics ComputeMetrics(const SimResult& result, const std::string& system_nam
   m.mean_cycle_seconds = ratio(sum.cycle_seconds, cycles);
   m.mean_solver_seconds = ratio(sum.solver_seconds, cycles);
   m.solver_nodes_per_second = ratio(static_cast<double>(sum.milp_nodes), sum.solver_seconds);
-  m.mean_milp_shards =
-      ratio(static_cast<double>(sum.milp_shards), static_cast<double>(sharded_solves));
   m.capacity_cache_hit_rate =
       ratio(static_cast<double>(sum.capacity_cache_hits),
             static_cast<double>(sum.capacity_cache_hits + sum.capacity_cache_misses));

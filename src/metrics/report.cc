@@ -57,7 +57,7 @@ void WriteRunMetricsCsv(std::ostream& os, const std::vector<RunMetrics>& runs) {
         "goodput_machine_hours,slo_goodput_machine_hours,be_goodput_machine_hours,"
         "mean_be_latency_s,p50_be_latency_s,p90_be_latency_s,p99_be_latency_s";
   WriteCycleRollups(os, nullptr);
-  os << ",mean_cycle_seconds,mean_solver_seconds,solver_nodes_per_second,mean_milp_shards,"
+  os << ",mean_cycle_seconds,mean_solver_seconds,solver_nodes_per_second,"
         "capacity_cache_hit_rate,valuation_cache_hit_rate,tasks_killed_by_faults,"
         "fault_node_events,stalled_cycles,node_downtime_fraction,rework_machine_hours,"
         "rework_ratio,goodput_per_available_hour\n";
@@ -71,7 +71,7 @@ void WriteRunMetricsCsv(std::ostream& os, const std::vector<RunMetrics>& runs) {
        << m.p90_be_latency_seconds << "," << m.p99_be_latency_seconds;
     WriteCycleRollups(os, &m);
     os << "," << m.mean_cycle_seconds << "," << m.mean_solver_seconds << ","
-       << m.solver_nodes_per_second << "," << m.mean_milp_shards << ","
+       << m.solver_nodes_per_second << ","
        << m.capacity_cache_hit_rate << "," << m.valuation_cache_hit_rate << ","
        << m.tasks_killed_by_faults << "," << m.fault_node_events << "," << m.stalled_cycles
        << "," << m.node_downtime_fraction << "," << m.rework_machine_hours << ","

@@ -26,7 +26,8 @@
 // A new counter is one line at the end of the list plus its increment where
 // it is measured (the scheduler fills most fields; the simulator fills
 // pending and running_jobs). The list order is the snapshot byte order, so
-// any change to the list changes the "metrics"/"timing" section layout.
+// any change to the list changes the "metrics"/"timing" section layout and
+// needs a kSnapshotVersion bump (a static_assert in simulator.cc enforces it).
 
 #ifndef SRC_OBS_CYCLE_TELEMETRY_H_
 #define SRC_OBS_CYCLE_TELEMETRY_H_
@@ -57,10 +58,6 @@
   X(int64_t, valuation_cache_hits, Sum)                                                   \
   X(int64_t, valuation_cache_misses, Sum)                                                 \
   X(int64_t, valuation_kernel_calls, Sum)                                                 \
-  /* Shard decomposition (0 with shards off or no solve): components in the */            \
-  /* cycle MILP and the largest component's variable count. */                            \
-  X(int64_t, milp_shards, Sum)                                                            \
-  X(int64_t, milp_max_shard_vars, Max)                                                    \
   /* New fields go above this line. */
 
 namespace threesigma {

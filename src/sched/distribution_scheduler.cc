@@ -9,7 +9,6 @@
 #include "src/common/check.h"
 #include "src/obs/trace.h"
 #include "src/solver/milp.h"
-#include "src/solver/sharded_milp.h"
 
 namespace threesigma {
 namespace {
@@ -21,9 +20,8 @@ constexpr double kMinOptionUtility = 1e-6;
 // add/subtract float drift.
 constexpr int kCacheRebuildPeriod = 256;
 
-// Cap on the fingerprint-keyed shard basis map; exceeding it clears the map
-// (deterministic, and bases only affect pivot counts — never answers).
-constexpr size_t kMaxShardBases = 128;
+// "sched" section layout version; RestoreState reads no other.
+constexpr uint32_t kSchedSectionVersion = 5;
 
 double SecondsSince(std::chrono::steady_clock::time_point t0) {
   const std::chrono::duration<double> d = std::chrono::steady_clock::now() - t0;
@@ -84,7 +82,6 @@ void DistributionScheduler::UpdateConfig(const DistSchedulerConfig& config) {
   }
   valuation_ = ValuationEngine(config_.crosscheck);
   last_root_basis_ = LpBasis();
-  shard_bases_.clear();
   dirty_ = true;
   last_solve_ = -1e18;
   solves_since_rebuild_ = 0;
@@ -358,32 +355,32 @@ void DistributionScheduler::RefreshRunningSurvival(JobInfo& info, Time now) {
 }
 
 void DistributionScheduler::ValueJobOptions(const JobInfo& info, Time now,
-                                            ValuationScratch& scratch, JobValuation* out) const {
+                                            ValuationCounters* counters, JobValuation* out) {
   out->Clear();
   const int num_groups = cluster_.num_groups();
   const int slots = config_.num_start_slots;
   const double delta = config_.planahead / slots;
   const double k = info.spec.num_tasks;
-  scratch.survival.resize(static_cast<size_t>(slots));
+  std::vector<double>& survival = survival_scratch_;
+  survival.resize(static_cast<size_t>(slots));
   for (int g = 0; g < num_groups; ++g) {
     if (info.spec.num_tasks > cluster_.group(g).node_count) {
       continue;
     }
-    const double mult = info.spec.RuntimeMultiplier(g);
-    const ValuationTables* tables = valuation_.Find(info.spec.id, mult);
-    TS_CHECK_MSG(tables != nullptr,
-                 "valuation tables missing for job " << info.spec.id << " scale " << mult);
+    const ValuationTables& tables =
+        valuation_.Tables(info.spec.id, info.spec.RuntimeMultiplier(g), info.sched_dist,
+                          info.effective_utility, counters);
     // Survival at each slot offset (shared across start slots).
     for (int d = 0; d < slots; ++d) {
-      scratch.survival[static_cast<size_t>(d)] = valuation_.Survival(*tables, d * delta);
+      survival[static_cast<size_t>(d)] = valuation_.Survival(tables, d * delta);
     }
     // A gang occupies its nodes with certainty at the instant it starts,
     // even if the distribution carries (clamped) zero-runtime atoms.
-    scratch.survival[0] = 1.0;
+    survival[0] = 1.0;
     for (int s = 0; s < slots; ++s) {
       const Time start = now + s * delta;
       const double eu =
-          valuation_.ExpectedUtility(*tables, info.effective_utility, start, &scratch.counters);
+          valuation_.ExpectedUtility(tables, info.effective_utility, start, counters);
       if (eu <= kMinOptionUtility) {
         continue;
       }
@@ -394,7 +391,7 @@ void DistributionScheduler::ValueJobOptions(const JobInfo& info, Time now,
       opt.cons_offset = out->consumption.size();
       opt.cons_len = slots - s;
       for (int i = s; i < slots; ++i) {
-        out->consumption.push_back(k * scratch.survival[static_cast<size_t>(i - s)]);
+        out->consumption.push_back(k * survival[static_cast<size_t>(i - s)]);
       }
       out->options.push_back(opt);
     }
@@ -596,56 +593,13 @@ CycleResult DistributionScheduler::RunCycle(Time now, const ClusterStateView& st
   if (static_cast<int>(value_stage_.size()) < n) {
     value_stage_.resize(static_cast<size_t>(n));
   }
-  const int workers = pool_ != nullptr ? pool_->size() : 1;
-  if (static_cast<int>(value_scratch_.size()) < workers) {
-    value_scratch_.resize(static_cast<size_t>(workers));
-  }
-  for (ValuationScratch& s : value_scratch_) {
-    s.counters = ValuationCounters{};
-  }
-
-  // Serial prepare pass: build/refresh every (job, group-scale) table so
-  // the fan-out below reads the cache without mutating it. All hit/miss
-  // traffic happens here, in `considered` order — thread-count invariant.
-  ValuationCounters prepare;
-  for (JobId id : considered) {
-    const JobInfo& info = jobs_.at(id);
-    for (int g = 0; g < num_groups; ++g) {
-      if (info.spec.num_tasks > cluster_.group(g).node_count) {
-        continue;
-      }
-      valuation_.Tables(id, info.spec.RuntimeMultiplier(g), info.sched_dist,
-                        info.effective_utility, &prepare);
-    }
-  }
-  result.valuation_cache_hits = prepare.cache_hits;
-  result.valuation_cache_misses = prepare.cache_misses;
-
-  // Deterministic fan-out: static index-ordered output slots. Workers read
-  // shared state (jobs_, the table cache) and write only their own
-  // value_stage_[index] / scratch, so any thread count — including the
-  // serial fallback — produces byte-identical staged results.
-  const auto value_one = [&](int worker, int index) {
-    const JobInfo& info = jobs_.at(considered[static_cast<size_t>(index)]);
-    ValueJobOptions(info, now, value_scratch_[static_cast<size_t>(worker)],
-                    &value_stage_[static_cast<size_t>(index)]);
-  };
-  if (pool_ != nullptr) {
-    pool_->ParallelFor(n, value_one);
-  } else {
-    for (int i = 0; i < n; ++i) {
-      value_one(0, i);
-    }
-  }
-  for (const ValuationScratch& s : value_scratch_) {
-    result.valuation_kernel_calls += s.counters.kernel_calls;
-  }
-
-  // Serial merge in `considered` order: reproduces the exact (job, group,
-  // slot) option ordering the pre-fan-out serial loop emitted.
+  // Jobs in `considered` order, groups ascending, start slots ascending:
+  // that fixes both the option order and the table cache's hit/miss stream.
+  ValuationCounters counters;
   for (int i = 0; i < n; ++i) {
     const JobId id = considered[static_cast<size_t>(i)];
-    const JobValuation& staged = value_stage_[static_cast<size_t>(i)];
+    JobValuation& staged = value_stage_[static_cast<size_t>(i)];
+    ValueJobOptions(jobs_.at(id), now, &counters, &staged);
     for (const ValuedOption& vo : staged.options) {
       Option opt;
       opt.job = id;
@@ -658,6 +612,9 @@ CycleResult DistributionScheduler::RunCycle(Time now, const ClusterStateView& st
       options.push_back(opt);
     }
   }
+  result.valuation_cache_hits = counters.cache_hits;
+  result.valuation_cache_misses = counters.cache_misses;
+  result.valuation_kernel_calls = counters.kernel_calls;
 
   for (int g = 0; g < num_groups; ++g) {
     const double supply = state.AvailableNodes(g);
@@ -821,25 +778,8 @@ CycleResult DistributionScheduler::RunCycle(Time now, const ClusterStateView& st
   MilpSolution solution;
   {
     TS_OBS_SPAN("sched.solve", obs::Phase::kSolve);
-    if (config_.solver_shards) {
-      // Connected-component decomposition: one sub-MILP per component of the
-      // job↔equivalence-set graph, solved concurrently on the solver pool
-      // with fingerprint-keyed warm bases. milp_options.root_basis (the
-      // monolithic hint) is ignored by the sharded path.
-      ShardedMilpOptions shard_options;
-      shard_options.base = milp_options;
-      shard_options.shard_bases = &shard_bases_;
-      ShardedMilpSolution sharded = SolveShardedMilp(model, int_vars, shard_options);
-      solution = std::move(sharded.merged);
-      result.milp_shards = sharded.num_shards;
-      result.milp_max_shard_vars = sharded.max_shard_vars;
-      if (shard_bases_.size() > kMaxShardBases) {
-        shard_bases_.clear();
-      }
-    } else {
-      MilpSolver solver(model, int_vars);
-      solution = solver.Solve(milp_options);
-    }
+    MilpSolver solver(model, int_vars);
+    solution = solver.Solve(milp_options);
   }
   result.solver_seconds = SecondsSince(solve_start);
   if (!solution.root_basis.empty()) {
@@ -883,9 +823,7 @@ CycleResult DistributionScheduler::RunCycle(Time now, const ClusterStateView& st
 }
 
 void DistributionScheduler::SaveState(SnapshotWriter& writer) const {
-  // v4 dropped the lifetime cache/valuation totals (v2, v3 carry them; the
-  // registry's "obs" section and RunMetrics hold lifetime totals).
-  writer.BeginSection("sched", 4);
+  writer.BeginSection("sched", kSchedSectionVersion);
   writer.WriteString("3sigma-sched");
   writer.WriteVarU64(jobs_.size());
   for (const auto& [id, info] : jobs_) {
@@ -925,22 +863,11 @@ void DistributionScheduler::SaveState(SnapshotWriter& writer) const {
   for (BasisStatus s : last_root_basis_.status) {
     writer.WriteU8(static_cast<uint8_t>(s));
   }
-  // v2: the valuation engine's cached key set. Tables themselves are rebuilt
+  // The valuation engine's cached key set. Tables themselves are rebuilt
   // from restored job state on resume (they are pure functions of it), so
   // only the keys need to be persisted for the resumed hit/miss stream to
   // stay byte-identical.
   valuation_.SaveState(writer);
-  // v3: per-shard warm-start bases keyed by component fingerprint
-  // (sharded_milp.h). std::map iterates in ascending key order, so the
-  // encoding is deterministic.
-  writer.WriteVarU64(shard_bases_.size());
-  for (const auto& [fingerprint, basis] : shard_bases_) {
-    writer.WriteU64(fingerprint);
-    writer.WriteVarU64(basis.status.size());
-    for (BasisStatus s : basis.status) {
-      writer.WriteU8(static_cast<uint8_t>(s));
-    }
-  }
   writer.EndSection();
 
   writer.BeginSection("predict", 1);
@@ -951,6 +878,10 @@ void DistributionScheduler::SaveState(SnapshotWriter& writer) const {
 void DistributionScheduler::RestoreState(SnapshotReader& reader) {
   uint32_t sched_version = 0;
   reader.BeginSection("sched", &sched_version);
+  if (reader.ok() && sched_version != kSchedSectionVersion) {
+    reader.Fail("unsupported sched section version " + std::to_string(sched_version));
+    return;
+  }
   const std::string tag = reader.ReadString();
   if (reader.ok()) {
     TS_CHECK_MSG(tag == "3sigma-sched", "snapshot scheduler kind mismatch");
@@ -999,51 +930,24 @@ void DistributionScheduler::RestoreState(SnapshotReader& reader) {
       row = reader.ReadDoubleVec();
     }
   }
-  if (sched_version < 4) {
-    reader.ReadVarI64();  // Lifetime capacity cache hits and misses.
-    reader.ReadVarI64();
-  }
   solves_since_rebuild_ = static_cast<int>(reader.ReadVarI64());
   const uint64_t basis_size = reader.ReadVarU64();
   last_root_basis_.status.clear();
   for (uint64_t i = 0; reader.ok() && i < basis_size; ++i) {
     last_root_basis_.status.push_back(static_cast<BasisStatus>(reader.ReadU8()));
   }
+  // Rebuild the cached tables from the restored job state; a key whose job
+  // exited between save and restore (impossible today, but harmless) is
+  // simply dropped.
   valuation_.Clear();
-  if (sched_version >= 2) {
-    // Rebuild the cached tables from the restored job state; a key whose job
-    // exited between save and restore (impossible today, but harmless) is
-    // simply dropped.
-    for (const auto& [job, scale] : ValuationEngine::ReadSavedKeys(reader)) {
-      if (!reader.ok()) {
-        break;
-      }
-      const auto it = jobs_.find(job);
-      if (it != jobs_.end()) {
-        valuation_.Tables(job, scale, it->second.sched_dist, it->second.effective_utility,
-                          /*counters=*/nullptr);
-      }
+  for (const auto& [job, scale] : ValuationEngine::ReadSavedKeys(reader)) {
+    if (!reader.ok()) {
+      break;
     }
-    if (sched_version < 4) {
-      reader.ReadVarI64();  // Lifetime valuation hits, misses, kernel calls.
-      reader.ReadVarI64();
-      reader.ReadVarI64();
-    }
-  }
-  shard_bases_.clear();
-  if (sched_version >= 3) {
-    const uint64_t num_bases = reader.ReadVarCount(/*min_elem_bytes=*/9);
-    for (uint64_t i = 0; reader.ok() && i < num_bases; ++i) {
-      const uint64_t fingerprint = reader.ReadU64();
-      const uint64_t size = reader.ReadVarCount(/*min_elem_bytes=*/1);
-      LpBasis basis;
-      basis.status.reserve(size);
-      for (uint64_t s = 0; reader.ok() && s < size; ++s) {
-        basis.status.push_back(static_cast<BasisStatus>(reader.ReadU8()));
-      }
-      if (reader.ok()) {
-        shard_bases_[fingerprint] = std::move(basis);
-      }
+    const auto it = jobs_.find(job);
+    if (it != jobs_.end()) {
+      valuation_.Tables(job, scale, it->second.sched_dist, it->second.effective_utility,
+                        /*counters=*/nullptr);
     }
   }
   reader.EndSection();

@@ -103,17 +103,6 @@ struct DistSchedulerConfig {
   // pivot counts only; thread-count determinism is preserved.
   bool solver_basis_warmstart = true;
 
-  // Shard decomposition (src/solver/sharded_milp.h): split the cycle MILP
-  // into connected components of the job↔equivalence-set constraint graph
-  // and solve them as independent sub-MILPs on the solver pool, each with
-  // its own fingerprint-keyed warm-start basis. Exact — the merged solution
-  // matches the monolithic objective bitwise — and byte-identical at any
-  // shard/thread count. Interacts with budgets: every shard receives the
-  // full solver_max_nodes, so with a *binding* node budget the sharded
-  // search explores more of the tree than the monolithic one (run with
-  // solver_max_nodes = 0 when comparing against the monolithic solve).
-  bool solver_shards = false;
-
   // Debug oracle for the two incremental caches; costs what they save, tests
   // only. Every cycle the expected-capacity rows are TS_CHECKed against a
   // from-scratch Eq. 3 recompute, every valuation kernel and survival answer
@@ -151,9 +140,10 @@ class DistributionScheduler : public Scheduler {
 
   // Checkpointing: serializes the full scheduler state (job table with
   // conditioned distributions and cached survival vectors, pending order,
-  // solve-skip state, consumed_ rows, cache counters, last_root_basis_, and
-  // the per-shard basis map) into a "sched" section, then the predictor into
-  // a "predict" section.
+  // solve-skip state, consumed_ rows, last_root_basis_, and the valuation
+  // cache's key set) into a "sched" section, then the predictor into a
+  // "predict" section. RestoreState accepts only the current section version
+  // and fails the reader soft on any other.
   // RestoreState requires a scheduler constructed with the same config and
   // predictor graph; the cluster shape is validated via consumed_ geometry.
   void SaveState(SnapshotWriter& writer) const override;
@@ -234,12 +224,11 @@ class DistributionScheduler : public Scheduler {
   // prefix-sum tables (zero-copy; may populate the mutable table cache).
   void ComputeRunningSurvival(const JobInfo& info, Time now, std::vector<double>* out) const;
 
-  // Values one considered job's (group, slot) options into `out` using the
-  // valuation engine's tables (which must already exist: the serial prepare
-  // pass in RunCycle builds them, so this is read-only and safe to run
-  // from pool workers).
-  void ValueJobOptions(const JobInfo& info, Time now, ValuationScratch& scratch,
-                       JobValuation* out) const;
+  // Values one considered job's (group, slot) options into `out`, building
+  // or reusing its valuation tables group by group; `counters` collects the
+  // cache traffic and kernel calls.
+  void ValueJobOptions(const JobInfo& info, Time now, ValuationCounters* counters,
+                       JobValuation* out);
   // Recomputes a job's cached survival vector and its validity horizon
   // (calls UpdateUnderestimate first).
   void RefreshRunningSurvival(JobInfo& info, Time now);
@@ -278,12 +267,6 @@ class DistributionScheduler : public Scheduler {
   // install time, so consecutive cycles of different sizes are safe.
   LpBasis last_root_basis_;
 
-  // Sharded counterpart of last_root_basis_: per-component root bases keyed
-  // by structural fingerprint (sharded_milp.h), reused across cycles while a
-  // component keeps its shape. Deterministically cleared when it outgrows
-  // kMaxShardBases (a hard bound on snapshot size and stale entries).
-  std::map<uint64_t, LpBasis> shard_bases_;
-
   // Shared across cycles so the parallel solver never re-spawns threads.
   std::unique_ptr<ThreadPool> pool_;
 
@@ -291,11 +274,12 @@ class DistributionScheduler : public Scheduler {
   // const (pure w.r.t. observable scheduler state) but may populate the
   // memoized table cache on a lookup miss.
   mutable ValuationEngine valuation_;
-  // Per-considered-job output slots and per-worker scratch for the parallel
-  // valuation fan-out; cleared and refilled each cycle, capacity retained,
-  // so steady-state valuation does no hot-path allocation.
+  // Per-considered-job option slots (the MILP's options point into their
+  // consumption arenas) and the survival staging buffer; cleared and
+  // refilled each cycle, capacity retained, so steady-state valuation does
+  // no hot-path allocation.
   std::vector<JobValuation> value_stage_;
-  std::vector<ValuationScratch> value_scratch_;
+  std::vector<double> survival_scratch_;
 };
 
 }  // namespace threesigma

@@ -50,11 +50,10 @@
 // and TS_CHECKs it bitwise against the cached one, so a missed invalidation
 // aborts instead of silently valuing a stale prediction.
 //
-// Determinism. The scheduler's parallel fan-out builds all tables in a
-// serial prepare pass, then queries them read-only from ThreadPool workers
-// writing to per-job output slots; every kernel is a pure function, so the
-// decision stream is byte-identical at any thread count. For checkpoint /
-// resume, SaveState persists the cached key set (plus counters) and the
+// Determinism. The scheduler values its considered jobs serially in a fixed
+// order, and every kernel is a pure function, so the hit/miss stream and
+// the decisions depend on neither wall clock nor thread count. For
+// checkpoint / resume, SaveState persists the cached key set and the
 // scheduler rebuilds each table from its restored job state, so a resumed
 // run's hit/miss stream continues exactly where the original's would.
 
@@ -75,9 +74,7 @@ namespace threesigma {
 class SnapshotReader;
 class SnapshotWriter;
 
-// Hit/miss/kernel-call tallies; workers keep private instances that the
-// scheduler sums after a parallel fan-out (totals are thread-count
-// invariant because the call set is).
+// Hit/miss/kernel-call tallies for one scheduling cycle.
 struct ValuationCounters {
   int64_t cache_hits = 0;
   int64_t cache_misses = 0;
@@ -102,8 +99,8 @@ struct ValuationTables {
   double Survival(double t) const { return 1.0 - prefix_mass[CountAtMost(t)]; }
 };
 
-// One staged option produced by the per-job valuation fan-out; `cons_offset`
-// indexes into the owning JobValuation's flat consumption arena.
+// One valued (group, start slot) option of a job; `cons_offset` indexes into
+// the owning JobValuation's flat consumption arena.
 struct ValuedOption {
   int group = 0;
   int slot = 0;
@@ -112,8 +109,8 @@ struct ValuedOption {
   int cons_len = 0;
 };
 
-// Per-job output slot for the parallel fan-out: cleared and refilled every
-// cycle, capacity retained, so steady-state valuation allocates nothing.
+// Per-job output slot: cleared and refilled every cycle, capacity retained,
+// so steady-state valuation allocates nothing.
 struct JobValuation {
   std::vector<ValuedOption> options;
   std::vector<double> consumption;  // Flat arena; options index into it.
@@ -122,13 +119,6 @@ struct JobValuation {
     options.clear();
     consumption.clear();
   }
-};
-
-// Per-worker scratch reused across cycles (survival staging + private
-// counters); indexed by ThreadPool worker id.
-struct ValuationScratch {
-  std::vector<double> survival;
-  ValuationCounters counters;
 };
 
 class ValuationEngine {
@@ -145,9 +135,7 @@ class ValuationEngine {
   const ValuationTables& Tables(JobId job, double scale, const EmpiricalDistribution& dist,
                                 const UtilityFunction& utility, ValuationCounters* counters);
 
-  // Read-only lookup for the parallel fan-out (no insertion, so concurrent
-  // calls are safe once the serial prepare pass has built every key).
-  // Returns nullptr on a missing key.
+  // Read-only lookup (no insertion); nullptr on a missing key.
   const ValuationTables* Find(JobId job, double scale) const;
 
   // Eq. 1: expected utility of starting at absolute time `start`,

@@ -30,14 +30,13 @@ struct SimCounters {
   obs::Counter* preemptions;
   obs::Counter* rejected_placements;
   // Per executed cycle: sched.<name> for every count field of its telemetry
-  // (indexed like kCycleFields), the decision sizes, and shards per solve.
+  // (indexed like kCycleFields) and the decision sizes.
   obs::Counter* sched_fields[std::size(kCycleFields)] = {};
   obs::Counter* sched_cycles;
   obs::Counter* sched_starts;
   obs::Counter* sched_preempt_decisions;
   obs::Counter* sched_abandons;
   obs::Counter* sched_deferred;
-  obs::Histogram* sched_shards_per_solve;
 
   static const SimCounters& Get() {
     static const SimCounters* const counters = [] {
@@ -63,8 +62,6 @@ struct SimCounters {
       c->sched_preempt_decisions = reg.GetCounter("sched.preempt_decisions");
       c->sched_abandons = reg.GetCounter("sched.abandons");
       c->sched_deferred = reg.GetCounter("sched.deferred");
-      c->sched_shards_per_solve =
-          reg.GetHistogram("sched.shards_per_solve", {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0});
       return c;
     }();
     return *counters;
@@ -86,9 +83,6 @@ struct SimCounters {
     sched_preempt_decisions->Add(static_cast<int64_t>(decision.preempt.size()));
     sched_abandons->Add(static_cast<int64_t>(decision.abandon.size()));
     sched_deferred->Add(static_cast<int64_t>(decision.deferred.size()));
-    if (stats.milp_shards > 0) {
-      sched_shards_per_solve->Observe(static_cast<double>(stats.milp_shards));
-    }
   }
 };
 
@@ -117,8 +111,13 @@ struct Event {
 
 // v2: open-workload mode — SimOptions.open_workload, RunState submission
 // bookkeeping (submissions_closed, last_arrival), and the per-job arrived
-// flag.
-constexpr uint32_t kSnapshotVersion = 4;
+// flag. v5: the per-cycle record lost its two shard counts ("metrics"
+// section) and the scheduler's "sched" section its shard-basis map.
+constexpr uint32_t kSnapshotVersion = 5;
+// The "metrics" and "timing" sections walk kCycleFields, so any change to the
+// per-cycle record changes their layout.
+static_assert(std::size(kCycleFields) == 14,
+              "the per-cycle record changed: bump kSnapshotVersion, then update this count");
 
 void SaveSimOptions(SnapshotWriter& writer, const SimOptions& o) {
   writer.WriteDouble(o.cycle_period);

@@ -150,9 +150,13 @@ class SnapshotReader {
   // Remaining unread bytes in the current section.
   size_t SectionRemaining() const;
 
+  // Latches ok() == false with `message` (the first failure wins); for
+  // callers that reject a well-formed but unsupported payload, such as an
+  // unknown section version.
+  void Fail(const std::string& message);
+
  private:
   bool TakeBytes(void* out, size_t size);
-  void Fail(const std::string& message);
 
   std::string owned_;        // Empty in borrowed mode.
   std::string_view buffer_;  // Views owned_ or the caller's buffer.

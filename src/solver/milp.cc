@@ -6,7 +6,6 @@
 #include <cmath>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 
@@ -127,13 +126,7 @@ bool MilpSolver::GreedyRound(const std::vector<double>& relaxed, std::vector<dou
 MilpSolution MilpSolver::Solve(const MilpOptions& options) {
   // Phase::kOther: this span nests inside the scheduler's kSolve scope, and
   // tagging it with a profiler phase would double-count the solve time.
-  // Conditional (not pool-conditional): shard sub-solves suppress it in both
-  // the serial and pooled paths so traces stay thread-count-invariant.
-  static const obs::SpanName kSolveSpanName("solver.milp", obs::Phase::kOther);
-  std::optional<obs::Span> solve_span;
-  if (options.emit_span) {
-    solve_span.emplace(kSolveSpanName);
-  }
+  TS_OBS_SPAN("solver.milp", obs::Phase::kOther);
   using Clock = std::chrono::steady_clock;
   const auto start_time = Clock::now();
   const auto seconds_elapsed = [&]() {

@@ -120,10 +120,6 @@ struct MilpOptions {
   // Starting basis hint for the root relaxation (e.g. the previous cycle's
   // MilpSolution::root_basis). Ignored unless basis_warmstart is on.
   LpBasis root_basis;
-  // Emit the "solver.milp" trace span. The sharded driver turns this off for
-  // its sub-solves unconditionally — sub-solves may run on pool workers, and
-  // worker-emitted spans would make exported traces depend on thread count.
-  bool emit_span = true;
 };
 
 class MilpSolver {

@@ -55,9 +55,6 @@ std::string Scenario::Describe() const {
   if (solver_threads > 0) {
     out += ",solver_threads=" + std::to_string(solver_threads);
   }
-  if (solver_shards >= 0) {
-    out += ",solver_shards=" + std::to_string(solver_shards);
-  }
   if (padding != 1.0) {
     out += ",padding=" + FmtDouble(padding);
   }
@@ -112,16 +109,14 @@ bool ParseScenario(const std::string& text, Scenario* out, std::string* error) {
     } else if (key == "solver_threads") {
       ok = ParseInt(value, &out->solver_threads) && out->solver_threads > 0 &&
            out->solver_threads <= kMaxScenarioSolverThreads;
-    } else if (key == "solver_shards") {
-      ok = ParseInt(value, &out->solver_shards) &&
-           (out->solver_shards == 0 || out->solver_shards == 1);
     } else if (key == "padding") {
       ok = ParseDouble(value, &out->padding) && out->padding > 0.0;
     } else if (key == "surge") {
       ok = ParseDouble(value, &out->arrival_surge) && out->arrival_surge >= 1.0 &&
            out->arrival_surge <= kMaxScenarioSurge;
     } else if (key == "surge_window") {
-      ok = ParseDouble(value, &out->surge_window) && out->surge_window > 0.0;
+      ok = ParseDouble(value, &out->surge_window) && out->surge_window > 0.0 &&
+           out->surge_window <= kMaxScenarioSurgeWindow;
     } else if (key == "failures") {
       ok = ParseInt(value, &out->extra_node_failures) && out->extra_node_failures >= 0 &&
            out->extra_node_failures <= kMaxScenarioFailures;

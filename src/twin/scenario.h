@@ -12,10 +12,10 @@
 //
 //   name=surge2x,surge=2.0,planahead=600;name=chaos,failures=8
 //
-// Keys: name, system, planahead, oe_threshold, solver_threads, solver_shards,
-// padding, surge, surge_window, failures, failure_after, failure_duration,
-// inflation. Specs arrive over the wire, so numbers must be finite and
-// in range, and the knobs that size allocations are capped below.
+// Keys: name, system, planahead, oe_threshold, solver_threads, padding,
+// surge, surge_window, failures, failure_after, failure_duration, inflation.
+// Specs arrive over the wire, so numbers must be finite and in range, and
+// the knobs that size allocations are capped below.
 
 #ifndef SRC_TWIN_SCENARIO_H_
 #define SRC_TWIN_SCENARIO_H_
@@ -30,9 +30,11 @@
 namespace threesigma {
 
 // Caps on the scenario knobs that size a fork's resources: its solver thread
-// pool, its cloned arrivals, and its injected fault events.
+// pool, its cloned arrivals (surge factor and the trailing window they are
+// cloned from), and its injected fault events.
 inline constexpr int kMaxScenarioSolverThreads = 64;
 inline constexpr double kMaxScenarioSurge = 100.0;
+inline constexpr Duration kMaxScenarioSurgeWindow = 86400.0;
 inline constexpr int kMaxScenarioFailures = 100000;
 // Caps on one WhatIf request: speculative cycles per fork (each reserves a
 // queue-depth sample) and forks per request.
@@ -46,7 +48,6 @@ struct Scenario {
   Duration planahead = -1.0;              // > 0 overrides.
   double oe_probability_threshold = -1.0; // >= 0 overrides.
   int solver_threads = 0;                 // > 0 overrides.
-  int solver_shards = -1;                 // >= 0 overrides (0 off, 1 on).
   // Scheduler-kind switch within the DistributionScheduler family
   // ("3Sigma", "3SigmaNoDist", "3SigmaNoOE", "3SigmaNoAdapt",
   // "PointRealEst"); empty keeps the live kind.
@@ -74,7 +75,20 @@ struct Scenario {
   // its scheduler; otherwise the restored scheduler continues untouched).
   bool HasConfigOverride() const {
     return planahead > 0.0 || oe_probability_threshold >= 0.0 || solver_threads > 0 ||
-           solver_shards >= 0 || !system.empty();
+           !system.empty();
+  }
+
+  // This scenario's name and policy-config overrides, with every overlay at
+  // its default: the fields HasConfigOverride tests and ApplyConfigOverrides
+  // (twin.h) applies.
+  Scenario ConfigOverrides() const {
+    Scenario out;
+    out.name = name;
+    out.system = system;
+    out.planahead = planahead;
+    out.oe_probability_threshold = oe_probability_threshold;
+    out.solver_threads = solver_threads;
+    return out;
   }
 
   // Deterministic one-line rendering of the non-default fields; also a valid

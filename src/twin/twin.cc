@@ -86,6 +86,23 @@ UtilityFunction ShiftUtility(const UtilityFunction& u, double delta) {
 
 }  // namespace
 
+bool ApplyConfigOverrides(const Scenario& scenario, DistSchedulerConfig* config,
+                          std::string* error) {
+  if (!scenario.system.empty() && !ApplySystemToggles(scenario.system, config, error)) {
+    return false;
+  }
+  if (scenario.planahead > 0.0) {
+    config->planahead = scenario.planahead;
+  }
+  if (scenario.oe_probability_threshold >= 0.0) {
+    config->oe_probability_threshold = scenario.oe_probability_threshold;
+  }
+  if (scenario.solver_threads > 0) {
+    config->solver_threads = scenario.solver_threads;
+  }
+  return true;
+}
+
 // --- InflatedPredictor -------------------------------------------------------
 
 RuntimePrediction InflatedPredictor::Predict(const JobFeatures& features, double true_runtime) {
@@ -143,20 +160,8 @@ void TwinFork::ApplyScenario() {
   // 1. Policy-config overrides, applied at the (parked) cycle boundary.
   if (scenario_.HasConfigOverride()) {
     DistSchedulerConfig config = sched_->config();
-    if (!scenario_.system.empty() && !ApplySystemToggles(scenario_.system, &config, &error_)) {
+    if (!ApplyConfigOverrides(scenario_, &config, &error_)) {
       return;
-    }
-    if (scenario_.planahead > 0.0) {
-      config.planahead = scenario_.planahead;
-    }
-    if (scenario_.oe_probability_threshold >= 0.0) {
-      config.oe_probability_threshold = scenario_.oe_probability_threshold;
-    }
-    if (scenario_.solver_threads > 0) {
-      config.solver_threads = scenario_.solver_threads;
-    }
-    if (scenario_.solver_shards >= 0) {
-      config.solver_shards = scenario_.solver_shards != 0;
     }
     sched_->UpdateConfig(config);
   }
@@ -354,33 +359,14 @@ void Advisor::Evaluate(WhatIfReport* report, const std::vector<Scenario>& scenar
   }
   DistSchedulerConfig config = live_sched->config();
   std::string err;
-  if (!winner.system.empty() && !ApplySystemToggles(winner.system, &config, &err)) {
+  if (!ApplyConfigOverrides(winner, &config, &err)) {
     return;
-  }
-  if (winner.planahead > 0.0) {
-    config.planahead = winner.planahead;
-  }
-  if (winner.oe_probability_threshold >= 0.0) {
-    config.oe_probability_threshold = winner.oe_probability_threshold;
-  }
-  if (winner.solver_threads > 0) {
-    config.solver_threads = winner.solver_threads;
-  }
-  if (winner.solver_shards >= 0) {
-    config.solver_shards = winner.solver_shards != 0;
   }
   live_sched->UpdateConfig(config);
   report->applied = true;
   ++state_.applied;
   state_.has_applied_config = true;
-  Scenario record;  // Config-override fields only.
-  record.name = winner.name;
-  record.system = winner.system;
-  record.planahead = winner.planahead;
-  record.oe_probability_threshold = winner.oe_probability_threshold;
-  record.solver_threads = winner.solver_threads;
-  record.solver_shards = winner.solver_shards;
-  state_.applied_scenario = record;
+  state_.applied_scenario = winner.ConfigOverrides();
 }
 
 std::string AdvisorState::ToText(bool auto_apply) const {
@@ -428,22 +414,9 @@ void Advisor::RestoreState(SnapshotReader& reader, DistributionScheduler* live_s
   // recorded overrides so the live scheduler resumes under the advised
   // policy. (Derived solver caches rebuild from scratch — decisions stay
   // policy-correct, though the first post-resume cycle re-solves.)
-  const Scenario& rec = state_.applied_scenario;
   DistSchedulerConfig config = live_sched->config();
-  if (!rec.system.empty() && !ApplySystemToggles(rec.system, &config, &err)) {
+  if (!ApplyConfigOverrides(state_.applied_scenario, &config, &err)) {
     return;
-  }
-  if (rec.planahead > 0.0) {
-    config.planahead = rec.planahead;
-  }
-  if (rec.oe_probability_threshold >= 0.0) {
-    config.oe_probability_threshold = rec.oe_probability_threshold;
-  }
-  if (rec.solver_threads > 0) {
-    config.solver_threads = rec.solver_threads;
-  }
-  if (rec.solver_shards >= 0) {
-    config.solver_shards = rec.solver_shards != 0;
   }
   live_sched->UpdateConfig(config);
 }

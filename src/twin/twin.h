@@ -66,6 +66,14 @@ class InflatedPredictor : public RuntimePredictor {
   double factor_;
 };
 
+// Applies `scenario`'s policy-config overrides (Scenario::ConfigOverrides) to
+// `config`: the system switch first, then planahead, oe_threshold and
+// solver_threads. Fails with `*error` set, leaving `config` possibly half
+// updated, when the system is unknown or outside the DistributionScheduler
+// family. Forks, the advisor's auto-apply and its resume all go through here.
+bool ApplyConfigOverrides(const Scenario& scenario, DistSchedulerConfig* config,
+                          std::string* error);
+
 // One scenario's speculative outcome. Every field is simulation-deterministic
 // (no wall clock), so outcome lists compare byte-for-byte across runs.
 struct ScenarioOutcome {

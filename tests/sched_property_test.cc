@@ -1,8 +1,8 @@
 // Property tests for the scheduling layer around the parallel solver, the
 // expected-capacity cache and the valuation table cache:
 //   - same-seed simulations at solver_threads 1 vs 4 produce byte-identical
-//     decision traces, valuation counters included (the solver's and the
-//     valuation fan-out's thread-count determinism survives the full
+//     decision traces, valuation counters included (the wave-parallel
+//     solver's thread-count determinism survives the full
 //     scheduler/simulator stack),
 //   - expected free capacity is monotone non-increasing in added running
 //     load (Eq. 3),
@@ -11,16 +11,9 @@
 //   - crosscheck mode stays silent across whole simulations and moves no
 //     decision: delta-updated capacity rows match a from-scratch recompute,
 //     every kernel matches the generic Eq. 1 loop, and every table cache
-//     hit matches a fresh rebuild,
-//   - shard decomposition (--solver-shards) never moves a decision: sharded
-//     unbudgeted runs match monolithic ones byte-for-byte, stay identical
-//     across solver thread counts and fault injection, and survive a
-//     checkpoint→kill→resume with the per-shard basis map restored.
+//     hit matches a fresh rebuild.
 
-#include <map>
-#include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -54,13 +47,6 @@ ExperimentConfig PropertyConfig() {
   config.sched.solver_time_limit_seconds = 0.0;
   return config;
 }
-
-// Solver work counters: the decomposed (sharded) search visits a different,
-// smaller node set, so these tallies legitimately differ between shards off
-// and on while every decision stays identical.
-const std::set<std::string> kSolverWork = {"milp_nodes", "milp_max_queue_depth",
-                                           "milp_incumbent_improvements", "milp_shards",
-                                           "milp_max_shard_vars"};
 
 TEST(SchedPropertyTest, ThreadCountNeverChangesTheSchedule) {
   ExperimentConfig config = PropertyConfig();
@@ -239,8 +225,7 @@ TEST(SchedPropertyTest, CapacityCacheCrosscheckCleanOverFullRun) {
 }
 
 TEST(SchedPropertyTest, ValuationCrosscheckCleanOverFullRun) {
-  // 3Sigma through the full stack, at 1 and 4 solver threads (the kernel
-  // checks then run on pool workers).
+  // 3Sigma through the full stack, at 1 and 4 solver threads.
   ExperimentConfig config = PropertyConfig();
   const GeneratedWorkload workload = GenerateWorkload(config.cluster, config.workload);
   const SimResult plain = SimulateSystem(SystemKind::kThreeSigma, config, workload);
@@ -255,202 +240,6 @@ TEST(SchedPropertyTest, ValuationCrosscheckCleanOverFullRun) {
     EXPECT_GT(m.cycle_sum.valuation_cache_hits, 0);
     EXPECT_EQ(plain_trace, SimTrace(checked))
         << "crosscheck moved a decision at solver_threads=" << threads;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Shard decomposition: exact and deterministic through the full stack.
-
-void Pretrain(SystemInstance& instance, const GeneratedWorkload& workload) {
-  for (const JobSpec& job : workload.pretrain) {
-    instance.predictor->RecordCompletion(job.features, job.true_runtime);
-  }
-}
-
-ExperimentConfig ShardPropertyConfig() {
-  ExperimentConfig config = PropertyConfig();
-  // Shards off vs on can only be compared unbudgeted: with a *binding* node
-  // budget every shard receives the full budget, so the two searches truncate
-  // at different points by design (see DESIGN.md). Unbudgeted monolithic
-  // trees over the default pending window are far too slow for a unit test,
-  // so shrink the consideration window and the run — the property itself is
-  // unchanged.
-  config.sched.solver_max_nodes = 0;
-  config.sched.max_pending_considered = 4;
-  config.sched.num_start_slots = 3;
-  config.cluster = ClusterConfig::Uniform(2, 8);
-  config.workload.duration = Minutes(6.0);
-  config.workload.model_sample_jobs = 400;
-  config.workload.pretrain_jobs = 400;
-  return config;
-}
-
-TEST(SchedPropertyTest, SolverShardsNeverChangeTheSchedule) {
-  ExperimentConfig config = ShardPropertyConfig();
-  const GeneratedWorkload workload = GenerateWorkload(config.cluster, config.workload);
-
-  for (const bool faults : {false, true}) {
-    if (faults) {
-      config.sim.faults.node_mttf = 1500.0;
-      config.sim.faults.node_mttr = 240.0;
-      config.sim.faults.task_kill_prob = 0.05;
-      config.sim.faults.straggler_prob = 0.1;
-      config.sim.faults.straggler_factor = 2.0;
-      config.sim.faults.cycle_stall_prob = 0.05;
-      config.sim.faults.seed = 5;
-    }
-
-    config.sched.solver_shards = false;
-    config.sched.solver_threads = 1;
-    const SimResult mono = SimulateSystem(SystemKind::kThreeSigma, config, workload);
-    ASSERT_GT(mono.jobs.size(), 0u);
-    const std::string mono_trace = SimTrace(mono, kSolverWork);
-
-    // Sharded decisions are byte-identical to the monolithic ones (solver
-    // counters excluded: the decomposed search visits fewer nodes).
-    config.sched.solver_shards = true;
-    const SimResult sharded1 = SimulateSystem(SystemKind::kThreeSigma, config, workload);
-    EXPECT_EQ(mono_trace, SimTrace(sharded1, kSolverWork))
-        << "shards on moved a decision (faults=" << faults << ")";
-
-    // And the sharded run itself is fully byte-identical — counters included —
-    // at any solver thread count.
-    config.sched.solver_threads = 4;
-    const SimResult sharded4 = SimulateSystem(SystemKind::kThreeSigma, config, workload);
-    EXPECT_EQ(SimTrace(sharded1), SimTrace(sharded4))
-        << "sharded run depends on thread count (faults=" << faults << ")";
-
-    // The decomposition layer must actually be in the loop. On a uniform
-    // cluster every job is eligible everywhere, so cycles stay one connected
-    // component (mean shards == 1); the multi-shard path is pinned by
-    // DisjointPreferenceJobsDecomposeIntoShards below and by the
-    // shard_differential suite.
-    const RunMetrics m = ComputeMetrics(sharded4, "3Sigma");
-    EXPECT_GT(m.cycle_sum.milp_shards, 0) << "sharded path never ran (faults=" << faults << ")";
-    EXPECT_GE(m.mean_milp_shards, 1.0);
-    config.sched.solver_threads = 1;
-    config.sched.solver_shards = false;
-  }
-}
-
-// On a uniform cluster every pending job is eligible on every group, so the
-// per-cycle constraint graph of a full google-workload run is one connected
-// component and the full-run tests above exercise the single-shard path. The
-// multi-component path is pinned down here: two tight-deadline SLO jobs with
-// disjoint preferred groups (the 1.5x non-preferred slowdown blows their
-// deadlines, so those options are EU-gated away) decompose into two
-// independent sub-MILPs — and the schedule is the monolithic one.
-class PointPredictor : public RuntimePredictor {
- public:
-  RuntimePrediction Predict(const JobFeatures&, double) override {
-    RuntimePrediction pred;
-    pred.distribution = EmpiricalDistribution::FromSamples({200.0});
-    pred.point_estimate = 200.0;
-    pred.from_history = true;
-    return pred;
-  }
-  void RecordCompletion(const JobFeatures&, double) override {}
-};
-
-TEST(SchedPropertyTest, DisjointPreferenceJobsDecomposeIntoShards) {
-  const ClusterConfig cluster = ClusterConfig::Uniform(2, 8);
-  PointPredictor predictor;
-  DistSchedulerConfig config;
-  config.solver_time_limit_seconds = 0.0;
-  config.solver_max_nodes = 0;
-  // OE handling would re-extend the gated non-preferred options past their
-  // deadlines and recouple the groups; this test needs the hard gate.
-  config.overestimate_handling = false;
-
-  auto make_job = [](JobId id, int preferred_group) {
-    JobSpec spec;
-    spec.id = id;
-    spec.type = JobType::kSlo;
-    spec.submit_time = 0.0;
-    spec.true_runtime = 200.0;
-    spec.num_tasks = 2;
-    spec.deadline = 260.0;  // Meets at 200 on-preference; 300 off-preference.
-    spec.preferred_groups = {preferred_group};
-    spec.utility = UtilityFunction::SloStep(10.0, spec.deadline);
-    spec.features = {"u" + std::to_string(preferred_group)};
-    return spec;
-  };
-
-  CycleResult mono;
-  CycleResult sharded;
-  for (const bool shards : {false, true}) {
-    config.solver_shards = shards;
-    DistributionScheduler sched(cluster, &predictor, config);
-    sched.OnJobArrival(make_job(1, 0), 0.0);
-    sched.OnJobArrival(make_job(2, 1), 0.0);
-    ClusterStateView view;
-    view.cluster = &cluster;
-    view.free_nodes = {8, 8};
-    (shards ? sharded : mono) = sched.RunCycle(5.0, view);
-  }
-
-  EXPECT_EQ(sharded.milp_shards, 2) << "disjoint-preference jobs did not decompose";
-  EXPECT_EQ(mono.milp_shards, 0);
-  ASSERT_EQ(mono.start.size(), 2u);
-  ASSERT_EQ(sharded.start.size(), 2u);
-  for (size_t i = 0; i < mono.start.size(); ++i) {
-    EXPECT_EQ(mono.start[i].job, sharded.start[i].job);
-    EXPECT_EQ(mono.start[i].group, sharded.start[i].group);
-  }
-  // Each job landed on its preferred group (the only ungated option).
-  EXPECT_EQ(sharded.start[0].group, 0);
-  EXPECT_EQ(sharded.start[1].group, 1);
-}
-
-TEST(SchedPropertyTest, ShardedCheckpointResumeIsByteIdentical) {
-  // Checkpoint a sharded, faulty, multi-threaded run mid-flight, "kill" it,
-  // resume into a freshly built system, and the finished trace must be
-  // byte-identical — which requires the per-shard basis map ("sched" section
-  // v3) to be restored exactly, since warm-started root LPs can settle on a
-  // different optimal basis than cold ones at degenerate ties.
-  ExperimentConfig config = PropertyConfig();
-  config.workload.duration = Minutes(10.0);
-  config.sched.solver_shards = true;
-  config.sched.solver_threads = 4;
-  config.sim.faults.node_mttf = 1500.0;
-  config.sim.faults.node_mttr = 240.0;
-  config.sim.faults.task_kill_prob = 0.05;
-  config.sim.faults.straggler_prob = 0.1;
-  config.sim.faults.straggler_factor = 2.0;
-  config.sim.faults.cycle_stall_prob = 0.05;
-  config.sim.faults.seed = 5;
-  const GeneratedWorkload workload = GenerateWorkload(config.cluster, config.workload);
-
-  SystemInstance reference = MakeSystem(SystemKind::kThreeSigma, config.cluster, config.sched);
-  Pretrain(reference, workload);
-  Simulator ref_sim(config.cluster, reference.scheduler.get(), workload.jobs, config.sim);
-  const SimResult ref_result = ref_sim.Run();
-  const std::string ref_trace = SimTrace(ref_result);
-  ASSERT_GT(ref_result.cycles.size(), 20u) << "config too small to exercise checkpointing";
-  const RunMetrics ref_metrics = ComputeMetrics(ref_result, "3Sigma");
-  ASSERT_GT(ref_metrics.cycle_sum.milp_shards, 0);
-
-  for (const uint64_t checkpoint_cycle : {5u, 23u}) {
-    std::string buffer;
-    {
-      SystemInstance doomed = MakeSystem(SystemKind::kThreeSigma, config.cluster, config.sched);
-      Pretrain(doomed, workload);
-      Simulator sim(config.cluster, doomed.scheduler.get(), workload.jobs, config.sim);
-      while (sim.cycles_completed() < checkpoint_cycle) {
-        ASSERT_TRUE(sim.Step());
-      }
-      buffer = sim.SaveStateToBuffer();
-      // Destruction here is the kill.
-    }
-
-    SystemInstance resumed = MakeSystem(SystemKind::kThreeSigma, config.cluster, config.sched);
-    Pretrain(resumed, workload);
-    Simulator sim(config.cluster, resumed.scheduler.get(), {}, config.sim);
-    sim.RestoreStateFromBuffer(buffer);
-    EXPECT_EQ(sim.cycles_completed(), checkpoint_cycle);
-    const SimResult result = sim.Run();
-    EXPECT_EQ(SimTrace(result), ref_trace)
-        << "divergence after resuming a sharded run at cycle " << checkpoint_cycle;
   }
 }
 

@@ -589,6 +589,27 @@ TEST(CheckpointResumeTest, GracefulRejection) {
   EXPECT_NE(error.find("groups"), std::string::npos) << error;
 }
 
+TEST(CheckpointResumeTest, OtherSchedSectionVersionsFailSoft) {
+  // The 3Sigma scheduler reads only the current "sched" layout (v5); older
+  // and newer versions latch a reader error instead of being misread.
+  const ExperimentConfig config = CheckpointChaosConfig();
+  for (const uint32_t version : {3u, 4u, 6u}) {
+    SnapshotWriter writer;
+    writer.BeginSection("sched", version);
+    writer.WriteString("3sigma-sched");
+    writer.WriteVarU64(0);
+    writer.EndSection();
+    SnapshotReader reader(writer.Finish());
+    ASSERT_TRUE(reader.ok());
+    SystemInstance instance = MakeSystem(SystemKind::kThreeSigma, config.cluster, config.sched);
+    instance.scheduler->RestoreState(reader);
+    EXPECT_FALSE(reader.ok()) << "version " << version;
+    EXPECT_NE(reader.error().find("unsupported sched section version " + std::to_string(version)),
+              std::string::npos)
+        << reader.error();
+  }
+}
+
 TEST(SnapshotDeathTest, TruncatedSnapshotAborts) {
   ExperimentConfig config = CheckpointChaosConfig();
   config.workload.duration = Minutes(3.0);

@@ -159,6 +159,8 @@ TEST(ScenarioTest, RejectsNonFiniteOutOfRangeAndOversizedValues) {
       "inflation=-inf",
       "failure_after=inf",
       "surge_window=nan",
+      "surge_window=86400.5",
+      "surge_window=1e300",
       "solver_threads=0",
       "solver_threads=65",
       "solver_threads=100000",
@@ -167,7 +169,6 @@ TEST(ScenarioTest, RejectsNonFiniteOutOfRangeAndOversizedValues) {
       "failures=-1",
       "failures=100001",
       "failures=4294967296",  // Would narrow to 0.
-      "solver_shards=4294967297",
   };
   for (const std::string& spec : bad) {
     Scenario scenario;
@@ -184,10 +185,12 @@ TEST(ScenarioTest, RejectsNonFiniteOutOfRangeAndOversizedValues) {
   Scenario scenario;
   std::string error;
   EXPECT_TRUE(ParseScenario("solver_threads=" + std::to_string(kMaxScenarioSolverThreads) +
-                                ",surge=100,failures=" + std::to_string(kMaxScenarioFailures),
+                                ",surge=100,surge_window=86400,failures=" +
+                                std::to_string(kMaxScenarioFailures),
                             &scenario, &error))
       << error;
   EXPECT_EQ(scenario.solver_threads, kMaxScenarioSolverThreads);
+  EXPECT_DOUBLE_EQ(scenario.surge_window, kMaxScenarioSurgeWindow);
   EXPECT_EQ(scenario.extra_node_failures, kMaxScenarioFailures);
 }
 
@@ -200,6 +203,41 @@ TEST(ScenarioTest, DefaultScenariosAreWellFormed) {
     std::string error;
     EXPECT_TRUE(ParseScenario(s.Describe(), &reparsed, &error)) << s.name << ": " << error;
   }
+}
+
+TEST(ScenarioTest, ConfigOverridesApplyByOneRule) {
+  Scenario scenario;
+  std::string error;
+  ASSERT_TRUE(ParseScenario("name=x,system=3SigmaNoOE,planahead=600,oe_threshold=0.2,"
+                            "solver_threads=2,surge=2,failures=3,padding=1.5",
+                            &scenario, &error))
+      << error;
+  DistSchedulerConfig config;
+  ASSERT_TRUE(ApplyConfigOverrides(scenario, &config, &error)) << error;
+  EXPECT_EQ(config.name, "3SigmaNoOE");
+  EXPECT_FALSE(config.overestimate_handling);
+  EXPECT_DOUBLE_EQ(config.planahead, 600.0);
+  EXPECT_DOUBLE_EQ(config.oe_probability_threshold, 0.2);
+  EXPECT_EQ(config.solver_threads, 2);
+
+  // The advisor's record keeps exactly the fields that were applied, so
+  // re-applying it on resume reproduces the same config.
+  const Scenario record = scenario.ConfigOverrides();
+  EXPECT_EQ(record.Describe(),
+            "name=x,system=3SigmaNoOE,planahead=600,oe_threshold=0.2,solver_threads=2");
+  DistSchedulerConfig replayed;
+  ASSERT_TRUE(ApplyConfigOverrides(record, &replayed, &error)) << error;
+  EXPECT_EQ(replayed.name, config.name);
+  EXPECT_EQ(replayed.overestimate_handling, config.overestimate_handling);
+  EXPECT_DOUBLE_EQ(replayed.planahead, config.planahead);
+  EXPECT_DOUBLE_EQ(replayed.oe_probability_threshold, config.oe_probability_threshold);
+  EXPECT_EQ(replayed.solver_threads, config.solver_threads);
+
+  Scenario prio;
+  prio.system = "Prio";
+  error.clear();
+  EXPECT_FALSE(ApplyConfigOverrides(prio, &config, &error));
+  EXPECT_FALSE(error.empty());
 }
 
 // --- InflatedPredictor -------------------------------------------------------
