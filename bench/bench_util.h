@@ -7,11 +7,6 @@
 //   THREESIGMA_SEED=<n>
 //   THREESIGMA_SOLVER_THREADS=<n>   (branch-and-bound worker threads for all
 //       e2e benches; the solver is deterministic in this value)
-//   THREESIGMA_SOLVER_WARMSTART=0|1 (simplex basis warm-starting across
-//       branch-and-bound nodes and scheduling cycles; default 1. For A/B
-//       pivot-count comparisons. Each setting is deterministic, but warm and
-//       cold runs may return different equally-scored schedules: a warm LP
-//       can surface a different optimal vertex of a degenerate relaxation.)
 //   THREESIGMA_FAULT_MTTF=<s>            (node mean time to failure; 0 = off)
 //   THREESIGMA_FAULT_MTTR=<s>            (node mean time to repair)
 //   THREESIGMA_FAULT_KILL_PROB=<p>       (per-run task-fault kill probability)
@@ -83,11 +78,6 @@ inline void ApplyObsEnv(obs::Options* options) {
 // The GOOGLE-scale cluster for Fig. 12 (12,584 nodes ~ the trace's 12,583).
 inline ClusterConfig ClusterGoogleScale() { return ClusterConfig::Uniform(8, 1573); }
 
-// THREESIGMA_SOLVER_WARMSTART: basis warm-starting on/off (default on).
-inline bool SolverWarmstartEnv() {
-  return GetEnvInt("THREESIGMA_SOLVER_WARMSTART", 1) != 0;
-}
-
 // Baseline experiment configuration; `base_hours` is the workload length at
 // default scale (the paper's counterpart is usually 2 or 5 hours).
 inline ExperimentConfig MakeE2EConfig(double base_hours, double load = 1.4) {
@@ -103,7 +93,6 @@ inline ExperimentConfig MakeE2EConfig(double base_hours, double load = 1.4) {
   config.sched.cycle_period = config.sim.cycle_period;
   config.sched.solver_threads =
       static_cast<int>(GetEnvInt("THREESIGMA_SOLVER_THREADS", 1));
-  config.sched.solver_basis_warmstart = SolverWarmstartEnv();
   ApplyFaultEnv(&config.sim.faults);
   ApplyObsEnv(&config.obs);
   return config;

@@ -75,8 +75,8 @@ int main() {
 
   // (c) Parallel solver: same workload, sweeping branch-and-bound worker
   // threads (the returned schedules are identical by construction; only wall
-  // clock moves, and only on multi-core hardware), plus a cold-basis row.
-  std::cout << "\n(c) Wave-parallel solver and cold-basis ablation:\n";
+  // clock moves, and only on multi-core hardware).
+  std::cout << "\n(c) Wave-parallel solver:\n";
   {
     TablePrinter par({"config", "mean solver (ms)", "speedup", "nodes/s",
                       "mean cycle (ms)", "cache hit %"});
@@ -109,16 +109,6 @@ int main() {
                   Ms(m.mean_cycle_seconds),
                   TablePrinter::Fmt(100.0 * m.capacity_cache_hit_rate, 1)});
     }
-    config.sched.solver_threads = 1;
-    // Cold-basis ablation: every branch-and-bound node solves its LP from the
-    // slack basis instead of re-optimizing the parent's basis with dual pivots
-    // (deterministic, but degenerate LP ties may break differently than warm).
-    config.sched.solver_basis_warmstart = false;
-    const RunMetrics coldbasis = RunSystem(SystemKind::kThreeSigma, config, workload);
-    par.AddRow({"1 thread, cold basis", Ms(coldbasis.mean_solver_seconds), "-",
-                TablePrinter::Fmt(coldbasis.solver_nodes_per_second, 0),
-                Ms(coldbasis.mean_cycle_seconds),
-                TablePrinter::Fmt(100.0 * coldbasis.capacity_cache_hit_rate, 1)});
     par.Print(std::cout);
   }
 

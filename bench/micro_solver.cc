@@ -4,7 +4,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench/bench_util.h"
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 #include "src/solver/lp_model.h"
@@ -98,16 +97,15 @@ BENCHMARK(BM_MilpWarmStart)->Arg(0)->Arg(1);
 
 // Basis warm-starting ablation on the branch-and-bound node stream: every
 // child re-optimizes from its parent's basis with a handful of dual pivots
-// instead of a cold Phase-1/Phase-2 solve. Arg(1) = warm, Arg(0) = cold;
-// THREESIGMA_SOLVER_WARMSTART=0 forces the cold path for A/B runs without
-// recompiling. Reported counters:
+// instead of a cold Phase-1/Phase-2 solve. Arg(1) = warm, Arg(0) = cold.
+// Reported counters:
 //   pivots/s       — total simplex pivots (phase 1 + phase 2 + dual) per sec
 //   lp_iters       — mean total pivots per node-stream replay
 //   ftran, btran   — sparse eta-file solves per replay
 //   refactor       — basis reinversions per replay
 //   dual/warmnode  — mean dual pivots per warm-started node
 void BM_BnbNodeStreamBasis(benchmark::State& state) {
-  const bool warm = state.range(0) != 0 && SolverWarmstartEnv();
+  const bool warm = state.range(0) != 0;
   Rng rng(515);
   std::vector<int> int_vars;
   const LpModel model = SchedulerShapedModel(24, 3, 8, rng, &int_vars);

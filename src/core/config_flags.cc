@@ -1,5 +1,12 @@
 #include "src/core/config_flags.h"
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+
+#include "src/sched/distribution_scheduler.h"
+
 namespace threesigma {
 
 void RegisterExperimentFlags(FlagParser& parser, ExperimentFlags* flags) {
@@ -11,8 +18,8 @@ void RegisterExperimentFlags(FlagParser& parser, ExperimentFlags* flags) {
       .AddInt("nodes-per-group", &flags->nodes_per_group, "nodes per group")
       .AddDouble("cycle", &flags->cycle, "scheduling cycle period in seconds")
       .AddInt("solver-threads", &flags->solver_threads,
-              "MILP branch-and-bound worker threads (deterministic: any count "
-              "returns the same solution)")
+              "MILP branch-and-bound worker threads, 1-64 (deterministic: any "
+              "count returns the same solution)")
       .AddInt("solver-max-nodes", &flags->solver_max_nodes,
               "branch-and-bound node budget per solve (0 = unbudgeted)")
       .AddInt("max-pending", &flags->max_pending,
@@ -25,11 +32,6 @@ void RegisterExperimentFlags(FlagParser& parser, ExperimentFlags* flags) {
                "every valuation kernel against the generic per-atom loop, and "
                "every valuation-table cache hit against a fresh rebuild; abort "
                "on any divergence (decisions unchanged)")
-      .AddBool("solver-basis-warmstart", &flags->solver_basis_warmstart,
-               "re-optimize parent simplex bases with dual pivots across "
-               "branch-and-bound nodes and cycles; off = cold Phase-1 solves "
-               "(deterministic either way, but warm may pick a different "
-               "equally-scored schedule at degenerate LP ties)")
       .AddBool("high-fidelity", &flags->high_fidelity, "use the noisy 'RC256' simulator mode")
       .AddDouble("fault-mttf", &flags->fault_mttf,
                  "mean time to failure per node in seconds (0 = no node churn)")
@@ -70,9 +72,53 @@ void RegisterExperimentFlags(FlagParser& parser, ExperimentFlags* flags) {
               "span ring capacity per thread (oldest spans drop on overflow)");
 }
 
+namespace {
+
+// The first flag outside the range its consumer TS_CHECKs, as an error
+// message; empty when every flag is in range.
+std::string OutOfRangeFlag(const ExperimentFlags& f) {
+  const auto count = [](int64_t v) { return v >= 1 && v <= std::numeric_limits<int>::max(); };
+  const auto positive = [](double v) { return std::isfinite(v) && v > 0.0; };
+  const auto probability = [](double v) { return v >= 0.0 && v <= 1.0; };
+  const auto factor = [](double v) { return std::isfinite(v) && v >= 1.0; };
+  const struct {
+    const char* flag;
+    bool ok;
+    std::string range;
+  } checks[] = {
+      {"groups", count(f.groups), ">= 1"},
+      {"nodes-per-group", count(f.nodes_per_group), ">= 1"},
+      {"start-slots", count(f.start_slots), ">= 1"},
+      {"max-pending", count(f.max_pending), ">= 1"},
+      {"solver-threads", f.solver_threads >= 1 && f.solver_threads <= kMaxSolverThreads,
+       "in [1, " + std::to_string(kMaxSolverThreads) + "]"},
+      {"hours", positive(f.hours), "finite and > 0"},
+      {"load", positive(f.load), "finite and > 0"},
+      {"cycle", positive(f.cycle), "finite and > 0"},
+      {"fault-kill-prob", probability(f.fault_kill_prob), "in [0, 1]"},
+      {"fault-straggler-prob", probability(f.fault_straggler_prob), "in [0, 1]"},
+      {"fault-stall-prob", probability(f.fault_stall_prob), "in [0, 1]"},
+      {"fault-straggler-factor", factor(f.fault_straggler_factor), "finite and >= 1"},
+  };
+  for (const auto& check : checks) {
+    if (!check.ok) {
+      return std::string("flag --") + check.flag + ": must be " + check.range;
+    }
+  }
+  return "";
+}
+
+}  // namespace
+
 bool BuildExperimentConfig(const ExperimentFlags& flags, ExperimentConfig* config,
                            std::string* error) {
   *config = ExperimentConfig();
+  if (const std::string bad = OutOfRangeFlag(flags); !bad.empty()) {
+    if (error != nullptr) {
+      *error = bad;
+    }
+    return false;
+  }
   config->cluster = ClusterConfig::Uniform(static_cast<int>(flags.groups),
                                            static_cast<int>(flags.nodes_per_group));
   if (!ParseEnvironmentName(flags.env_name, &config->workload.env)) {
@@ -104,7 +150,6 @@ bool BuildExperimentConfig(const ExperimentFlags& flags, ExperimentConfig* confi
   config->sched.max_pending_considered = static_cast<int>(flags.max_pending);
   config->sched.num_start_slots = static_cast<int>(flags.start_slots);
   config->sched.crosscheck = flags.crosscheck;
-  config->sched.solver_basis_warmstart = flags.solver_basis_warmstart;
   config->obs.trace_json_out = flags.trace_out;
   config->obs.trace_bin_out = flags.trace_bin_out;
   config->obs.phase_csv_out = flags.obs_phase_csv;

@@ -32,7 +32,6 @@ struct ExperimentFlags {
   int64_t max_pending = 48;
   int64_t start_slots = 6;
   bool crosscheck = false;
-  bool solver_basis_warmstart = true;
   bool high_fidelity = false;
   double fault_mttf = 0.0;
   double fault_mttr = 600.0;
@@ -56,8 +55,9 @@ struct ExperimentFlags {
 // outlive parsing).
 void RegisterExperimentFlags(FlagParser& parser, ExperimentFlags* flags);
 
-// Builds the config from parsed flag values. False + `*error` on an invalid
-// value (e.g. an unknown --env name).
+// Builds the config from parsed flag values. False + `*error` naming the flag
+// on an invalid value: an unknown --env name, or a number outside the range
+// the cluster, workload, simulator, scheduler and fault code accept.
 bool BuildExperimentConfig(const ExperimentFlags& flags, ExperimentConfig* config,
                            std::string* error);
 

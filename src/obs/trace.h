@@ -59,7 +59,7 @@ enum class Phase : uint8_t {
   kSelect,         // Pending selection and abandonment.
   kValuation,      // Eq. 1 option enumeration and valuation.
   kBuild,          // MILP compilation.
-  kSolve,          // MILP (or greedy) solve.
+  kSolve,          // MILP solve.
   kPlacement,      // Solution extraction into decisions.
   kSimEvents,      // Simulator event processing outside scheduling cycles.
   kFaultDelivery,  // Node fault application and injected kills.

@@ -577,11 +577,9 @@ CycleResult DistributionScheduler::RunCycle(Time now, const ClusterStateView& st
     // the per-job staging arena (value_stage_), stable for the cycle.
     const double* cons = nullptr;
     int cons_len = 0;
-    int var = -1;  // MILP indicator (kMilp backend only).
+    int var = -1;  // MILP indicator variable.
   };
   std::vector<Option> options;
-  // Per job: option indices (demand rows / greedy candidate sets).
-  std::map<JobId, std::vector<size_t>> job_options;
   // Remaining expected capacity per (group, slot). Supply is the *available*
   // node count (nominal minus crashed nodes) so fault churn shrinks what the
   // MILP may hand out; with no faults this equals the nominal count.
@@ -608,7 +606,6 @@ CycleResult DistributionScheduler::RunCycle(Time now, const ClusterStateView& st
       opt.eu = vo.eu;
       opt.cons = staged.consumption.data() + vo.cons_offset;
       opt.cons_len = vo.cons_len;
-      job_options[id].push_back(options.size());
       options.push_back(opt);
     }
   }
@@ -623,53 +620,6 @@ CycleResult DistributionScheduler::RunCycle(Time now, const ClusterStateView& st
     }
   }
   }  // sched.value span.
-
-  if (config_.backend == SolverBackend::kGreedy) {
-    // Utility-greedy packing: jobs in priority order each take their highest
-    // expected-utility option that still fits; no joint optimization and no
-    // preemption. `considered` is already SLO-deadline-then-BE-submit order.
-    TS_OBS_SPAN("sched.greedy_solve", obs::Phase::kSolve);
-    const auto solve_start = std::chrono::steady_clock::now();
-    for (JobId id : considered) {
-      JobInfo& info = jobs_.at(id);
-      info.planned_group = -1;
-      info.planned_start = kNever;
-      const auto it = job_options.find(id);
-      if (it == job_options.end()) {
-        continue;
-      }
-      const Option* best = nullptr;
-      for (size_t idx : it->second) {
-        const Option& opt = options[idx];
-        bool fits = true;
-        for (int d = 0; d < opt.cons_len; ++d) {
-          if (opt.cons[d] > cap[opt.group][opt.slot + d] + 1e-9) {
-            fits = false;
-            break;
-          }
-        }
-        if (fits && (best == nullptr || opt.eu > best->eu)) {
-          best = &opt;
-        }
-      }
-      if (best == nullptr) {
-        continue;
-      }
-      for (int d = 0; d < best->cons_len; ++d) {
-        cap[best->group][best->slot + d] -= best->cons[d];
-      }
-      if (best->slot == 0) {
-        result.start.push_back(Placement{id, best->group});
-      } else {
-        info.planned_group = best->group;
-        info.planned_start = now + best->slot * delta;
-        result.deferred.push_back(PlannedPlacement{id, best->group, info.planned_start});
-      }
-    }
-    result.solver_seconds = SecondsSince(solve_start);
-    result.cycle_seconds = SecondsSince(cycle_start);
-    return result;
-  }
 
   // --- 4. MILP compilation (§4.3.3). ---------------------------------------
   LpModel model;
@@ -763,17 +713,13 @@ CycleResult DistributionScheduler::RunCycle(Time now, const ClusterStateView& st
   MilpOptions milp_options;
   milp_options.time_limit_seconds = config_.solver_time_limit_seconds;
   milp_options.max_nodes = config_.solver_max_nodes;
-  milp_options.num_threads = config_.solver_threads;
   milp_options.pool = pool_.get();
   if (any_warm) {
     milp_options.warm_start = warm;
   }
-  milp_options.basis_warmstart = config_.solver_basis_warmstart;
-  if (config_.solver_basis_warmstart) {
-    // Previous cycle's root basis; discarded inside the solver if this
-    // cycle's model has a different shape.
-    milp_options.root_basis = last_root_basis_;
-  }
+  // Previous cycle's root basis; discarded inside the solver if this cycle's
+  // model has a different shape.
+  milp_options.root_basis = last_root_basis_;
   const auto solve_start = std::chrono::steady_clock::now();
   MilpSolution solution;
   {

@@ -44,16 +44,12 @@
 
 namespace threesigma {
 
-// How the aggregate placement problem is solved each cycle.
-enum class SolverBackend {
-  kMilp,    // §4.3: compile to a 0/1 MILP, branch-and-bound (the paper).
-  kGreedy,  // Ablation: utility-greedy packing over the same valued options
-            // (no joint optimization, no preemption).
-};
+// Upper bound on DistSchedulerConfig::solver_threads accepted from the
+// command line and from what-if scenarios (each thread is a pool worker).
+inline constexpr int kMaxSolverThreads = 64;
 
 struct DistSchedulerConfig {
   std::string name = "3Sigma";
-  SolverBackend backend = SolverBackend::kMilp;
 
   // Core policy toggles (see table above).
   bool use_distribution = true;
@@ -96,12 +92,6 @@ struct DistSchedulerConfig {
   // The search is deterministic in this value's *presence*, not its size:
   // any thread count returns bit-identical solutions.
   int solver_threads = 1;
-
-  // Simplex basis warm-starting (MilpOptions::basis_warmstart): B&B children
-  // re-optimize from their parent's basis via dual pivots, and the previous
-  // cycle's root basis seeds the next cycle's root relaxation. Affects LP
-  // pivot counts only; thread-count determinism is preserved.
-  bool solver_basis_warmstart = true;
 
   // Debug oracle for the two incremental caches; costs what they save, tests
   // only. Every cycle the expected-capacity rows are TS_CHECKed against a

@@ -16,10 +16,13 @@
 namespace threesigma {
 namespace {
 
-// Nodes dispatched per wave when MilpOptions::batch_width is 0. Chosen large
-// enough to keep several workers busy once the tree fans out, small enough
-// that the incumbent bound (which only advances at wave commits) stays fresh.
-constexpr int kDefaultBatchWidth = 16;
+// Nodes dispatched per wave. Part of the deterministic schedule: the result
+// depends on this value but never on thread count. Chosen large enough to
+// keep several workers busy once the tree fans out, small enough that the
+// incumbent bound (which only advances at wave commits) stays fresh.
+constexpr int kBatchWidth = 16;
+// Integrality tolerance.
+constexpr double kIntegralityTol = 1e-6;
 
 struct Node {
   // Tree path: '0' for the floor child, '1' for the ceil child. Lexicographic
@@ -144,14 +147,8 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
 
   // Worker setup. The caller always participates, so `workers` counts it;
   // the sequential path (workers == 1, no pool) touches no thread machinery.
-  std::unique_ptr<ThreadPool> local_pool;
   ThreadPool* pool = options.pool;
-  if (pool == nullptr && options.num_threads > 1) {
-    local_pool = std::make_unique<ThreadPool>(options.num_threads);
-    pool = local_pool.get();
-  }
   const int workers = pool != nullptr ? pool->size() : 1;
-  const int batch_width = options.batch_width > 0 ? options.batch_width : kDefaultBatchWidth;
 
   // Per-worker simplex state; every node LP runs on the shared core_ with
   // its branching decisions as a bound overlay.
@@ -166,7 +163,7 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
       static_cast<int>(options.warm_start.size()) == model_.num_variables()) {
     bool integral = true;
     for (int v : integer_vars_) {
-      if (!IsIntegral(options.warm_start[v], options.integrality_tol)) {
+      if (!IsIntegral(options.warm_start[v], kIntegralityTol)) {
         integral = false;
         break;
       }
@@ -200,7 +197,7 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
     if (from_tree) {
       result.warm_start_returned = false;
     }
-    result.incumbent_improvements.push_back(IncumbentImprovement{seconds_elapsed(), obj});
+    result.incumbent_improvements.push_back(obj);
   };
 
   std::vector<Node> stack;
@@ -228,7 +225,7 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
       budget_room = options.max_nodes - result.nodes_explored;
     }
     const int take =
-        std::min({batch_width, static_cast<int>(stack.size()), budget_room});
+        std::min({kBatchWidth, static_cast<int>(stack.size()), budget_room});
     wave.clear();
     for (int i = 0; i < take; ++i) {
       wave.push_back(std::move(stack.back()));
@@ -332,7 +329,7 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
       double branch_frac = 0.0;
       for (int v : integer_vars_) {
         const double value = relax.values[v];
-        if (!IsIntegral(value, options.integrality_tol)) {
+        if (!IsIntegral(value, kIntegralityTol)) {
           const double frac = std::fabs(value - std::round(value));
           if (frac > branch_frac) {
             branch_frac = frac;

@@ -17,12 +17,12 @@
 // node. The model must not change while the solver lives.
 //
 // Parallel search: the tree is explored in deterministic *waves*. Each wave
-// pops up to `batch_width` nodes off the subproblem stack, solves their LP
-// relaxations concurrently (`num_threads` workers sharing the read-only core,
-// pulling node indices from a shared atomic cursor and reading the atomic
-// incumbent bound lock-free to skip dominated nodes), then commits the
+// pops up to a fixed number of nodes off the subproblem stack, solves their LP
+// relaxations concurrently (the borrowed pool's workers sharing the read-only
+// core, pulling node indices from a shared atomic cursor and reading the
+// atomic incumbent bound lock-free to skip dominated nodes), then commits the
 // results sequentially in pop order. Because the wave schedule
-// depends only on `batch_width` (never on thread count) and the incumbent
+// depends only on the wave width (never on thread count) and the incumbent
 // advances only at the sequential commits — with ties between equal-objective
 // incumbents broken toward the lexicographically smallest node id — the
 // explored tree, node counts, and returned solution are bit-identical for
@@ -45,13 +45,6 @@ enum class MilpStatus {
   kOptimal,     // Proven optimal.
   kFeasible,    // Best incumbent at budget expiry.
   kInfeasible,  // No integral feasible point exists (or none found + LP infeasible).
-};
-
-// One incumbent replacement during the search (Fig. 12-style anytime
-// diagnostics: how quickly the solver closes in on its final answer).
-struct IncumbentImprovement {
-  double seconds = 0.0;  // Offset from the start of Solve (wall clock).
-  double objective = 0.0;
 };
 
 struct MilpSolution {
@@ -80,9 +73,9 @@ struct MilpSolution {
   int max_queue_depth = 0;
   // Wall-clock time spent inside Solve.
   double solve_seconds = 0.0;
-  // Every incumbent replacement, in commit order. The objectives are
-  // deterministic; the timestamps are wall clock (diagnostic only).
-  std::vector<IncumbentImprovement> incumbent_improvements;
+  // The objective of every incumbent replacement, in commit order
+  // (deterministic: how quickly the solver closes in on its final answer).
+  std::vector<double> incumbent_improvements;
 };
 
 struct MilpOptions {
@@ -93,21 +86,12 @@ struct MilpOptions {
   double time_limit_seconds = 0.0;
   // Branch-and-bound node budget; <= 0 disables the limit.
   int max_nodes = 0;
-  // Integrality tolerance.
-  double integrality_tol = 1e-6;
   // Initial incumbent (e.g. the previous scheduling cycle's solution). Used
   // only if it is feasible for the current model.
   std::vector<double> warm_start;
-  // Worker threads for the wave-parallel search; <= 1 solves on the calling
-  // thread. Ignored when `pool` is set (the pool's size wins).
-  int num_threads = 1;
-  // Optional borrowed pool (must outlive Solve). Lets the scheduler reuse
-  // one pool across cycles instead of spawning threads per solve.
+  // Workers for the wave-parallel search: a borrowed pool (must outlive
+  // Solve), reused across solves; null solves on the calling thread.
   ThreadPool* pool = nullptr;
-  // Nodes dispatched per wave; 0 uses the default. Part of the deterministic
-  // schedule: the result depends on this value but never on thread count, so
-  // it must NOT be derived from num_threads.
-  int batch_width = 0;
   // Thread each node's optimal basis to its children, which then re-optimize
   // with a few dual pivots instead of a cold two-phase solve. Every
   // relaxation still solves to proven optimality, so bounds, prunes, and the

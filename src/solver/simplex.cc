@@ -13,6 +13,10 @@ namespace threesigma {
 namespace {
 
 constexpr double kPivotTol = 1e-9;
+// Reduced-cost optimality tolerance.
+constexpr double kOptimalityTol = 1e-7;
+// Bound/feasibility tolerance.
+constexpr double kFeasibilityTol = 1e-7;
 // Pivots between eta-file reinversions. Each pivot appends one eta, so this
 // bounds both FTRAN/BTRAN cost growth and numerical drift of the
 // incrementally-updated basic values (reinversion recomputes them exactly).
@@ -477,8 +481,8 @@ bool SimplexSolver::PrimalFeasible() const {
   for (int r = 0; r < m_; ++r) {
     const int bv = basis_[static_cast<size_t>(r)];
     const double v = value_[static_cast<size_t>(bv)];
-    if (v < lower_[static_cast<size_t>(bv)] - options_->feasibility_tol ||
-        v > upper_[static_cast<size_t>(bv)] + options_->feasibility_tol) {
+    if (v < lower_[static_cast<size_t>(bv)] - kFeasibilityTol ||
+        v > upper_[static_cast<size_t>(bv)] + kFeasibilityTol) {
       return false;
     }
   }
@@ -493,15 +497,13 @@ bool SimplexSolver::MakeDualFeasible(const std::vector<double>& y) {
       continue;
     }
     const double d = ScanReducedCost(j, y);
-    if (status_[static_cast<size_t>(j)] == BasisStatus::kAtLower &&
-        d > options_->optimality_tol) {
+    if (status_[static_cast<size_t>(j)] == BasisStatus::kAtLower && d > kOptimalityTol) {
       if (upper_[static_cast<size_t>(j)] >= kLpInfinity) {
         return false;
       }
       status_[static_cast<size_t>(j)] = BasisStatus::kAtUpper;
       value_[static_cast<size_t>(j)] = upper_[static_cast<size_t>(j)];
-    } else if (status_[static_cast<size_t>(j)] == BasisStatus::kAtUpper &&
-               d < -options_->optimality_tol) {
+    } else if (status_[static_cast<size_t>(j)] == BasisStatus::kAtUpper && d < -kOptimalityTol) {
       if (lower_[static_cast<size_t>(j)] <= -kLpInfinity) {
         return false;
       }
@@ -548,8 +550,8 @@ void SimplexSolver::ColdStart() {
   for (int r = 0; r < m_; ++r) {
     const int sv = n_ + r;
     const double res = residual[static_cast<size_t>(r)];
-    if (res >= lower_[static_cast<size_t>(sv)] - options_->feasibility_tol &&
-        res <= upper_[static_cast<size_t>(sv)] + options_->feasibility_tol) {
+    if (res >= lower_[static_cast<size_t>(sv)] - kFeasibilityTol &&
+        res <= upper_[static_cast<size_t>(sv)] + kFeasibilityTol) {
       basis_[static_cast<size_t>(r)] = sv;
       status_[static_cast<size_t>(sv)] = BasisStatus::kBasic;
       value_[static_cast<size_t>(sv)] = res;
@@ -627,10 +629,8 @@ void SimplexSolver::RebuildCandidates(const std::vector<double>& y) {
     }
     const double d = ScanReducedCost(j, y);
     const bool favorable =
-        (status_[static_cast<size_t>(j)] == BasisStatus::kAtLower &&
-         d > options_->optimality_tol) ||
-        (status_[static_cast<size_t>(j)] == BasisStatus::kAtUpper &&
-         d < -options_->optimality_tol);
+        (status_[static_cast<size_t>(j)] == BasisStatus::kAtLower && d > kOptimalityTol) ||
+        (status_[static_cast<size_t>(j)] == BasisStatus::kAtUpper && d < -kOptimalityTol);
     if (favorable) {
       scored.push_back(Scored{std::fabs(d), j});
     }
@@ -651,7 +651,7 @@ void SimplexSolver::RebuildCandidates(const std::vector<double>& y) {
 int SimplexSolver::PriceList(const std::vector<double>& y, int* direction) {
   int pick = -1;
   int dir = +1;
-  double best = options_->optimality_tol;
+  double best = kOptimalityTol;
   size_t keep = 0;
   for (const int j : cand_) {
     if (status_[static_cast<size_t>(j)] == BasisStatus::kBasic ||
@@ -660,11 +660,9 @@ int SimplexSolver::PriceList(const std::vector<double>& y, int* direction) {
     }
     const double d = ReducedCost(j, y);
     int dj = 0;
-    if (status_[static_cast<size_t>(j)] == BasisStatus::kAtLower &&
-        d > options_->optimality_tol) {
+    if (status_[static_cast<size_t>(j)] == BasisStatus::kAtLower && d > kOptimalityTol) {
       dj = +1;
-    } else if (status_[static_cast<size_t>(j)] == BasisStatus::kAtUpper &&
-               d < -options_->optimality_tol) {
+    } else if (status_[static_cast<size_t>(j)] == BasisStatus::kAtUpper && d < -kOptimalityTol) {
       dj = -1;
     }
     if (dj == 0) {
@@ -719,12 +717,11 @@ LpStatus SimplexSolver::RunPrimal(bool phase1) {
           continue;
         }
         const double d = ReducedCost(j, y_);
-        if (status_[static_cast<size_t>(j)] == BasisStatus::kAtLower &&
-            d > options_->optimality_tol) {
+        if (status_[static_cast<size_t>(j)] == BasisStatus::kAtLower && d > kOptimalityTol) {
           entering = j;
           direction = +1;
         } else if (status_[static_cast<size_t>(j)] == BasisStatus::kAtUpper &&
-                   d < -options_->optimality_tol) {
+                   d < -kOptimalityTol) {
           entering = j;
           direction = -1;
         }
@@ -876,7 +873,7 @@ LpStatus SimplexSolver::RunDual() {
     // Leaving row: the basic variable with the largest bound violation
     // (tie-break: smallest row index — deterministic).
     int lrow = -1;
-    double viol = options_->feasibility_tol;
+    double viol = kFeasibilityTol;
     bool below = false;
     for (int r = 0; r < m_; ++r) {
       const int bv = basis_[static_cast<size_t>(r)];

@@ -90,10 +90,6 @@ struct LpSolution {
 struct SimplexOptions {
   // Hard cap on pivots across both phases; 0 means "derived from model size".
   int max_iterations = 0;
-  // Reduced-cost optimality tolerance.
-  double optimality_tol = 1e-7;
-  // Bound/feasibility tolerance.
-  double feasibility_tol = 1e-7;
   // Run presolve reductions first (solver/presolve.h); branch-and-bound
   // nodes benefit most (their bound fixings eliminate variables outright).
   // A start basis is mapped through the reductions (see presolve.h).

@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <limits>
 
+#include "src/sched/distribution_scheduler.h"
+
 namespace threesigma {
 namespace {
 
@@ -108,7 +110,7 @@ bool ParseScenario(const std::string& text, Scenario* out, std::string* error) {
            out->oe_probability_threshold >= 0.0 && out->oe_probability_threshold <= 1.0;
     } else if (key == "solver_threads") {
       ok = ParseInt(value, &out->solver_threads) && out->solver_threads > 0 &&
-           out->solver_threads <= kMaxScenarioSolverThreads;
+           out->solver_threads <= kMaxSolverThreads;
     } else if (key == "padding") {
       ok = ParseDouble(value, &out->padding) && out->padding > 0.0;
     } else if (key == "surge") {

@@ -29,10 +29,10 @@
 
 namespace threesigma {
 
-// Caps on the scenario knobs that size a fork's resources: its solver thread
-// pool, its cloned arrivals (surge factor and the trailing window they are
-// cloned from), and its injected fault events.
-inline constexpr int kMaxScenarioSolverThreads = 64;
+// Caps on the scenario knobs that size a fork's resources: its cloned
+// arrivals (surge factor and the trailing window they are cloned from) and
+// its injected fault events. Its solver thread pool is capped by
+// kMaxSolverThreads (distribution_scheduler.h), as on the command line.
 inline constexpr double kMaxScenarioSurge = 100.0;
 inline constexpr Duration kMaxScenarioSurgeWindow = 86400.0;
 inline constexpr int kMaxScenarioFailures = 100000;

@@ -1,8 +1,12 @@
-// FlagParser tests.
+// FlagParser tests, and the range checks BuildExperimentConfig applies to the
+// shared experiment flags.
+
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "src/common/flags.h"
+#include "src/core/config_flags.h"
 
 namespace threesigma {
 namespace {
@@ -195,6 +199,37 @@ TEST(FlagParserDeathTest, NullTargetRegistrationDies) {
         parser.AddInt("count", nullptr, "a count");
       },
       "target != nullptr");
+}
+
+// Every numeric experiment flag outside the range its consumer TS_CHECKs is
+// rejected by BuildExperimentConfig, naming the flag, instead of hanging or
+// aborting deep in the cluster, scheduler, generator, simulator or fault
+// code. Values at each bound are accepted. Nothing here builds a workload or
+// starts a thread.
+TEST(ExperimentFlagsTest, OutOfRangeValuesFailSoft) {
+  const auto build = [](const char* arg, std::string* error) {
+    ExperimentFlags flags;
+    FlagParser parser("test program");
+    RegisterExperimentFlags(parser, &flags);
+    EXPECT_TRUE(ParseArgs(parser, {arg})) << arg;
+    ExperimentConfig config;
+    return BuildExperimentConfig(flags, &config, error);
+  };
+  for (const char* arg :
+       {"--cycle=0", "--cycle=-5", "--max-pending=-3", "--groups=0", "--nodes-per-group=-1",
+        "--start-slots=0", "--hours=-1", "--hours=inf", "--load=0", "--load=nan",
+        "--fault-kill-prob=2", "--fault-straggler-prob=-0.1", "--fault-stall-prob=1.5",
+        "--fault-straggler-factor=0.5", "--solver-threads=65", "--solver-threads=0"}) {
+    std::string error;
+    EXPECT_FALSE(build(arg, &error)) << arg;
+    const std::string flag(arg, std::string(arg).find('='));
+    EXPECT_NE(error.find(flag), std::string::npos) << arg << ": " << error;
+  }
+  for (const char* arg : {"--solver-threads=64", "--solver-threads=1", "--start-slots=1",
+                          "--groups=1", "--fault-kill-prob=1", "--fault-straggler-factor=1"}) {
+    std::string error;
+    EXPECT_TRUE(build(arg, &error)) << arg << ": " << error;
+  }
 }
 
 }  // namespace

@@ -45,7 +45,6 @@ ExperimentConfig BaseConfig() {
   config.sim.seed = 7;
   config.sched.cycle_period = 10.0;
   config.sched.solver_threads = 1;
-  config.sched.solver_basis_warmstart = false;
   // No wall-clock budget: a limit that expires on a slow machine would
   // truncate the search and make the decisions depend on timing.
   config.sched.solver_time_limit_seconds = 0.0;
@@ -144,11 +143,12 @@ TEST(GoldenTraceTest, FaultsOn) {
   CheckGolden("faults_on", config);
 }
 
-TEST(GoldenTraceTest, WarmStartFourThreads) {
+// The solver is deterministic in thread count, so four threads reproduce the
+// single-threaded golden byte for byte.
+TEST(GoldenTraceTest, FourThreadsMatchBaseline) {
   ExperimentConfig config = BaseConfig();
-  config.sched.solver_basis_warmstart = true;
   config.sched.solver_threads = 4;
-  CheckGolden("warm_start_4threads", config);
+  CheckGolden("baseline", config);
 }
 
 }  // namespace

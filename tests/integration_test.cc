@@ -123,15 +123,6 @@ TEST_F(IntegrationTest, PaddedPointSystemRuns) {
   EXPECT_GT(m.slo_completed + m.be_completed, 0);
 }
 
-TEST_F(IntegrationTest, GreedyBackendRunsAndNeverPreempts) {
-  ExperimentConfig c = *config_;
-  c.sched.backend = SolverBackend::kGreedy;
-  const RunMetrics m = RunSystem(SystemKind::kThreeSigma, c, *workload_);
-  EXPECT_EQ(m.rejected_placements, 0);
-  EXPECT_EQ(m.preemptions, 0) << "greedy backend cannot preempt";
-  EXPECT_GT(m.slo_completed, 0);
-}
-
 TEST_F(IntegrationTest, MigrationPreemptionImprovesOrMatchesBeGoodput) {
   ExperimentConfig kill = *config_;
   ExperimentConfig resume = *config_;

@@ -8,7 +8,7 @@
 // and all three must agree on feasibility status and optimal objective to
 // 1e-6. (b) and (c) must additionally agree *exactly* — same values vector,
 // same node count, same incumbent-improvement objectives — because the wave
-// schedule is deterministic in batch_width and independent of thread count.
+// schedule is deterministic in the wave width and independent of thread count.
 
 #include <cmath>
 #include <cstdint>
@@ -95,7 +95,6 @@ TEST(MilpDifferentialTest, MatchesBruteForceAt1And4Threads) {
 
     // Unbudgeted search: the solver must prove optimality or infeasibility.
     MilpOptions serial;
-    serial.num_threads = 1;
     MilpOptions parallel;
     parallel.pool = &pool;
 
@@ -124,13 +123,7 @@ TEST(MilpDifferentialTest, MatchesBruteForceAt1And4Threads) {
     // explored-node count, and incumbent trajectory.
     EXPECT_EQ(s1.values, s4.values) << "program " << p;
     EXPECT_EQ(s1.nodes_explored, s4.nodes_explored) << "program " << p;
-    ASSERT_EQ(s1.incumbent_improvements.size(), s4.incumbent_improvements.size())
-        << "program " << p;
-    for (size_t i = 0; i < s1.incumbent_improvements.size(); ++i) {
-      EXPECT_DOUBLE_EQ(s1.incumbent_improvements[i].objective,
-                       s4.incumbent_improvements[i].objective)
-          << "program " << p;
-    }
+    EXPECT_EQ(s1.incumbent_improvements, s4.incumbent_improvements) << "program " << p;
   }
   // The generator must actually exercise the infeasible path.
   EXPECT_GT(infeasible_seen, 0);
@@ -147,10 +140,8 @@ TEST(MilpDifferentialTest, BudgetedSearchIsThreadCountInvariant) {
     const LpModel model = RandomBinaryProgram(rng, &int_vars);
 
     MilpOptions serial;
-    serial.num_threads = 1;
     serial.max_nodes = 5;
     MilpOptions parallel = serial;
-    parallel.num_threads = 4;
     parallel.pool = &pool;
 
     MilpSolver solver1(model, int_vars);
@@ -234,7 +225,8 @@ TEST(MilpDifferentialTest, BasisWarmstartNeverChangesTheAnswer) {
 }
 
 // Basis warm-starting composes with thread-count determinism: warm runs at 1
-// and 4 threads are exactly identical (values, node counts, trajectories).
+// and 4 threads are exactly identical (values, node counts, trajectories),
+// and so are the cold runs the warm ones are measured against.
 TEST(MilpDifferentialTest, BasisWarmstartIsThreadCountInvariant) {
   ThreadPool pool(4);
   for (int p = 0; p < 60; ++p) {
@@ -242,23 +234,26 @@ TEST(MilpDifferentialTest, BasisWarmstartIsThreadCountInvariant) {
     std::vector<int> int_vars;
     const LpModel model = RandomBinaryProgram(rng, &int_vars);
 
-    MilpOptions serial;  // basis_warmstart defaults on.
-    serial.num_threads = 1;
-    MilpOptions parallel = serial;
-    parallel.pool = &pool;
+    for (const bool warm : {true, false}) {
+      MilpOptions serial;
+      serial.basis_warmstart = warm;
+      MilpOptions parallel = serial;
+      parallel.pool = &pool;
 
-    MilpSolver solver1(model, int_vars);
-    const MilpSolution s1 = solver1.Solve(serial);
-    MilpSolver solver4(model, int_vars);
-    const MilpSolution s4 = solver4.Solve(parallel);
+      MilpSolver solver1(model, int_vars);
+      const MilpSolution s1 = solver1.Solve(serial);
+      MilpSolver solver4(model, int_vars);
+      const MilpSolution s4 = solver4.Solve(parallel);
 
-    EXPECT_EQ(s1.status, s4.status) << "program " << p;
-    EXPECT_EQ(s1.nodes_explored, s4.nodes_explored) << "program " << p;
-    EXPECT_EQ(s1.lp_iterations, s4.lp_iterations) << "program " << p;
-    EXPECT_EQ(s1.warm_started_nodes, s4.warm_started_nodes) << "program " << p;
-    if (s1.status != MilpStatus::kInfeasible) {
-      EXPECT_DOUBLE_EQ(s1.objective, s4.objective) << "program " << p;
-      EXPECT_EQ(s1.values, s4.values) << "program " << p;
+      SCOPED_TRACE(::testing::Message() << "program " << p << (warm ? " warm" : " cold"));
+      EXPECT_EQ(s1.status, s4.status);
+      EXPECT_EQ(s1.nodes_explored, s4.nodes_explored);
+      EXPECT_EQ(s1.lp_iterations, s4.lp_iterations);
+      EXPECT_EQ(s1.warm_started_nodes, s4.warm_started_nodes);
+      if (s1.status != MilpStatus::kInfeasible) {
+        EXPECT_DOUBLE_EQ(s1.objective, s4.objective);
+        EXPECT_EQ(s1.values, s4.values);
+      }
     }
   }
 }

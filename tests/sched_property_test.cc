@@ -66,33 +66,6 @@ TEST(SchedPropertyTest, ThreadCountNeverChangesTheSchedule) {
   EXPECT_GT(m.cycle_sum.valuation_cache_hits, 0) << "table cache never hit";
 }
 
-TEST(SchedPropertyTest, BasisWarmstartPreservesThreadCountDeterminism) {
-  // Basis warm-starting (parent bases to B&B children, previous cycle's root
-  // basis across cycles) follows the thread-count-independent wave schedule,
-  // so warm-started runs must stay byte-identical at any thread count too.
-  ExperimentConfig config = PropertyConfig();
-  const GeneratedWorkload workload = GenerateWorkload(config.cluster, config.workload);
-  ASSERT_TRUE(config.sched.solver_basis_warmstart);  // Default-on.
-
-  config.sched.solver_threads = 1;
-  const SimResult serial = SimulateSystem(SystemKind::kThreeSigma, config, workload);
-  config.sched.solver_threads = 4;
-  const SimResult parallel = SimulateSystem(SystemKind::kThreeSigma, config, workload);
-
-  EXPECT_GT(serial.jobs.size(), 0u);
-  EXPECT_EQ(SimTrace(serial), SimTrace(parallel));
-
-  // And warm-start-off is a sane fallback: same workload completes, and the
-  // schedule is again thread-count invariant.
-  config.sched.solver_basis_warmstart = false;
-  config.sched.solver_threads = 1;
-  const SimResult cold_serial = SimulateSystem(SystemKind::kThreeSigma, config, workload);
-  config.sched.solver_threads = 4;
-  const SimResult cold_parallel = SimulateSystem(SystemKind::kThreeSigma, config, workload);
-  EXPECT_EQ(cold_serial.jobs.size(), serial.jobs.size());
-  EXPECT_EQ(SimTrace(cold_serial), SimTrace(cold_parallel));
-}
-
 // ---------------------------------------------------------------------------
 // Eq. 3 monotonicity: more running load, less expected free capacity.
 

@@ -420,53 +420,6 @@ TEST(DistributionSchedulerTest, SolveSkipAvoidsRedundantCycles) {
   EXPECT_GT(third.milp_variables, 0);
 }
 
-TEST(DistributionSchedulerTest, GreedyBackendSchedulesAndRespectsCapacity) {
-  // Same Fig. 5 scenario 1 under the greedy backend: it has no joint
-  // optimization, but it must still produce a feasible, single-job start.
-  ClusterConfig cluster = ClusterConfig::Uniform(1, 1);
-  FakePredictor predictor;
-  const auto dist = EmpiricalDistribution::FromUniform(0.0, Minutes(10.0), 200);
-  predictor.Set("job=D", dist, dist.Mean());
-  predictor.Set("job=BE", dist, dist.Mean());
-  DistSchedulerConfig config = Fig5Config();
-  config.backend = SolverBackend::kGreedy;
-  DistributionScheduler sched(cluster, &predictor, config);
-  sched.OnJobArrival(MakeSloJob(1, 0.0, Minutes(5.0), Minutes(15.0), 10.0, "D"), 0.0);
-  sched.OnJobArrival(MakeBeJob(2, 0.0, Minutes(5.0), 1.0, "BE"), 0.0);
-  const CycleResult result = sched.RunCycle(0.0, IdleView(cluster));
-  // Greedy considers SLO jobs first, so D starts now; BE cannot fit at any
-  // slot whose expected capacity D still holds.
-  ASSERT_EQ(result.start.size(), 1u);
-  EXPECT_EQ(result.start[0].job, 1);
-  EXPECT_TRUE(result.preempt.empty()) << "greedy backend never preempts";
-  EXPECT_EQ(result.milp_variables, 0) << "no MILP was built";
-}
-
-TEST(DistributionSchedulerTest, GreedyBackendNeverPreempts) {
-  ClusterConfig cluster = ClusterConfig::Uniform(1, 4);
-  FakePredictor predictor;
-  const auto long_dist = EmpiricalDistribution::FromUniform(Hours(1.0), Hours(2.0), 50);
-  const auto short_dist = EmpiricalDistribution::FromUniform(Minutes(4.0), Minutes(6.0), 50);
-  predictor.Set("job=hog", long_dist, long_dist.Mean());
-  predictor.Set("job=urgent", short_dist, short_dist.Mean());
-  DistSchedulerConfig config = Fig5Config();
-  config.backend = SolverBackend::kGreedy;
-  DistributionScheduler sched(cluster, &predictor, config);
-  JobSpec hog = MakeBeJob(1, 0.0, Hours(1.5), 1.0, "hog");
-  hog.num_tasks = 4;
-  sched.OnJobArrival(hog, 0.0);
-  sched.OnJobStarted(1, 0, 0.0);
-  ClusterStateView view = IdleView(cluster);
-  view.free_nodes = {0};
-  view.running = {RunningJobView{1, 0, 0.0, 4, JobType::kBestEffort}};
-  JobSpec urgent = MakeSloJob(2, Minutes(1.0), Minutes(5.0), Minutes(9.0), 40.0, "urgent");
-  urgent.num_tasks = 4;
-  sched.OnJobArrival(urgent, Minutes(1.0));
-  const CycleResult r = sched.RunCycle(Minutes(1.0), view);
-  EXPECT_TRUE(r.preempt.empty());
-  EXPECT_TRUE(r.start.empty());
-}
-
 // ---------------------------------------------------------------------------
 // PrioScheduler
 // ---------------------------------------------------------------------------

@@ -470,7 +470,6 @@ ExperimentConfig CheckpointChaosConfig() {
   // (the only legitimately nondeterministic solver input).
   config.sched.solver_time_limit_seconds = 0.0;
   config.sched.solver_threads = 4;
-  config.sched.solver_basis_warmstart = true;
   config.sim.faults.node_mttf = 1500.0;
   config.sim.faults.node_mttr = 240.0;
   config.sim.faults.task_kill_prob = 0.05;

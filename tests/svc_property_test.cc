@@ -38,7 +38,6 @@ ExperimentConfig BaseConfig() {
   config.sim.seed = 7;
   config.sched.cycle_period = 10.0;
   config.sched.solver_threads = 1;
-  config.sched.solver_basis_warmstart = false;
   return config;
 }
 
@@ -170,7 +169,6 @@ TEST(SvcPropertyTest, ChunkedSessionMatchesBatchSingleThread) {
 TEST(SvcPropertyTest, UpfrontSessionMatchesBatchFourThreads) {
   ExperimentConfig config = BaseConfig();
   config.sched.solver_threads = 4;
-  config.sched.solver_basis_warmstart = true;
   const std::string batch = BatchDecisionCsv(config);
   ExpectNonTrivial(batch);
   const std::string service = ServiceDecisionCsv(config, /*chunk_seconds=*/0.0);

@@ -184,12 +184,12 @@ TEST(ScenarioTest, RejectsNonFiniteOutOfRangeAndOversizedValues) {
   // The caps themselves are accepted.
   Scenario scenario;
   std::string error;
-  EXPECT_TRUE(ParseScenario("solver_threads=" + std::to_string(kMaxScenarioSolverThreads) +
+  EXPECT_TRUE(ParseScenario("solver_threads=" + std::to_string(kMaxSolverThreads) +
                                 ",surge=100,surge_window=86400,failures=" +
                                 std::to_string(kMaxScenarioFailures),
                             &scenario, &error))
       << error;
-  EXPECT_EQ(scenario.solver_threads, kMaxScenarioSolverThreads);
+  EXPECT_EQ(scenario.solver_threads, kMaxSolverThreads);
   EXPECT_DOUBLE_EQ(scenario.surge_window, kMaxScenarioSurgeWindow);
   EXPECT_EQ(scenario.extra_node_failures, kMaxScenarioFailures);
 }
