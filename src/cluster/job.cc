@@ -1,7 +1,9 @@
 #include "src/cluster/job.h"
 
 #include <algorithm>
+#include <cmath>
 
+#include "src/cluster/cluster.h"
 #include "src/snapshot/snapshot_io.h"
 
 namespace threesigma {
@@ -25,42 +27,50 @@ double JobSpec::DeadlineSlackPercent() const {
   return (deadline - submit_time - true_runtime) / true_runtime * 100.0;
 }
 
-void JobSpec::SaveState(SnapshotWriter& writer) const {
-  writer.WriteVarI64(id);
-  writer.WriteString(name);
-  writer.WriteString(user);
-  writer.WriteU8(static_cast<uint8_t>(type));
-  writer.WriteDouble(submit_time);
-  writer.WriteDouble(true_runtime);
-  writer.WriteVarI64(num_tasks);
-  writer.WriteDouble(deadline);
-  writer.WriteIntVec(preferred_groups);
-  writer.WriteDouble(nonpreferred_slowdown);
-  utility.SaveState(writer);
-  writer.WriteVarU64(features.size());
-  for (const std::string& f : features) {
-    writer.WriteString(f);
-  }
+template <typename Io, typename Self>
+void JobSpec::Walk(Io& io, Self& self) {
+  io.VarInt(self.id);
+  io.String(self.name);
+  io.String(self.user);
+  io.Enum(self.type, JobType::kBestEffort);
+  io.Double(self.submit_time);
+  io.Double(self.true_runtime);
+  io.VarInt(self.num_tasks);
+  io.Double(self.deadline);
+  io.Seq(self.preferred_groups, [&](auto& g) { io.VarInt(g); });
+  io.Double(self.nonpreferred_slowdown);
+  io.Nested(self.utility);
+  io.Seq(self.features, [&](auto& f) { io.String(f); });
 }
 
-void JobSpec::RestoreState(SnapshotReader& reader) {
-  id = reader.ReadVarI64();
-  name = reader.ReadString();
-  user = reader.ReadString();
-  type = static_cast<JobType>(reader.ReadU8());
-  submit_time = reader.ReadDouble();
-  true_runtime = reader.ReadDouble();
-  num_tasks = static_cast<int>(reader.ReadVarI64());
-  deadline = reader.ReadDouble();
-  preferred_groups = reader.ReadIntVec();
-  nonpreferred_slowdown = reader.ReadDouble();
-  utility.RestoreState(reader);
-  const uint64_t n = reader.ReadVarU64();
-  features.clear();
-  features.reserve(reader.ok() ? n : 0);
-  for (uint64_t i = 0; reader.ok() && i < n; ++i) {
-    features.push_back(reader.ReadString());
+void JobSpec::SaveState(SnapshotWriter& writer) const { Walk(writer, *this); }
+void JobSpec::RestoreState(SnapshotReader& reader) { Walk(reader, *this); }
+
+bool ValidateJobSpec(const JobSpec& spec, const ClusterConfig& cluster, std::string* error) {
+  const auto reject = [&](const std::string& why) {
+    if (error != nullptr) {
+      *error = "job " + std::to_string(spec.id) + " " + why;
+    }
+    return false;
+  };
+  const UtilityFunction& u = spec.utility;
+  for (const double v : {spec.submit_time, spec.true_runtime, spec.deadline,
+                         spec.nonpreferred_slowdown, u.peak_value(), u.deadline(), u.start(),
+                         u.window()}) {
+    if (!std::isfinite(v)) {
+      return reject("has a non-finite number");
+    }
   }
+  if (spec.submit_time < 0.0 || spec.true_runtime <= 0.0 || spec.nonpreferred_slowdown <= 0.0) {
+    return reject("needs submit_time >= 0, true_runtime > 0 and nonpreferred_slowdown > 0");
+  }
+  if (u.peak_value() <= 0.0 || (u.kind() != UtilityFunction::Kind::kStep && u.window() <= 0.0)) {
+    return reject("has a utility with a non-positive value or window");
+  }
+  if (spec.num_tasks <= 0 || spec.num_tasks > cluster.max_group_size()) {
+    return reject("gang width does not fit any node group");
+  }
+  return true;
 }
 
 }  // namespace threesigma

@@ -19,6 +19,7 @@
 
 namespace threesigma {
 
+class ClusterConfig;
 class SnapshotReader;
 class SnapshotWriter;
 
@@ -70,7 +71,23 @@ struct JobSpec {
   // Snapshot codec hooks: raw payload, composable into a parent section.
   void SaveState(SnapshotWriter& writer) const;
   void RestoreState(SnapshotReader& reader);
+
+ private:
+  template <typename Io, typename Self>
+  static void Walk(Io& io, Self& self);
 };
+
+// The one admission check for a job entering a run from outside: service
+// submissions, simulator injections and restored snapshots. Rejects, with
+// `*error` set:
+//   - a non-finite number anywhere in the spec (so a deadline must be
+//     kNever or finite);
+//   - a negative submit_time, or a non-positive true_runtime or
+//     nonpreferred_slowdown;
+//   - a utility that breaks its factories' invariants (value > 0, and
+//     window > 0 for the decaying kinds);
+//   - a gang that is empty or wider than every node group of `cluster`.
+bool ValidateJobSpec(const JobSpec& spec, const ClusterConfig& cluster, std::string* error);
 
 }  // namespace threesigma
 

@@ -67,20 +67,16 @@ UtilityFunction UtilityFunction::WithOverestimateDecay(Duration decay_window) co
   return SloStepWithDecay(value_, deadline_, decay_window);
 }
 
-void UtilityFunction::SaveState(SnapshotWriter& writer) const {
-  writer.WriteU8(static_cast<uint8_t>(kind_));
-  writer.WriteDouble(value_);
-  writer.WriteDouble(deadline_);
-  writer.WriteDouble(start_);
-  writer.WriteDouble(window_);
+template <typename Io, typename Self>
+void UtilityFunction::Walk(Io& io, Self& self) {
+  io.Enum(self.kind_, Kind::kLinear);
+  io.Double(self.value_);
+  io.Double(self.deadline_);
+  io.Double(self.start_);
+  io.Double(self.window_);
 }
 
-void UtilityFunction::RestoreState(SnapshotReader& reader) {
-  kind_ = static_cast<Kind>(reader.ReadU8());
-  value_ = reader.ReadDouble();
-  deadline_ = reader.ReadDouble();
-  start_ = reader.ReadDouble();
-  window_ = reader.ReadDouble();
-}
+void UtilityFunction::SaveState(SnapshotWriter& writer) const { Walk(writer, *this); }
+void UtilityFunction::RestoreState(SnapshotReader& reader) { Walk(reader, *this); }
 
 }  // namespace threesigma

@@ -56,6 +56,9 @@ class UtilityFunction {
   void RestoreState(SnapshotReader& reader);
 
  private:
+  template <typename Io, typename Self>
+  static void Walk(Io& io, Self& self);
+
   Kind kind_ = Kind::kStep;
   double value_ = 0.0;
   Time deadline_ = 0.0;          // Step kinds: the SLO deadline.

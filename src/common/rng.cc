@@ -112,8 +112,8 @@ void Rng::SaveState(SnapshotWriter& writer) const { writer.WriteString(Serialize
 
 void Rng::RestoreState(SnapshotReader& reader) {
   const std::string state = reader.ReadString();
-  if (reader.ok()) {
-    TS_CHECK_MSG(DeserializeState(state), "corrupt RNG state in snapshot");
+  if (reader.ok() && !DeserializeState(state)) {
+    reader.Fail("corrupt RNG state in snapshot");
   }
 }
 

@@ -40,46 +40,44 @@ double RunningStats::cov() const {
   return stddev() / m;
 }
 
-void RunningStats::SaveState(SnapshotWriter& writer) const {
-  writer.WriteVarU64(count_);
-  writer.WriteDouble(mean_);
-  writer.WriteDouble(m2_);
-  writer.WriteDouble(min_);
-  writer.WriteDouble(max_);
-  writer.WriteDouble(sum_);
+template <typename Io, typename Self>
+void RunningStats::Walk(Io& io, Self& self) {
+  io.VarUint(self.count_);
+  io.Double(self.mean_);
+  io.Double(self.m2_);
+  io.Double(self.min_);
+  io.Double(self.max_);
+  io.Double(self.sum_);
 }
 
-void RunningStats::RestoreState(SnapshotReader& reader) {
-  count_ = reader.ReadVarU64();
-  mean_ = reader.ReadDouble();
-  m2_ = reader.ReadDouble();
-  min_ = reader.ReadDouble();
-  max_ = reader.ReadDouble();
-  sum_ = reader.ReadDouble();
+void RunningStats::SaveState(SnapshotWriter& writer) const { Walk(writer, *this); }
+void RunningStats::RestoreState(SnapshotReader& reader) { Walk(reader, *this); }
+
+template <typename Io, typename Self>
+void EwmaEstimator::Walk(Io& io, Self& self) {
+  io.Double(self.alpha_);
+  io.Bool(self.seeded_);
+  io.Double(self.value_);
 }
 
-void EwmaEstimator::SaveState(SnapshotWriter& writer) const {
-  writer.WriteDouble(alpha_);
-  writer.WriteBool(seeded_);
-  writer.WriteDouble(value_);
+void EwmaEstimator::SaveState(SnapshotWriter& writer) const { Walk(writer, *this); }
+void EwmaEstimator::RestoreState(SnapshotReader& reader) { Walk(reader, *this); }
+
+template <typename Io, typename Self>
+void RecentWindow::Walk(Io& io, Self& self) {
+  io.VarUint(self.capacity_);
+  io.VarUint(self.next_);
+  io.Seq(self.values_, [&](auto& v) { io.Double(v); }, sizeof(double));
 }
 
-void EwmaEstimator::RestoreState(SnapshotReader& reader) {
-  alpha_ = reader.ReadDouble();
-  seeded_ = reader.ReadBool();
-  value_ = reader.ReadDouble();
-}
-
-void RecentWindow::SaveState(SnapshotWriter& writer) const {
-  writer.WriteVarU64(capacity_);
-  writer.WriteVarU64(next_);
-  writer.WriteDoubleVec(values_);
-}
+void RecentWindow::SaveState(SnapshotWriter& writer) const { Walk(writer, *this); }
 
 void RecentWindow::RestoreState(SnapshotReader& reader) {
-  capacity_ = reader.ReadVarU64();
-  next_ = reader.ReadVarU64();
-  values_ = reader.ReadDoubleVec();
+  Walk(reader, *this);
+  // Add() indexes values_[next_] modulo capacity_.
+  if (capacity_ == 0 || next_ >= capacity_ || values_.size() > capacity_) {
+    reader.Fail("recent window cursor out of range");
+  }
 }
 
 void EwmaEstimator::Add(double x) {

@@ -37,6 +37,9 @@ class RunningStats {
   void RestoreState(SnapshotReader& reader);
 
  private:
+  template <typename Io, typename Self>
+  static void Walk(Io& io, Self& self);
+
   size_t count_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
@@ -60,6 +63,9 @@ class EwmaEstimator {
   void RestoreState(SnapshotReader& reader);
 
  private:
+  template <typename Io, typename Self>
+  static void Walk(Io& io, Self& self);
+
   double alpha_;
   double value_ = 0.0;
   bool seeded_ = false;
@@ -83,6 +89,9 @@ class RecentWindow {
   void RestoreState(SnapshotReader& reader);
 
  private:
+  template <typename Io, typename Self>
+  static void Walk(Io& io, Self& self);
+
   size_t capacity_;
   size_t next_ = 0;
   std::vector<double> values_;

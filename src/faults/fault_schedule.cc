@@ -212,44 +212,13 @@ double AvailabilityTimeline::DowntimeNodeSeconds(Time end) const {
   return total;
 }
 
-void FaultSchedule::SaveState(SnapshotWriter& writer) const {
-  writer.WriteDouble(options_.node_mttf);
-  writer.WriteDouble(options_.node_mttr);
-  writer.WriteDouble(options_.task_kill_prob);
-  writer.WriteDouble(options_.straggler_prob);
-  writer.WriteDouble(options_.straggler_factor);
-  writer.WriteDouble(options_.cycle_stall_prob);
-  writer.WriteDouble(options_.cycle_stall);
-  writer.WriteU64(options_.seed);
-  writer.WriteVarU64(node_events_.size());
-  for (const FaultEvent& e : node_events_) {
-    writer.WriteDouble(e.time);
-    writer.WriteU8(static_cast<uint8_t>(e.kind));
-    writer.WriteVarI64(e.group);
-    writer.WriteVarI64(e.count);
-  }
+template <typename Io, typename Self>
+void FaultSchedule::Walk(Io& io, Self& self) {
+  WalkFaultOptions(io, self.options_);
+  WalkFaultEvents(io, self.node_events_);
 }
 
-void FaultSchedule::RestoreState(SnapshotReader& reader) {
-  options_.node_mttf = reader.ReadDouble();
-  options_.node_mttr = reader.ReadDouble();
-  options_.task_kill_prob = reader.ReadDouble();
-  options_.straggler_prob = reader.ReadDouble();
-  options_.straggler_factor = reader.ReadDouble();
-  options_.cycle_stall_prob = reader.ReadDouble();
-  options_.cycle_stall = reader.ReadDouble();
-  options_.seed = reader.ReadU64();
-  const uint64_t n = reader.ReadVarCount(8);
-  node_events_.clear();
-  node_events_.reserve(reader.ok() ? n : 0);
-  for (uint64_t i = 0; reader.ok() && i < n; ++i) {
-    FaultEvent e;
-    e.time = reader.ReadDouble();
-    e.kind = static_cast<FaultKind>(reader.ReadU8());
-    e.group = static_cast<int>(reader.ReadVarI64());
-    e.count = static_cast<int>(reader.ReadVarI64());
-    node_events_.push_back(e);
-  }
-}
+void FaultSchedule::SaveState(SnapshotWriter& writer) const { Walk(writer, *this); }
+void FaultSchedule::RestoreState(SnapshotReader& reader) { Walk(reader, *this); }
 
 }  // namespace threesigma

@@ -76,6 +76,30 @@ struct FaultOptions {
   }
 };
 
+// Snapshot layouts (see src/snapshot/snapshot_io.h), shared by every
+// section that carries fault options or events.
+template <typename Io, typename Options>
+void WalkFaultOptions(Io& io, Options& o) {
+  io.Double(o.node_mttf);
+  io.Double(o.node_mttr);
+  io.Double(o.task_kill_prob);
+  io.Double(o.straggler_prob);
+  io.Double(o.straggler_factor);
+  io.Double(o.cycle_stall_prob);
+  io.Double(o.cycle_stall);
+  io.Fixed64(o.seed);
+}
+
+template <typename Io, typename Events>
+void WalkFaultEvents(Io& io, Events& events) {
+  io.Seq(events, [&](auto& e) {
+    io.Double(e.time);
+    io.Enum(e.kind, FaultKind::kNodeUp);
+    io.VarInt(e.group);
+    io.VarInt(e.count);
+  }, 8);
+}
+
 class FaultSchedule {
  public:
   // Empty schedule: no events, every probabilistic draw declines.
@@ -128,6 +152,9 @@ class FaultSchedule {
   void RestoreState(SnapshotReader& reader);
 
  private:
+  template <typename Io, typename Self>
+  static void Walk(Io& io, Self& self);
+
   FaultOptions options_;
   std::vector<FaultEvent> node_events_;
 };

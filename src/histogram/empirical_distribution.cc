@@ -227,23 +227,30 @@ EmpiricalDistribution EmpiricalDistribution::Shifted(double delta) const {
   return FromAtoms(std::move(out));
 }
 
-void EmpiricalDistribution::SaveState(SnapshotWriter& writer) const {
-  writer.WriteVarU64(atoms_.size());
-  for (const Atom& a : atoms_) {
-    writer.WriteDouble(a.value);
-    writer.WriteDouble(a.probability);
-  }
+template <typename Io, typename Self>
+void EmpiricalDistribution::Walk(Io& io, Self& self) {
+  io.Seq(self.atoms_, [&](auto& a) {
+    io.Double(a.value);
+    io.Double(a.probability);
+  }, 2 * sizeof(double));
 }
 
+void EmpiricalDistribution::SaveState(SnapshotWriter& writer) const { Walk(writer, *this); }
+
 void EmpiricalDistribution::RestoreState(SnapshotReader& reader) {
-  const uint64_t n = reader.ReadVarCount(16);  // Each atom is two doubles.
-  atoms_.clear();
-  atoms_.reserve(reader.ok() ? n : 0);
-  for (uint64_t i = 0; reader.ok() && i < n; ++i) {
-    Atom a;
-    a.value = reader.ReadDouble();
-    a.probability = reader.ReadDouble();
-    atoms_.push_back(a);
+  Walk(reader, *this);
+  // FromAtoms (behind Scaled/Shifted) requires finite, non-negative atoms
+  // with positive total mass.
+  double total = 0.0;
+  for (const Atom& a : atoms_) {
+    if (!std::isfinite(a.value) || !std::isfinite(a.probability) || a.probability < 0.0) {
+      reader.Fail("distribution atom out of range");
+      return;
+    }
+    total += a.probability;
+  }
+  if (!atoms_.empty() && !(total > 0.0)) {
+    reader.Fail("distribution has no probability mass");
   }
 }
 

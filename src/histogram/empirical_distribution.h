@@ -115,6 +115,8 @@ class EmpiricalDistribution {
 
  private:
   static EmpiricalDistribution FromAtoms(std::vector<Atom> atoms);
+  template <typename Io, typename Self>
+  static void Walk(Io& io, Self& self);
 
   std::vector<Atom> atoms_;  // Sorted by value; probabilities sum to 1.
 };

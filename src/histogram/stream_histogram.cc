@@ -136,31 +136,30 @@ double StreamHistogram::Quantile(double q) const {
   return 0.5 * (lo + hi);
 }
 
-void StreamHistogram::SaveState(SnapshotWriter& writer) const {
-  writer.WriteVarU64(max_bins_);
-  writer.WriteDouble(total_count_);
-  writer.WriteDouble(min_);
-  writer.WriteDouble(max_);
-  writer.WriteVarU64(bins_.size());
-  for (const Bin& b : bins_) {
-    writer.WriteDouble(b.centroid);
-    writer.WriteDouble(b.count);
-  }
+template <typename Io, typename Self>
+void StreamHistogram::Walk(Io& io, Self& self) {
+  io.VarUint(self.max_bins_);
+  io.Double(self.total_count_);
+  io.Double(self.min_);
+  io.Double(self.max_);
+  io.Seq(self.bins_, [&](auto& b) {
+    io.Double(b.centroid);
+    io.Double(b.count);
+  }, 2 * sizeof(double));
 }
 
+void StreamHistogram::SaveState(SnapshotWriter& writer) const { Walk(writer, *this); }
+
 void StreamHistogram::RestoreState(SnapshotReader& reader) {
-  max_bins_ = reader.ReadVarU64();
-  total_count_ = reader.ReadDouble();
-  min_ = reader.ReadDouble();
-  max_ = reader.ReadDouble();
-  const uint64_t n = reader.ReadVarCount(16);  // Each bin is two doubles.
-  bins_.clear();
-  bins_.reserve(reader.ok() ? n : 0);
-  for (uint64_t i = 0; reader.ok() && i < n; ++i) {
-    Bin b;
-    b.centroid = reader.ReadDouble();
-    b.count = reader.ReadDouble();
-    bins_.push_back(b);
+  Walk(reader, *this);
+  // The constructor's bin budget, and the positive finite bins that
+  // EmpiricalDistribution::FromHistogram turns into atoms.
+  bool bins_ok = max_bins_ >= 2;
+  for (const Bin& b : bins_) {
+    bins_ok = bins_ok && std::isfinite(b.centroid) && std::isfinite(b.count) && b.count > 0.0;
+  }
+  if (!bins_ok) {
+    reader.Fail("histogram bins out of range");
   }
 }
 

@@ -57,6 +57,8 @@ class StreamHistogram {
   // to the bin budget.
   void InsertBin(double centroid, double count);
   void ShrinkToBudget();
+  template <typename Io, typename Self>
+  static void Walk(Io& io, Self& self);
 
   size_t max_bins_;
   std::vector<Bin> bins_;  // Sorted by centroid, strictly increasing.

@@ -172,66 +172,91 @@ void MetricsRegistry::WriteText(std::ostream& os) const {
   }
 }
 
+namespace {
+
+// The registry's persisted form: every metric's aggregate, in name order.
+struct RegistryImage {
+  struct HistogramImage {
+    std::string name;
+    std::vector<double> edges;
+    std::vector<int64_t> counts;
+  };
+  std::vector<std::pair<std::string, int64_t>> counters;
+  std::vector<std::pair<std::string, double>> gauges;
+  std::vector<HistogramImage> histograms;
+};
+
+template <typename Io, typename Image>
+void WalkImage(Io& io, Image& image) {
+  io.Seq(image.counters, [&](auto& c) {
+    io.String(c.first);
+    io.VarInt(c.second);
+  });
+  io.Seq(image.gauges, [&](auto& g) {
+    io.String(g.first);
+    io.Double(g.second);
+  });
+  io.Seq(image.histograms, [&](auto& h) {
+    io.String(h.name);
+    io.Seq(h.edges, [&](auto& e) { io.Double(e); }, sizeof(double));
+    io.Seq(h.counts, [&](auto& c) { io.VarInt(c); });
+  });
+}
+
+}  // namespace
+
 void MetricsRegistry::SaveState(SnapshotWriter& writer) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  writer.WriteVarU64(counters_.size());
-  for (const auto& [name, counter] : counters_) {
-    writer.WriteString(name);
-    writer.WriteVarI64(counter->Value());
-  }
-  writer.WriteVarU64(gauges_.size());
-  for (const auto& [name, gauge] : gauges_) {
-    writer.WriteString(name);
-    writer.WriteDouble(gauge->Value());
-  }
-  writer.WriteVarU64(histograms_.size());
-  for (const auto& [name, histogram] : histograms_) {
-    writer.WriteString(name);
-    writer.WriteDoubleVec(histogram->edges());
-    const std::vector<int64_t> counts = histogram->BucketCounts();
-    writer.WriteVarU64(counts.size());
-    for (int64_t c : counts) {
-      writer.WriteVarI64(c);
+  RegistryImage image;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& [name, counter] : counters_) {
+      image.counters.emplace_back(name, counter->Value());
+    }
+    for (const auto& [name, gauge] : gauges_) {
+      image.gauges.emplace_back(name, gauge->Value());
+    }
+    for (const auto& [name, histogram] : histograms_) {
+      image.histograms.push_back({name, histogram->edges(), histogram->BucketCounts()});
     }
   }
+  WalkImage(writer, image);
 }
 
 void MetricsRegistry::RestoreState(SnapshotReader& reader) {
-  const uint64_t num_counters = reader.ReadVarU64();
-  for (uint64_t i = 0; reader.ok() && i < num_counters; ++i) {
-    const std::string name = reader.ReadString();
-    const int64_t value = reader.ReadVarI64();
-    if (reader.ok()) {
-      GetCounter(name)->Set(value);
+  RegistryImage image;
+  WalkImage(reader, image);
+  // GetHistogram aborts on edges that differ from a registered histogram's,
+  // and the Histogram constructor on empty or unsorted edges.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const std::string* previous = nullptr;
+    for (const RegistryImage::HistogramImage& h : image.histograms) {
+      const auto it = histograms_.find(h.name);
+      if (h.edges.empty() || !std::is_sorted(h.edges.begin(), h.edges.end()) ||
+          (it != histograms_.end() && it->second->edges() != h.edges) ||
+          (previous != nullptr && h.name <= *previous)) {
+        reader.Fail("histogram " + h.name + " does not match this registry");
+        return;
+      }
+      previous = &h.name;
     }
   }
-  const uint64_t num_gauges = reader.ReadVarU64();
-  for (uint64_t i = 0; reader.ok() && i < num_gauges; ++i) {
-    const std::string name = reader.ReadString();
-    const double value = reader.ReadDouble();
-    if (reader.ok()) {
-      GetGauge(name)->Set(value);
-    }
+  if (!reader.ok()) {
+    return;
   }
-  const uint64_t num_histograms = reader.ReadVarU64();
-  for (uint64_t i = 0; reader.ok() && i < num_histograms; ++i) {
-    const std::string name = reader.ReadString();
-    const std::vector<double> edges = reader.ReadDoubleVec();
-    const uint64_t num_buckets = reader.ReadVarCount();
-    std::vector<int64_t> counts;
-    counts.reserve(reader.ok() ? num_buckets : 0);
-    for (uint64_t b = 0; reader.ok() && b < num_buckets; ++b) {
-      counts.push_back(reader.ReadVarI64());
-    }
-    if (!reader.ok() || edges.empty()) {
-      continue;
-    }
-    Histogram* histogram = GetHistogram(name, edges);
+  for (const auto& [name, value] : image.counters) {
+    GetCounter(name)->Set(value);
+  }
+  for (const auto& [name, value] : image.gauges) {
+    GetGauge(name)->Set(value);
+  }
+  for (const RegistryImage::HistogramImage& h : image.histograms) {
+    Histogram* histogram = GetHistogram(h.name, h.edges);
     histogram->Reset();
     // Restore is absolute: install the saved counts as the base so further
     // observations continue from the checkpoint totals.
-    for (size_t b = 0; b < counts.size() && b < histogram->base_.size(); ++b) {
-      histogram->base_[b].store(counts[b], std::memory_order_relaxed);
+    for (size_t b = 0; b < h.counts.size() && b < histogram->base_.size(); ++b) {
+      histogram->base_[b].store(h.counts[b], std::memory_order_relaxed);
     }
   }
 }

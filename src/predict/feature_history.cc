@@ -90,30 +90,24 @@ size_t FeatureHistory::NmaeSamples(ExpertKind kind) const {
   return nmae_[static_cast<size_t>(kind)].samples;
 }
 
-void FeatureHistory::SaveState(SnapshotWriter& writer) const {
-  writer.WriteVarU64(count_);
-  histogram_.SaveState(writer);
-  average_.SaveState(writer);
-  rolling_.SaveState(writer);
-  recent_.SaveState(writer);
-  for (const NmaeAccumulator& acc : nmae_) {
-    writer.WriteDouble(acc.abs_error);
-    writer.WriteDouble(acc.actual_sum);
-    writer.WriteVarU64(acc.samples);
+template <typename Io, typename Self>
+void FeatureHistory::Walk(Io& io, Self& self) {
+  io.VarUint(self.count_);
+  io.Nested(self.histogram_);
+  io.Nested(self.average_);
+  io.Nested(self.rolling_);
+  io.Nested(self.recent_);
+  for (auto& acc : self.nmae_) {
+    io.Double(acc.abs_error);
+    io.Double(acc.actual_sum);
+    io.VarUint(acc.samples);
   }
 }
 
+void FeatureHistory::SaveState(SnapshotWriter& writer) const { Walk(writer, *this); }
+
 void FeatureHistory::RestoreState(SnapshotReader& reader) {
-  count_ = reader.ReadVarU64();
-  histogram_.RestoreState(reader);
-  average_.RestoreState(reader);
-  rolling_.RestoreState(reader);
-  recent_.RestoreState(reader);
-  for (NmaeAccumulator& acc : nmae_) {
-    acc.abs_error = reader.ReadDouble();
-    acc.actual_sum = reader.ReadDouble();
-    acc.samples = reader.ReadVarU64();
-  }
+  Walk(reader, *this);
   // The options are implied by the restored components.
   options_.max_histogram_bins = histogram_.max_bins();
   options_.rolling_alpha = rolling_.alpha();

@@ -81,6 +81,9 @@ class FeatureHistory {
     size_t samples = 0;
   };
 
+  template <typename Io, typename Self>
+  static void Walk(Io& io, Self& self);
+
   FeatureHistoryOptions options_;
   size_t count_ = 0;
   StreamHistogram histogram_;

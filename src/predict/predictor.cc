@@ -9,28 +9,11 @@
 #include "src/snapshot/snapshot_io.h"
 
 namespace threesigma {
-namespace {
 
 // Every predictor's payload starts with its kind tag; restoring through a
-// differently-configured predictor graph is a hard error, not silent drift.
-void CheckKindTag(SnapshotReader& reader, const char* expected) {
-  const std::string tag = reader.ReadString();
-  if (reader.ok()) {
-    TS_CHECK_MSG(tag == expected,
-                 "snapshot predictor kind '" << tag << "' does not match configured '"
-                                             << expected << "'");
-  }
-}
-
-}  // namespace
-
-void RuntimePredictor::SaveState(SnapshotWriter& writer) const {
-  writer.WriteString("stateless");
-}
-
-void RuntimePredictor::RestoreState(SnapshotReader& reader) {
-  CheckKindTag(reader, "stateless");
-}
+// differently-configured predictor graph fails the reader, not silent drift.
+void RuntimePredictor::SaveState(SnapshotWriter& writer) const { writer.Tag("stateless"); }
+void RuntimePredictor::RestoreState(SnapshotReader& reader) { reader.Tag("stateless"); }
 
 ThreeSigmaPredictor::ThreeSigmaPredictor(const ThreeSigmaPredictorOptions& options)
     : options_(options) {}
@@ -128,35 +111,17 @@ void ThreeSigmaPredictor::RecordCompletion(const JobFeatures& features, double r
   }
 }
 
-void ThreeSigmaPredictor::SaveState(SnapshotWriter& writer) const {
-  writer.WriteString("3sigma");
-  std::vector<const std::string*> keys;
-  keys.reserve(histories_.size());
-  for (const auto& [key, history] : histories_) {
-    keys.push_back(&key);
-  }
-  std::sort(keys.begin(), keys.end(),
-            [](const std::string* a, const std::string* b) { return *a < *b; });
-  writer.WriteVarU64(keys.size());
-  for (const std::string* key : keys) {
-    writer.WriteString(*key);
-    histories_.at(*key).SaveState(writer);
-  }
+template <typename Io, typename Self>
+void ThreeSigmaPredictor::Walk(Io& io, Self& self) {
+  io.Tag("3sigma");
+  io.Map(self.histories_, [&](auto& key, auto& history) {
+    io.String(key);
+    io.Nested(history);
+  });
 }
 
-void ThreeSigmaPredictor::RestoreState(SnapshotReader& reader) {
-  CheckKindTag(reader, "3sigma");
-  histories_.clear();
-  const uint64_t n = reader.ReadVarU64();
-  for (uint64_t i = 0; reader.ok() && i < n; ++i) {
-    const std::string key = reader.ReadString();
-    FeatureHistory history(options_.history);
-    history.RestoreState(reader);
-    if (reader.ok()) {
-      histories_.insert_or_assign(key, std::move(history));
-    }
-  }
-}
+void ThreeSigmaPredictor::SaveState(SnapshotWriter& writer) const { Walk(writer, *this); }
+void ThreeSigmaPredictor::RestoreState(SnapshotReader& reader) { Walk(reader, *this); }
 
 RuntimePrediction PerfectPredictor::Predict(const JobFeatures& /*features*/,
                                             double true_runtime) {
@@ -205,30 +170,19 @@ void SampleCapPredictor::RecordCompletion(const JobFeatures& features, double ru
   inner_->RecordCompletion(features, runtime);
 }
 
-void SampleCapPredictor::SaveState(SnapshotWriter& writer) const {
-  writer.WriteString("sample-cap");
-  writer.WriteVarI64(cap_);
-  std::vector<std::pair<std::string, int>> counts(counts_.begin(), counts_.end());
-  std::sort(counts.begin(), counts.end());
-  writer.WriteVarU64(counts.size());
-  for (const auto& [key, count] : counts) {
-    writer.WriteString(key);
-    writer.WriteVarI64(count);
-  }
-  inner_->SaveState(writer);
+template <typename Io, typename Self>
+void SampleCapPredictor::Walk(Io& io, Self& self) {
+  io.Tag("sample-cap");
+  io.VarInt(self.cap_);
+  io.Map(self.counts_, [&](auto& key, auto& count) {
+    io.String(key);
+    io.VarInt(count);
+  });
+  io.Nested(*self.inner_);
 }
 
-void SampleCapPredictor::RestoreState(SnapshotReader& reader) {
-  CheckKindTag(reader, "sample-cap");
-  cap_ = static_cast<int>(reader.ReadVarI64());
-  counts_.clear();
-  const uint64_t n = reader.ReadVarU64();
-  for (uint64_t i = 0; reader.ok() && i < n; ++i) {
-    const std::string key = reader.ReadString();
-    counts_[key] = static_cast<int>(reader.ReadVarI64());
-  }
-  inner_->RestoreState(reader);
-}
+void SampleCapPredictor::SaveState(SnapshotWriter& writer) const { Walk(writer, *this); }
+void SampleCapPredictor::RestoreState(SnapshotReader& reader) { Walk(reader, *this); }
 
 PaddedPointPredictor::PaddedPointPredictor(RuntimePredictor* inner, double padding_stddevs)
     : inner_(inner), padding_stddevs_(padding_stddevs) {
@@ -251,17 +205,15 @@ void PaddedPointPredictor::RecordCompletion(const JobFeatures& features, double 
   inner_->RecordCompletion(features, runtime);
 }
 
-void PaddedPointPredictor::SaveState(SnapshotWriter& writer) const {
-  writer.WriteString("padded-point");
-  writer.WriteDouble(padding_stddevs_);
-  inner_->SaveState(writer);
+template <typename Io, typename Self>
+void PaddedPointPredictor::Walk(Io& io, Self& self) {
+  io.Tag("padded-point");
+  io.Double(self.padding_stddevs_);
+  io.Nested(*self.inner_);
 }
 
-void PaddedPointPredictor::RestoreState(SnapshotReader& reader) {
-  CheckKindTag(reader, "padded-point");
-  padding_stddevs_ = reader.ReadDouble();
-  inner_->RestoreState(reader);
-}
+void PaddedPointPredictor::SaveState(SnapshotWriter& writer) const { Walk(writer, *this); }
+void PaddedPointPredictor::RestoreState(SnapshotReader& reader) { Walk(reader, *this); }
 
 SyntheticPredictor::SyntheticPredictor(double shift, double cov, uint64_t seed)
     : shift_(shift), cov_(cov), rng_(seed) {}
@@ -286,18 +238,15 @@ RuntimePrediction SyntheticPredictor::Predict(const JobFeatures& /*features*/,
 
 void SyntheticPredictor::RecordCompletion(const JobFeatures& /*features*/, double /*runtime*/) {}
 
-void SyntheticPredictor::SaveState(SnapshotWriter& writer) const {
-  writer.WriteString("synthetic");
-  writer.WriteDouble(shift_);
-  writer.WriteDouble(cov_);
-  rng_.SaveState(writer);
+template <typename Io, typename Self>
+void SyntheticPredictor::Walk(Io& io, Self& self) {
+  io.Tag("synthetic");
+  io.Double(self.shift_);
+  io.Double(self.cov_);
+  io.Nested(self.rng_);
 }
 
-void SyntheticPredictor::RestoreState(SnapshotReader& reader) {
-  CheckKindTag(reader, "synthetic");
-  shift_ = reader.ReadDouble();
-  cov_ = reader.ReadDouble();
-  rng_.RestoreState(reader);
-}
+void SyntheticPredictor::SaveState(SnapshotWriter& writer) const { Walk(writer, *this); }
+void SyntheticPredictor::RestoreState(SnapshotReader& reader) { Walk(reader, *this); }
 
 }  // namespace threesigma

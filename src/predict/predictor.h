@@ -39,8 +39,8 @@ class RuntimePredictor {
   virtual void RecordCompletion(const JobFeatures& features, double runtime) = 0;
 
   // Snapshot codec hooks: raw payload within the caller's section, prefixed
-  // by a kind tag so a mismatched predictor configuration fails loudly on
-  // restore rather than silently misreading the payload. Wrappers recurse to
+  // by a kind tag so a mismatched predictor configuration fails the reader
+  // on restore rather than silently misreading the payload. Wrappers recurse to
   // their inner predictor. The default is for stateless predictors.
   virtual void SaveState(SnapshotWriter& writer) const;
   virtual void RestoreState(SnapshotReader& reader);
@@ -74,6 +74,9 @@ class ThreeSigmaPredictor : public RuntimePredictor {
   void RestoreState(SnapshotReader& reader) override;
 
  private:
+  template <typename Io, typename Self>
+  static void Walk(Io& io, Self& self);
+
   ThreeSigmaPredictorOptions options_;
   std::unordered_map<std::string, FeatureHistory> histories_;
 };
@@ -101,6 +104,9 @@ class SampleCapPredictor : public RuntimePredictor {
   void RestoreState(SnapshotReader& reader) override;
 
  private:
+  template <typename Io, typename Self>
+  static void Walk(Io& io, Self& self);
+
   RuntimePredictor* inner_;
   int cap_;
   std::unordered_map<std::string, int> counts_;
@@ -123,6 +129,9 @@ class PaddedPointPredictor : public RuntimePredictor {
   void RestoreState(SnapshotReader& reader) override;
 
  private:
+  template <typename Io, typename Self>
+  static void Walk(Io& io, Self& self);
+
   RuntimePredictor* inner_;
   double padding_stddevs_;
 };
@@ -141,6 +150,9 @@ class SyntheticPredictor : public RuntimePredictor {
   void RestoreState(SnapshotReader& reader) override;
 
  private:
+  template <typename Io, typename Self>
+  static void Walk(Io& io, Self& self);
+
   double shift_;
   double cov_;
   Rng rng_;

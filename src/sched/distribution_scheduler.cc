@@ -768,47 +768,41 @@ CycleResult DistributionScheduler::RunCycle(Time now, const ClusterStateView& st
   return result;
 }
 
+template <typename Io, typename Self>
+void DistributionScheduler::Walk(Io& io, Self& self) {
+  io.Tag("3sigma-sched");
+  io.Values(self.jobs_, [](const JobInfo& info) { return info.spec.id; }, [&](auto& info) {
+    io.Nested(info.spec);
+    io.Nested(info.sched_dist);
+    io.Double(info.point_estimate);
+    io.Bool(info.oe_enabled);
+    io.Nested(info.effective_utility);
+    io.VarInt(info.attempts);
+    io.Seq(info.record_features, [&](auto& f) { io.String(f); });
+    io.Bool(info.running);
+    io.VarInt(info.group);
+    io.Double(info.start_time);
+    io.VarInt(info.underest_level);
+    io.Double(info.underest_finish);
+    io.VarInt(info.planned_group);
+    io.Double(info.planned_start);
+    io.Seq(info.cached_survival, [&](auto& v) { io.Double(v); }, sizeof(double));
+    io.Double(info.survival_valid_until);
+    io.Bool(info.capacity_applied);
+  });
+  io.Seq(self.pending_, [&](auto& id) { io.VarInt(id); });
+  io.Bool(self.dirty_);
+  io.Double(self.last_solve_);
+  io.Seq(self.consumed_, [&](auto& row) {
+    io.Seq(row, [&](auto& v) { io.Double(v); }, sizeof(double));
+  });
+  io.VarInt(self.solves_since_rebuild_);
+  io.Seq(self.last_root_basis_.status, [&](auto& s) { io.Enum(s, BasisStatus::kAtUpper); });
+}
+
 void DistributionScheduler::SaveState(SnapshotWriter& writer) const {
   writer.BeginSection("sched", kSchedSectionVersion);
-  writer.WriteString("3sigma-sched");
-  writer.WriteVarU64(jobs_.size());
-  for (const auto& [id, info] : jobs_) {
-    info.spec.SaveState(writer);
-    info.sched_dist.SaveState(writer);
-    writer.WriteDouble(info.point_estimate);
-    writer.WriteBool(info.oe_enabled);
-    info.effective_utility.SaveState(writer);
-    writer.WriteVarI64(info.attempts);
-    writer.WriteVarU64(info.record_features.size());
-    for (const std::string& f : info.record_features) {
-      writer.WriteString(f);
-    }
-    writer.WriteBool(info.running);
-    writer.WriteVarI64(info.group);
-    writer.WriteDouble(info.start_time);
-    writer.WriteVarI64(info.underest_level);
-    writer.WriteDouble(info.underest_finish);
-    writer.WriteVarI64(info.planned_group);
-    writer.WriteDouble(info.planned_start);
-    writer.WriteDoubleVec(info.cached_survival);
-    writer.WriteDouble(info.survival_valid_until);
-    writer.WriteBool(info.capacity_applied);
-  }
-  writer.WriteVarU64(pending_.size());
-  for (JobId id : pending_) {
-    writer.WriteVarI64(id);
-  }
-  writer.WriteBool(dirty_);
-  writer.WriteDouble(last_solve_);
-  writer.WriteVarU64(consumed_.size());
-  for (const std::vector<double>& row : consumed_) {
-    writer.WriteDoubleVec(row);
-  }
-  writer.WriteVarI64(solves_since_rebuild_);
-  writer.WriteVarU64(last_root_basis_.status.size());
-  for (BasisStatus s : last_root_basis_.status) {
-    writer.WriteU8(static_cast<uint8_t>(s));
-  }
+  Walk(writer, *this);
   // The valuation engine's cached key set. Tables themselves are rebuilt
   // from restored job state on resume (they are pure functions of it), so
   // only the keys need to be persisted for the resumed hit/miss stream to
@@ -828,65 +822,35 @@ void DistributionScheduler::RestoreState(SnapshotReader& reader) {
     reader.Fail("unsupported sched section version " + std::to_string(sched_version));
     return;
   }
-  const std::string tag = reader.ReadString();
-  if (reader.ok()) {
-    TS_CHECK_MSG(tag == "3sigma-sched", "snapshot scheduler kind mismatch");
+  Walk(reader, *this);
+  // The cycle indexes consumed_ by group and jobs_ by every pending id.
+  const int num_groups = cluster_.num_groups();
+  if (reader.ok() && consumed_.size() != static_cast<size_t>(num_groups)) {
+    reader.Fail("snapshot cluster shape does not match this scheduler");
   }
-  jobs_.clear();
-  const uint64_t num_jobs = reader.ReadVarU64();
-  for (uint64_t i = 0; reader.ok() && i < num_jobs; ++i) {
-    JobInfo info;
-    info.spec.RestoreState(reader);
-    info.sched_dist.RestoreState(reader);
-    info.point_estimate = reader.ReadDouble();
-    info.oe_enabled = reader.ReadBool();
-    info.effective_utility.RestoreState(reader);
-    info.attempts = static_cast<int>(reader.ReadVarI64());
-    const uint64_t num_features = reader.ReadVarU64();
-    info.record_features.clear();
-    for (uint64_t f = 0; reader.ok() && f < num_features; ++f) {
-      info.record_features.push_back(reader.ReadString());
+  std::string invalid;
+  for (const auto& [id, info] : jobs_) {
+    if (!ValidateJobSpec(info.spec, cluster_, &invalid)) {
+      reader.Fail("snapshot " + invalid);
     }
-    info.running = reader.ReadBool();
-    info.group = static_cast<int>(reader.ReadVarI64());
-    info.start_time = reader.ReadDouble();
-    info.underest_level = static_cast<int>(reader.ReadVarI64());
-    info.underest_finish = reader.ReadDouble();
-    info.planned_group = static_cast<int>(reader.ReadVarI64());
-    info.planned_start = reader.ReadDouble();
-    info.cached_survival = reader.ReadDoubleVec();
-    info.survival_valid_until = reader.ReadDouble();
-    info.capacity_applied = reader.ReadBool();
-    if (reader.ok()) {
-      jobs_[info.spec.id] = std::move(info);
+    if (info.group < -1 || info.group >= num_groups || info.planned_group < -1 ||
+        info.planned_group >= num_groups) {
+      reader.Fail("job " + std::to_string(id) + " group out of range");
     }
   }
-  pending_.clear();
-  const uint64_t num_pending = reader.ReadVarU64();
-  for (uint64_t i = 0; reader.ok() && i < num_pending; ++i) {
-    pending_.push_back(reader.ReadVarI64());
-  }
-  dirty_ = reader.ReadBool();
-  last_solve_ = reader.ReadDouble();
-  const uint64_t num_groups = reader.ReadVarU64();
-  if (reader.ok()) {
-    TS_CHECK_MSG(num_groups == consumed_.size(),
-                 "snapshot cluster shape does not match this scheduler");
-    for (std::vector<double>& row : consumed_) {
-      row = reader.ReadDoubleVec();
+  for (const JobId id : pending_) {
+    if (jobs_.count(id) == 0) {
+      reader.Fail("pending job " + std::to_string(id) + " has no state");
     }
-  }
-  solves_since_rebuild_ = static_cast<int>(reader.ReadVarI64());
-  const uint64_t basis_size = reader.ReadVarU64();
-  last_root_basis_.status.clear();
-  for (uint64_t i = 0; reader.ok() && i < basis_size; ++i) {
-    last_root_basis_.status.push_back(static_cast<BasisStatus>(reader.ReadU8()));
   }
   // Rebuild the cached tables from the restored job state; a key whose job
   // exited between save and restore (impossible today, but harmless) is
   // simply dropped.
   valuation_.Clear();
   for (const auto& [job, scale] : ValuationEngine::ReadSavedKeys(reader)) {
+    if (!(scale > 0.0 && std::isfinite(scale))) {  // Scaled() requires it.
+      reader.Fail("valuation scale out of range");
+    }
     if (!reader.ok()) {
       break;
     }

@@ -200,6 +200,9 @@ class DistributionScheduler : public Scheduler {
     bool capacity_applied = false;
   };
 
+  template <typename Io, typename Self>
+  static void Walk(Io& io, Self& self);
+
   // Recomputes info.effective_utility / info.oe_enabled from the current
   // sched_dist (§4.2.2/§4.2.3). `force` bypasses the adaptive gate (used for
   // fault restarts, which are treated as likely mis-estimates).

@@ -141,37 +141,28 @@ CycleResult PrioScheduler::RunCycle(Time now, const ClusterStateView& state) {
   return result;
 }
 
+template <typename Io, typename Self>
+void PrioScheduler::Walk(Io& io, Self& self) {
+  io.Tag("prio");
+  io.Values(self.jobs_, [](const JobSpec& spec) { return spec.id; },
+            [&](auto& spec) { io.Nested(spec); });
+  io.Seq(self.pending_, [&](auto& id) { io.VarInt(id); });
+}
+
 void PrioScheduler::SaveState(SnapshotWriter& writer) const {
   writer.BeginSection("sched", 1);
-  writer.WriteString("prio");
-  writer.WriteVarU64(jobs_.size());
-  for (const auto& [id, spec] : jobs_) {
-    spec.SaveState(writer);
-  }
-  writer.WriteVarU64(pending_.size());
-  for (JobId id : pending_) {
-    writer.WriteVarI64(id);
-  }
+  Walk(writer, *this);
   writer.EndSection();
 }
 
 void PrioScheduler::RestoreState(SnapshotReader& reader) {
   reader.BeginSection("sched");
-  const std::string tag = reader.ReadString();
-  if (reader.ok()) {
-    TS_CHECK_MSG(tag == "prio", "snapshot scheduler kind mismatch");
-  }
-  jobs_.clear();
-  const uint64_t num_jobs = reader.ReadVarU64();
-  for (uint64_t i = 0; reader.ok() && i < num_jobs; ++i) {
-    JobSpec spec;
-    spec.RestoreState(reader);
-    jobs_[spec.id] = std::move(spec);
-  }
-  pending_.clear();
-  const uint64_t num_pending = reader.ReadVarU64();
-  for (uint64_t i = 0; reader.ok() && i < num_pending; ++i) {
-    pending_.push_back(reader.ReadVarI64());
+  Walk(reader, *this);
+  // RunCycle looks every pending id up in jobs_.
+  for (const JobId id : pending_) {
+    if (reader.ok() && jobs_.count(id) == 0) {
+      reader.Fail("pending job " + std::to_string(id) + " has no spec");
+    }
   }
   reader.EndSection();
 }

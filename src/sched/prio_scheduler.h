@@ -39,6 +39,9 @@ class PrioScheduler : public Scheduler {
   void RestoreState(SnapshotReader& reader) override;
 
  private:
+  template <typename Io, typename Self>
+  static void Walk(Io& io, Self& self);
+
   const ClusterConfig& cluster_;
   PrioSchedulerConfig config_;
   std::map<JobId, JobSpec> jobs_;  // Pending + running specs.

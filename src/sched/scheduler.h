@@ -14,7 +14,6 @@
 
 #include "src/cluster/cluster.h"
 #include "src/cluster/job.h"
-#include "src/common/check.h"
 #include "src/common/units.h"
 #include "src/obs/cycle_telemetry.h"
 #include "src/snapshot/snapshot_io.h"
@@ -124,18 +123,16 @@ class Scheduler {
   // "sched" — and, where applicable, "predict" — sections so replay_diff can
   // attribute a state divergence to the scheduler vs. the predictor). The
   // payload starts with a kind tag so restoring through a differently-
-  // configured scheduler fails loudly. Defaults cover stateless schedulers.
+  // configured scheduler fails the reader. Defaults cover stateless
+  // schedulers.
   virtual void SaveState(SnapshotWriter& writer) const {
     writer.BeginSection("sched", 1);
-    writer.WriteString("stateless");
+    writer.Tag("stateless");
     writer.EndSection();
   }
   virtual void RestoreState(SnapshotReader& reader) {
     reader.BeginSection("sched");
-    const std::string tag = reader.ReadString();
-    if (reader.ok()) {
-      TS_CHECK_MSG(tag == "stateless", "snapshot scheduler kind mismatch");
-    }
+    reader.Tag("stateless");
     reader.EndSection();
   }
 };

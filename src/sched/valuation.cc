@@ -198,23 +198,31 @@ void ValuationEngine::InvalidateJob(JobId job) {
                cache_.lower_bound(Key{job + 1, 0}));
 }
 
+namespace {
+
+// The persisted form of the cache: its (job, scale) key set.
+template <typename Io, typename Keys>
+void WalkKeys(Io& io, Keys& keys) {
+  io.Seq(keys, [&](auto& key) {
+    io.VarInt(key.first);
+    io.Double(key.second);
+  }, 1 + sizeof(double));
+}
+
+}  // namespace
+
 void ValuationEngine::SaveState(SnapshotWriter& writer) const {
-  writer.WriteVarU64(cache_.size());
+  std::vector<std::pair<JobId, double>> keys;
+  keys.reserve(cache_.size());
   for (const auto& [key, tables] : cache_) {
-    writer.WriteVarI64(key.first);
-    writer.WriteDouble(DoubleFromBits(key.second));
+    keys.emplace_back(key.first, DoubleFromBits(key.second));
   }
+  WalkKeys(writer, keys);
 }
 
 std::vector<std::pair<JobId, double>> ValuationEngine::ReadSavedKeys(SnapshotReader& reader) {
   std::vector<std::pair<JobId, double>> keys;
-  const uint64_t n = reader.ReadVarCount(9);  // Each key is a varint + double.
-  keys.reserve(reader.ok() ? n : 0);
-  for (uint64_t i = 0; reader.ok() && i < n; ++i) {
-    const JobId job = reader.ReadVarI64();
-    const double scale = reader.ReadDouble();
-    keys.emplace_back(job, scale);
-  }
+  WalkKeys(reader, keys);
   return keys;
 }
 

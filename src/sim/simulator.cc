@@ -119,135 +119,164 @@ constexpr uint32_t kSnapshotVersion = 5;
 static_assert(std::size(kCycleFields) == 14,
               "the per-cycle record changed: bump kSnapshotVersion, then update this count");
 
-void SaveSimOptions(SnapshotWriter& writer, const SimOptions& o) {
-  writer.WriteDouble(o.cycle_period);
-  writer.WriteDouble(o.reactive_min_gap);
-  writer.WriteU8(static_cast<uint8_t>(o.fidelity));
-  writer.WriteDouble(o.drain_limit);
-  writer.WriteU64(o.seed);
-  writer.WriteDouble(o.runtime_jitter_stddev);
-  writer.WriteDouble(o.launch_overhead_max);
-  writer.WriteDouble(o.heartbeat);
-  writer.WriteBool(o.preemption_resumes);
-  writer.WriteDouble(o.faults.node_mttf);
-  writer.WriteDouble(o.faults.node_mttr);
-  writer.WriteDouble(o.faults.task_kill_prob);
-  writer.WriteDouble(o.faults.straggler_prob);
-  writer.WriteDouble(o.faults.straggler_factor);
-  writer.WriteDouble(o.faults.cycle_stall_prob);
-  writer.WriteDouble(o.faults.cycle_stall);
-  writer.WriteU64(o.faults.seed);
-  writer.WriteVarU64(o.fault_events.size());
-  for (const FaultEvent& e : o.fault_events) {
-    writer.WriteDouble(e.time);
-    writer.WriteU8(static_cast<uint8_t>(e.kind));
-    writer.WriteVarI64(e.group);
-    writer.WriteVarI64(e.count);
-  }
-  writer.WriteVarI64(o.checkpoint_every);
-  writer.WriteString(o.checkpoint_dir);
-  writer.WriteVarI64(o.max_cycles);
-  writer.WriteBool(o.open_workload);
+template <typename Io, typename Options>
+void WalkSimOptions(Io& io, Options& o) {
+  io.Double(o.cycle_period);
+  io.Double(o.reactive_min_gap);
+  io.Enum(o.fidelity, SimFidelity::kHighFidelity);
+  io.Double(o.drain_limit);
+  io.Fixed64(o.seed);
+  io.Double(o.runtime_jitter_stddev);
+  io.Double(o.launch_overhead_max);
+  io.Double(o.heartbeat);
+  io.Bool(o.preemption_resumes);
+  WalkFaultOptions(io, o.faults);
+  WalkFaultEvents(io, o.fault_events);
+  io.VarInt(o.checkpoint_every);
+  io.String(o.checkpoint_dir);
+  io.VarInt(o.max_cycles);
+  io.Bool(o.open_workload);
 }
 
-void RestoreSimOptions(SnapshotReader& reader, SimOptions* o) {
-  o->cycle_period = reader.ReadDouble();
-  o->reactive_min_gap = reader.ReadDouble();
-  o->fidelity = static_cast<SimFidelity>(reader.ReadU8());
-  o->drain_limit = reader.ReadDouble();
-  o->seed = reader.ReadU64();
-  o->runtime_jitter_stddev = reader.ReadDouble();
-  o->launch_overhead_max = reader.ReadDouble();
-  o->heartbeat = reader.ReadDouble();
-  o->preemption_resumes = reader.ReadBool();
-  o->faults.node_mttf = reader.ReadDouble();
-  o->faults.node_mttr = reader.ReadDouble();
-  o->faults.task_kill_prob = reader.ReadDouble();
-  o->faults.straggler_prob = reader.ReadDouble();
-  o->faults.straggler_factor = reader.ReadDouble();
-  o->faults.cycle_stall_prob = reader.ReadDouble();
-  o->faults.cycle_stall = reader.ReadDouble();
-  o->faults.seed = reader.ReadU64();
-  const uint64_t num_events = reader.ReadVarU64();
-  o->fault_events.clear();
-  for (uint64_t i = 0; reader.ok() && i < num_events; ++i) {
-    FaultEvent e;
-    e.time = reader.ReadDouble();
-    e.kind = static_cast<FaultKind>(reader.ReadU8());
-    e.group = static_cast<int>(reader.ReadVarI64());
-    e.count = static_cast<int>(reader.ReadVarI64());
-    o->fault_events.push_back(e);
-  }
-  o->checkpoint_every = reader.ReadVarI64();
-  o->checkpoint_dir = reader.ReadString();
-  o->max_cycles = reader.ReadVarI64();
-  o->open_workload = reader.ReadBool();
-}
-
-void SaveCluster(SnapshotWriter& writer, const ClusterConfig& cluster) {
-  writer.WriteVarU64(static_cast<uint64_t>(cluster.num_groups()));
-  for (const NodeGroup& g : cluster.groups()) {
-    writer.WriteVarI64(g.id);
-    writer.WriteString(g.name);
-    writer.WriteVarI64(g.node_count);
-  }
-}
-
-ClusterConfig RestoreCluster(SnapshotReader& reader) {
-  const uint64_t n = reader.ReadVarCount();
+// The "meta" section: what a resumed process needs to rebuild the system
+// before it can restore the rest.
+struct MetaImage {
+  uint64_t cycles_completed = 0;
+  Time now = 0.0;
   std::vector<NodeGroup> groups;
-  groups.reserve(reader.ok() ? n : 0);
-  for (uint64_t i = 0; reader.ok() && i < n; ++i) {
-    NodeGroup g;
-    g.id = static_cast<int>(reader.ReadVarI64());
-    g.name = reader.ReadString();
-    g.node_count = static_cast<int>(reader.ReadVarI64());
-    groups.push_back(std::move(g));
+  SimOptions options;
+};
+
+template <typename Io, typename Meta>
+void WalkMeta(Io& io, Meta& m) {
+  io.VarUint(m.cycles_completed);
+  io.Double(m.now);
+  io.Seq(m.groups, [&](auto& g) {
+    io.VarInt(g.id);
+    io.String(g.name);
+    io.VarInt(g.node_count);
+  });
+  WalkSimOptions(io, m.options);
+}
+
+// Reads the "meta" section into `info`. The groups are checked against
+// ClusterConfig's invariants before it is built from them.
+bool ReadMeta(SnapshotReader& reader, CheckpointInfo* info) {
+  MetaImage meta;
+  WalkMeta(reader, meta);
+  bool dense = !meta.groups.empty();
+  for (size_t i = 0; i < meta.groups.size(); ++i) {
+    dense = dense && meta.groups[i].id == static_cast<int>(i) && meta.groups[i].node_count > 0;
+  }
+  if (reader.ok() && !dense) {
+    reader.Fail("snapshot cluster groups are not dense with positive node counts");
   }
   if (!reader.ok()) {
-    return ClusterConfig();
+    return false;
   }
-  return ClusterConfig(std::move(groups));
+  info->cycles_completed = meta.cycles_completed;
+  info->now = meta.now;
+  info->cluster = ClusterConfig(std::move(meta.groups));
+  info->options = std::move(meta.options);
+  return true;
 }
 
-void SaveJobRecord(SnapshotWriter& writer, const JobRecord& rec) {
-  rec.spec.SaveState(writer);
-  writer.WriteU8(static_cast<uint8_t>(rec.status));
-  writer.WriteDouble(rec.start_time);
-  writer.WriteDouble(rec.finish_time);
-  writer.WriteVarI64(rec.group);
-  writer.WriteVarI64(rec.preemptions);
-  writer.WriteVarI64(rec.fault_kills);
-  writer.WriteDouble(rec.completed_work);
-  writer.WriteVarU64(rec.runs.size());
-  for (const JobRun& run : rec.runs) {
-    writer.WriteVarI64(run.group);
-    writer.WriteDouble(run.start);
-    writer.WriteDouble(run.end);
-    writer.WriteBool(run.completed);
-  }
+template <typename Io, typename Record>
+void WalkJobRecord(Io& io, Record& rec) {
+  io.Nested(rec.spec);
+  io.Enum(rec.status, JobStatus::kUnfinished);
+  io.Double(rec.start_time);
+  io.Double(rec.finish_time);
+  io.VarInt(rec.group);
+  io.VarInt(rec.preemptions);
+  io.VarInt(rec.fault_kills);
+  io.Double(rec.completed_work);
+  io.Seq(rec.runs, [&](auto& run) {
+    io.VarInt(run.group);
+    io.Double(run.start);
+    io.Double(run.end);
+    io.Bool(run.completed);
+  }, 8);
 }
 
-void RestoreJobRecord(SnapshotReader& reader, JobRecord* rec) {
-  rec->spec.RestoreState(reader);
-  rec->status = static_cast<JobStatus>(reader.ReadU8());
-  rec->start_time = reader.ReadDouble();
-  rec->finish_time = reader.ReadDouble();
-  rec->group = static_cast<int>(reader.ReadVarI64());
-  rec->preemptions = static_cast<int>(reader.ReadVarI64());
-  rec->fault_kills = static_cast<int>(reader.ReadVarI64());
-  rec->completed_work = reader.ReadDouble();
-  const uint64_t num_runs = reader.ReadVarCount(8);
-  rec->runs.clear();
-  rec->runs.reserve(reader.ok() ? num_runs : 0);
-  for (uint64_t i = 0; reader.ok() && i < num_runs; ++i) {
-    JobRun run;
-    run.group = static_cast<int>(reader.ReadVarI64());
-    run.start = reader.ReadDouble();
-    run.end = reader.ReadDouble();
-    run.completed = reader.ReadBool();
-    rec->runs.push_back(run);
-  }
+template <typename Io, typename Workload>
+void WalkWorkload(Io& io, Workload& workload) {
+  io.Seq(workload, [&](auto& spec) { io.Nested(spec); }, 8);
+}
+
+// The "faults" section: the schedule plus the stall-draw key.
+template <typename Io, typename State>
+void WalkFaults(Io& io, State& s) {
+  io.Nested(s.fault_schedule);
+  io.VarInt(s.cycle_ordinal);
+}
+
+// The event loop's state ("sim" section). The queue array was a valid heap
+// when saved; restoring it verbatim reproduces the exact pop order.
+template <typename Io, typename State>
+void WalkSim(Io& io, State& s) {
+  io.Double(s.now);
+  io.Fixed64(s.seq);
+  io.Double(s.hard_stop);
+  io.Double(s.next_cycle_at);
+  io.Double(s.last_cycle_at);
+  io.VarInt(s.live_jobs);
+  io.Bool(s.drained);
+  io.Seq(s.free_nodes, [&](auto& n) { io.VarInt(n); });
+  io.Seq(s.down, [&](auto& n) { io.VarInt(n); });
+  io.VarInt(s.total_down);
+  io.Double(s.down_integral);
+  io.Double(s.last_down_change);
+  io.Seq(s.queue, [&](auto& e) {
+    io.Double(e.time);
+    io.Fixed64(e.seq);
+    io.Enum(e.kind, EventKind::kTaskKill);
+    io.VarUint(e.job_index);
+    io.VarInt(e.run_epoch);
+  }, 16);
+  io.Seq(s.jobs, [&](auto& job) {
+    WalkJobRecord(io, job.record);
+    io.VarInt(job.run_epoch);
+    io.Double(job.actual_duration);
+    io.Double(job.progress);
+    io.Double(job.executed_seconds);
+    io.Bool(job.arrived);
+  }, 8);
+  io.Bool(s.submissions_closed);
+  io.Double(s.last_arrival);
+}
+
+// The deterministic accumulated results ("metrics" section).
+template <typename Io, typename Result>
+void WalkMetrics(Io& io, Result& r) {
+  io.VarInt(r.rejected_placements);
+  io.VarInt(r.total_preemptions);
+  io.VarInt(r.tasks_killed_by_faults);
+  io.VarInt(r.fault_node_events);
+  io.VarInt(r.stalled_cycles);
+  io.Double(r.rework_node_seconds);
+  WalkFaultEvents(io, r.fault_events);
+  io.Seq(r.cycles, [&](auto& c) {
+    io.Double(c.time);
+    for (const CycleField& f : kCycleFields) {
+      if (f.count != nullptr) {
+        io.VarInt(c.*f.count);
+      }
+    }
+  }, 8);
+}
+
+// Per-cycle wall-clock timings ("timing" section), the only state that is
+// not reproducible.
+template <typename Io, typename Cycles>
+void WalkTiming(Io& io, Cycles& cycles) {
+  io.Seq(cycles, [&](auto& c) {
+    for (const CycleField& f : kCycleFields) {
+      if (f.seconds != nullptr) {
+        io.Double(c.*f.seconds);
+      }
+    }
+  }, sizeof(double));
 }
 
 }  // namespace
@@ -838,11 +867,8 @@ bool Simulator::InjectJob(JobSpec spec, std::string* error) {
   if (s.index_by_id.count(spec.id) > 0) {
     return FailWith(error, "duplicate job id " + std::to_string(spec.id));
   }
-  if (spec.num_tasks <= 0) {
-    return FailWith(error, "job " + std::to_string(spec.id) + " has no tasks");
-  }
-  if (spec.num_tasks > cluster_.max_group_size()) {
-    return FailWith(error, "job " + std::to_string(spec.id) + " larger than any group");
+  if (!ValidateJobSpec(spec, cluster_, error)) {
+    return false;
   }
   // Arrivals cannot land in the past: the event clock is monotone.
   spec.submit_time = std::max(spec.submit_time, s.now);
@@ -990,10 +1016,8 @@ std::string Simulator::SaveStateToBuffer() {
   SnapshotWriter writer;
 
   writer.BeginSection("meta", kSnapshotVersion);
-  writer.WriteVarU64(s.result.cycles.size());
-  writer.WriteDouble(s.now);
-  SaveCluster(writer, cluster_);
-  SaveSimOptions(writer, options_);
+  const MetaImage meta{s.result.cycles.size(), s.now, cluster_.groups(), options_};
+  WalkMeta(writer, meta);
   writer.EndSection();
 
   writer.BeginSection("rng", kSnapshotVersion);
@@ -1004,88 +1028,25 @@ std::string Simulator::SaveStateToBuffer() {
   // already arrived is implied by the event queue, and a resumed run never
   // re-consults the generator.
   writer.BeginSection("workload", kSnapshotVersion);
-  writer.WriteVarU64(workload_.size());
-  for (const JobSpec& spec : workload_) {
-    spec.SaveState(writer);
-  }
+  WalkWorkload(writer, workload_);
   writer.EndSection();
 
   writer.BeginSection("faults", kSnapshotVersion);
-  s.fault_schedule.SaveState(writer);
-  writer.WriteVarI64(s.cycle_ordinal);
+  WalkFaults(writer, s);
   writer.EndSection();
 
   writer.BeginSection("sim", kSnapshotVersion);
-  writer.WriteDouble(s.now);
-  writer.WriteU64(s.seq);
-  writer.WriteDouble(s.hard_stop);
-  writer.WriteDouble(s.next_cycle_at);
-  writer.WriteDouble(s.last_cycle_at);
-  writer.WriteVarI64(s.live_jobs);
-  writer.WriteBool(s.drained);
-  writer.WriteIntVec(s.free_nodes);
-  writer.WriteIntVec(s.down);
-  writer.WriteVarI64(s.total_down);
-  writer.WriteDouble(s.down_integral);
-  writer.WriteDouble(s.last_down_change);
-  writer.WriteVarU64(s.queue.size());
-  for (const Event& e : s.queue) {
-    writer.WriteDouble(e.time);
-    writer.WriteU64(e.seq);
-    writer.WriteU8(static_cast<uint8_t>(e.kind));
-    writer.WriteVarU64(e.job_index);
-    writer.WriteVarI64(e.run_epoch);
-  }
-  writer.WriteVarU64(s.jobs.size());
-  for (const RunState::LiveJob& job : s.jobs) {
-    SaveJobRecord(writer, job.record);
-    writer.WriteVarI64(job.run_epoch);
-    writer.WriteDouble(job.actual_duration);
-    writer.WriteDouble(job.progress);
-    writer.WriteDouble(job.executed_seconds);
-    writer.WriteBool(job.arrived);
-  }
-  writer.WriteBool(s.submissions_closed);
-  writer.WriteDouble(s.last_arrival);
+  WalkSim(writer, s);
   writer.EndSection();
 
-  // Deterministic accumulated results. Per-cycle wall-clock timings go in
-  // their own "timing" section so replay_diff can ignore the only
-  // non-reproducible state.
+  // Per-cycle wall-clock timings go in their own "timing" section so
+  // replay_diff can ignore the only non-reproducible state.
   writer.BeginSection("metrics", kSnapshotVersion);
-  writer.WriteVarI64(s.result.rejected_placements);
-  writer.WriteVarI64(s.result.total_preemptions);
-  writer.WriteVarI64(s.result.tasks_killed_by_faults);
-  writer.WriteVarI64(s.result.fault_node_events);
-  writer.WriteVarI64(s.result.stalled_cycles);
-  writer.WriteDouble(s.result.rework_node_seconds);
-  writer.WriteVarU64(s.result.fault_events.size());
-  for (const FaultEvent& e : s.result.fault_events) {
-    writer.WriteDouble(e.time);
-    writer.WriteU8(static_cast<uint8_t>(e.kind));
-    writer.WriteVarI64(e.group);
-    writer.WriteVarI64(e.count);
-  }
-  writer.WriteVarU64(s.result.cycles.size());
-  for (const CycleStats& c : s.result.cycles) {
-    writer.WriteDouble(c.time);
-    for (const CycleField& f : kCycleFields) {
-      if (f.count != nullptr) {
-        writer.WriteVarI64(c.*f.count);
-      }
-    }
-  }
+  WalkMetrics(writer, s.result);
   writer.EndSection();
 
   writer.BeginSection("timing", kSnapshotVersion);
-  writer.WriteVarU64(s.result.cycles.size());
-  for (const CycleStats& c : s.result.cycles) {
-    for (const CycleField& f : kCycleFields) {
-      if (f.seconds != nullptr) {
-        writer.WriteDouble(c.*f.seconds);
-      }
-    }
-  }
+  WalkTiming(writer, s.result.cycles);
   writer.EndSection();
 
   // Registry aggregates, so a resumed run continues its counters instead of
@@ -1129,28 +1090,26 @@ bool Simulator::TryRestoreStateFromBuffer(const std::string& buffer, std::string
   if (reader.ok() && version != kSnapshotVersion) {
     return fail("unsupported snapshot version " + std::to_string(version));
   }
-  reader.ReadVarU64();  // cycles_completed; implied by the metrics section.
-  reader.ReadDouble();  // now; authoritative copy in "sim".
-  const ClusterConfig snap_cluster = RestoreCluster(reader);
-  SimOptions snap_options;
-  RestoreSimOptions(reader, &snap_options);
+  CheckpointInfo meta;
+  ReadMeta(reader, &meta);
   reader.EndSection();
   if (!reader.ok()) {
     return fail(reader.error());
   }
-  if (snap_cluster.num_groups() != cluster_.num_groups()) {
-    return fail("snapshot cluster has " + std::to_string(snap_cluster.num_groups()) +
+  if (meta.cluster.num_groups() != cluster_.num_groups()) {
+    return fail("snapshot cluster has " + std::to_string(meta.cluster.num_groups()) +
                 " groups, this simulator has " + std::to_string(cluster_.num_groups()));
   }
   for (int g = 0; g < cluster_.num_groups(); ++g) {
-    if (snap_cluster.group(g).node_count != cluster_.group(g).node_count) {
+    if (meta.cluster.group(g).node_count != cluster_.group(g).node_count) {
       return fail("snapshot cluster group " + std::to_string(g) + " has " +
-                  std::to_string(snap_cluster.group(g).node_count) + " nodes, expected " +
+                  std::to_string(meta.cluster.group(g).node_count) + " nodes, expected " +
                   std::to_string(cluster_.group(g).node_count));
     }
   }
   // The simulation's options come from the snapshot; the local-run knobs
   // (where to checkpoint next, when to stop) stay the caller's.
+  SimOptions snap_options = std::move(meta.options);
   snap_options.checkpoint_every = options_.checkpoint_every;
   snap_options.checkpoint_dir = options_.checkpoint_dir;
   snap_options.max_cycles = options_.max_cycles;
@@ -1160,127 +1119,37 @@ bool Simulator::TryRestoreStateFromBuffer(const std::string& buffer, std::string
   RunState& s = *state;
 
   reader.BeginSection("rng");
-  if (reader.ok()) {
-    const std::string rng_state = reader.ReadString();
-    if (reader.ok() && !s.rng.DeserializeState(rng_state)) {
-      return fail("corrupt RNG state in snapshot");
-    }
-  }
+  reader.Nested(s.rng);
   reader.EndSection();
 
   reader.BeginSection("workload");
   std::vector<JobSpec> snap_workload;
-  {
-    const uint64_t n = reader.ReadVarCount(8);
-    snap_workload.reserve(reader.ok() ? n : 0);
-    for (uint64_t i = 0; reader.ok() && i < n; ++i) {
-      JobSpec spec;
-      spec.RestoreState(reader);
-      snap_workload.push_back(std::move(spec));
-    }
-  }
+  WalkWorkload(reader, snap_workload);
   reader.EndSection();
 
   reader.BeginSection("faults");
-  s.fault_schedule.RestoreState(reader);
-  s.cycle_ordinal = reader.ReadVarI64();
+  WalkFaults(reader, s);
   reader.EndSection();
   s.chaos = !s.fault_schedule.empty();
 
   reader.BeginSection("sim");
-  s.now = reader.ReadDouble();
-  s.seq = reader.ReadU64();
-  s.hard_stop = reader.ReadDouble();
-  s.next_cycle_at = reader.ReadDouble();
-  s.last_cycle_at = reader.ReadDouble();
-  s.live_jobs = static_cast<int>(reader.ReadVarI64());
-  s.drained = reader.ReadBool();
-  s.free_nodes = reader.ReadIntVec();
-  s.down = reader.ReadIntVec();
-  s.total_down = static_cast<int>(reader.ReadVarI64());
-  s.down_integral = reader.ReadDouble();
-  s.last_down_change = reader.ReadDouble();
-  {
-    const uint64_t n = reader.ReadVarCount(16);
-    s.queue.reserve(reader.ok() ? n : 0);
-    for (uint64_t i = 0; reader.ok() && i < n; ++i) {
-      Event e{0.0, 0, EventKind::kArrival, 0, 0};
-      e.time = reader.ReadDouble();
-      e.seq = reader.ReadU64();
-      e.kind = static_cast<EventKind>(reader.ReadU8());
-      e.job_index = reader.ReadVarU64();
-      e.run_epoch = static_cast<int>(reader.ReadVarI64());
-      // The array was a valid heap when saved; restoring it verbatim
-      // reproduces the exact pop order.
-      s.queue.push_back(e);
-    }
-  }
-  {
-    const uint64_t n = reader.ReadVarCount(8);
-    s.jobs.resize(reader.ok() ? n : 0);
-    for (uint64_t i = 0; reader.ok() && i < n; ++i) {
-      RunState::LiveJob& job = s.jobs[i];
-      RestoreJobRecord(reader, &job.record);
-      job.run_epoch = static_cast<int>(reader.ReadVarI64());
-      job.actual_duration = reader.ReadDouble();
-      job.progress = reader.ReadDouble();
-      job.executed_seconds = reader.ReadDouble();
-      job.arrived = reader.ReadBool();
-      if (reader.ok()) {
-        s.index_by_id.emplace(job.record.spec.id, i);
-      }
-    }
-  }
-  s.submissions_closed = reader.ReadBool();
-  s.last_arrival = reader.ReadDouble();
+  WalkSim(reader, s);
   reader.EndSection();
 
   reader.BeginSection("metrics");
-  s.result.rejected_placements = static_cast<int>(reader.ReadVarI64());
-  s.result.total_preemptions = static_cast<int>(reader.ReadVarI64());
-  s.result.tasks_killed_by_faults = static_cast<int>(reader.ReadVarI64());
-  s.result.fault_node_events = static_cast<int>(reader.ReadVarI64());
-  s.result.stalled_cycles = static_cast<int>(reader.ReadVarI64());
-  s.result.rework_node_seconds = reader.ReadDouble();
-  {
-    const uint64_t n = reader.ReadVarCount(8);
-    s.result.fault_events.reserve(reader.ok() ? n : 0);
-    for (uint64_t i = 0; reader.ok() && i < n; ++i) {
-      FaultEvent e;
-      e.time = reader.ReadDouble();
-      e.kind = static_cast<FaultKind>(reader.ReadU8());
-      e.group = static_cast<int>(reader.ReadVarI64());
-      e.count = static_cast<int>(reader.ReadVarI64());
-      s.result.fault_events.push_back(e);
-    }
-  }
-  {
-    const uint64_t n = reader.ReadVarCount(8);
-    s.result.cycles.resize(reader.ok() ? n : 0);
-    for (uint64_t i = 0; reader.ok() && i < n; ++i) {
-      CycleStats& c = s.result.cycles[i];
-      c.time = reader.ReadDouble();
-      for (const CycleField& f : kCycleFields) {
-        if (f.count != nullptr) {
-          c.*f.count = reader.ReadVarI64();
-        }
-      }
-    }
-  }
+  WalkMetrics(reader, s.result);
   reader.EndSection();
 
   reader.BeginSection("timing");
-  {
-    const uint64_t n = reader.ReadVarU64();
-    for (uint64_t i = 0; reader.ok() && i < n && i < s.result.cycles.size(); ++i) {
-      for (const CycleField& f : kCycleFields) {
-        if (f.seconds != nullptr) {
-          s.result.cycles[i].*f.seconds = reader.ReadDouble();
-        }
-      }
-    }
+  const size_t num_cycles = s.result.cycles.size();
+  WalkTiming(reader, s.result.cycles);
+  if (reader.ok() && s.result.cycles.size() != num_cycles) {
+    reader.Fail("timing section disagrees with the metrics section");
   }
   reader.EndSection();
+  if (reader.ok()) {
+    CheckRestoredState(snap_workload, s, &reader);
+  }
 
   // Optional registry section (snapshots predating the registry lack it).
   // Restore is absolute, so the resumed process continues the saved totals.
@@ -1298,9 +1167,12 @@ bool Simulator::TryRestoreStateFromBuffer(const std::string& buffer, std::string
   if (!reader.ok()) {
     return fail(reader.error());
   }
+  for (size_t i = 0; i < s.jobs.size(); ++i) {
+    s.index_by_id.emplace(s.jobs[i].record.spec.id, i);
+  }
 
   // Commit the simulator, then hand the tail of the snapshot to the
-  // scheduler (which TS_CHECKs its own kind tags).
+  // scheduler and the host.
   options_ = std::move(snap_options);
   workload_ = std::move(snap_workload);
   state_ = std::move(state);
@@ -1315,6 +1187,50 @@ bool Simulator::TryRestoreStateFromBuffer(const std::string& buffer, std::string
     }
   }
   return true;
+}
+
+void Simulator::CheckRestoredState(const std::vector<JobSpec>& workload, const RunState& s,
+                                   SnapshotReader* reader) const {
+  const size_t num_groups = static_cast<size_t>(cluster_.num_groups());
+  const size_t num_faults = s.fault_schedule.node_events().size();
+  // Step() indexes these by group, job index and fault index, requires a
+  // monotone event clock, and schedules completions from the job specs.
+  if (s.free_nodes.size() != num_groups || s.down.size() != num_groups ||
+      s.jobs.size() != workload.size() ||
+      !std::is_heap(s.queue.begin(), s.queue.end(), std::greater<Event>())) {
+    reader->Fail("snapshot state does not match the cluster or the workload");
+    return;
+  }
+  std::string invalid;
+  const auto in_groups = [&](int g) { return g >= 0 && static_cast<size_t>(g) < num_groups; };
+  for (size_t i = 0; i < s.jobs.size(); ++i) {
+    const JobRecord& rec = s.jobs[i].record;
+    if (!ValidateJobSpec(workload[i], cluster_, &invalid) ||
+        !ValidateJobSpec(rec.spec, cluster_, &invalid)) {
+      reader->Fail("snapshot " + invalid);
+      return;
+    }
+    if ((rec.group != -1 && !in_groups(rec.group)) ||
+        (rec.status == JobStatus::kRunning && !in_groups(rec.group))) {
+      reader->Fail("snapshot job " + std::to_string(rec.spec.id) + " group out of range");
+      return;
+    }
+  }
+  for (const Event& e : s.queue) {
+    const size_t limit = e.kind == EventKind::kNodeFault ? num_faults
+                         : e.kind == EventKind::kCycle   ? 1
+                                                         : s.jobs.size();
+    if (!(e.time >= s.now) || e.job_index >= limit) {
+      reader->Fail("snapshot event queue is inconsistent");
+      return;
+    }
+  }
+  for (const FaultEvent& f : s.fault_schedule.node_events()) {
+    if (f.group < 0 || static_cast<size_t>(f.group) >= num_groups) {
+      reader->Fail("snapshot fault event group out of range");
+      return;
+    }
+  }
 }
 
 bool Simulator::TryResumeFrom(const std::string& path, std::string* error) {
@@ -1342,18 +1258,10 @@ bool Simulator::PeekCheckpoint(const std::string& path, CheckpointInfo* info,
     return false;
   }
   SnapshotReader reader(std::move(buffer));
-  uint32_t version = 0;
-  if (!reader.BeginSection("meta", &version)) {
-    if (error != nullptr) {
-      *error = reader.error();
-    }
-    return false;
+  if (reader.BeginSection("meta")) {
+    ReadMeta(reader, info);
+    reader.EndSection();
   }
-  info->cycles_completed = reader.ReadVarU64();
-  info->now = reader.ReadDouble();
-  info->cluster = RestoreCluster(reader);
-  RestoreSimOptions(reader, &info->options);
-  reader.EndSection();
   if (!reader.ok()) {
     if (error != nullptr) {
       *error = reader.error();

@@ -302,6 +302,11 @@ class Simulator {
 
   void EnsureStarted();
   bool ProcessEvent();  // One event; true if it appended a CycleStats.
+  // Restore-time consistency checks of a walked state against this
+  // simulator's cluster; latches `reader`'s failure instead of letting a
+  // CRC-valid but inconsistent snapshot abort a later Step().
+  void CheckRestoredState(const std::vector<JobSpec>& workload, const RunState& s,
+                          SnapshotReader* reader) const;
   void MaybeCheckpoint();
 
   const ClusterConfig& cluster_;

@@ -203,25 +203,6 @@ void SnapshotWriter::WriteString(std::string_view s) {
   buffer_.append(s.data(), s.size());
 }
 
-void SnapshotWriter::WriteBytes(const void* data, size_t size) {
-  TS_CHECK(in_section_);
-  buffer_.append(static_cast<const char*>(data), size);
-}
-
-void SnapshotWriter::WriteDoubleVec(const std::vector<double>& v) {
-  WriteVarU64(v.size());
-  for (double x : v) {
-    WriteDouble(x);
-  }
-}
-
-void SnapshotWriter::WriteIntVec(const std::vector<int>& v) {
-  WriteVarU64(v.size());
-  for (int x : v) {
-    WriteVarI64(x);
-  }
-}
-
 std::string SnapshotWriter::Finish() {
   TS_CHECK(!finished_);
   TS_CHECK_MSG(!in_section_, "Finish() with an open section");
@@ -404,6 +385,21 @@ double SnapshotReader::ReadDouble() {
 
 bool SnapshotReader::ReadBool() { return ReadU8() != 0; }
 
+void SnapshotReader::Bool(bool& v) {
+  const uint8_t byte = ReadU8();
+  if (byte > 1) {
+    Fail("bool byte out of range");
+  }
+  v = byte == 1;
+}
+
+void SnapshotReader::Tag(std::string_view tag) {
+  const std::string found = ReadString();
+  if (ok_ && found != tag) {
+    Fail("snapshot kind '" + found + "' does not match configured '" + std::string(tag) + "'");
+  }
+}
+
 std::string SnapshotReader::ReadString() {
   const uint64_t size = ReadVarU64();
   // Compare against the remaining span, never pos_ + size: the sum wraps for
@@ -415,32 +411,6 @@ std::string SnapshotReader::ReadString() {
   std::string s(buffer_, pos_, size);
   pos_ += size;
   return s;
-}
-
-std::vector<double> SnapshotReader::ReadDoubleVec() {
-  const uint64_t count = ReadVarU64();
-  if (!ok_ || count > (section_end_ - pos_) / 8) {
-    Fail("double vector overruns section");
-    return {};
-  }
-  std::vector<double> v(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    v[i] = ReadDouble();
-  }
-  return v;
-}
-
-std::vector<int> SnapshotReader::ReadIntVec() {
-  const uint64_t count = ReadVarU64();
-  if (!ok_ || count > section_end_ - pos_) {  // Each element is >= 1 byte.
-    Fail("int vector overruns section");
-    return {};
-  }
-  std::vector<int> v(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    v[i] = static_cast<int>(ReadVarI64());
-  }
-  return v;
 }
 
 size_t SnapshotReader::SectionRemaining() const {

@@ -32,14 +32,34 @@
 // mismatch, bad magic, bad CRC) latches ok() == false and every subsequent
 // read returns a zero value, so callers validate once at the end instead of
 // checking every field.
+//
+// Layouts are written once. SnapshotWriter and SnapshotReader share one set
+// of field verbs (Double, Bool, String, VarInt, VarUint, Fixed64, Enum, Tag,
+// Nested, Seq, Map, Values); a type lists its fields once, in order, as
+//
+//   template <typename Io, typename Self> static void Walk(Io& io, Self& self);
+//
+// which SaveState instantiates with the writer and a const object and
+// RestoreState with the reader and a mutable one. Adding a field is one line
+// in the walk plus a bump of the owning section's version. Anything only a
+// restore needs (version and kind checks, cluster-shape checks, rebuilding
+// derived state) runs after the walk. The reader verbs reject, by latching
+// Fail(), what a cast would silently accept: an enum byte above the enum's
+// last value, a bool byte other than 0/1, a varint that does not fit the
+// target integer type, a kind tag that does not match, and any element
+// count that cannot fit in the section's remaining bytes.
 
 #ifndef SRC_SNAPSHOT_SNAPSHOT_IO_H_
 #define SRC_SNAPSHOT_SNAPSHOT_IO_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <set>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace threesigma {
@@ -68,11 +88,6 @@ class SnapshotWriter {
   void WriteDouble(double v);             // Raw bit pattern.
   void WriteBool(bool v);
   void WriteString(std::string_view s);   // Varint length + bytes.
-  void WriteBytes(const void* data, size_t size);
-
-  // Vector helpers (varint count + elements).
-  void WriteDoubleVec(const std::vector<double>& v);
-  void WriteIntVec(const std::vector<int>& v);
 
   // Appends the trailing CRC and returns the finished buffer. The writer is
   // spent afterwards.
@@ -84,6 +99,67 @@ class SnapshotWriter {
   bool FinishToFile(const std::string& path, std::string* error = nullptr);
 
   size_t bytes_written() const { return buffer_.size(); }
+
+  // Field verbs; SnapshotReader has the same ones (see "Layouts are written
+  // once" above). `min_elem_bytes` only matters to the reader.
+  void Double(double v) { WriteDouble(v); }
+  void Bool(bool v) { WriteBool(v); }
+  void String(std::string_view s) { WriteString(s); }
+  template <typename T>
+  void VarInt(T v) {
+    static_assert(std::is_signed_v<T>, "VarInt takes a signed integer");
+    WriteVarI64(v);
+  }
+  template <typename T>
+  void VarUint(T v) {
+    static_assert(std::is_unsigned_v<T>, "VarUint takes an unsigned integer");
+    WriteVarU64(v);
+  }
+  void Fixed64(uint64_t v) { WriteU64(v); }
+  template <typename E>
+  void Enum(E e, E /*last*/) {
+    WriteU8(static_cast<uint8_t>(e));
+  }
+  // A kind tag: a string the reader must find verbatim.
+  void Tag(std::string_view tag) { WriteString(tag); }
+  // A member with its own SaveState/RestoreState hooks.
+  template <typename T>
+  void Nested(const T& x) {
+    x.SaveState(*this);
+  }
+  // Count, then `each(element)` per element in container order.
+  template <typename C, typename F>
+  void Seq(const C& items, F&& each, size_t /*min_elem_bytes*/ = 1) {
+    WriteVarU64(items.size());
+    for (const auto& x : items) {
+      each(x);
+    }
+  }
+  // Count, then `each(key, value)` per entry in ascending key order
+  // (unordered maps are sorted first, so the bytes never depend on hashing).
+  template <typename M, typename F>
+  void Map(const M& m, F&& each, size_t /*min_elem_bytes*/ = 1) {
+    std::vector<const typename M::value_type*> entries;
+    entries.reserve(m.size());
+    for (const auto& entry : m) {
+      entries.push_back(&entry);
+    }
+    std::sort(entries.begin(), entries.end(),
+              [](const auto* a, const auto* b) { return a->first < b->first; });
+    WriteVarU64(entries.size());
+    for (const auto* entry : entries) {
+      each(entry->first, entry->second);
+    }
+  }
+  // A map whose key is a function of its value: count, then `each(value)`
+  // in key order; the reader rebuilds each key with `key_of(value)`.
+  template <typename M, typename KeyOf, typename F>
+  void Values(const M& m, KeyOf&& /*key_of*/, F&& each, size_t /*min_elem_bytes*/ = 1) {
+    WriteVarU64(m.size());
+    for (const auto& [key, value] : m) {
+      each(value);
+    }
+  }
 
  private:
   std::string buffer_;
@@ -144,9 +220,6 @@ class SnapshotReader {
   bool ReadBool();
   std::string ReadString();
 
-  std::vector<double> ReadDoubleVec();
-  std::vector<int> ReadIntVec();
-
   // Remaining unread bytes in the current section.
   size_t SectionRemaining() const;
 
@@ -155,7 +228,96 @@ class SnapshotReader {
   // unknown section version.
   void Fail(const std::string& message);
 
+  // Field verbs, mirroring SnapshotWriter's. On failure the target gets a
+  // zero value and ok() latches false.
+  void Double(double& v) { v = ReadDouble(); }
+  void Bool(bool& v);
+  void String(std::string& s) { s = ReadString(); }
+  template <typename T>
+  void VarInt(T& v) {
+    static_assert(std::is_signed_v<T>, "VarInt takes a signed integer");
+    const int64_t x = ReadVarI64();
+    v = x >= std::numeric_limits<T>::min() && x <= std::numeric_limits<T>::max()
+            ? static_cast<T>(x)
+            : FailedInt<T>();
+  }
+  template <typename T>
+  void VarUint(T& v) {
+    static_assert(std::is_unsigned_v<T>, "VarUint takes an unsigned integer");
+    const uint64_t x = ReadVarU64();
+    v = x <= std::numeric_limits<T>::max() ? static_cast<T>(x) : FailedInt<T>();
+  }
+  void Fixed64(uint64_t& v) { v = ReadU64(); }
+  template <typename E>
+  void Enum(E& e, E last) {
+    const uint8_t byte = ReadU8();
+    e = byte <= static_cast<uint8_t>(last) ? static_cast<E>(byte) : FailedEnum<E>();
+  }
+  void Tag(std::string_view tag);
+  template <typename T>
+  void Nested(T& x) {
+    x.RestoreState(*this);
+  }
+  // Resizes `items` to the stored count and walks every element in place.
+  template <typename C, typename F>
+  void Seq(C& items, F&& each, size_t min_elem_bytes = 1) {
+    items.resize(ReadVarCount(min_elem_bytes));
+    for (auto& x : items) {
+      if (!ok_) {
+        return;
+      }
+      each(x);
+    }
+  }
+  template <typename K, typename F>
+  void Seq(std::set<K>& items, F&& each, size_t min_elem_bytes = 1) {
+    items.clear();
+    for (uint64_t n = ReadVarCount(min_elem_bytes); n > 0 && ok_; --n) {
+      K key{};
+      each(key);
+      if (ok_) {
+        items.insert(std::move(key));
+      }
+    }
+  }
+  // Replaces `m` with the stored entries.
+  template <typename M, typename F>
+  void Map(M& m, F&& each, size_t min_elem_bytes = 1) {
+    m.clear();
+    for (uint64_t n = ReadVarCount(min_elem_bytes); n > 0 && ok_; --n) {
+      typename M::key_type key{};
+      typename M::mapped_type value{};
+      each(key, value);
+      if (ok_) {
+        m.insert_or_assign(std::move(key), std::move(value));
+      }
+    }
+  }
+  template <typename M, typename KeyOf, typename F>
+  void Values(M& m, KeyOf&& key_of, F&& each, size_t min_elem_bytes = 1) {
+    m.clear();
+    for (uint64_t n = ReadVarCount(min_elem_bytes); n > 0 && ok_; --n) {
+      typename M::mapped_type value{};
+      each(value);
+      if (ok_) {
+        auto key = key_of(value);
+        m.insert_or_assign(std::move(key), std::move(value));
+      }
+    }
+  }
+
  private:
+  template <typename T>
+  T FailedInt() {
+    Fail("integer out of range");
+    return 0;
+  }
+  template <typename E>
+  E FailedEnum() {
+    Fail("enum value out of range");
+    return E{};
+  }
+
   bool TakeBytes(void* out, size_t size);
 
   std::string owned_;        // Empty in borrowed mode.

@@ -160,9 +160,8 @@ Reply Server::HandleSubmit(const Request& request) {
       return reply;
     }
   }
-  if (request.job.num_tasks <= 0 || request.job.num_tasks > cluster_.max_group_size()) {
+  if (!ValidateJobSpec(request.job, cluster_, &reply.message)) {
     reply.code = StatusCode::kInvalidArgument;
-    reply.message = "gang width does not fit any node group";
     return reply;
   }
   if (queue_.size() >= options_.admission_capacity) {
@@ -437,24 +436,22 @@ void Server::Serve() {
   }
 }
 
+template <typename Io, typename Self>
+void Server::Walk(Io& io, Self& self) {
+  io.VarInt(self.next_id_);
+  io.Bool(self.draining_);
+  io.Bool(self.submissions_closed_);
+  io.Seq(self.queue_, [&](auto& spec) { io.Nested(spec); }, 8);
+  io.Map(self.token_to_id_, [&](auto& token, auto& id) {
+    io.String(token);
+    io.VarInt(id);
+  }, 2);
+  io.Seq(self.cancelled_before_injection_, [&](auto& id) { io.VarInt(id); });
+}
+
 void Server::SaveState(SnapshotWriter& writer) const {
   writer.BeginSection("svc", 1);
-  writer.WriteVarI64(next_id_);
-  writer.WriteBool(draining_);
-  writer.WriteBool(submissions_closed_);
-  writer.WriteVarU64(queue_.size());
-  for (const JobSpec& spec : queue_) {
-    spec.SaveState(writer);
-  }
-  writer.WriteVarU64(token_to_id_.size());
-  for (const auto& [token, id] : token_to_id_) {
-    writer.WriteString(token);
-    writer.WriteVarI64(id);
-  }
-  writer.WriteVarU64(cancelled_before_injection_.size());
-  for (const JobId id : cancelled_before_injection_) {
-    writer.WriteVarI64(id);
-  }
+  Walk(writer, *this);
   writer.EndSection();
   if (whatif_ != nullptr) {
     whatif_->SaveState(writer);  // Versioned "twin" section.
@@ -463,29 +460,10 @@ void Server::SaveState(SnapshotWriter& writer) const {
 
 void Server::RestoreState(SnapshotReader& reader) {
   reader.BeginSection("svc");
-  next_id_ = reader.ReadVarI64();
-  draining_ = reader.ReadBool();
-  submissions_closed_ = reader.ReadBool();
-  queue_.clear();
+  Walk(reader, *this);
   queued_ids_.clear();
-  const uint64_t num_queued = reader.ReadVarCount(8);
-  for (uint64_t i = 0; reader.ok() && i < num_queued; ++i) {
-    JobSpec spec;
-    spec.RestoreState(reader);
+  for (const JobSpec& spec : queue_) {
     queued_ids_.insert(spec.id);
-    queue_.push_back(std::move(spec));
-  }
-  token_to_id_.clear();
-  const uint64_t num_tokens = reader.ReadVarCount(2);
-  for (uint64_t i = 0; reader.ok() && i < num_tokens; ++i) {
-    std::string token = reader.ReadString();
-    const JobId id = reader.ReadVarI64();
-    token_to_id_[std::move(token)] = id;
-  }
-  cancelled_before_injection_.clear();
-  const uint64_t num_cancelled = reader.ReadVarCount(1);
-  for (uint64_t i = 0; reader.ok() && i < num_cancelled; ++i) {
-    cancelled_before_injection_.insert(reader.ReadVarI64());
   }
   reader.EndSection();
   // Older snapshots (or runs without the engine) have no "twin" section;

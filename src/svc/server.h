@@ -119,6 +119,8 @@ class Server : public SimulatorStateExtension {
   void InjectBatch();
   void MaybeCheckpoint();
   void UpdateQueueGauge();
+  template <typename Io, typename Self>
+  static void Walk(Io& io, Self& self);
 
   const ClusterConfig& cluster_;
   ServiceOptions options_;

@@ -15,57 +15,98 @@ bool FailWith(std::string* error, const std::string& message) {
   return false;
 }
 
-void WriteJobStatusInfo(SnapshotWriter& writer, const JobStatusInfo& info) {
-  writer.WriteU8(static_cast<uint8_t>(info.status));
-  writer.WriteDouble(info.submit_time);
-  writer.WriteDouble(info.start_time);
-  writer.WriteDouble(info.finish_time);
-  writer.WriteVarI64(info.group);
-  writer.WriteVarI64(info.preemptions);
-  writer.WriteBool(info.arrived);
+template <typename Io, typename Info>
+void WalkJobStatusInfo(Io& io, Info& info) {
+  io.Enum(info.status, JobStatus::kUnfinished);
+  io.Double(info.submit_time);
+  io.Double(info.start_time);
+  io.Double(info.finish_time);
+  io.VarInt(info.group);
+  io.VarInt(info.preemptions);
+  io.Bool(info.arrived);
 }
 
-bool ReadJobStatusInfo(SnapshotReader& reader, JobStatusInfo* info) {
-  const uint8_t status = reader.ReadU8();
-  if (status > static_cast<uint8_t>(JobStatus::kUnfinished)) {
-    return false;
+template <typename Io, typename Info>
+void WalkSimStateInfo(Io& io, Info& info) {
+  io.Double(info.now);
+  io.VarUint(info.cycles_completed);
+  io.VarInt(info.total_jobs);
+  io.VarInt(info.pending_jobs);
+  io.VarInt(info.running_jobs);
+  io.VarInt(info.completed_jobs);
+  io.VarInt(info.abandoned_jobs);
+  io.VarInt(info.total_nodes);
+  io.VarInt(info.available_nodes);
+  io.VarInt(info.free_nodes);
+  io.Bool(info.drained);
+}
+
+// Only the fields `verb` makes meaningful travel.
+template <typename Io, typename Req>
+void WalkRequest(Io& io, Req& r) {
+  io.Enum(r.verb, Verb::kAdvisorStatus);
+  io.VarUint(r.request_id);
+  switch (r.verb) {
+    case Verb::kSubmitJob:
+      io.String(r.token);
+      io.Nested(r.job);
+      break;
+    case Verb::kJobStatus:
+    case Verb::kCancelJob:
+      io.VarInt(r.job_id);
+      break;
+    case Verb::kShutdown:
+      io.Bool(r.drain);
+      break;
+    case Verb::kWhatIf:
+      io.String(r.scenarios);
+      io.VarInt(r.horizon);
+      break;
+    case Verb::kClusterState:
+    case Verb::kMetricsDump:
+    case Verb::kTriggerCheckpoint:
+    case Verb::kAdvisorStatus:
+      break;
   }
-  info->status = static_cast<JobStatus>(status);
-  info->submit_time = reader.ReadDouble();
-  info->start_time = reader.ReadDouble();
-  info->finish_time = reader.ReadDouble();
-  info->group = static_cast<int>(reader.ReadVarI64());
-  info->preemptions = static_cast<int>(reader.ReadVarI64());
-  info->arrived = reader.ReadBool();
-  return reader.ok();
 }
 
-void WriteSimStateInfo(SnapshotWriter& writer, const SimStateInfo& info) {
-  writer.WriteDouble(info.now);
-  writer.WriteVarU64(info.cycles_completed);
-  writer.WriteVarI64(info.total_jobs);
-  writer.WriteVarI64(info.pending_jobs);
-  writer.WriteVarI64(info.running_jobs);
-  writer.WriteVarI64(info.completed_jobs);
-  writer.WriteVarI64(info.abandoned_jobs);
-  writer.WriteVarI64(info.total_nodes);
-  writer.WriteVarI64(info.available_nodes);
-  writer.WriteVarI64(info.free_nodes);
-  writer.WriteBool(info.drained);
+template <typename Io, typename Rep>
+void WalkReply(Io& io, Rep& r) {
+  io.Enum(r.code, StatusCode::kInternal);
+  io.VarUint(r.request_id);
+  io.String(r.message);
+  io.VarInt(r.job_id);
+  WalkJobStatusInfo(io, r.job);
+  WalkSimStateInfo(io, r.cluster);
+  io.VarUint(r.queue_depth);
+  io.String(r.text);
 }
 
-void ReadSimStateInfo(SnapshotReader& reader, SimStateInfo* info) {
-  info->now = reader.ReadDouble();
-  info->cycles_completed = reader.ReadVarU64();
-  info->total_jobs = reader.ReadVarI64();
-  info->pending_jobs = reader.ReadVarI64();
-  info->running_jobs = reader.ReadVarI64();
-  info->completed_jobs = reader.ReadVarI64();
-  info->abandoned_jobs = reader.ReadVarI64();
-  info->total_nodes = static_cast<int>(reader.ReadVarI64());
-  info->available_nodes = static_cast<int>(reader.ReadVarI64());
-  info->free_nodes = static_cast<int>(reader.ReadVarI64());
-  info->drained = reader.ReadBool();
+// One frame: a snapshot container holding the single section `name` (v1).
+template <typename Message, typename WalkFn>
+std::string Encode(const char* name, const Message& message, WalkFn walk) {
+  SnapshotWriter writer;
+  writer.BeginSection(name, 1);
+  walk(writer, message);
+  writer.EndSection();
+  return writer.Finish();
+}
+
+template <typename Message, typename WalkFn>
+bool Decode(const char* name, const std::string& payload, Message* out, WalkFn walk,
+            std::string* error) {
+  *out = Message();
+  SnapshotReader reader(payload);
+  uint32_t version = 0;
+  if (reader.BeginSection(name, &version) && version != 1) {
+    reader.Fail(std::string("unsupported ") + name + " version");
+  }
+  walk(reader, *out);
+  reader.EndSection();
+  if (!reader.ok()) {
+    return FailWith(error, reader.error());
+  }
+  return true;
 }
 
 }  // namespace
@@ -117,132 +158,24 @@ const char* StatusCodeName(StatusCode code) {
 }
 
 std::string EncodeRequest(const Request& request) {
-  SnapshotWriter writer;
-  writer.BeginSection("req", 1);
-  writer.WriteU8(static_cast<uint8_t>(request.verb));
-  writer.WriteVarU64(request.request_id);
-  switch (request.verb) {
-    case Verb::kSubmitJob:
-      writer.WriteString(request.token);
-      request.job.SaveState(writer);
-      break;
-    case Verb::kJobStatus:
-    case Verb::kCancelJob:
-      writer.WriteVarI64(request.job_id);
-      break;
-    case Verb::kShutdown:
-      writer.WriteBool(request.drain);
-      break;
-    case Verb::kWhatIf:
-      writer.WriteString(request.scenarios);
-      writer.WriteVarI64(request.horizon);
-      break;
-    case Verb::kClusterState:
-    case Verb::kMetricsDump:
-    case Verb::kTriggerCheckpoint:
-    case Verb::kAdvisorStatus:
-      break;
-  }
-  writer.EndSection();
-  return writer.Finish();
-}
-
-bool DecodeRequest(const std::string& payload, Request* out, std::string* error) {
-  *out = Request();
-  SnapshotReader reader(payload);
-  if (!reader.ok()) {
-    return FailWith(error, reader.error());
-  }
-  uint32_t version = 0;
-  if (!reader.BeginSection("req", &version)) {
-    return FailWith(error, reader.error());
-  }
-  if (version != 1) {
-    return FailWith(error, "unsupported request version");
-  }
-  const uint8_t verb = reader.ReadU8();
-  if (!reader.ok() || verb < static_cast<uint8_t>(Verb::kSubmitJob) ||
-      verb > static_cast<uint8_t>(Verb::kAdvisorStatus)) {
-    return FailWith(error, "unknown request verb");
-  }
-  out->verb = static_cast<Verb>(verb);
-  out->request_id = reader.ReadVarU64();
-  switch (out->verb) {
-    case Verb::kSubmitJob:
-      out->token = reader.ReadString();
-      out->job.RestoreState(reader);
-      break;
-    case Verb::kJobStatus:
-    case Verb::kCancelJob:
-      out->job_id = reader.ReadVarI64();
-      break;
-    case Verb::kShutdown:
-      out->drain = reader.ReadBool();
-      break;
-    case Verb::kWhatIf:
-      out->scenarios = reader.ReadString();
-      out->horizon = reader.ReadVarI64();
-      break;
-    case Verb::kClusterState:
-    case Verb::kMetricsDump:
-    case Verb::kTriggerCheckpoint:
-    case Verb::kAdvisorStatus:
-      break;
-  }
-  reader.EndSection();
-  if (!reader.ok()) {
-    return FailWith(error, reader.error().empty() ? "malformed request" : reader.error());
-  }
-  return true;
+  return Encode("req", request, [](auto& io, auto& r) { WalkRequest(io, r); });
 }
 
 std::string EncodeReply(const Reply& reply) {
-  SnapshotWriter writer;
-  writer.BeginSection("rep", 1);
-  writer.WriteU8(static_cast<uint8_t>(reply.code));
-  writer.WriteVarU64(reply.request_id);
-  writer.WriteString(reply.message);
-  writer.WriteVarI64(reply.job_id);
-  WriteJobStatusInfo(writer, reply.job);
-  WriteSimStateInfo(writer, reply.cluster);
-  writer.WriteVarU64(reply.queue_depth);
-  writer.WriteString(reply.text);
-  writer.EndSection();
-  return writer.Finish();
+  return Encode("rep", reply, [](auto& io, auto& r) { WalkReply(io, r); });
+}
+
+bool DecodeRequest(const std::string& payload, Request* out, std::string* error) {
+  return Decode("req", payload, out, [](SnapshotReader& reader, Request& r) {
+    WalkRequest(reader, r);
+    if (reader.ok() && r.verb < Verb::kSubmitJob) {
+      reader.Fail("unknown request verb");
+    }
+  }, error);
 }
 
 bool DecodeReply(const std::string& payload, Reply* out, std::string* error) {
-  *out = Reply();
-  SnapshotReader reader(payload);
-  if (!reader.ok()) {
-    return FailWith(error, reader.error());
-  }
-  uint32_t version = 0;
-  if (!reader.BeginSection("rep", &version)) {
-    return FailWith(error, reader.error());
-  }
-  if (version != 1) {
-    return FailWith(error, "unsupported reply version");
-  }
-  const uint8_t code = reader.ReadU8();
-  if (!reader.ok() || code > static_cast<uint8_t>(StatusCode::kInternal)) {
-    return FailWith(error, "unknown reply status code");
-  }
-  out->code = static_cast<StatusCode>(code);
-  out->request_id = reader.ReadVarU64();
-  out->message = reader.ReadString();
-  out->job_id = reader.ReadVarI64();
-  if (!ReadJobStatusInfo(reader, &out->job)) {
-    return FailWith(error, "malformed reply job status");
-  }
-  ReadSimStateInfo(reader, &out->cluster);
-  out->queue_depth = reader.ReadVarU64();
-  out->text = reader.ReadString();
-  reader.EndSection();
-  if (!reader.ok()) {
-    return FailWith(error, reader.error().empty() ? "malformed reply" : reader.error());
-  }
-  return true;
+  return Decode("rep", payload, out, [](auto& io, auto& r) { WalkReply(io, r); }, error);
 }
 
 void AppendFrame(std::string* out, std::string_view payload) {

@@ -381,27 +381,32 @@ std::string AdvisorState::ToText(bool auto_apply) const {
   return out;
 }
 
+namespace {
+
+// The applied scenario travels as its Describe() text (`applied_spec`).
+template <typename Io, typename State>
+void WalkAdvisorState(Io& io, State& state, std::string& applied_spec) {
+  io.VarInt(state.sweeps);
+  io.VarInt(state.recommendations);
+  io.VarInt(state.applied);
+  io.Fixed64(state.last_sweep_cycle);
+  io.String(state.last_best);
+  io.Double(state.last_gain);
+  io.Bool(state.has_applied_config);
+  io.String(applied_spec);
+}
+
+}  // namespace
+
 void Advisor::SaveState(SnapshotWriter& writer) const {
-  writer.WriteVarI64(state_.sweeps);
-  writer.WriteVarI64(state_.recommendations);
-  writer.WriteVarI64(state_.applied);
-  writer.WriteU64(state_.last_sweep_cycle);
-  writer.WriteString(state_.last_best);
-  writer.WriteDouble(state_.last_gain);
-  writer.WriteBool(state_.has_applied_config);
-  writer.WriteString(state_.applied_scenario.Describe());
+  std::string spec = state_.applied_scenario.Describe();
+  WalkAdvisorState(writer, state_, spec);
 }
 
 void Advisor::RestoreState(SnapshotReader& reader, DistributionScheduler* live_sched) {
   state_ = AdvisorState{};
-  state_.sweeps = reader.ReadVarI64();
-  state_.recommendations = reader.ReadVarI64();
-  state_.applied = reader.ReadVarI64();
-  state_.last_sweep_cycle = reader.ReadU64();
-  state_.last_best = reader.ReadString();
-  state_.last_gain = reader.ReadDouble();
-  state_.has_applied_config = reader.ReadBool();
-  const std::string spec = reader.ReadString();
+  std::string spec;
+  WalkAdvisorState(reader, state_, spec);
   std::string err;
   if (!ParseScenario(spec, &state_.applied_scenario, &err)) {
     state_.has_applied_config = false;
@@ -514,17 +519,16 @@ bool WhatIfEngine::MaybeAdvise(Simulator& live, uint64_t cycles_completed) {
 
 void WhatIfEngine::SaveState(SnapshotWriter& writer) const {
   writer.BeginSection("twin", 1);
-  writer.WriteU64(last_advise_cycle_);
+  writer.Fixed64(last_advise_cycle_);
   advisor_.SaveState(writer);
   writer.EndSection();
 }
 
 void WhatIfEngine::RestoreState(SnapshotReader& reader) {
-  uint32_t version = 0;
-  if (!reader.BeginSection("twin", &version)) {
+  if (!reader.BeginSection("twin")) {
     return;
   }
-  last_advise_cycle_ = reader.ReadU64();
+  reader.Fixed64(last_advise_cycle_);
   advisor_.RestoreState(reader, live_sched_);
   reader.EndSection();
 }

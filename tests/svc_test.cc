@@ -13,6 +13,8 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <random>
@@ -25,6 +27,7 @@
 #include "src/predict/predictor.h"
 #include "src/sched/distribution_scheduler.h"
 #include "src/sched/prio_scheduler.h"
+#include "src/snapshot/snapshot_io.h"
 #include "src/svc/client.h"
 #include "src/svc/server.h"
 #include "src/svc/socket_transport.h"
@@ -316,6 +319,9 @@ class LoopbackServiceTest : public ::testing::Test {
     return reply;
   }
 
+  void ExpectSubmitRejected(const JobSpec& job, StatusCode code, const std::string& from = "",
+                            const std::string& to = "");
+
   // Steps the simulation until it pauses (no more steppable cycles).
   void StepUntilIdle() {
     int guard = 0;
@@ -395,6 +401,114 @@ TEST_F(LoopbackServiceTest, OversizedGangRejected) {
   EXPECT_EQ(RawCall(request).code, StatusCode::kInvalidArgument);
   request.job.num_tasks = 0;
   EXPECT_EQ(RawCall(request).code, StatusCode::kInvalidArgument);
+}
+
+// The bytes of `payload` with the one occurrence of `from` replaced by the
+// same-length `to`, CRC re-sealed: submits values no JobSpec can hold.
+std::string Patched(std::string payload, const std::string& from, const std::string& to) {
+  EXPECT_EQ(from.size(), to.size());
+  const size_t at = payload.find(from);
+  EXPECT_NE(at, std::string::npos);
+  EXPECT_EQ(at, payload.rfind(from)) << "patch target is not unique";
+  payload.replace(at, from.size(), to);
+  const uint32_t crc = Crc32(payload.data(), payload.size() - 4);
+  for (size_t i = 0; i < 4; ++i) {
+    payload[payload.size() - 4 + i] = static_cast<char>((crc >> (8 * i)) & 0xff);
+  }
+  return payload;
+}
+
+std::string DoubleBytes(double v) {
+  std::string bytes(sizeof(v), '\0');
+  std::memcpy(bytes.data(), &v, sizeof(v));
+  return bytes;
+}
+
+// Submits `job` (optionally byte-patched), expects `code`, then runs the
+// simulation dry: a rejected spec must leave nothing behind that aborts.
+void LoopbackServiceTest::ExpectSubmitRejected(const JobSpec& job, StatusCode code,
+                                               const std::string& from,
+                                               const std::string& to) {
+  Start(ServiceOptions{});
+  Request request;
+  request.verb = Verb::kSubmitJob;
+  request.request_id = 7;
+  request.job = job;
+  std::string payload = EncodeRequest(request);
+  if (!from.empty()) {
+    payload = Patched(payload, from, to);
+  }
+  std::string error;
+  ASSERT_TRUE(channel_->SendFrame(payload, &error)) << error;
+  std::string reply_payload;
+  ASSERT_TRUE(channel_->RecvFrame(&reply_payload, 1.0, &error)) << error;
+  Reply reply;
+  ASSERT_TRUE(DecodeReply(reply_payload, &reply, &error)) << error;
+  EXPECT_EQ(reply.code, code) << StatusCodeName(reply.code) << ": " << reply.message;
+  StepUntilIdle();
+  EXPECT_EQ(server_->simulator().StateNow().total_jobs, 0);
+}
+
+TEST_F(LoopbackServiceTest, NanRuntimeRejected) {
+  JobSpec job = MakeJob(0);
+  job.true_runtime = std::numeric_limits<double>::quiet_NaN();
+  ExpectSubmitRejected(job, StatusCode::kInvalidArgument);
+}
+
+TEST_F(LoopbackServiceTest, NegativeRuntimeRejected) {
+  ExpectSubmitRejected(MakeJob(0, 0.0, 1, -50.0), StatusCode::kInvalidArgument);
+}
+
+TEST_F(LoopbackServiceTest, ZeroRuntimeRejected) {
+  ExpectSubmitRejected(MakeJob(0, 0.0, 1, 0.0), StatusCode::kInvalidArgument);
+}
+
+TEST_F(LoopbackServiceTest, InfiniteSubmitTimeRejected) {
+  ExpectSubmitRejected(MakeJob(0, std::numeric_limits<double>::infinity()),
+                       StatusCode::kInvalidArgument);
+}
+
+TEST_F(LoopbackServiceTest, NegativeSubmitTimeRejected) {
+  ExpectSubmitRejected(MakeJob(0, -5.0), StatusCode::kInvalidArgument);
+}
+
+TEST_F(LoopbackServiceTest, NanDeadlineRejected) {
+  JobSpec job = MakeJob(0);
+  job.type = JobType::kSlo;
+  job.deadline = std::numeric_limits<double>::quiet_NaN();
+  ExpectSubmitRejected(job, StatusCode::kInvalidArgument);
+}
+
+TEST_F(LoopbackServiceTest, NonFiniteSlowdownRejected) {
+  JobSpec job = MakeJob(0);
+  job.nonpreferred_slowdown = std::numeric_limits<double>::infinity();
+  ExpectSubmitRejected(job, StatusCode::kInvalidArgument);
+}
+
+TEST_F(LoopbackServiceTest, NonPositiveUtilityValueRejected) {
+  JobSpec job = MakeJob(0);
+  job.utility = UtilityFunction::BestEffortLinear(1.25, 0.0, 3600.0);
+  ExpectSubmitRejected(job, StatusCode::kInvalidArgument, DoubleBytes(1.25), DoubleBytes(0.0));
+}
+
+TEST_F(LoopbackServiceTest, NonPositiveUtilityWindowRejected) {
+  JobSpec job = MakeJob(0);
+  job.utility = UtilityFunction::BestEffortLinear(1.0, 0.0, 1234.5);
+  ExpectSubmitRejected(job, StatusCode::kInvalidArgument, DoubleBytes(1234.5),
+                       DoubleBytes(-1.0));
+}
+
+TEST_F(LoopbackServiceTest, OutOfRangeJobTypeByteIsMalformed) {
+  // The type byte directly follows the "tester" user string.
+  ExpectSubmitRejected(MakeJob(0), StatusCode::kMalformed, std::string("\x06tester\x01"),
+                       std::string("\x06tester\x07"));
+}
+
+TEST_F(LoopbackServiceTest, NumTasksBeyondIntIsMalformed) {
+  // Zigzag varints of INT_MAX and of 2^32 + 1 are both five bytes long.
+  ExpectSubmitRejected(MakeJob(0, 0.0, std::numeric_limits<int>::max()),
+                       StatusCode::kMalformed, std::string("\xfe\xff\xff\xff\x0f"),
+                       std::string("\x82\x80\x80\x80\x20"));
 }
 
 TEST_F(LoopbackServiceTest, FullQueueAnswersRetryLater) {
