@@ -1,8 +1,11 @@
 // Solver micro-benchmarks (google-benchmark): simplex scaling with problem
-// size, branch-and-bound on scheduler-shaped binary programs, and the
-// §4.3.6 warm-start ablation.
+// size, branch-and-bound on scheduler-shaped binary programs, the §4.3.6
+// warm-start ablation, and the cross-cycle root warm start.
 
 #include <benchmark/benchmark.h>
+
+#include <chrono>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
@@ -138,6 +141,54 @@ void BM_BnbNodeStreamBasis(benchmark::State& state) {
   state.SetLabel(warm ? "warm-basis" : "cold-basis");
 }
 BENCHMARK(BM_BnbNodeStreamBasis)->Arg(0)->Arg(1);
+
+// Cross-cycle root warm start: the root LPs of a seeded sequence of
+// perturbed scheduler-shaped cycle models (SchedulerShapedCycles), solved
+// cold (presolve on, as a root without a start basis runs) or from the
+// previous cycle's optimal root basis mapped by key (presolve off, as the
+// branch-and-bound root runs it). Arg(1) = keyed warm, Arg(0) = cold.
+// Reported counters:
+//   pivots/root    — mean simplex pivots per root LP
+//   us/root        — mean wall microseconds per root LP
+//   warm/root      — share of roots that finished from the start basis
+void BM_RootAcrossCycles(benchmark::State& state) {
+  const bool warm = state.range(0) != 0;
+  constexpr int kCycles = 24;
+  SchedulerShapedCycles cycles(48, 12, 24, 2024);
+  std::vector<LpModel> models;
+  std::vector<LpBasis> mapped;
+  LpSolution previous = SolveLp(cycles.model());
+  for (int c = 0; c < kCycles; ++c) {
+    cycles.Next();
+    models.push_back(cycles.model());
+    mapped.push_back(cycles.MapBasis(previous.basis));
+    previous = SolveLp(cycles.model());
+  }
+  int64_t pivots = 0, roots = 0, warm_roots = 0;
+  double seconds = 0.0;
+  for (auto _ : state) {
+    for (size_t c = 0; c < models.size(); ++c) {
+      SimplexOptions options;
+      if (warm) {
+        options.presolve = false;
+        options.start_basis = mapped[c];
+      }
+      const auto start = std::chrono::steady_clock::now();
+      const LpSolution sol = SolveLp(models[c], options);
+      seconds += std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+      pivots += sol.iterations;
+      warm_roots += sol.stats.warm_basis_used ? 1 : 0;
+      ++roots;
+      benchmark::DoNotOptimize(sol.objective);
+    }
+  }
+  const double n = static_cast<double>(roots);
+  state.counters["pivots/root"] = static_cast<double>(pivots) / n;
+  state.counters["us/root"] = 1e6 * seconds / n;
+  state.counters["warm/root"] = static_cast<double>(warm_roots) / n;
+  state.SetLabel(warm ? "keyed-warm" : "cold");
+}
+BENCHMARK(BM_RootAcrossCycles)->Arg(0)->Arg(1);
 
 void BM_SimplexDense(benchmark::State& state) {
   // Dense random LP: stresses pricing and the basis inverse.

@@ -58,6 +58,11 @@
   X(int64_t, valuation_cache_hits, Sum)                                                   \
   X(int64_t, valuation_cache_misses, Sum)                                                 \
   X(int64_t, valuation_kernel_calls, Sum)                                                 \
+  /* Solver: LP pivots over every node, the root relaxation's share, and */                \
+  /* whether the root started from last cycle's mapped basis (0/1). */                    \
+  X(int64_t, lp_pivots, Sum)                                                              \
+  X(int64_t, root_pivots, Sum)                                                            \
+  X(int64_t, root_warm, Sum)                                                              \
   /* New fields go above this line. */
 
 namespace threesigma {

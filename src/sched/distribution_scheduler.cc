@@ -20,8 +20,10 @@ constexpr double kMinOptionUtility = 1e-6;
 // add/subtract float drift.
 constexpr int kCacheRebuildPeriod = 256;
 
-// "sched" section layout version; RestoreState reads no other.
-constexpr uint32_t kSchedSectionVersion = 5;
+// "sched" section layout version; RestoreState reads no other. v6: the root
+// basis is kept by key (per-job statuses and the capacity-row array) instead
+// of by position.
+constexpr uint32_t kSchedSectionVersion = 6;
 
 double SecondsSince(std::chrono::steady_clock::time_point t0) {
   const std::chrono::duration<double> d = std::chrono::steady_clock::now() - t0;
@@ -81,7 +83,8 @@ void DistributionScheduler::UpdateConfig(const DistSchedulerConfig& config) {
     ApplyOverestimateDecay(info, /*force=*/info.attempts > 0);
   }
   valuation_ = ValuationEngine(config_.crosscheck);
-  last_root_basis_ = LpBasis();
+  ++basis_epoch_;  // Every job's kept statuses go stale...
+  capacity_status_.clear();  // ...and no basis is kept.
   dirty_ = true;
   last_solve_ = -1e18;
   solves_since_rebuild_ = 0;
@@ -504,6 +507,7 @@ CycleResult DistributionScheduler::RunCycle(Time now, const ClusterStateView& st
   // not expired.
   struct PreemptCandidate {
     JobId id;
+    JobInfo* info;
     int group;
     double k;
     std::vector<double> survival;  // Per slot.
@@ -518,9 +522,9 @@ CycleResult DistributionScheduler::RunCycle(Time now, const ClusterStateView& st
       if (!(config_.enable_preemption && r.type == JobType::kBestEffort)) {
         continue;
       }
-      const JobInfo& info = jobs_.at(r.id);
+      JobInfo& info = jobs_.at(r.id);
       preemptables.push_back(PreemptCandidate{
-          r.id, r.group, static_cast<double>(r.num_tasks), info.cached_survival,
+          r.id, &info, r.group, static_cast<double>(r.num_tasks), info.cached_survival,
           config_.preemption_cost_factor * info.effective_utility.peak_value()});
     }
   }
@@ -570,6 +574,7 @@ CycleResult DistributionScheduler::RunCycle(Time now, const ClusterStateView& st
   // --- 3. Options and their valuation (Eq. 1). -----------------------------
   struct Option {
     JobId job;
+    JobInfo* info = nullptr;
     int group;
     int slot;  // Start slot index; slot 0 == start now.
     double eu;
@@ -597,10 +602,12 @@ CycleResult DistributionScheduler::RunCycle(Time now, const ClusterStateView& st
   for (int i = 0; i < n; ++i) {
     const JobId id = considered[static_cast<size_t>(i)];
     JobValuation& staged = value_stage_[static_cast<size_t>(i)];
-    ValueJobOptions(jobs_.at(id), now, &counters, &staged);
+    JobInfo& info = jobs_.at(id);
+    ValueJobOptions(info, now, &counters, &staged);
     for (const ValuedOption& vo : staged.options) {
       Option opt;
       opt.job = id;
+      opt.info = &info;
       opt.group = vo.group;
       opt.slot = vo.slot;
       opt.eu = vo.eu;
@@ -624,15 +631,25 @@ CycleResult DistributionScheduler::RunCycle(Time now, const ClusterStateView& st
   // --- 4. MILP compilation (§4.3.3). ---------------------------------------
   LpModel model;
   std::vector<int> preempt_vars(preemptables.size(), -1);
+  // Row keys, in row order: demand rows (by job), then capacity rows (by
+  // g * slots + i).
+  std::vector<JobInfo*> demand_jobs;
+  std::vector<int> capacity_keys;
   {
   TS_OBS_SPAN("sched.build", obs::Phase::kBuild);
   // capacity_terms[g][i]: accumulating LHS of the capacity row.
   std::vector<std::vector<std::vector<LpTerm>>> capacity_terms(
       num_groups, std::vector<std::vector<LpTerm>>(slots));
-  std::map<JobId, std::vector<int>> job_vars;
+  struct DemandRow {
+    JobInfo* info = nullptr;
+    std::vector<int> vars;
+  };
+  std::map<JobId, DemandRow> job_vars;
   for (Option& opt : options) {
     opt.var = model.AddVariable(0.0, 1.0, opt.eu);
-    job_vars[opt.job].push_back(opt.var);
+    DemandRow& demand = job_vars[opt.job];
+    demand.info = opt.info;
+    demand.vars.push_back(opt.var);
     for (int d = 0; d < opt.cons_len; ++d) {
       if (opt.cons[d] > 1e-9) {
         capacity_terms[opt.group][opt.slot + d].push_back(LpTerm{opt.var, opt.cons[d]});
@@ -655,13 +672,15 @@ CycleResult DistributionScheduler::RunCycle(Time now, const ClusterStateView& st
   }
 
   // Demand rows: at most one option per job.
-  for (const auto& [id, vars] : job_vars) {
+  demand_jobs.reserve(job_vars.size());
+  for (const auto& [id, demand] : job_vars) {
     std::vector<LpTerm> terms;
-    terms.reserve(vars.size());
-    for (int v : vars) {
+    terms.reserve(demand.vars.size());
+    for (int v : demand.vars) {
       terms.push_back(LpTerm{v, 1.0});
     }
     model.AddRow(RowSense::kLessEqual, 1.0, std::move(terms));
+    demand_jobs.push_back(demand.info);
   }
   // Capacity rows (Eq. 3).
   for (int g = 0; g < num_groups; ++g) {
@@ -670,6 +689,7 @@ CycleResult DistributionScheduler::RunCycle(Time now, const ClusterStateView& st
         continue;
       }
       model.AddRow(RowSense::kLessEqual, cap[g][i], std::move(capacity_terms[g][i]));
+      capacity_keys.push_back(g * slots + i);
     }
   }
   }  // sched.build span.
@@ -689,7 +709,7 @@ CycleResult DistributionScheduler::RunCycle(Time now, const ClusterStateView& st
   {
   TS_OBS_SPAN("sched.warm_start", obs::Phase::kBuild);
   for (const Option& opt : options) {
-    const JobInfo& info = jobs_.at(opt.job);
+    const JobInfo& info = *opt.info;
     if (info.planned_group != opt.group || info.planned_start == kNever) {
       continue;
     }
@@ -717,9 +737,32 @@ CycleResult DistributionScheduler::RunCycle(Time now, const ClusterStateView& st
   if (any_warm) {
     milp_options.warm_start = warm;
   }
-  // Previous cycle's root basis; discarded inside the solver if this cycle's
-  // model has a different shape.
-  milp_options.root_basis = last_root_basis_;
+  // The kept root basis, mapped onto this model by key: a surviving column
+  // or row keeps its status, a new column starts at its lower bound and a
+  // new row's slack basic (the JobInfo defaults). The simplex repairs the
+  // basic count, and starts from whatever mix of feasibility this leaves.
+  if (!capacity_status_.empty()) {
+    std::vector<BasisStatus>& status = milp_options.root_basis.status;
+    status.reserve(static_cast<size_t>(model.num_variables() + model.num_rows()));
+    for (const Option& opt : options) {
+      const JobInfo& info = *opt.info;
+      status.push_back(info.basis_epoch == basis_epoch_
+                           ? info.option_status[static_cast<size_t>(opt.group * slots + opt.slot)]
+                           : BasisStatus::kAtLower);
+    }
+    for (const PreemptCandidate& cand : preemptables) {
+      status.push_back(cand.info->basis_epoch == basis_epoch_ ? cand.info->preempt_status
+                                                              : BasisStatus::kAtLower);
+    }
+    for (const JobInfo* info : demand_jobs) {
+      status.push_back(info->basis_epoch == basis_epoch_ ? info->demand_status
+                                                         : BasisStatus::kBasic);
+    }
+    for (const int key : capacity_keys) {
+      status.push_back(capacity_status_[static_cast<size_t>(key)]);
+    }
+    TS_CHECK_EQ(status.size(), static_cast<size_t>(model.num_variables() + model.num_rows()));
+  }
   const auto solve_start = std::chrono::steady_clock::now();
   MilpSolution solution;
   {
@@ -729,9 +772,48 @@ CycleResult DistributionScheduler::RunCycle(Time now, const ClusterStateView& st
   }
   result.solver_seconds = SecondsSince(solve_start);
   if (!solution.root_basis.empty()) {
-    last_root_basis_ = solution.root_basis;
+    if (config_.crosscheck) {
+      // The root, warm or cold, must reach a cold re-solve's optimum.
+      const LpSolution cold = SolveLp(model);
+      TS_CHECK(cold.status == LpStatus::kOptimal);
+      TS_CHECK_MSG(std::fabs(solution.root_objective - cold.objective) <=
+                       1e-9 * std::max(1.0, std::fabs(cold.objective)),
+                   "root LP objective " << solution.root_objective << " vs cold re-solve "
+                                        << cold.objective);
+    }
+    // Keep the root basis by key for the next cycle's mapping.
+    ++basis_epoch_;
+    const std::vector<BasisStatus>& status = solution.root_basis.status;
+    const auto keyed = [&](JobInfo& info) -> JobInfo& {
+      if (info.basis_epoch != basis_epoch_) {
+        info.option_status.assign(static_cast<size_t>(num_groups * slots), BasisStatus::kAtLower);
+        info.demand_status = BasisStatus::kBasic;
+        info.preempt_status = BasisStatus::kAtLower;
+        info.basis_epoch = basis_epoch_;
+      }
+      return info;
+    };
+    for (const Option& opt : options) {
+      keyed(*opt.info).option_status[static_cast<size_t>(opt.group * slots + opt.slot)] =
+          status[static_cast<size_t>(opt.var)];
+    }
+    for (size_t p = 0; p < preemptables.size(); ++p) {
+      keyed(*preemptables[p].info).preempt_status =
+          status[static_cast<size_t>(preempt_vars[p])];
+    }
+    size_t row = static_cast<size_t>(model.num_variables());
+    for (JobInfo* info : demand_jobs) {
+      keyed(*info).demand_status = status[row++];
+    }
+    capacity_status_.assign(static_cast<size_t>(num_groups * slots), BasisStatus::kBasic);
+    for (const int key : capacity_keys) {
+      capacity_status_[static_cast<size_t>(key)] = status[row++];
+    }
   }
   result.milp_nodes = solution.nodes_explored;
+  result.lp_pivots = solution.lp_iterations;
+  result.root_pivots = solution.root_iterations;
+  result.root_warm = solution.root_warm ? 1 : 0;
   result.milp_max_queue_depth = solution.max_queue_depth;
   result.milp_incumbent_improvements =
       static_cast<int64_t>(solution.incumbent_improvements.size());
@@ -748,7 +830,7 @@ CycleResult DistributionScheduler::RunCycle(Time now, const ClusterStateView& st
       if (solution.values[opt.var] < 0.5) {
         continue;
       }
-      JobInfo& info = jobs_.at(opt.job);
+      JobInfo& info = *opt.info;
       if (opt.slot == 0) {
         result.start.push_back(Placement{opt.job, opt.group});
       } else {
@@ -789,6 +871,10 @@ void DistributionScheduler::Walk(Io& io, Self& self) {
     io.Seq(info.cached_survival, [&](auto& v) { io.Double(v); }, sizeof(double));
     io.Double(info.survival_valid_until);
     io.Bool(info.capacity_applied);
+    io.Seq(info.option_status, [&](auto& st) { io.Enum(st, BasisStatus::kAtUpper); });
+    io.Enum(info.demand_status, BasisStatus::kAtUpper);
+    io.Enum(info.preempt_status, BasisStatus::kAtUpper);
+    io.VarInt(info.basis_epoch);
   });
   io.Seq(self.pending_, [&](auto& id) { io.VarInt(id); });
   io.Bool(self.dirty_);
@@ -797,7 +883,8 @@ void DistributionScheduler::Walk(Io& io, Self& self) {
     io.Seq(row, [&](auto& v) { io.Double(v); }, sizeof(double));
   });
   io.VarInt(self.solves_since_rebuild_);
-  io.Seq(self.last_root_basis_.status, [&](auto& s) { io.Enum(s, BasisStatus::kAtUpper); });
+  io.VarInt(self.basis_epoch_);
+  io.Seq(self.capacity_status_, [&](auto& st) { io.Enum(st, BasisStatus::kAtUpper); });
 }
 
 void DistributionScheduler::SaveState(SnapshotWriter& writer) const {
@@ -828,6 +915,11 @@ void DistributionScheduler::RestoreState(SnapshotReader& reader) {
   if (reader.ok() && consumed_.size() != static_cast<size_t>(num_groups)) {
     reader.Fail("snapshot cluster shape does not match this scheduler");
   }
+  // The keyed basis is indexed by g * slots + slot.
+  const size_t keyed_size = static_cast<size_t>(num_groups * config_.num_start_slots);
+  if (basis_epoch_ < 0 || (!capacity_status_.empty() && capacity_status_.size() != keyed_size)) {
+    reader.Fail("keyed basis does not match this scheduler");
+  }
   std::string invalid;
   for (const auto& [id, info] : jobs_) {
     if (!ValidateJobSpec(info.spec, cluster_, &invalid)) {
@@ -836,6 +928,10 @@ void DistributionScheduler::RestoreState(SnapshotReader& reader) {
     if (info.group < -1 || info.group >= num_groups || info.planned_group < -1 ||
         info.planned_group >= num_groups) {
       reader.Fail("job " + std::to_string(id) + " group out of range");
+    }
+    if (info.basis_epoch > basis_epoch_ ||
+        (info.basis_epoch == basis_epoch_ && info.option_status.size() != keyed_size)) {
+      reader.Fail("job " + std::to_string(id) + " keyed basis shape mismatch");
     }
   }
   for (const JobId id : pending_) {

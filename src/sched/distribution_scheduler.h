@@ -98,8 +98,11 @@ struct DistSchedulerConfig {
   // from-scratch Eq. 3 recompute, every valuation kernel and survival answer
   // against the generic per-atom loop (bitwise), and every valuation table
   // cache hit against a table rebuilt from the job's current distribution
-  // and utility (bitwise) — so a missed InvalidateJob aborts. Decisions and
-  // counters are unchanged.
+  // and utility (bitwise) — so a missed InvalidateJob aborts. Each cycle's
+  // root LP, started from the mapped basis, is also re-solved cold and its
+  // objective TS_CHECKed to 1e-9 relative. Decisions and per-cycle counters
+  // are unchanged (the process-wide solver.* registry totals count the
+  // re-solves).
   bool crosscheck = false;
 };
 
@@ -130,8 +133,8 @@ class DistributionScheduler : public Scheduler {
 
   // Checkpointing: serializes the full scheduler state (job table with
   // conditioned distributions and cached survival vectors, pending order,
-  // solve-skip state, consumed_ rows, last_root_basis_, and the valuation
-  // cache's key set) into a "sched" section, then the predictor into a
+  // solve-skip state, consumed_ rows, the keyed root basis, and the
+  // valuation cache's key set) into a "sched" section, then the predictor into a
   // "predict" section. RestoreState accepts only the current section version
   // and fails the reader soft on any other.
   // RestoreState requires a scheduler constructed with the same config and
@@ -198,6 +201,17 @@ class DistributionScheduler : public Scheduler {
     std::vector<double> cached_survival;
     Time survival_valid_until = -1e18;
     bool capacity_applied = false;
+
+    // This job's part of the kept root basis (see basis_epoch_), current
+    // only while basis_epoch == basis_epoch_: the status of its option
+    // column for (group g, start slot s) at option_status[g * slots + s],
+    // of its demand row's slack, and of its preemption column. The defaults
+    // are what a key absent from the last model maps to: a column at its
+    // lower bound, a row's slack basic.
+    std::vector<BasisStatus> option_status;
+    BasisStatus demand_status = BasisStatus::kBasic;
+    BasisStatus preempt_status = BasisStatus::kAtLower;
+    int64_t basis_epoch = -1;
   };
 
   template <typename Io, typename Self>
@@ -254,11 +268,17 @@ class DistributionScheduler : public Scheduler {
   // any drift long before it can reach the cross-check tolerance.
   int solves_since_rebuild_ = 0;
 
-  // Previous cycle's root-relaxation basis, fed back as the next cycle's
-  // root hint (§4.3.6 "seeding the solver with the previous solution" applied
-  // to the simplex itself). A shape mismatch is detected and discarded at
-  // install time, so consecutive cycles of different sizes are safe.
-  LpBasis last_root_basis_;
+  // The last solved root relaxation's basis, kept by key and mapped onto the
+  // next cycle's model as its root hint (§4.3.6 "seeding the solver with the
+  // previous solution" applied to the simplex itself). An option column is
+  // keyed by (job, group, start slot), a preemption column and a demand row
+  // by job, a capacity row by (group, slot offset). Job keys live in their
+  // JobInfo, stamped with the epoch that wrote them, so a job absent from
+  // the last model reads as new without any per-cycle clearing; capacity
+  // rows live in capacity_status_ (groups × slots, kBasic where the model
+  // had no row). capacity_status_ is empty while no basis is kept.
+  int64_t basis_epoch_ = 0;
+  std::vector<BasisStatus> capacity_status_;
 
   // Shared across cycles so the parallel solver never re-spawns threads.
   std::unique_ptr<ThreadPool> pool_;

@@ -112,11 +112,12 @@ struct Event {
 // v2: open-workload mode — SimOptions.open_workload, RunState submission
 // bookkeeping (submissions_closed, last_arrival), and the per-job arrived
 // flag. v5: the per-cycle record lost its two shard counts ("metrics"
-// section) and the scheduler's "sched" section its shard-basis map.
-constexpr uint32_t kSnapshotVersion = 5;
+// section) and the scheduler's "sched" section its shard-basis map. v6: the
+// per-cycle record gained lp_pivots, root_pivots and root_warm.
+constexpr uint32_t kSnapshotVersion = 6;
 // The "metrics" and "timing" sections walk kCycleFields, so any change to the
 // per-cycle record changes their layout.
-static_assert(std::size(kCycleFields) == 14,
+static_assert(std::size(kCycleFields) == 17,
               "the per-cycle record changed: bump kSnapshotVersion, then update this count");
 
 template <typename Io, typename Options>

@@ -303,8 +303,13 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
       if (relax.stats.warm_basis_used) {
         ++result.warm_started_nodes;
       }
-      if (node.id.empty() && relax.status == LpStatus::kOptimal) {
-        result.root_basis = relax.basis;  // Exported for cross-solve reuse.
+      if (node.id.empty()) {
+        result.root_iterations = relax.iterations;
+        result.root_warm = relax.stats.warm_basis_used;
+        if (relax.status == LpStatus::kOptimal) {
+          result.root_objective = relax.objective;
+          result.root_basis = relax.basis;  // Exported for cross-solve reuse.
+        }
       }
       if (relax.status == LpStatus::kInfeasible) {
         continue;

@@ -63,8 +63,14 @@ struct MilpSolution {
   int refactorizations = 0;
   // Nodes whose LP accepted a parent basis (install survived repair).
   int warm_started_nodes = 0;
-  // Optimal basis of the root relaxation; feed it back as
-  // MilpOptions::root_basis on the next, similar model (cross-cycle reuse).
+  // The root relaxation: its pivots, whether it ran from a start basis
+  // (MilpOptions::root_basis survived install and repair without a cold
+  // restart), and, when it solved to optimality, its objective and optimal
+  // basis. The scheduler keeps the basis by variable and row identity and
+  // maps it onto the next cycle's model as that model's root_basis.
+  int root_iterations = 0;
+  bool root_warm = false;
+  double root_objective = 0.0;
   LpBasis root_basis;
   // True when the returned incumbent came from the warm start and was never
   // improved (diagnostic for the warm-start ablation bench).
@@ -101,8 +107,10 @@ struct MilpOptions {
   // different optimal vertex than a cold one, which can reorder branching —
   // with a unique MILP optimum the returned solution is identical either way.
   bool basis_warmstart = true;
-  // Starting basis hint for the root relaxation (e.g. the previous cycle's
-  // MilpSolution::root_basis). Ignored unless basis_warmstart is on.
+  // Starting basis hint for the root relaxation, over this model's
+  // variables and rows (e.g. the previous cycle's MilpSolution::root_basis
+  // mapped onto this cycle's model). It need be neither primal nor dual
+  // feasible (see SolveLp). Ignored unless basis_warmstart is on.
   LpBasis root_basis;
 };
 

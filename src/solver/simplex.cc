@@ -105,9 +105,16 @@ class SimplexSolver {
   double ScanReducedCost(int j, const std::vector<double>& y) const;
   void ComputeDuals(std::vector<double>* y);
   bool PrimalFeasible() const;
-  // Flips nonbasic variables whose reduced cost has the wrong sign to their
-  // other (finite) bound; false when a flip target is infinite.
-  bool MakeDualFeasible(const std::vector<double>& y);
+  // True when no movable nonbasic variable's reduced cost has the wrong sign
+  // for the bound it rests at.
+  bool DualFeasible(const std::vector<double>& y);
+  // Shifted-bound start for a warm basis that is neither primal nor dual
+  // feasible: widens every violated basic bound to the variable's current
+  // value, runs primal Phase 2 on the shifted problem, then restores the
+  // bounds. The basis is then dual feasible and the dual simplex finishes.
+  // False when the shifted run did not reach an optimum (the caller then
+  // cold-starts).
+  bool ShiftedPrimal();
   void ParkNonbasic(int j, BasisStatus preferred);
   LpSolution Finish(LpStatus status);
 
@@ -156,6 +163,16 @@ class SimplexSolver {
   std::vector<double> reduced_;  // See ComputeStructuralReducedCosts.
   std::vector<char> row_pivoted_, used_;
   std::vector<int> new_basis_, demoted_;
+  // Dual ratio test scratch: the sign-eligible columns and their pivot-row
+  // entries (see RunDual).
+  std::vector<int> ratio_cols_;
+  std::vector<double> ratio_alpha_;
+  // Shifted-bound start scratch: each shifted variable and its true bounds.
+  struct ShiftedBound {
+    int j;
+    double lower, upper;
+  };
+  std::vector<ShiftedBound> shifted_;
   std::vector<int> cand_;  // Partial-pricing candidate list (indices only —
                            // reduced costs are always re-priced fresh).
   struct Scored {
@@ -489,7 +506,7 @@ bool SimplexSolver::PrimalFeasible() const {
   return true;
 }
 
-bool SimplexSolver::MakeDualFeasible(const std::vector<double>& y) {
+bool SimplexSolver::DualFeasible(const std::vector<double>& y) {
   ComputeStructuralReducedCosts(y);
   for (int j = 0; j < total_; ++j) {
     if (status_[static_cast<size_t>(j)] == BasisStatus::kBasic ||
@@ -497,21 +514,39 @@ bool SimplexSolver::MakeDualFeasible(const std::vector<double>& y) {
       continue;
     }
     const double d = ScanReducedCost(j, y);
-    if (status_[static_cast<size_t>(j)] == BasisStatus::kAtLower && d > kOptimalityTol) {
-      if (upper_[static_cast<size_t>(j)] >= kLpInfinity) {
-        return false;
-      }
-      status_[static_cast<size_t>(j)] = BasisStatus::kAtUpper;
-      value_[static_cast<size_t>(j)] = upper_[static_cast<size_t>(j)];
-    } else if (status_[static_cast<size_t>(j)] == BasisStatus::kAtUpper && d < -kOptimalityTol) {
-      if (lower_[static_cast<size_t>(j)] <= -kLpInfinity) {
-        return false;
-      }
-      status_[static_cast<size_t>(j)] = BasisStatus::kAtLower;
-      value_[static_cast<size_t>(j)] = lower_[static_cast<size_t>(j)];
+    if ((status_[static_cast<size_t>(j)] == BasisStatus::kAtLower && d > kOptimalityTol) ||
+        (status_[static_cast<size_t>(j)] == BasisStatus::kAtUpper && d < -kOptimalityTol)) {
+      return false;
     }
   }
   return true;
+}
+
+bool SimplexSolver::ShiftedPrimal() {
+  shifted_.clear();
+  for (int r = 0; r < m_; ++r) {
+    const int bv = basis_[static_cast<size_t>(r)];
+    const double v = value_[static_cast<size_t>(bv)];
+    double& lo = lower_[static_cast<size_t>(bv)];
+    double& up = upper_[static_cast<size_t>(bv)];
+    if (v < lo - kFeasibilityTol || v > up + kFeasibilityTol) {
+      shifted_.push_back(ShiftedBound{bv, lo, up});
+      (v < lo ? lo : up) = v;
+    }
+  }
+  stats_.shifted_bounds = static_cast<int>(shifted_.size());
+  const LpStatus shifted = RunPrimal(/*phase1=*/false);
+  // Restore the true bounds. A shifted variable that left the basis rests at
+  // its bound symbolically, so it snaps back onto the true one; reduced costs
+  // do not depend on bounds, so the optimal basis stays dual feasible.
+  for (const ShiftedBound& b : shifted_) {
+    lower_[static_cast<size_t>(b.j)] = b.lower;
+    upper_[static_cast<size_t>(b.j)] = b.upper;
+    if (status_[static_cast<size_t>(b.j)] != BasisStatus::kBasic) {
+      ParkNonbasic(b.j, status_[static_cast<size_t>(b.j)]);
+    }
+  }
+  return shifted == LpStatus::kOptimal && !broken_down_;
 }
 
 void SimplexSolver::ColdStart() {
@@ -906,9 +941,16 @@ LpStatus SimplexSolver::RunDual() {
     // Dual ratio test: among sign-eligible nonbasic columns, enter the one
     // whose reduced cost hits zero first (smallest |d|/|alpha_r|); ties go to
     // the larger pivot magnitude, then the smaller index.
-    int entering = -1;
-    double best_ratio = std::numeric_limits<double>::infinity();
-    double best_mag = 0.0;
+    // Pass 1 forms the pivot-row entry of every movable column and appends
+    // it to the scratch list unconditionally, advancing the list only for a
+    // sign-eligible column: x_basic changes by -alpha_r * dx_j, so the
+    // violated variable must move toward its bound while the nonbasic moves
+    // off its own bound.
+    if (ratio_cols_.size() < static_cast<size_t>(total_)) {
+      ratio_cols_.resize(static_cast<size_t>(total_));
+      ratio_alpha_.resize(static_cast<size_t>(total_));
+    }
+    size_t num_eligible = 0;
     for (int j = 0; j < total_; ++j) {
       if (status_[static_cast<size_t>(j)] == BasisStatus::kBasic ||
           lower_[static_cast<size_t>(j)] == upper_[static_cast<size_t>(j)]) {
@@ -916,17 +958,21 @@ LpStatus SimplexSolver::RunDual() {
       }
       double arj = 0.0;
       ForEachColumnEntry(j, [&](int r, double v) { arj += rho_[static_cast<size_t>(r)] * v; });
-      if (std::fabs(arj) <= kPivotTol) {
-        continue;
-      }
       const bool at_lower = status_[static_cast<size_t>(j)] == BasisStatus::kAtLower;
-      // x_basic changes by -alpha_r * dx_j; the violated variable must move
-      // toward its bound, and the nonbasic can only move off its own bound.
-      const bool eligible = below ? (at_lower ? arj < 0.0 : arj > 0.0)
-                                  : (at_lower ? arj > 0.0 : arj < 0.0);
-      if (!eligible) {
-        continue;
-      }
+      // Positive exactly when arj has the eligible sign.
+      const double toward = below == at_lower ? -arj : arj;
+      ratio_cols_[num_eligible] = j;
+      ratio_alpha_[num_eligible] = arj;
+      num_eligible += toward > kPivotTol ? 1 : 0;
+    }
+    // Pass 2: the ratio test over the eligible columns in ascending index.
+    int entering = -1;
+    double best_ratio = std::numeric_limits<double>::infinity();
+    double best_mag = 0.0;
+    for (size_t i = 0; i < num_eligible; ++i) {
+      const int j = ratio_cols_[i];
+      const double arj = ratio_alpha_[i];
+      const bool at_lower = status_[static_cast<size_t>(j)] == BasisStatus::kAtLower;
       const double d = ReducedCost(j, y_);
       const double slack = std::max(0.0, at_lower ? -d : d);  // Dual headroom.
       const double ratio = slack / std::fabs(arj);
@@ -1054,13 +1100,16 @@ LpSolution SimplexSolver::Solve(const LpCore& core, const std::vector<BoundFix>&
     return result;
   }
 
-  // Warm path: install the hint; if it lands primal feasible Phase 1 is
-  // skipped outright, if it lands dual feasible the dual simplex re-optimizes
-  // in a few pivots (the branch-and-bound child case). Anything else falls
-  // through to a cold start — a warm start can change the pivot count, never
-  // the answer.
-  // A warm run that breaks down numerically (see Refactorize) also falls
-  // through to the cold start.
+  // Warm path: install the hint and pick the start by what the basis is.
+  //   - primal feasible: Phase 2 from it, Phase 1 skipped outright;
+  //   - dual feasible: the dual simplex re-optimizes in a few pivots (the
+  //     branch-and-bound child case: a bound change keeps the parent's
+  //     optimal basis dual feasible);
+  //   - neither (a previous cycle's basis mapped onto a changed model):
+  //     ShiftedPrimal makes it dual feasible and the dual simplex finishes.
+  // A warm run that gives up or breaks down numerically (see Refactorize)
+  // falls through to the cold start, so a warm start can change the pivot
+  // count, never the answer.
   if (!options_->start_basis.empty() && TryWarmStart()) {
     stats_.warm_basis_used = true;
     if (PrimalFeasible()) {
@@ -1070,8 +1119,8 @@ LpSolution SimplexSolver::Solve(const LpCore& core, const std::vector<BoundFix>&
       }
     } else {
       ComputeDuals(&y_);
-      if (MakeDualFeasible(y_)) {
-        RecomputeBasicValues();  // Bound flips moved nonbasic values.
+      if (DualFeasible(y_) || ShiftedPrimal()) {
+        RecomputeBasicValues();  // Restored bounds moved nonbasic values.
         const LpStatus dual = RunDual();
         if (dual == LpStatus::kInfeasible) {
           result.status = LpStatus::kInfeasible;

@@ -24,7 +24,11 @@
 //     feasible import skips Phase 1 outright, a dual-feasible import
 //     re-optimizes with the bounded-variable dual simplex (the branch-and-
 //     bound child case: the parent's optimal basis stays dual feasible under
-//     a bound change), and anything else falls back to a cold start, so a
+//     a bound change), and an import that is neither (last cycle's basis on
+//     this cycle's model) starts with shifted bounds: each violated basic
+//     bound is widened to the variable's value, primal Phase 2 optimizes the
+//     shifted problem, and the dual simplex cleans up once the bounds are
+//     restored. A warm run that gives up falls back to a cold start, so a
 //     warm start can never change the *answer*, only the pivot count.
 //
 // Determinism: every choice (pricing, ratio-test tie-breaks, reinversion
@@ -72,6 +76,7 @@ struct LpStats {
   int64_t btran = 0;          // Backward basis solves yᵀB⁻¹.
   int refactorizations = 0;   // Eta-file reinversions.
   bool warm_basis_used = false;  // The start basis survived install+repair.
+  int shifted_bounds = 0;  // Basic bounds the shifted-bound warm start widened.
 };
 
 struct LpSolution {

@@ -10,6 +10,7 @@
 // same node count, same incumbent-improvement objectives — because the wave
 // schedule is deterministic in the wave width and independent of thread count.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "src/common/thread_pool.h"
 #include "src/solver/lp_model.h"
 #include "src/solver/milp.h"
+#include "src/solver/synthetic.h"
 
 namespace threesigma {
 namespace {
@@ -256,6 +258,46 @@ TEST(MilpDifferentialTest, BasisWarmstartIsThreadCountInvariant) {
       }
     }
   }
+}
+
+// Cross-cycle root warm start: over sequences of perturbed scheduler-shaped
+// models, the branch-and-bound run whose root starts from last cycle's root
+// basis, mapped by key, must reach the cold run's MILP optimum. max_nodes = 0
+// lifts the node budget, so both searches prove optimality.
+TEST(MilpDifferentialTest, MappedRootBasisReachesColdObjective) {
+  int warm_roots = 0;
+  int roots = 0;
+  for (uint64_t seed = 11; seed <= 16; ++seed) {
+    SchedulerShapedCycles cycles(6, 3, 4, seed);
+    LpBasis kept;
+    for (int cycle = 0; cycle < 10; ++cycle) {
+      if (cycle > 0) {
+        cycles.Next();
+      }
+      MilpOptions cold_options;
+      cold_options.max_nodes = 0;
+      MilpOptions warm_options = cold_options;
+      warm_options.root_basis = cycles.MapBasis(kept);
+      MilpSolver cold_solver(cycles.model(), cycles.int_vars());
+      const MilpSolution cold = cold_solver.Solve(cold_options);
+      MilpSolver warm_solver(cycles.model(), cycles.int_vars());
+      const MilpSolution warm = warm_solver.Solve(warm_options);
+
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << " cycle " << cycle);
+      ASSERT_EQ(warm.status, MilpStatus::kOptimal);
+      ASSERT_EQ(cold.status, MilpStatus::kOptimal);
+      EXPECT_NEAR(warm.objective, cold.objective,
+                  1e-9 * std::max(1.0, std::fabs(cold.objective)));
+      EXPECT_TRUE(cycles.model().IsFeasible(warm.values));
+      EXPECT_FALSE(cold.root_warm);
+      if (cycle > 0) {
+        ++roots;
+        warm_roots += warm.root_warm ? 1 : 0;
+      }
+      kept = warm.root_basis;
+    }
+  }
+  EXPECT_GE(warm_roots * 10, roots * 9) << warm_roots << " of " << roots;
 }
 
 }  // namespace

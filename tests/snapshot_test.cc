@@ -608,10 +608,10 @@ TEST(CheckpointResumeTest, GracefulRejection) {
 }
 
 TEST(CheckpointResumeTest, OtherSchedSectionVersionsFailSoft) {
-  // The 3Sigma scheduler reads only the current "sched" layout (v5); older
+  // The 3Sigma scheduler reads only the current "sched" layout (v6); older
   // and newer versions latch a reader error instead of being misread.
   const ExperimentConfig config = CheckpointChaosConfig();
-  for (const uint32_t version : {3u, 4u, 6u}) {
+  for (const uint32_t version : {4u, 5u, 7u}) {
     SnapshotWriter writer;
     writer.BeginSection("sched", version);
     writer.WriteString("3sigma-sched");

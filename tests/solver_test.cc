@@ -5,6 +5,7 @@
 //   - random binary programs against exhaustive 2^n enumeration,
 // plus hand-checked textbook instances.
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <string>
@@ -705,6 +706,43 @@ void ExpectSameLpRun(const LpSolution& a, const LpSolution& b, const std::string
   EXPECT_EQ(a.objective, b.objective) << what;
   EXPECT_EQ(a.values, b.values) << what;
   EXPECT_EQ(a.basis.status, b.basis.status) << what;
+}
+
+TEST(SimplexTest, ShiftedStartMatchesColdOnPerturbedCycles) {
+  // Consecutive scheduler-shaped cycle models: jobs come and go, options are
+  // added and dropped, objectives and capacity right-hand sides move. Last
+  // cycle's optimal basis, mapped by key, is then mostly neither primal nor
+  // dual feasible; the shifted-bound start must still give the cold status
+  // and objective.
+  int shifted_starts = 0;
+  int roots = 0;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    SchedulerShapedCycles cycles(10, 5, 8, seed);
+    LpSolution previous = SolveLp(cycles.model());
+    ASSERT_EQ(previous.status, LpStatus::kOptimal);
+    for (int cycle = 1; cycle <= 12; ++cycle) {
+      cycles.Next();
+      const LpSolution cold = SolveLp(cycles.model());
+      SimplexOptions warm_options;
+      warm_options.presolve = false;  // As the branch-and-bound root runs.
+      warm_options.start_basis = cycles.MapBasis(previous.basis);
+      ASSERT_FALSE(warm_options.start_basis.empty());
+      const LpSolution warm = SolveLp(cycles.model(), warm_options);
+      const std::string what = "seed " + std::to_string(seed) + " cycle " + std::to_string(cycle);
+      ASSERT_EQ(warm.status, cold.status) << what;
+      ASSERT_EQ(cold.status, LpStatus::kOptimal) << what;
+      EXPECT_NEAR(warm.objective, cold.objective, 1e-9 * std::max(1.0, std::fabs(cold.objective)))
+          << what;
+      EXPECT_TRUE(cycles.model().IsFeasible(warm.values, 1e-6)) << what;
+      ++roots;
+      if (warm.stats.warm_basis_used && warm.stats.shifted_bounds > 0) {
+        ++shifted_starts;
+      }
+      previous = warm;
+    }
+  }
+  // Most roots must take the shifted-bound path and finish warm.
+  EXPECT_GE(shifted_starts * 2, roots) << shifted_starts << " of " << roots;
 }
 
 TEST(SimplexTest, BoundOverlayMatchesModelCopyPivotForPivot) {
