@@ -99,7 +99,7 @@ void BM_MilpWarmStart(benchmark::State& state) {
 BENCHMARK(BM_MilpWarmStart)->Arg(0)->Arg(1);
 
 // Basis warm-starting ablation on the branch-and-bound node stream: every
-// child re-optimizes from its parent's basis with a handful of dual pivots
+// child resumes its parent's factored state with a handful of dual pivots
 // instead of a cold Phase-1/Phase-2 solve. Arg(1) = warm, Arg(0) = cold.
 // Reported counters:
 //   pivots/s       — total simplex pivots (phase 1 + phase 2 + dual) per sec

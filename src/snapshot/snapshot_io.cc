@@ -15,14 +15,25 @@ constexpr char kMagic[8] = {'3', 'S', 'G', 'S', 'N', 'A', 'P', '1'};
 constexpr size_t kMagicSize = sizeof(kMagic);
 constexpr size_t kCrcSize = 4;
 
-std::array<uint32_t, 256> BuildCrcTable() {
-  std::array<uint32_t, 256> table{};
+// Slicing-by-8 tables for the reflected CRC-32 polynomial 0xEDB88320:
+// table[0] is the byte-at-a-time table, and table[k][i] is the CRC of byte i
+// followed by k zero bytes, so eight table lookups fold eight input bytes.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+CrcTables BuildCrcTables() {
+  CrcTables table{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    table[0][i] = c;
+  }
+  for (uint32_t i = 0; i < 256; ++i) {
+    for (size_t k = 1; k < 8; ++k) {
+      const uint32_t prev = table[k - 1][i];
+      table[k][i] = (prev >> 8) ^ table[0][prev & 0xFF];
+    }
   }
   return table;
 }
@@ -119,11 +130,19 @@ bool VerifyEnvelope(std::string_view buffer, std::string* error) {
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t size, uint32_t seed) {
-  static const std::array<uint32_t, 256> table = BuildCrcTable();
+  static const CrcTables table = BuildCrcTables();
   uint32_t c = seed ^ 0xFFFFFFFFu;
-  const auto* p = static_cast<const uint8_t*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    c = table[(c ^ p[i]) & 0xFF] ^ (c >> 8);
+  const auto* bytes = static_cast<const char*>(data);
+  size_t i = 0;
+  for (; i + 8 <= size; i += 8) {
+    const uint32_t lo = c ^ LoadU32(bytes + i);
+    const uint32_t hi = LoadU32(bytes + i + 4);
+    c = table[7][lo & 0xFF] ^ table[6][(lo >> 8) & 0xFF] ^ table[5][(lo >> 16) & 0xFF] ^
+        table[4][lo >> 24] ^ table[3][hi & 0xFF] ^ table[2][(hi >> 8) & 0xFF] ^
+        table[1][(hi >> 16) & 0xFF] ^ table[0][hi >> 24];
+  }
+  for (; i < size; ++i) {
+    c = table[0][(c ^ static_cast<uint8_t>(bytes[i])) & 0xFF] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

@@ -32,13 +32,53 @@ struct Node {
   std::string id;
   std::vector<BoundFix> fixes;  // Branching decisions, full path from the root.
   double parent_bound;          // LP bound of the parent (pruning hint).
-  // The parent's optimal basis (shared between siblings). The child differs
-  // from the parent by one bound change, so this basis is dual feasible for
-  // the child and the LP re-optimizes in a few dual pivots.
-  std::shared_ptr<const LpBasis> parent_basis;
+  // The parent's live end state (shared between siblings): its factored
+  // optimal basis and exact reduced costs. The child differs from the parent
+  // by one bound, so the basis stays dual feasible and the child runs the
+  // dual simplex straight from it, with no reinversion. Null at the root,
+  // which starts from MilpOptions::root_basis, and under a parent that could
+  // not export (an artificial stayed basic): that child cold-starts.
+  std::shared_ptr<const FactoredStart> start;
 };
 
 bool IsIntegral(double v, double tol) { return std::fabs(v - std::round(v)) <= tol; }
+
+// LP work counters, added once per solved node LP from the sequential commit
+// loop (so never from a worker thread, and never from a standalone SolveLp).
+void RecordLpCounters(const LpSolution& result) {
+  struct LpCounters {
+    obs::Counter* solves;
+    obs::Counter* pivots;
+    obs::Counter* ftran;
+    obs::Counter* btran;
+    obs::Counter* refactorizations;
+    obs::Counter* warm_basis_used;
+    obs::Histogram* pivots_hist;
+  };
+  static const LpCounters* const counters = [] {
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+    auto* c = new LpCounters();
+    c->solves = reg.GetCounter("solver.lp_solves");
+    c->pivots = reg.GetCounter("solver.lp_pivots");
+    c->ftran = reg.GetCounter("solver.ftran");
+    c->btran = reg.GetCounter("solver.btran");
+    c->refactorizations = reg.GetCounter("solver.refactorizations");
+    c->warm_basis_used = reg.GetCounter("solver.warm_basis_used");
+    c->pivots_hist = reg.GetHistogram(
+        "solver.lp_pivots_per_solve", {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0,
+                                       256.0, 512.0, 1024.0});
+    return c;
+  }();
+  counters->solves->Increment();
+  counters->pivots->Add(result.iterations);
+  counters->ftran->Add(result.stats.ftran);
+  counters->btran->Add(result.stats.btran);
+  counters->refactorizations->Add(result.stats.refactorizations);
+  if (result.stats.warm_basis_used) {
+    counters->warm_basis_used->Increment();
+  }
+  counters->pivots_hist->Observe(static_cast<double>(result.iterations));
+}
 
 }  // namespace
 
@@ -126,6 +166,11 @@ bool MilpSolver::GreedyRound(const std::vector<double>& relaxed, std::vector<dou
   return true;
 }
 
+bool MilpSolver::HasFractional(const std::vector<double>& values) const {
+  return std::any_of(integer_vars_.begin(), integer_vars_.end(),
+                     [&](int v) { return !IsIntegral(values[v], kIntegralityTol); });
+}
+
 MilpSolution MilpSolver::Solve(const MilpOptions& options) {
   // Phase::kOther: this span nests inside the scheduler's kSolve scope, and
   // tagging it with a profiler phase would double-count the solve time.
@@ -200,17 +245,26 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
     result.incumbent_improvements.push_back(obj);
   };
 
-  std::vector<Node> stack;
-  Node root{"", {}, kLpInfinity, nullptr};
-  if (options.basis_warmstart && !options.root_basis.empty()) {
-    // Cross-solve hint (e.g. the previous scheduling cycle's root basis).
-    root.parent_basis = std::make_shared<const LpBasis>(options.root_basis);
+  // Node LPs with basis warm-starting run unreduced on the shared core: a
+  // node's end state is then exactly its children's start (each node's
+  // presolve would reduce a different variable subset). Fixed variables
+  // cost nothing unreduced, since pricing skips them. The root starts from
+  // the cross-solve hint (e.g. the previous scheduling cycle's root basis).
+  SimplexOptions root_options;
+  SimplexOptions node_options;
+  if (options.basis_warmstart) {
+    root_options.presolve = false;
+    root_options.start_basis = options.root_basis;
+    node_options.presolve = false;
   }
-  stack.push_back(std::move(root));
+
+  std::vector<Node> stack;
+  stack.push_back(Node{"", {}, kLpInfinity, nullptr});
   result.max_queue_depth = 1;
 
   std::vector<Node> wave;
   std::vector<LpSolution> relaxations;
+  std::vector<std::shared_ptr<const FactoredStart>> exported;
   std::vector<char> solved;
 
   while (!stack.empty()) {
@@ -238,6 +292,7 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
     constexpr char kUnsolved = 0, kSolved = 1, kPruned = 2;
     const int n = static_cast<int>(wave.size());
     relaxations.assign(static_cast<size_t>(n), LpSolution{});
+    exported.assign(static_cast<size_t>(n), nullptr);
     solved.assign(static_cast<size_t>(n), kUnsolved);
     const auto solve_node = [&](int worker, int index) {
       if (out_of_time()) {
@@ -246,23 +301,26 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
       const Node& node = wave[static_cast<size_t>(index)];
       // Lock-free bound prune. The atomic only advances at wave commits, so
       // this reads the same value in every run — deterministic.
-      if (node.parent_bound <= incumbent_bound.load(std::memory_order_relaxed) + 1e-9) {
+      const double bound = incumbent_bound.load(std::memory_order_relaxed);
+      if (node.parent_bound <= bound + 1e-9) {
         solved[static_cast<size_t>(index)] = kPruned;
         return;
       }
-      SimplexOptions lp_options;
-      if (options.basis_warmstart && node.parent_basis != nullptr) {
-        lp_options.start_basis = *node.parent_basis;
-        // Solve in the full space: the parent basis is exactly dual feasible
-        // there (the child differs by one bound change only), whereas each
-        // node's presolve reduces a different variable subset and the mapped
-        // basis loses that property. Fixed variables cost nothing unreduced —
-        // pricing skips them.
-        lp_options.presolve = false;
+      LpWorkspace& workspace = workspaces[static_cast<size_t>(worker)];
+      LpSolution& relax = relaxations[static_cast<size_t>(index)];
+      if (node.start != nullptr) {
+        relax = workspace.SolveFrom(core_, node.fixes, *node.start);
+      } else {
+        relax = workspace.Solve(core_, node.fixes, node.id.empty() ? root_options : node_options);
       }
-      relaxations[static_cast<size_t>(index)] =
-          workspaces[static_cast<size_t>(worker)].Solve(core_, node.fixes, lp_options);
       solved[static_cast<size_t>(index)] = kSolved;
+      // A node that will branch hands its end state to its children. The
+      // commit prunes at least as hard as `bound`, so a node that is no
+      // better never branches.
+      if (options.basis_warmstart && relax.status == LpStatus::kOptimal &&
+          relax.objective > bound + 1e-9 && HasFractional(relax.values)) {
+        exported[static_cast<size_t>(index)] = workspace.ExportStart();
+      }
     };
     if (pool != nullptr) {
       pool->ParallelFor(n, solve_node);
@@ -292,6 +350,7 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
         break;
       }
       const LpSolution& relax = relaxations[static_cast<size_t>(i)];
+      RecordLpCounters(relax);
       ++result.nodes_explored;
       result.lp_iterations += relax.iterations;
       result.lp_phase1_iterations += relax.stats.phase1_iterations;
@@ -364,17 +423,14 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
       }
 
       // Branch: explore the nearest integer side first (pushed last). Both
-      // children share this node's optimal basis as their warm start.
-      std::shared_ptr<const LpBasis> child_basis;
-      if (options.basis_warmstart && !relax.basis.empty()) {
-        child_basis = std::make_shared<const LpBasis>(relax.basis);
-      }
+      // children resume this node's exported end state.
+      const std::shared_ptr<const FactoredStart>& child_start = exported[static_cast<size_t>(i)];
       const double value = relax.values[branch_var];
       const double floor_v = std::floor(value);
       const double ceil_v = std::ceil(value);
-      Node down{node.id + "0", node.fixes, relax.objective, child_basis};
+      Node down{node.id + "0", node.fixes, relax.objective, child_start};
       down.fixes.push_back(BoundFix{branch_var, model_.lower(branch_var), floor_v});
-      Node up{node.id + "1", node.fixes, relax.objective, child_basis};
+      Node up{node.id + "1", node.fixes, relax.objective, child_start};
       up.fixes.push_back(BoundFix{branch_var, ceil_v, model_.upper(branch_var)});
       if (value - floor_v >= 0.5) {
         stack.push_back(std::move(down));

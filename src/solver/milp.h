@@ -13,8 +13,10 @@
 //
 // Node LPs: the solver builds the model's LpCore (simplex.h) once, and every
 // node LP runs on it with the node's branching decisions as a bound overlay,
-// in a per-worker LpWorkspace whose simplex state is reused from node to
-// node. The model must not change while the solver lives.
+// in a per-worker LpWorkspace whose allocations are reused from node to
+// node. A node that will branch exports its end state (factored basis and
+// reduced costs), and both children resume it with the dual simplex instead
+// of reinverting a basis. The model must not change while the solver lives.
 //
 // Parallel search: the tree is explored in deterministic *waves*. Each wave
 // pops up to a fixed number of nodes off the subproblem stack, solves their LP
@@ -61,7 +63,8 @@ struct MilpSolution {
   int64_t ftran_count = 0;
   int64_t btran_count = 0;
   int refactorizations = 0;
-  // Nodes whose LP accepted a parent basis (install survived repair).
+  // Nodes whose LP finished from a start (the parent's factored state, or
+  // the root basis after install and repair) without a cold restart.
   int warm_started_nodes = 0;
   // The root relaxation: its pivots, whether it ran from a start basis
   // (MilpOptions::root_basis survived install and repair without a cold
@@ -98,8 +101,9 @@ struct MilpOptions {
   // Workers for the wave-parallel search: a borrowed pool (must outlive
   // Solve), reused across solves; null solves on the calling thread.
   ThreadPool* pool = nullptr;
-  // Thread each node's optimal basis to its children, which then re-optimize
-  // with a few dual pivots instead of a cold two-phase solve. Every
+  // Hand each branching node's factored end state to its children, which
+  // then re-optimize with a few dual pivots instead of a cold two-phase
+  // solve; every node LP then runs unreduced (no presolve). Every
   // relaxation still solves to proven optimality, so bounds, prunes, and the
   // returned objective are unaffected; thread-count determinism is fully
   // preserved (the basis flow follows the thread-count-independent wave
@@ -126,6 +130,9 @@ class MilpSolver {
   // Rounds an LP-relaxation point to a feasible integral point greedily;
   // returns true on success.
   bool GreedyRound(const std::vector<double>& relaxed, std::vector<double>* out);
+  // True when an integer variable is fractional at `values` (the node will
+  // branch unless pruned). Read-only: workers call it.
+  bool HasFractional(const std::vector<double>& values) const;
 
   // A variable GreedyRound may raise from its floor to `target`.
   struct RoundCandidate {

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "src/common/check.h"
-#include "src/obs/registry.h"
 #include "src/solver/presolve.h"
 
 namespace threesigma {
@@ -21,6 +21,10 @@ constexpr double kFeasibilityTol = 1e-7;
 // bounds both FTRAN/BTRAN cost growth and numerical drift of the
 // incrementally-updated basic values (reinversion recomputes them exactly).
 constexpr int kRefactorInterval = 64;
+// A dual pivot element smaller than this leaves the carried reduced costs
+// unreliable (the update's error grows as 1/|pivot|), so the dual simplex
+// recomputes them exactly after it. Scheduler models rarely pivot this small.
+constexpr double kCarryPivotTol = 1e-6;
 // Consecutive failed reinversions after which a run counts as broken down
 // (see Refactorize). Transient failure streaks on scheduler models were at
 // most 10 long over about 700 benchmark instances; a singular basis never
@@ -28,6 +32,35 @@ constexpr int kRefactorInterval = 64;
 constexpr int kMaxFailedReinversions = 32;
 
 }  // namespace
+
+// Product-form basis inverse: B⁻¹ = T_K … T_1 where each eta T applies
+//   x[p] /= pivot_value;  x[i] -= v_i * x[p]  (off-pivot entries v_i).
+struct EtaFile {
+  struct Eta {
+    int pivot_row;
+    double pivot_value;
+    int begin, end;  // Off-pivot entries in `rows`/`vals`.
+  };
+  std::vector<Eta> etas;
+  std::vector<int> rows;
+  std::vector<double> vals;
+
+  void clear() {
+    etas.clear();
+    rows.clear();
+    vals.clear();
+  }
+};
+
+struct FactoredStart {
+  std::vector<int> basis;           // Row -> basic variable.
+  std::vector<BasisStatus> status;  // Structural + slack variables.
+  EtaFile eta;
+  std::vector<double> reduced;  // Exact reduced costs, structural + slack.
+  // The parent's reinversion cadence, continued by the child.
+  int pivots_since_refactor;
+  int failed_reinversions;
+};
 
 // Internal solver state over the extended variable set:
 //   [0, n)            structural variables
@@ -39,6 +72,12 @@ class SimplexSolver {
  public:
   LpSolution Solve(const LpCore& core, const std::vector<BoundFix>& fixes,
                    const SimplexOptions& options);
+  // Installs a parent's exported state under this core and `fixes`, then
+  // re-optimizes with the dual simplex (see LpWorkspace::SolveFrom).
+  LpSolution SolveFrom(const LpCore& core, const std::vector<BoundFix>& fixes,
+                       const FactoredStart& start);
+  // The last solve's end state, or null (see LpWorkspace::ExportStart).
+  std::shared_ptr<const FactoredStart> Export();
 
  private:
   // Points the solver at `core`, copies its extended bounds and objective,
@@ -51,6 +90,10 @@ class SimplexSolver {
   // Installs options_->start_basis (statuses over structural + slack vars)
   // with repair; returns false when the basis is unusable outright.
   bool TryWarmStart();
+  // Installs an exported parent state: basis, statuses, eta file and reduced
+  // costs as they were, nonbasic values on this node's bounds, basic values
+  // recomputed. No reinversion.
+  void InstallFactored(const FactoredStart& start);
 
   // --- Eta-file basis machinery -------------------------------------------
   // Factorizes the basis given by `proposed` (any length), assigning pivot
@@ -69,13 +112,21 @@ class SimplexSolver {
   bool Refactorize();
 
   // --- Iteration engines ---------------------------------------------------
-  // Primal simplex on the current (phase-dependent) objective.
+  // Primal simplex on the current (phase-dependent) objective. On kOptimal,
+  // reduced_ holds the exact reduced costs of the final basis (its last,
+  // empty, full pricing scan computed them).
   LpStatus RunPrimal(bool phase1);
-  // Bounded-variable dual simplex from a dual-feasible basis. Returns
-  // kOptimal when primal feasibility is restored, kInfeasible when a violated
-  // row admits no entering column (proven empty), kIterationLimit when it
-  // gives up (caller falls back to a cold start; never changes the answer).
+  // Bounded-variable dual simplex from a dual-feasible basis whose exact
+  // reduced costs are in reduced_; it carries them from pivot to pivot.
+  // Returns kOptimal when primal feasibility is restored, kInfeasible when a
+  // violated row admits no entering column (proven empty), kIterationLimit
+  // when it gives up (caller falls back to a cold start; never changes the
+  // answer).
   LpStatus RunDual();
+  // RunDual, then a certifying primal pass (normally zero pivots; it also
+  // repairs any drift of the carried reduced costs). Empty when the dual run
+  // gave up or the run broke down, and the caller cold-starts.
+  std::optional<LpSolution> DualThenCertify();
 
   // --- Pricing -------------------------------------------------------------
   // Candidate-list partial pricing: re-price the current list, else harvest a
@@ -98,16 +149,20 @@ class SimplexSolver {
     }
   }
   double ReducedCost(int j, const std::vector<double>& y) const;
-  // Full scans (pricing, dual-feasibility repair): fills reduced_ for every
-  // structural column at once, then ScanReducedCost reads it (and prices
-  // slacks and artificials directly).
-  void ComputeStructuralReducedCosts(const std::vector<double>& y);
-  double ScanReducedCost(int j, const std::vector<double>& y) const;
+  // -1 for a movable nonbasic variable at its lower bound, +1 at its upper,
+  // 0 for a basic or fixed one. direction * d_j is the variable's dual
+  // headroom, nonnegative while the basis is dual feasible.
+  double DualDirection(int j) const;
+  // Full scans (pricing, dual simplex): fills reduced_ for every variable at
+  // once, the structural columns row-wise over the nonzeros of y.
+  void ComputeReducedCosts(const std::vector<double>& y);
+  // Fresh duals into y_ (one BTRAN), then ComputeReducedCosts(y_).
+  void RefreshReducedCosts();
   void ComputeDuals(std::vector<double>* y);
   bool PrimalFeasible() const;
-  // True when no movable nonbasic variable's reduced cost has the wrong sign
-  // for the bound it rests at.
-  bool DualFeasible(const std::vector<double>& y);
+  // Refreshes reduced_; true when no movable nonbasic variable's reduced
+  // cost has the wrong sign for the bound it rests at.
+  bool DualFeasible();
   // Shifted-bound start for a warm basis that is neither primal nor dual
   // feasible: widens every violated basic bound to the variable's current
   // value, runs primal Phase 2 on the shifted problem, then restores the
@@ -116,6 +171,8 @@ class SimplexSolver {
   // cold-starts).
   bool ShiftedPrimal();
   void ParkNonbasic(int j, BasisStatus preferred);
+  // Cold start, Phase 1 when artificials were needed, then Phase 2.
+  LpSolution SolveCold();
   LpSolution Finish(LpStatus status);
 
   const LpCore* core_ = nullptr;
@@ -143,30 +200,23 @@ class SimplexSolver {
   std::vector<BasisStatus> status_;                // extended var statuses
   std::vector<double> value_;                      // extended var values
 
-  // Product-form basis inverse: B⁻¹ = T_K … T_1 where each eta T applies
-  //   x[p] /= pivot_value;  x[i] -= v_i * x[p]  (off-pivot entries v_i).
-  struct Eta {
-    int pivot_row;
-    double pivot_value;
-    int begin, end;  // Off-pivot entries in the shared pools below.
-  };
-  std::vector<Eta> etas_;
-  std::vector<int> eta_rows_;
-  std::vector<double> eta_vals_;
+  EtaFile eta_;
   // The eta file a strict reinversion backs out to (see FactorFromSet).
-  std::vector<Eta> saved_etas_;
-  std::vector<int> saved_eta_rows_;
-  std::vector<double> saved_eta_vals_;
+  EtaFile saved_eta_;
 
+  // Reduced costs over the extended variables: filled by full scans, and
+  // carried pivot to pivot by the dual simplex (see RunDual).
+  std::vector<double> reduced_;
   // Scratch, sized in Bind.
   std::vector<double> y_, alpha_, rho_, work_;
-  std::vector<double> reduced_;  // See ComputeStructuralReducedCosts.
   std::vector<char> row_pivoted_, used_;
   std::vector<int> new_basis_, demoted_;
-  // Dual ratio test scratch: the sign-eligible columns and their pivot-row
-  // entries (see RunDual).
-  std::vector<int> ratio_cols_;
-  std::vector<double> ratio_alpha_;
+  // Dual simplex scratch (see RunDual): the pivot row over every variable
+  // (all zero between pivots); each variable's DualDirection; the eligible
+  // columns of a pivot.
+  std::vector<double> row_alpha_;
+  std::vector<double> direction_;
+  std::vector<int> eligible_cols_;
   // Shifted-bound start scratch: each shifted variable and its true bounds.
   struct ShiftedBound {
     int j;
@@ -188,6 +238,7 @@ class SimplexSolver {
   int pivots_since_refactor_ = 0;
   int failed_reinversions_ = 0;  // Consecutive, since the last good one.
   bool broken_down_ = false;     // See Refactorize.
+  bool exportable_ = false;      // See Export.
 };
 
 double SimplexSolver::ReducedCost(int j, const std::vector<double>& y) const {
@@ -196,15 +247,20 @@ double SimplexSolver::ReducedCost(int j, const std::vector<double>& y) const {
   return d;
 }
 
-double SimplexSolver::ScanReducedCost(int j, const std::vector<double>& y) const {
-  return j < n_ ? reduced_[static_cast<size_t>(j)] : ReducedCost(j, y);
+double SimplexSolver::DualDirection(int j) const {
+  if (status_[static_cast<size_t>(j)] == BasisStatus::kBasic ||
+      lower_[static_cast<size_t>(j)] == upper_[static_cast<size_t>(j)]) {
+    return 0.0;
+  }
+  return status_[static_cast<size_t>(j)] == BasisStatus::kAtLower ? -1.0 : 1.0;
 }
 
-void SimplexSolver::ComputeStructuralReducedCosts(const std::vector<double>& y) {
+void SimplexSolver::ComputeReducedCosts(const std::vector<double>& y) {
   // Row-wise over the nonzeros of y in ascending row order: each column
   // receives its terms in the order ReducedCost subtracts them, and a skipped
   // y_r = 0 term could only flip the sign of a zero result, which no
   // tolerance test or magnitude can tell apart.
+  reduced_.resize(static_cast<size_t>(total_));
   std::copy(obj_.begin(), obj_.begin() + n_, reduced_.begin());
   for (int r = 0; r < m_; ++r) {
     const double yr = y[static_cast<size_t>(r)];
@@ -215,6 +271,14 @@ void SimplexSolver::ComputeStructuralReducedCosts(const std::vector<double>& y) 
       reduced_[static_cast<size_t>(row_col_[k])] -= yr * row_val_[k];
     }
   }
+  for (int j = n_; j < total_; ++j) {
+    reduced_[static_cast<size_t>(j)] = ReducedCost(j, y);
+  }
+}
+
+void SimplexSolver::RefreshReducedCosts() {
+  ComputeDuals(&y_);
+  ComputeReducedCosts(y_);
 }
 
 void SimplexSolver::Bind(const LpCore& core, const std::vector<BoundFix>& fixes,
@@ -244,13 +308,12 @@ void SimplexSolver::Bind(const LpCore& core, const std::vector<BoundFix>& fixes,
   num_artificials_ = 0;
   artificial_row_.clear();
   artificial_sign_.clear();
-  etas_.clear();
-  eta_rows_.clear();
-  eta_vals_.clear();
+  eta_.clear();
   cand_.clear();
   stats_ = LpStats{};
   failed_reinversions_ = 0;
   broken_down_ = false;
+  exportable_ = false;
   iterations_ = 0;
   degenerate_streak_ = 0;
   pivots_since_refactor_ = 0;
@@ -259,13 +322,12 @@ void SimplexSolver::Bind(const LpCore& core, const std::vector<BoundFix>& fixes,
   y_.assign(static_cast<size_t>(m_), 0.0);
   alpha_.assign(static_cast<size_t>(m_), 0.0);
   rho_.assign(static_cast<size_t>(m_), 0.0);
-  reduced_.resize(static_cast<size_t>(n_));
   work_.assign(static_cast<size_t>(m_), 0.0);
 }
 
 void SimplexSolver::Ftran(std::vector<double>* x) {
   ++stats_.ftran;
-  for (const Eta& e : etas_) {
+  for (const EtaFile::Eta& e : eta_.etas) {
     double t = (*x)[static_cast<size_t>(e.pivot_row)];
     if (t == 0.0) {
       continue;  // Sparse skip: untouched pivot rows cost nothing.
@@ -273,44 +335,44 @@ void SimplexSolver::Ftran(std::vector<double>* x) {
     t /= e.pivot_value;
     (*x)[static_cast<size_t>(e.pivot_row)] = t;
     for (int k = e.begin; k < e.end; ++k) {
-      (*x)[static_cast<size_t>(eta_rows_[static_cast<size_t>(k)])] -=
-          eta_vals_[static_cast<size_t>(k)] * t;
+      (*x)[static_cast<size_t>(eta_.rows[static_cast<size_t>(k)])] -=
+          eta_.vals[static_cast<size_t>(k)] * t;
     }
   }
 }
 
 void SimplexSolver::Btran(std::vector<double>* y) {
   ++stats_.btran;
-  for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
+  for (auto it = eta_.etas.rbegin(); it != eta_.etas.rend(); ++it) {
     double acc = (*y)[static_cast<size_t>(it->pivot_row)];
     for (int k = it->begin; k < it->end; ++k) {
-      acc -= eta_vals_[static_cast<size_t>(k)] *
-             (*y)[static_cast<size_t>(eta_rows_[static_cast<size_t>(k)])];
+      acc -= eta_.vals[static_cast<size_t>(k)] *
+             (*y)[static_cast<size_t>(eta_.rows[static_cast<size_t>(k)])];
     }
     (*y)[static_cast<size_t>(it->pivot_row)] = acc / it->pivot_value;
   }
 }
 
 void SimplexSolver::AppendEta(const std::vector<double>& column, int pivot_row) {
-  Eta e;
+  EtaFile::Eta e;
   e.pivot_row = pivot_row;
   e.pivot_value = column[static_cast<size_t>(pivot_row)];
-  e.begin = static_cast<int>(eta_rows_.size());
+  e.begin = static_cast<int>(eta_.rows.size());
   for (int r = 0; r < m_; ++r) {
     const double v = column[static_cast<size_t>(r)];
     if (r != pivot_row && v != 0.0) {
-      eta_rows_.push_back(r);
-      eta_vals_.push_back(v);
+      eta_.rows.push_back(r);
+      eta_.vals.push_back(v);
     }
   }
-  e.end = static_cast<int>(eta_rows_.size());
+  e.end = static_cast<int>(eta_.rows.size());
   // A unit column pivoting on 1 (a slack, typically) gives the identity eta:
   // x / 1.0 == x exactly, so FTRAN and BTRAN would pass over it without
   // changing a bit. It is not stored.
   if (e.pivot_value == 1.0 && e.end == e.begin) {
     return;
   }
-  etas_.push_back(e);
+  eta_.etas.push_back(e);
 }
 
 void SimplexSolver::ParkNonbasic(int j, BasisStatus preferred) {
@@ -333,18 +395,10 @@ bool SimplexSolver::FactorFromSet(std::vector<int> proposed, bool strict) {
   // (legal — pivot magnitudes are only bounded below by kPivotTol) fails
   // reinversion, and the run then simply keeps its current eta file.
   if (strict) {
-    saved_etas_.swap(etas_);
-    saved_eta_rows_.swap(eta_rows_);
-    saved_eta_vals_.swap(eta_vals_);
+    std::swap(saved_eta_, eta_);
   }
-  const auto restore = [&]() {
-    etas_.swap(saved_etas_);
-    eta_rows_.swap(saved_eta_rows_);
-    eta_vals_.swap(saved_eta_vals_);
-  };
-  etas_.clear();
-  eta_rows_.clear();
-  eta_vals_.clear();
+  const auto restore = [&]() { std::swap(eta_, saved_eta_); };
+  eta_.clear();
   pivots_since_refactor_ = 0;
 
   // Reinversion order: sparsest columns first (slacks and artificials are
@@ -439,9 +493,7 @@ bool SimplexSolver::FactorFromSet(std::vector<int> proposed, bool strict) {
 }
 
 void SimplexSolver::ResetToSlackBasis() {
-  etas_.clear();
-  eta_rows_.clear();
-  eta_vals_.clear();
+  eta_.clear();
   pivots_since_refactor_ = 0;
   for (int j = 0; j < total_; ++j) {
     if (status_[static_cast<size_t>(j)] == BasisStatus::kBasic) {
@@ -506,14 +558,14 @@ bool SimplexSolver::PrimalFeasible() const {
   return true;
 }
 
-bool SimplexSolver::DualFeasible(const std::vector<double>& y) {
-  ComputeStructuralReducedCosts(y);
+bool SimplexSolver::DualFeasible() {
+  RefreshReducedCosts();
   for (int j = 0; j < total_; ++j) {
     if (status_[static_cast<size_t>(j)] == BasisStatus::kBasic ||
         lower_[static_cast<size_t>(j)] == upper_[static_cast<size_t>(j)]) {
       continue;
     }
-    const double d = ScanReducedCost(j, y);
+    const double d = reduced_[static_cast<size_t>(j)];
     if ((status_[static_cast<size_t>(j)] == BasisStatus::kAtLower && d > kOptimalityTol) ||
         (status_[static_cast<size_t>(j)] == BasisStatus::kAtUpper && d < -kOptimalityTol)) {
       return false;
@@ -634,8 +686,7 @@ bool SimplexSolver::TryWarmStart() {
       proposed.push_back(j);
     } else {
       // Statuses are symbolic, so "at lower" snaps to the *current* bound —
-      // which is how a parent basis stays valid after branching tightens the
-      // child's box.
+      // which is how a basis stays meaningful after the bounds move.
       ParkNonbasic(j, s);
     }
   }
@@ -649,12 +700,34 @@ bool SimplexSolver::TryWarmStart() {
   return true;
 }
 
+void SimplexSolver::InstallFactored(const FactoredStart& start) {
+  TS_CHECK_EQ(static_cast<int>(start.status.size()), n_ + m_);
+  total_ = n_ + m_;
+  num_artificials_ = 0;
+  basis_ = start.basis;
+  status_ = start.status;
+  eta_ = start.eta;
+  reduced_ = start.reduced;
+  pivots_since_refactor_ = start.pivots_since_refactor;
+  failed_reinversions_ = start.failed_reinversions;
+  value_.assign(static_cast<size_t>(total_), 0.0);
+  for (int j = 0; j < total_; ++j) {
+    if (status_[static_cast<size_t>(j)] != BasisStatus::kBasic) {
+      // Branching only tightens finite bounds, so the status survives.
+      ParkNonbasic(j, status_[static_cast<size_t>(j)]);
+    }
+  }
+  RecomputeBasicValues();
+  cand_.clear();
+  degenerate_streak_ = 0;
+}
+
 // ---------------------------------------------------------------------------
 // Pricing
 // ---------------------------------------------------------------------------
 
 void SimplexSolver::RebuildCandidates(const std::vector<double>& y) {
-  ComputeStructuralReducedCosts(y);
+  ComputeReducedCosts(y);
   std::vector<Scored>& scored = scored_;
   scored.clear();
   for (int j = 0; j < total_; ++j) {
@@ -662,7 +735,7 @@ void SimplexSolver::RebuildCandidates(const std::vector<double>& y) {
         lower_[static_cast<size_t>(j)] == upper_[static_cast<size_t>(j)]) {
       continue;
     }
-    const double d = ScanReducedCost(j, y);
+    const double d = reduced_[static_cast<size_t>(j)];
     const bool favorable =
         (status_[static_cast<size_t>(j)] == BasisStatus::kAtLower && d > kOptimalityTol) ||
         (status_[static_cast<size_t>(j)] == BasisStatus::kAtUpper && d < -kOptimalityTol);
@@ -765,6 +838,9 @@ LpStatus SimplexSolver::RunPrimal(bool phase1) {
       entering = PickEntering(y_, &direction);
     }
     if (entering < 0) {
+      if (bland) {
+        ComputeReducedCosts(y_);  // PickEntering's last full scan did this.
+      }
       return LpStatus::kOptimal;
     }
     ++iterations_;
@@ -895,8 +971,23 @@ LpStatus SimplexSolver::RunDual() {
   // Safety cap: a dual re-optimization that has not converged in O(m) pivots
   // is degenerate or numerically stuck; the caller cold-starts instead (same
   // answer, just slower), so giving up is always safe.
+  TS_CHECK_EQ(num_artificials_, 0);  // Warm paths only: the sweeps cover n + m.
   const int max_dual = 3 * m_ + 200;
   int dual_pivots = 0;
+  const int n = n_;
+  const int total = total_;
+  // Zero between pivots (pass 3 clears it), though a run that returned
+  // mid-pivot left it dirty.
+  row_alpha_.assign(static_cast<size_t>(total), 0.0);
+  eligible_cols_.resize(static_cast<size_t>(total));
+  // Bounds do not move during the run, so only the two variables of each
+  // pivot change their direction.
+  direction_.resize(static_cast<size_t>(total));
+  for (int j = 0; j < total; ++j) {
+    direction_[static_cast<size_t>(j)] = DualDirection(j);
+  }
+  double* alpha_row = row_alpha_.data();
+  const double* direction = direction_.data();
   while (true) {
     if (iterations_ >= max_iterations_) {
       return LpStatus::kIterationLimit;
@@ -936,45 +1027,47 @@ LpStatus SimplexSolver::RunDual() {
     std::fill(rho_.begin(), rho_.end(), 0.0);
     rho_[static_cast<size_t>(lrow)] = 1.0;
     Btran(&rho_);
-    ComputeDuals(&y_);
 
-    // Dual ratio test: among sign-eligible nonbasic columns, enter the one
-    // whose reduced cost hits zero first (smallest |d|/|alpha_r|); ties go to
-    // the larger pivot magnitude, then the smaller index.
-    // Pass 1 forms the pivot-row entry of every movable column and appends
-    // it to the scratch list unconditionally, advancing the list only for a
-    // sign-eligible column: x_basic changes by -alpha_r * dx_j, so the
-    // violated variable must move toward its bound while the nonbasic moves
-    // off its own bound.
-    if (ratio_cols_.size() < static_cast<size_t>(total_)) {
-      ratio_cols_.resize(static_cast<size_t>(total_));
-      ratio_alpha_.resize(static_cast<size_t>(total_));
-    }
-    size_t num_eligible = 0;
-    for (int j = 0; j < total_; ++j) {
-      if (status_[static_cast<size_t>(j)] == BasisStatus::kBasic ||
-          lower_[static_cast<size_t>(j)] == upper_[static_cast<size_t>(j)]) {
+    // Pivot row alpha_r = rho A, formed row-wise over the nonzeros of rho in
+    // ascending row order: each structural entry sums its terms in the order
+    // of a column dot product, so it equals one bit for bit (up to the sign
+    // of a zero). A slack's entry is its row's rho.
+    for (int r = 0; r < m_; ++r) {
+      const double rr = rho_[static_cast<size_t>(r)];
+      alpha_row[n + r] = rr;
+      if (rr == 0.0) {
         continue;
       }
-      double arj = 0.0;
-      ForEachColumnEntry(j, [&](int r, double v) { arj += rho_[static_cast<size_t>(r)] * v; });
-      const bool at_lower = status_[static_cast<size_t>(j)] == BasisStatus::kAtLower;
-      // Positive exactly when arj has the eligible sign.
-      const double toward = below == at_lower ? -arj : arj;
-      ratio_cols_[num_eligible] = j;
-      ratio_alpha_[num_eligible] = arj;
-      num_eligible += toward > kPivotTol ? 1 : 0;
+      for (int k = row_start_[r]; k < row_start_[r + 1]; ++k) {
+        alpha_row[row_col_[k]] += rr * row_val_[k];
+      }
     }
-    // Pass 2: the ratio test over the eligible columns in ascending index.
+    // Pass 1, ascending index, without branches: every variable is written
+    // to the scratch list, and the cursor advances only for an eligible one,
+    // a movable column whose entry has the sign that moves the violated
+    // variable toward its bound while moving the column off its own
+    // (x_basic changes by -alpha_r * dx_j). With the direction, that sign
+    // test is one product; a basic or fixed column's direction is 0.
+    const double toward = below ? 1.0 : -1.0;
+    int* eligible = eligible_cols_.data();
+    size_t num_eligible = 0;
+    for (int j = 0; j < total; ++j) {
+      eligible[num_eligible] = j;
+      num_eligible += (alpha_row[j] * direction[j]) * toward > kPivotTol ? 1 : 0;
+    }
+    // Pass 2, the dual ratio test over the eligible columns: enter the one
+    // whose reduced cost hits zero first (smallest |d|/|alpha_r|); ties go to
+    // the larger pivot magnitude, then the smaller index.
     int entering = -1;
+    double entering_arj = 0.0;
     double best_ratio = std::numeric_limits<double>::infinity();
     double best_mag = 0.0;
+    double* const reduced = reduced_.data();
     for (size_t i = 0; i < num_eligible; ++i) {
-      const int j = ratio_cols_[i];
-      const double arj = ratio_alpha_[i];
-      const bool at_lower = status_[static_cast<size_t>(j)] == BasisStatus::kAtLower;
-      const double d = ReducedCost(j, y_);
-      const double slack = std::max(0.0, at_lower ? -d : d);  // Dual headroom.
+      const int j = eligible[i];
+      const double arj = alpha_row[j];
+      // Dual headroom: how far d_j may move before it changes sign.
+      const double slack = std::max(0.0, direction[j] * reduced[j]);
       const double ratio = slack / std::fabs(arj);
       const bool wins =
           ratio < best_ratio - 1e-12 ||
@@ -983,6 +1076,7 @@ LpStatus SimplexSolver::RunDual() {
             (std::fabs(arj) > best_mag - 1e-12 && j < entering)));
       if (wins) {
         entering = j;
+        entering_arj = arj;
         best_ratio = ratio;
         best_mag = std::fabs(arj);
       }
@@ -1001,7 +1095,21 @@ LpStatus SimplexSolver::RunDual() {
       return LpStatus::kIterationLimit;  // Numerical disagreement; cold-start.
     }
 
+    // Pass 3: carry the reduced costs across the pivot by the pivot row,
+    // d_j -= theta * alpha_rj, over every variable in one branch-free sweep
+    // that also clears the accumulator. A basic column's entry is zero up to
+    // roundoff, and a basic variable's reduced cost is not read until it
+    // leaves. The entering column's becomes zero and the leaving variable's
+    // (its pivot-row entry is 1) becomes -theta.
     const int leaving = basis_[static_cast<size_t>(lrow)];
+    const double theta = reduced[entering] / entering_arj;
+    for (int j = 0; j < total; ++j) {
+      reduced[j] -= theta * alpha_row[j];
+      alpha_row[j] = 0.0;
+    }
+    reduced[entering] = 0.0;
+    reduced[leaving] = -theta;
+
     const double target = below ? lower_[static_cast<size_t>(leaving)]
                                 : upper_[static_cast<size_t>(leaving)];
     // Drive the leaving variable exactly onto its violated bound.
@@ -1022,12 +1130,35 @@ LpStatus SimplexSolver::RunDual() {
     basis_[static_cast<size_t>(lrow)] = entering;
     status_[static_cast<size_t>(entering)] = BasisStatus::kBasic;
     value_[static_cast<size_t>(entering)] = entering_value;
+    direction_[static_cast<size_t>(entering)] = 0.0;
+    direction_[static_cast<size_t>(leaving)] = DualDirection(leaving);
     AppendEta(alpha_, lrow);
-    if (++pivots_since_refactor_ >= kRefactorInterval && !Refactorize()) {
-      broken_down_ = true;
-      return LpStatus::kIterationLimit;
+    if (++pivots_since_refactor_ >= kRefactorInterval) {
+      if (!Refactorize()) {
+        broken_down_ = true;
+        return LpStatus::kIterationLimit;
+      }
+      RefreshReducedCosts();  // Squash the carried drift with the values'.
+    } else if (std::fabs(are) < kCarryPivotTol) {
+      RefreshReducedCosts();
     }
   }
+}
+
+std::optional<LpSolution> SimplexSolver::DualThenCertify() {
+  const LpStatus dual = RunDual();
+  if (dual == LpStatus::kInfeasible) {
+    return Finish(LpStatus::kInfeasible);
+  }
+  if (dual == LpStatus::kOptimal) {
+    // Certify: dual pivots preserved dual feasibility, so this is normally
+    // zero extra pivots.
+    const LpStatus primal = RunPrimal(/*phase1=*/false);
+    if (!broken_down_) {
+      return Finish(primal);
+    }
+  }
+  return std::nullopt;  // Dual gave up (degeneracy/numerics): cold-start.
 }
 
 // ---------------------------------------------------------------------------
@@ -1060,8 +1191,29 @@ LpSolution SimplexSolver::Finish(LpStatus status) {
       result.basis.status[static_cast<size_t>(j)] = status_[static_cast<size_t>(j)];
     }
   }
+  exportable_ = status == LpStatus::kOptimal && !broken_down_;
   result.stats = stats_;
   return result;
+}
+
+std::shared_ptr<const FactoredStart> SimplexSolver::Export() {
+  if (!exportable_) {
+    return nullptr;
+  }
+  for (const int bv : basis_) {
+    if (bv >= n_ + m_) {
+      return nullptr;  // A Phase-1 artificial stayed basic (at zero).
+    }
+  }
+  // Finish follows a RunPrimal that returned kOptimal, so reduced_ is exact.
+  auto start = std::make_shared<FactoredStart>();
+  start->basis = basis_;
+  start->status.assign(status_.begin(), status_.begin() + n_ + m_);
+  start->eta = eta_;
+  start->reduced.assign(reduced_.begin(), reduced_.begin() + n_ + m_);
+  start->pivots_since_refactor = pivots_since_refactor_;
+  start->failed_reinversions = failed_reinversions_;
+  return start;
 }
 
 LpSolution SimplexSolver::Solve(const LpCore& core, const std::vector<BoundFix>& fixes,
@@ -1102,9 +1254,7 @@ LpSolution SimplexSolver::Solve(const LpCore& core, const std::vector<BoundFix>&
 
   // Warm path: install the hint and pick the start by what the basis is.
   //   - primal feasible: Phase 2 from it, Phase 1 skipped outright;
-  //   - dual feasible: the dual simplex re-optimizes in a few pivots (the
-  //     branch-and-bound child case: a bound change keeps the parent's
-  //     optimal basis dual feasible);
+  //   - dual feasible: the dual simplex re-optimizes in a few pivots;
   //   - neither (a previous cycle's basis mapped onto a changed model):
   //     ShiftedPrimal makes it dual feasible and the dual simplex finishes.
   // A warm run that gives up or breaks down numerically (see Refactorize)
@@ -1118,30 +1268,36 @@ LpSolution SimplexSolver::Solve(const LpCore& core, const std::vector<BoundFix>&
         return Finish(primal);
       }
     } else {
-      ComputeDuals(&y_);
-      if (DualFeasible(y_) || ShiftedPrimal()) {
+      // Either way reduced_ is exact for RunDual: DualFeasible computes it,
+      // and so does the shifted run's optimal primal pass (reduced costs do
+      // not depend on the bounds it then restores).
+      if (DualFeasible() || ShiftedPrimal()) {
         RecomputeBasicValues();  // Restored bounds moved nonbasic values.
-        const LpStatus dual = RunDual();
-        if (dual == LpStatus::kInfeasible) {
-          result.status = LpStatus::kInfeasible;
-          result.iterations = iterations_;
-          result.stats = stats_;
-          return result;
+        if (std::optional<LpSolution> done = DualThenCertify()) {
+          return std::move(*done);
         }
-        if (dual == LpStatus::kOptimal) {
-          // Certify: dual pivots preserved dual feasibility, so this is
-          // normally zero extra pivots.
-          const LpStatus primal = RunPrimal(/*phase1=*/false);
-          if (!broken_down_) {
-            return Finish(primal);
-          }
-        }
-        // Dual gave up (degeneracy/numerics): cold-start below.
       }
     }
     stats_.warm_basis_used = false;
   }
+  return SolveCold();
+}
 
+LpSolution SimplexSolver::SolveFrom(const LpCore& core, const std::vector<BoundFix>& fixes,
+                                    const FactoredStart& start) {
+  static const SimplexOptions kDefaults;
+  Bind(core, fixes, kDefaults);
+  InstallFactored(start);
+  stats_.warm_basis_used = true;
+  if (std::optional<LpSolution> done = DualThenCertify()) {
+    return std::move(*done);
+  }
+  stats_.warm_basis_used = false;
+  return SolveCold();
+}
+
+LpSolution SimplexSolver::SolveCold() {
+  LpSolution result;
   ColdStart();
   if (num_artificials_ > 0) {
     // Phase 1: drive artificial infeasibility to zero (max -sum(artificials)).
@@ -1181,48 +1337,6 @@ LpSolution SimplexSolver::Solve(const LpCore& core, const std::vector<BoundFix>&
   }
   return Finish(RunPrimal(/*phase1=*/false));
 }
-
-namespace {
-
-void RecordLpCounters(const LpSolution& result) {
-  // LP work counters. Node LPs run on solver worker threads too, so this uses
-  // only striped registry adds — never spans (span rings are driver-thread
-  // state; worker emission would make trace export thread-count-dependent).
-  struct LpCounters {
-    obs::Counter* solves;
-    obs::Counter* pivots;
-    obs::Counter* ftran;
-    obs::Counter* btran;
-    obs::Counter* refactorizations;
-    obs::Counter* warm_basis_used;
-    obs::Histogram* pivots_hist;
-  };
-  static const LpCounters* const counters = [] {
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-    auto* c = new LpCounters();
-    c->solves = reg.GetCounter("solver.lp_solves");
-    c->pivots = reg.GetCounter("solver.lp_pivots");
-    c->ftran = reg.GetCounter("solver.ftran");
-    c->btran = reg.GetCounter("solver.btran");
-    c->refactorizations = reg.GetCounter("solver.refactorizations");
-    c->warm_basis_used = reg.GetCounter("solver.warm_basis_used");
-    c->pivots_hist = reg.GetHistogram(
-        "solver.lp_pivots_per_solve", {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0,
-                                       256.0, 512.0, 1024.0});
-    return c;
-  }();
-  counters->solves->Increment();
-  counters->pivots->Add(result.iterations);
-  counters->ftran->Add(result.stats.ftran);
-  counters->btran->Add(result.stats.btran);
-  counters->refactorizations->Add(result.stats.refactorizations);
-  if (result.stats.warm_basis_used) {
-    counters->warm_basis_used->Increment();
-  }
-  counters->pivots_hist->Observe(static_cast<double>(result.iterations));
-}
-
-}  // namespace
 
 LpCore::LpCore(const LpModel& lp)
     : model(lp), num_rows(lp.num_rows()), num_variables(lp.num_variables()) {
@@ -1290,49 +1404,56 @@ LpWorkspace::~LpWorkspace() = default;
 
 LpSolution LpWorkspace::Solve(const LpCore& core, const std::vector<BoundFix>& fixes,
                               const SimplexOptions& options) {
-  LpSolution result = [&]() -> LpSolution {
-    if (!options.presolve) {
-      return solver_->Solve(core, fixes, options);
-    }
-    const size_t n = static_cast<size_t>(core.num_variables);
-    lower_.assign(core.lower.begin(), core.lower.begin() + static_cast<std::ptrdiff_t>(n));
-    upper_.assign(core.upper.begin(), core.upper.begin() + static_cast<std::ptrdiff_t>(n));
-    for (const BoundFix& fix : fixes) {
-      lower_[static_cast<size_t>(fix.var)] = fix.lower;
-      upper_[static_cast<size_t>(fix.var)] = fix.upper;
-    }
-    const PresolveResult pre = Presolve(core.model, lower_, upper_);
-    if (pre.proven_infeasible) {
-      LpSolution infeasible;
-      infeasible.status = LpStatus::kInfeasible;
-      return infeasible;
-    }
-    if (pre.proven_unbounded) {
-      // A row-free variable with an unbounded preferred direction: the model
-      // is unbounded iff the rest is feasible — let the full simplex decide.
-      return solver_->Solve(core, fixes, options);
-    }
-    SimplexOptions reduced_options = options;
-    reduced_options.presolve = false;
-    // A start basis rides through the reductions (statuses of surviving
-    // variables and rows); the simplex repairs whatever the eliminations
-    // knocked out of the basic set.
-    if (!options.start_basis.empty()) {
-      reduced_options.start_basis = pre.MapBasisToReduced(
-          options.start_basis, core.num_variables, core.num_rows);
-    }
-    const LpCore reduced_core(pre.reduced);
-    LpSolution reduced = solver_->Solve(reduced_core, {}, reduced_options);
-    if (reduced.status == LpStatus::kOptimal ||
-        reduced.status == LpStatus::kIterationLimit) {
-      reduced.values = pre.ExpandSolution(reduced.values);
-      reduced.objective = core.model.ObjectiveValue(reduced.values);
-      reduced.basis = pre.MapBasisToFull(reduced.basis, core.num_variables, core.num_rows);
-    }
-    return reduced;
-  }();
-  RecordLpCounters(result);
-  return result;
+  full_core_ = !options.presolve;
+  if (!options.presolve) {
+    return solver_->Solve(core, fixes, options);
+  }
+  const size_t n = static_cast<size_t>(core.num_variables);
+  lower_.assign(core.lower.begin(), core.lower.begin() + static_cast<std::ptrdiff_t>(n));
+  upper_.assign(core.upper.begin(), core.upper.begin() + static_cast<std::ptrdiff_t>(n));
+  for (const BoundFix& fix : fixes) {
+    lower_[static_cast<size_t>(fix.var)] = fix.lower;
+    upper_[static_cast<size_t>(fix.var)] = fix.upper;
+  }
+  const PresolveResult pre = Presolve(core.model, lower_, upper_);
+  if (pre.proven_infeasible) {
+    LpSolution infeasible;
+    infeasible.status = LpStatus::kInfeasible;
+    return infeasible;
+  }
+  if (pre.proven_unbounded) {
+    // A row-free variable with an unbounded preferred direction: the model
+    // is unbounded iff the rest is feasible — let the full simplex decide.
+    return solver_->Solve(core, fixes, options);
+  }
+  SimplexOptions reduced_options = options;
+  reduced_options.presolve = false;
+  // A start basis rides through the reductions (statuses of surviving
+  // variables and rows); the simplex repairs whatever the eliminations
+  // knocked out of the basic set.
+  if (!options.start_basis.empty()) {
+    reduced_options.start_basis = pre.MapBasisToReduced(
+        options.start_basis, core.num_variables, core.num_rows);
+  }
+  const LpCore reduced_core(pre.reduced);
+  LpSolution reduced = solver_->Solve(reduced_core, {}, reduced_options);
+  if (reduced.status == LpStatus::kOptimal ||
+      reduced.status == LpStatus::kIterationLimit) {
+    reduced.values = pre.ExpandSolution(reduced.values);
+    reduced.objective = core.model.ObjectiveValue(reduced.values);
+    reduced.basis = pre.MapBasisToFull(reduced.basis, core.num_variables, core.num_rows);
+  }
+  return reduced;
+}
+
+LpSolution LpWorkspace::SolveFrom(const LpCore& core, const std::vector<BoundFix>& fixes,
+                                  const FactoredStart& start) {
+  full_core_ = true;
+  return solver_->SolveFrom(core, fixes, start);
+}
+
+std::shared_ptr<const FactoredStart> LpWorkspace::ExportStart() {
+  return full_core_ ? solver_->Export() : nullptr;
 }
 
 LpSolution SolveLp(const LpModel& model, const SimplexOptions& options) {

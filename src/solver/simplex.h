@@ -22,14 +22,23 @@
 //   - a basis (variable statuses over structural + slack variables) can be
 //     exported from a solved LP and imported as a starting point: a primal-
 //     feasible import skips Phase 1 outright, a dual-feasible import
-//     re-optimizes with the bounded-variable dual simplex (the branch-and-
-//     bound child case: the parent's optimal basis stays dual feasible under
-//     a bound change), and an import that is neither (last cycle's basis on
-//     this cycle's model) starts with shifted bounds: each violated basic
-//     bound is widened to the variable's value, primal Phase 2 optimizes the
-//     shifted problem, and the dual simplex cleans up once the bounds are
-//     restored. A warm run that gives up falls back to a cold start, so a
-//     warm start can never change the *answer*, only the pivot count.
+//     re-optimizes with the bounded-variable dual simplex, and an import
+//     that is neither (last cycle's basis on this cycle's model) starts with
+//     shifted bounds: each violated basic bound is widened to the variable's
+//     value, primal Phase 2 optimizes the shifted problem, and the dual
+//     simplex cleans up once the bounds are restored,
+//   - a branch-and-bound child differs from its parent by one bound, so it
+//     starts from the parent's live end state rather than a status vector:
+//     the parent exports its factored basis (eta file included) and exact
+//     reduced costs once (FactoredStart), and the child installs them,
+//     recomputes its basic values and runs the dual simplex at once, with
+//     no reinversion and no dual-feasibility scan,
+//   - the dual simplex carries its reduced costs from pivot to pivot,
+//     updating them by the pivot row (formed row-wise over the nonzeros of
+//     the basis-inverse row), and recomputes them exactly at every
+//     reinversion.
+// A warm run that gives up falls back to a cold start, so a warm start can
+// never change the *answer*, only the pivot count.
 //
 // Determinism: every choice (pricing, ratio-test tie-breaks, reinversion
 // order, repair) is a pure function of the model and options — never of
@@ -87,7 +96,9 @@ struct LpSolution {
   // Total simplex pivots (phase 1 + phase 2 + dual).
   int iterations = 0;
   // Final basis (empty unless kOptimal / kIterationLimit); reusable as
-  // SimplexOptions::start_basis for a nearby model.
+  // SimplexOptions::start_basis for a nearby model (the scheduler maps it
+  // onto the next cycle's root). A branch-and-bound child does not start
+  // from it: it resumes its parent's factored state (LpWorkspace::ExportStart).
   LpBasis basis;
   LpStats stats;
 };
@@ -99,8 +110,10 @@ struct SimplexOptions {
   // nodes benefit most (their bound fixings eliminate variables outright).
   // A start basis is mapped through the reductions (see presolve.h).
   bool presolve = true;
-  // Starting basis hint (e.g. the parent node's optimal basis). Empty means
-  // cold start. Never changes the returned solution, only the pivot count.
+  // Starting basis hint (e.g. last cycle's root basis mapped onto this
+  // model). Empty means cold start. Never changes the returned solution,
+  // only the pivot count. It is reinverted from the statuses; a child that
+  // has its parent's live state resumes from that instead (LpWorkspace).
   LpBasis start_basis;
 };
 
@@ -142,6 +155,12 @@ struct BoundFix {
 
 class SimplexSolver;
 
+// The live end state of an LP solved to optimality on a full LpCore: its
+// basis, variable statuses, product-form eta file and exact reduced costs.
+// Immutable once exported and shared between the siblings that resume it.
+// Defined in simplex.cc; only LpWorkspace reads it.
+struct FactoredStart;
+
 // Simplex state kept alive across a sequence of solves on one thread: basis,
 // values, eta file and scratch vectors keep their allocations from one
 // branch-and-bound node to the next. Not thread-safe; use one per worker.
@@ -156,9 +175,26 @@ class LpWorkspace {
   LpSolution Solve(const LpCore& core, const std::vector<BoundFix>& fixes,
                    const SimplexOptions& options);
 
+  // Solves the same relaxation starting from `start`, the exported state of
+  // a parent LP on the same core whose bounds `fixes` only tighten (a
+  // branch-and-bound child): installs the parent's factored basis and
+  // reduced costs, recomputes the basic values under the new bounds, and
+  // re-optimizes with the dual simplex. A dual run that gives up falls back
+  // to the cold start, so the answer is Solve's, never a different one.
+  LpSolution SolveFrom(const LpCore& core, const std::vector<BoundFix>& fixes,
+                       const FactoredStart& start);
+
+  // The end state of the last Solve or SolveFrom, for its children, with
+  // the exact reduced costs of its final pricing scan (a fresh BTRAN). Null
+  // unless that run reached kOptimal on the full core (no presolve) with no
+  // Phase-1 artificial left in the basis. Call it before the next solve on
+  // this workspace.
+  std::shared_ptr<const FactoredStart> ExportStart();
+
  private:
   std::unique_ptr<SimplexSolver> solver_;
   std::vector<double> lower_, upper_;  // Node bounds handed to presolve.
+  bool full_core_ = false;  // The last solve ran on its core, not presolved.
 };
 
 }  // namespace threesigma

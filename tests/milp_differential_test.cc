@@ -300,5 +300,46 @@ TEST(MilpDifferentialTest, MappedRootBasisReachesColdObjective) {
   EXPECT_GE(warm_roots * 10, roots * 9) << warm_roots << " of " << roots;
 }
 
+// Children resume their parent's factored state (basis, eta file, reduced
+// costs) instead of reinverting a status vector. Over full trees
+// (max_nodes = 0) of scheduler-shaped models, that search must prove the
+// same optimum as the one with basis warm-starting off, and be the same
+// search at 1 and 4 threads.
+TEST(MilpDifferentialTest, FactoredChildStartsReachColdObjectiveOnFullTrees) {
+  ThreadPool pool(4);
+  int64_t warm_nodes = 0;
+  int64_t nodes = 0;
+  for (uint64_t seed = 21; seed <= 40; ++seed) {
+    SchedulerShapedCycles cycles(10, 4, 6, seed);
+    MilpOptions cold_options;
+    cold_options.max_nodes = 0;
+    cold_options.basis_warmstart = false;
+    MilpOptions hot_options;
+    hot_options.max_nodes = 0;
+    MilpOptions parallel_options = hot_options;
+    parallel_options.pool = &pool;
+    MilpSolver cold_solver(cycles.model(), cycles.int_vars());
+    const MilpSolution cold = cold_solver.Solve(cold_options);
+    MilpSolver hot_solver(cycles.model(), cycles.int_vars());
+    const MilpSolution hot = hot_solver.Solve(hot_options);
+    MilpSolver parallel_solver(cycles.model(), cycles.int_vars());
+    const MilpSolution parallel = parallel_solver.Solve(parallel_options);
+
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    ASSERT_EQ(cold.status, MilpStatus::kOptimal);
+    ASSERT_EQ(hot.status, MilpStatus::kOptimal);
+    EXPECT_NEAR(hot.objective, cold.objective, 1e-9 * std::max(1.0, std::fabs(cold.objective)));
+    EXPECT_TRUE(cycles.model().IsFeasible(hot.values));
+    EXPECT_EQ(parallel.nodes_explored, hot.nodes_explored);
+    EXPECT_EQ(parallel.lp_iterations, hot.lp_iterations);
+    EXPECT_EQ(parallel.values, hot.values);
+    warm_nodes += hot.warm_started_nodes;
+    nodes += hot.nodes_explored;
+  }
+  // Every node but the roots (and children of a parent that could not
+  // export) resumes a factored start.
+  EXPECT_GE(warm_nodes * 10, nodes * 9) << warm_nodes << " of " << nodes;
+}
+
 }  // namespace
 }  // namespace threesigma

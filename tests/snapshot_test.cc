@@ -45,6 +45,37 @@ std::vector<int> ReadInts(SnapshotReader& reader) {
   return v;
 }
 
+TEST(SnapshotCodecTest, Crc32MatchesBytewiseReference) {
+  // Crc32 folds eight bytes per step; it must give the plain byte-at-a-time
+  // CRC-32 (reflected 0xEDB88320) for every length, alignment and seed.
+  const auto reference = [](const uint8_t* p, size_t size, uint32_t seed) {
+    uint32_t c = seed ^ 0xFFFFFFFFu;
+    for (size_t i = 0; i < size; ++i) {
+      c ^= p[i];
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+    }
+    return c ^ 0xFFFFFFFFu;
+  };
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);  // The standard check value.
+  Rng rng(7);
+  std::vector<uint8_t> bytes(80);
+  for (uint8_t& b : bytes) {
+    b = static_cast<uint8_t>(rng.UniformInt(0, 255));
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t size = 0; offset + size <= bytes.size(); ++size) {
+      const uint8_t* p = bytes.data() + offset;
+      const uint32_t whole = Crc32(p, size);
+      ASSERT_EQ(whole, reference(p, size, 0)) << offset << " " << size;
+      // Chaining through the seed equals one pass over the whole buffer.
+      const size_t split = size / 3;
+      EXPECT_EQ(Crc32(p + split, size - split, Crc32(p, split)), whole);
+    }
+  }
+}
+
 TEST(SnapshotCodecTest, PrimitiveRoundTrip) {
   SnapshotWriter writer;
   writer.BeginSection("prim", 3);

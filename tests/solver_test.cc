@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -743,6 +744,96 @@ TEST(SimplexTest, ShiftedStartMatchesColdOnPerturbedCycles) {
   }
   // Most roots must take the shifted-bound path and finish warm.
   EXPECT_GE(shifted_starts * 2, roots) << shifted_starts << " of " << roots;
+}
+
+TEST(SimplexTest, FactoredChildStartMatchesCold) {
+  // Branch-and-bound children resume their parent's exported state: its
+  // factored basis and exact reduced costs, carried down the tree without a
+  // reinversion, then updated pivot by pivot in the dual simplex. Walking
+  // trees of scheduler-shaped models, every child must reach the status and
+  // objective of a cold SolveLp on a bound-fixed copy, without falling back
+  // to the cold start, and its certifying primal pass must take no pivot:
+  // that is the check that the carried reduced costs did not drift.
+  struct Pending {
+    std::vector<BoundFix> fixes;
+    std::shared_ptr<const FactoredStart> start;
+  };
+  int children = 0;
+  int infeasible = 0;
+  int exported = 0;
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    SchedulerShapedCycles cycles(14, 6, 10, seed);
+    for (int cycle = 0; cycle < 3; ++cycle) {
+      if (cycle > 0) {
+        cycles.Next();
+      }
+      const LpModel& model = cycles.model();
+      const LpCore core(model);
+      LpWorkspace workspace;
+      SimplexOptions options;
+      options.presolve = false;  // As branch-and-bound nodes run.
+      std::vector<Pending> stack;
+      stack.push_back(Pending{{}, nullptr});
+      for (int node = 0; node < 40 && !stack.empty(); ++node) {
+        Pending pending = std::move(stack.back());
+        stack.pop_back();
+        const LpSolution lp = pending.start == nullptr
+                                  ? workspace.Solve(core, pending.fixes, options)
+                                  : workspace.SolveFrom(core, pending.fixes, *pending.start);
+        const std::string what = "seed " + std::to_string(seed) + " cycle " +
+                                 std::to_string(cycle) + " node " + std::to_string(node);
+        if (pending.start != nullptr) {
+          ++children;
+          LpModel fixed = model;
+          for (const BoundFix& fix : pending.fixes) {
+            fixed.SetVariableBounds(fix.var, fix.lower, fix.upper);
+          }
+          const LpSolution cold = SolveLp(fixed);
+          ASSERT_EQ(lp.status, cold.status) << what;
+          EXPECT_TRUE(lp.stats.warm_basis_used) << what;
+          EXPECT_EQ(lp.stats.phase1_iterations, 0) << what;
+          EXPECT_EQ(lp.stats.phase2_iterations, 0) << what;
+          if (cold.status == LpStatus::kInfeasible) {
+            ++infeasible;
+            continue;
+          }
+          ASSERT_EQ(cold.status, LpStatus::kOptimal) << what;
+          EXPECT_NEAR(lp.objective, cold.objective,
+                      1e-9 * std::max(1.0, std::fabs(cold.objective)))
+              << what;
+          EXPECT_TRUE(fixed.IsFeasible(lp.values, 1e-6)) << what;
+        }
+        ASSERT_EQ(lp.status, LpStatus::kOptimal) << what;
+        // Branch on the most fractional variable, both ways.
+        int branch = -1;
+        double best = 1e-6;
+        for (int v : cycles.int_vars()) {
+          const double frac = std::fabs(lp.values[static_cast<size_t>(v)] -
+                                        std::round(lp.values[static_cast<size_t>(v)]));
+          if (frac > best) {
+            best = frac;
+            branch = v;
+          }
+        }
+        if (branch < 0) {
+          continue;
+        }
+        const std::shared_ptr<const FactoredStart> start = workspace.ExportStart();
+        ASSERT_NE(start, nullptr) << what;
+        ++exported;
+        const double value = lp.values[static_cast<size_t>(branch)];
+        for (const bool up : {false, true}) {
+          Pending child{pending.fixes, start};
+          child.fixes.push_back(up ? BoundFix{branch, std::ceil(value), model.upper(branch)}
+                                   : BoundFix{branch, model.lower(branch), std::floor(value)});
+          stack.push_back(std::move(child));
+        }
+      }
+    }
+  }
+  EXPECT_GE(exported, 1000);
+  EXPECT_GE(children, 2000);
+  EXPECT_GE(infeasible, 200) << infeasible << " of " << children;
 }
 
 TEST(SimplexTest, BoundOverlayMatchesModelCopyPivotForPivot) {
