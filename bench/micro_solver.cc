@@ -144,9 +144,9 @@ BENCHMARK(BM_BnbNodeStreamBasis)->Arg(0)->Arg(1);
 
 // Cross-cycle root warm start: the root LPs of a seeded sequence of
 // perturbed scheduler-shaped cycle models (SchedulerShapedCycles), solved
-// cold (presolve on, as a root without a start basis runs) or from the
-// previous cycle's optimal root basis mapped by key (presolve off, as the
-// branch-and-bound root runs it). Arg(1) = keyed warm, Arg(0) = cold.
+// cold from a slack basis or from the previous cycle's optimal root basis
+// mapped by key, as the branch-and-bound root runs it. Arg(1) = keyed warm,
+// Arg(0) = cold.
 // Reported counters:
 //   pivots/root    — mean simplex pivots per root LP
 //   us/root        — mean wall microseconds per root LP
@@ -170,7 +170,6 @@ void BM_RootAcrossCycles(benchmark::State& state) {
     for (size_t c = 0; c < models.size(); ++c) {
       SimplexOptions options;
       if (warm) {
-        options.presolve = false;
         options.start_basis = mapped[c];
       }
       const auto start = std::chrono::steady_clock::now();

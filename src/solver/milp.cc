@@ -245,18 +245,16 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
     result.incumbent_improvements.push_back(obj);
   };
 
-  // Node LPs with basis warm-starting run unreduced on the shared core: a
-  // node's end state is then exactly its children's start (each node's
-  // presolve would reduce a different variable subset). Fixed variables
-  // cost nothing unreduced, since pricing skips them. The root starts from
-  // the cross-solve hint (e.g. the previous scheduling cycle's root basis).
+  // Every node LP runs on the shared core plus its bound overlay, so a
+  // node's end state is exactly its children's start. With basis
+  // warm-starting, the root starts from the cross-solve hint (e.g. the
+  // previous scheduling cycle's root basis); a node with no exported parent
+  // state starts cold.
   SimplexOptions root_options;
-  SimplexOptions node_options;
   if (options.basis_warmstart) {
-    root_options.presolve = false;
     root_options.start_basis = options.root_basis;
-    node_options.presolve = false;
   }
+  const SimplexOptions node_options;
 
   std::vector<Node> stack;
   stack.push_back(Node{"", {}, kLpInfinity, nullptr});

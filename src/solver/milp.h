@@ -103,13 +103,13 @@ struct MilpOptions {
   ThreadPool* pool = nullptr;
   // Hand each branching node's factored end state to its children, which
   // then re-optimize with a few dual pivots instead of a cold two-phase
-  // solve; every node LP then runs unreduced (no presolve). Every
-  // relaxation still solves to proven optimality, so bounds, prunes, and the
-  // returned objective are unaffected; thread-count determinism is fully
-  // preserved (the basis flow follows the thread-count-independent wave
-  // schedule). On a degenerate relaxation a warm solve may land on a
-  // different optimal vertex than a cold one, which can reorder branching —
-  // with a unique MILP optimum the returned solution is identical either way.
+  // solve. Every relaxation still solves to proven optimality, so bounds,
+  // prunes, and the returned objective are unaffected; thread-count
+  // determinism is fully preserved (the basis flow follows the
+  // thread-count-independent wave schedule). On a degenerate relaxation a
+  // warm solve may land on a different optimal vertex than a cold one, which
+  // can reorder branching — with a unique MILP optimum the returned solution
+  // is identical either way.
   bool basis_warmstart = true;
   // Starting basis hint for the root relaxation, over this model's
   // variables and rows (e.g. the previous cycle's MilpSolution::root_basis

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "src/common/check.h"
-#include "src/solver/presolve.h"
 
 namespace threesigma {
 namespace {
@@ -1404,57 +1403,15 @@ LpWorkspace::~LpWorkspace() = default;
 
 LpSolution LpWorkspace::Solve(const LpCore& core, const std::vector<BoundFix>& fixes,
                               const SimplexOptions& options) {
-  full_core_ = !options.presolve;
-  if (!options.presolve) {
-    return solver_->Solve(core, fixes, options);
-  }
-  const size_t n = static_cast<size_t>(core.num_variables);
-  lower_.assign(core.lower.begin(), core.lower.begin() + static_cast<std::ptrdiff_t>(n));
-  upper_.assign(core.upper.begin(), core.upper.begin() + static_cast<std::ptrdiff_t>(n));
-  for (const BoundFix& fix : fixes) {
-    lower_[static_cast<size_t>(fix.var)] = fix.lower;
-    upper_[static_cast<size_t>(fix.var)] = fix.upper;
-  }
-  const PresolveResult pre = Presolve(core.model, lower_, upper_);
-  if (pre.proven_infeasible) {
-    LpSolution infeasible;
-    infeasible.status = LpStatus::kInfeasible;
-    return infeasible;
-  }
-  if (pre.proven_unbounded) {
-    // A row-free variable with an unbounded preferred direction: the model
-    // is unbounded iff the rest is feasible — let the full simplex decide.
-    return solver_->Solve(core, fixes, options);
-  }
-  SimplexOptions reduced_options = options;
-  reduced_options.presolve = false;
-  // A start basis rides through the reductions (statuses of surviving
-  // variables and rows); the simplex repairs whatever the eliminations
-  // knocked out of the basic set.
-  if (!options.start_basis.empty()) {
-    reduced_options.start_basis = pre.MapBasisToReduced(
-        options.start_basis, core.num_variables, core.num_rows);
-  }
-  const LpCore reduced_core(pre.reduced);
-  LpSolution reduced = solver_->Solve(reduced_core, {}, reduced_options);
-  if (reduced.status == LpStatus::kOptimal ||
-      reduced.status == LpStatus::kIterationLimit) {
-    reduced.values = pre.ExpandSolution(reduced.values);
-    reduced.objective = core.model.ObjectiveValue(reduced.values);
-    reduced.basis = pre.MapBasisToFull(reduced.basis, core.num_variables, core.num_rows);
-  }
-  return reduced;
+  return solver_->Solve(core, fixes, options);
 }
 
 LpSolution LpWorkspace::SolveFrom(const LpCore& core, const std::vector<BoundFix>& fixes,
                                   const FactoredStart& start) {
-  full_core_ = true;
   return solver_->SolveFrom(core, fixes, start);
 }
 
-std::shared_ptr<const FactoredStart> LpWorkspace::ExportStart() {
-  return full_core_ ? solver_->Export() : nullptr;
-}
+std::shared_ptr<const FactoredStart> LpWorkspace::ExportStart() { return solver_->Export(); }
 
 LpSolution SolveLp(const LpModel& model, const SimplexOptions& options) {
   const LpCore core(model);

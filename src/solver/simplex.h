@@ -106,10 +106,6 @@ struct LpSolution {
 struct SimplexOptions {
   // Hard cap on pivots across both phases; 0 means "derived from model size".
   int max_iterations = 0;
-  // Run presolve reductions first (solver/presolve.h); branch-and-bound
-  // nodes benefit most (their bound fixings eliminate variables outright).
-  // A start basis is mapped through the reductions (see presolve.h).
-  bool presolve = true;
   // Starting basis hint (e.g. last cycle's root basis mapped onto this
   // model). Empty means cold start. Never changes the returned solution,
   // only the pivot count. It is reinverted from the statuses; a child that
@@ -186,15 +182,12 @@ class LpWorkspace {
 
   // The end state of the last Solve or SolveFrom, for its children, with
   // the exact reduced costs of its final pricing scan (a fresh BTRAN). Null
-  // unless that run reached kOptimal on the full core (no presolve) with no
-  // Phase-1 artificial left in the basis. Call it before the next solve on
-  // this workspace.
+  // unless that run reached kOptimal with no Phase-1 artificial left in the
+  // basis. Call it before the next solve on this workspace.
   std::shared_ptr<const FactoredStart> ExportStart();
 
  private:
   std::unique_ptr<SimplexSolver> solver_;
-  std::vector<double> lower_, upper_;  // Node bounds handed to presolve.
-  bool full_core_ = false;  // The last solve ran on its core, not presolved.
 };
 
 }  // namespace threesigma

@@ -467,7 +467,6 @@ TEST(SimplexTest, IterationLimitReturnsFeasiblePoint) {
   }
   SimplexOptions options;
   options.max_iterations = 3;
-  options.presolve = false;
   const LpSolution sol = SolveLp(m, options);
   ASSERT_EQ(sol.status, LpStatus::kIterationLimit);
   EXPECT_TRUE(m.IsFeasible(sol.values, 1e-5));
@@ -498,6 +497,67 @@ TEST(SimplexTest, LargerLpStaysFeasibleAndOptimal) {
   ASSERT_EQ(sol.status, LpStatus::kOptimal);
   EXPECT_TRUE(m.IsFeasible(sol.values, 1e-5));
   EXPECT_GT(sol.objective, 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Fixed, row-free and redundant structure (suite name kept from the deleted
+// presolve pass, which removed these before solving): the simplex now solves
+// each model whole, from a slack basis, and must reach the known answer.
+// ---------------------------------------------------------------------------
+
+void ExpectOptimalAt(const LpModel& m, double objective, const std::vector<double>& values) {
+  const LpSolution sol = SolveLp(m);
+  ASSERT_EQ(sol.status, LpStatus::kOptimal);
+  EXPECT_NEAR(sol.objective, objective, 1e-9);
+  EXPECT_TRUE(m.IsFeasible(sol.values, 1e-9));
+  ASSERT_EQ(sol.values.size(), values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    EXPECT_NEAR(sol.values[i], values[i], 1e-9) << "variable " << i;
+  }
+}
+
+TEST(PresolveTest, FixedVariableSubstituted) {
+  LpModel m;
+  const int x = m.AddVariable(0.0, 1.0, 3.0);
+  const int y = m.AddVariable(0.5, 0.5, 2.0);  // Fixed at 0.5.
+  m.AddRow(RowSense::kLessEqual, 1.0, {{x, 1.0}, {y, 1.0}});
+  ExpectOptimalAt(m, 2.5, {0.5, 0.5});
+}
+
+TEST(PresolveTest, RowFreeVariableMovesToBestBound) {
+  LpModel m;
+  m.AddVariable(0.0, 2.0, 5.0);   // Maximize: picks 2.
+  m.AddVariable(0.0, 2.0, -1.0);  // Minimize: picks 0.
+  ExpectOptimalAt(m, 10.0, {2.0, 0.0});
+}
+
+TEST(PresolveTest, RedundantRowDropped) {
+  LpModel m;
+  const int x = m.AddVariable(0.0, 1.0, 1.0);
+  m.AddRow(RowSense::kLessEqual, 5.0, {{x, 1.0}});  // x <= 5 can never bind.
+  ExpectOptimalAt(m, 1.0, {1.0});
+}
+
+TEST(PresolveTest, InfeasibleRowDetected) {
+  LpModel m;
+  const int x = m.AddVariable(0.0, 1.0, 1.0);
+  m.AddRow(RowSense::kGreaterEqual, 5.0, {{x, 1.0}});  // x >= 5 impossible.
+  EXPECT_EQ(SolveLp(m).status, LpStatus::kInfeasible);
+}
+
+TEST(PresolveTest, FixedVariablesProveInfeasibility) {
+  LpModel m;
+  const int x = m.AddVariable(1.0, 1.0, 1.0);
+  const int y = m.AddVariable(1.0, 1.0, 1.0);
+  m.AddRow(RowSense::kLessEqual, 1.5, {{x, 1.0}, {y, 1.0}});  // 2 <= 1.5.
+  EXPECT_EQ(SolveLp(m).status, LpStatus::kInfeasible);
+}
+
+TEST(PresolveTest, ConsistentFullySubstitutedRowDropped) {
+  LpModel m;
+  const int x = m.AddVariable(0.3, 0.3, 1.0);
+  m.AddRow(RowSense::kEqual, 0.3, {{x, 1.0}});
+  ExpectOptimalAt(m, 0.3, {0.3});
 }
 
 // ---------------------------------------------------------------------------
@@ -568,13 +628,11 @@ TEST(SimplexTest, OwnBasisResolvesWithZeroPivots) {
       }
       m.AddRow(RowSense::kLessEqual, rng.Uniform(0.5, 6.0), std::move(terms));
     }
-    SimplexOptions cold_options;
-    cold_options.presolve = false;  // Keep the exported basis full-space.
-    const LpSolution cold = SolveLp(m, cold_options);
+    const LpSolution cold = SolveLp(m);
     ASSERT_EQ(cold.status, LpStatus::kOptimal) << "trial " << trial;
     ASSERT_FALSE(cold.basis.empty());
 
-    SimplexOptions warm_options = cold_options;
+    SimplexOptions warm_options;
     warm_options.start_basis = cold.basis;
     const LpSolution warm = SolveLp(m, warm_options);
     ASSERT_EQ(warm.status, LpStatus::kOptimal) << "trial " << trial;
@@ -606,9 +664,7 @@ TEST(SimplexTest, ParentBasisReoptimizesAfterBoundFix) {
       }
       m.AddRow(RowSense::kLessEqual, rng.Uniform(1.0, 5.0), std::move(terms));
     }
-    SimplexOptions options;
-    options.presolve = false;
-    const LpSolution parent = SolveLp(m, options);
+    const LpSolution parent = SolveLp(m);
     ASSERT_EQ(parent.status, LpStatus::kOptimal) << "trial " << trial;
 
     // Fix one variable the way branching does.
@@ -616,8 +672,8 @@ TEST(SimplexTest, ParentBasisReoptimizesAfterBoundFix) {
     const double side = rng.Bernoulli(0.5) ? 1.0 : 0.0;
     m.SetVariableBounds(fixed, side, side);
 
-    const LpSolution cold = SolveLp(m, options);
-    SimplexOptions warm_options = options;
+    const LpSolution cold = SolveLp(m);
+    SimplexOptions warm_options;
     warm_options.start_basis = parent.basis;
     const LpSolution warm = SolveLp(m, warm_options);
 
@@ -655,13 +711,11 @@ TEST(SimplexTest, ForeignBasisNeverChangesAnswer) {
     };
     const LpModel donor = make_model();
     const LpModel target = make_model();
-    SimplexOptions options;
-    options.presolve = false;
-    const LpSolution donor_sol = SolveLp(donor, options);
+    const LpSolution donor_sol = SolveLp(donor);
     ASSERT_EQ(donor_sol.status, LpStatus::kOptimal);
 
-    const LpSolution cold = SolveLp(target, options);
-    SimplexOptions warm_options = options;
+    const LpSolution cold = SolveLp(target);
+    SimplexOptions warm_options;
     warm_options.start_basis = donor_sol.basis;
     const LpSolution warm = SolveLp(target, warm_options);
     ASSERT_EQ(warm.status, cold.status) << "trial " << trial;
@@ -670,12 +724,89 @@ TEST(SimplexTest, ForeignBasisNeverChangesAnswer) {
   }
 }
 
-TEST(SimplexTest, BasisSurvivesPresolveRoundTrip) {
-  // With presolve on, the exported basis is in the ORIGINAL space and must
-  // re-import cleanly through the reduction of a subsequent solve.
+TEST(SimplexTest, RandomStartBasesMatchColdWithFullyFixedRows) {
+  // Adversarial generator: a high fixing rate so some rows end up with
+  // EVERY variable fixed by its bounds (the row reduces to a pure
+  // consistency check, sometimes an infeasible one), equality rows, and
+  // negative coefficients. Solves from random start bases, repaired or
+  // discarded on install, must agree with a cold solve on status and
+  // objective, and every optimum must be feasible.
+  Rng rng(606);
+  Rng basis_rng(607);
+  int fully_fixed_rows_seen = 0;
+  int infeasible_seen = 0;
+  for (int trial = 0; trial < 120; ++trial) {
+    LpModel m;
+    const int n = static_cast<int>(rng.UniformInt(2, 9));
+    std::vector<bool> fixed(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      const double lo = rng.Uniform(0.0, 1.5);
+      fixed[static_cast<size_t>(i)] = rng.Bernoulli(0.45);
+      const double up = fixed[static_cast<size_t>(i)] ? lo : lo + rng.Uniform(0.1, 2.0);
+      m.AddVariable(lo, up, rng.Uniform(-3.0, 3.0));
+    }
+    const int rows = static_cast<int>(rng.UniformInt(1, 6));
+    for (int r = 0; r < rows; ++r) {
+      std::vector<LpTerm> terms;
+      bool all_fixed = true;
+      for (int i = 0; i < n; ++i) {
+        if (rng.Bernoulli(0.6)) {
+          terms.push_back({i, rng.Uniform(-1.5, 2.5)});
+          all_fixed = all_fixed && fixed[static_cast<size_t>(i)];
+        }
+      }
+      if (terms.empty()) {
+        terms.push_back({0, 1.0});
+        all_fixed = fixed[0];
+      }
+      if (all_fixed) {
+        ++fully_fixed_rows_seen;
+      }
+      const double roll = rng.Uniform(0.0, 1.0);
+      if (roll < 0.15) {
+        // Equality rows through an activity the bounds can often reach.
+        m.AddRow(RowSense::kEqual, rng.Uniform(0.0, 3.0), std::move(terms));
+      } else if (roll < 0.35) {
+        m.AddRow(RowSense::kGreaterEqual, rng.Uniform(-1.0, 2.5), std::move(terms));
+      } else {
+        m.AddRow(RowSense::kLessEqual, rng.Uniform(0.0, 5.0), std::move(terms));
+      }
+    }
+    const LpSolution cold = SolveLp(m);
+    const std::string what = "trial " + std::to_string(trial);
+    if (cold.status == LpStatus::kInfeasible) {
+      ++infeasible_seen;
+    } else {
+      ASSERT_EQ(cold.status, LpStatus::kOptimal) << what;
+      EXPECT_TRUE(m.IsFeasible(cold.values, 1e-5)) << what;
+    }
+    for (int b = 0; b < 4; ++b) {
+      SimplexOptions options;
+      options.start_basis.status.resize(static_cast<size_t>(n + rows));
+      for (BasisStatus& status : options.start_basis.status) {
+        status = static_cast<BasisStatus>(basis_rng.UniformInt(0, 2));
+      }
+      const LpSolution warm = SolveLp(m, options);
+      const std::string with = what + " start basis " + std::to_string(b);
+      ASSERT_EQ(warm.status, cold.status) << with;
+      if (cold.status == LpStatus::kOptimal) {
+        EXPECT_NEAR(warm.objective, cold.objective, 1e-6) << with;
+        EXPECT_TRUE(m.IsFeasible(warm.values, 1e-5)) << with;
+      }
+    }
+  }
+  // The generator must actually hit the edge cases this test is about.
+  EXPECT_GT(fully_fixed_rows_seen, 0);
+  EXPECT_GT(infeasible_seen, 0);
+}
+
+TEST(SimplexTest, ExportedBasisReimportsWithZeroPivots) {
+  // A basis exported over every structural and slack variable, including a
+  // fixed variable and the slack of a row that can never bind, re-imports
+  // as is: the warm solve uses it and takes no pivot.
   LpModel m;
   const int a = m.AddVariable(0.0, 1.0, 2.0);
-  const int b = m.AddVariable(0.5, 0.5, 1.0);  // Fixed: presolve eliminates.
+  const int b = m.AddVariable(0.5, 0.5, 1.0);  // Fixed.
   const int c = m.AddVariable(0.0, 2.0, 3.0);
   m.AddRow(RowSense::kLessEqual, 2.0, {{a, 1.0}, {b, 1.0}, {c, 1.0}});
   m.AddRow(RowSense::kLessEqual, 50.0, {{a, 1.0}, {c, 1.0}});  // Redundant.
@@ -725,7 +856,6 @@ TEST(SimplexTest, ShiftedStartMatchesColdOnPerturbedCycles) {
       cycles.Next();
       const LpSolution cold = SolveLp(cycles.model());
       SimplexOptions warm_options;
-      warm_options.presolve = false;  // As the branch-and-bound root runs.
       warm_options.start_basis = cycles.MapBasis(previous.basis);
       ASSERT_FALSE(warm_options.start_basis.empty());
       const LpSolution warm = SolveLp(cycles.model(), warm_options);
@@ -770,15 +900,13 @@ TEST(SimplexTest, FactoredChildStartMatchesCold) {
       const LpModel& model = cycles.model();
       const LpCore core(model);
       LpWorkspace workspace;
-      SimplexOptions options;
-      options.presolve = false;  // As branch-and-bound nodes run.
       std::vector<Pending> stack;
       stack.push_back(Pending{{}, nullptr});
       for (int node = 0; node < 40 && !stack.empty(); ++node) {
         Pending pending = std::move(stack.back());
         stack.pop_back();
         const LpSolution lp = pending.start == nullptr
-                                  ? workspace.Solve(core, pending.fixes, options)
+                                  ? workspace.Solve(core, pending.fixes, {})
                                   : workspace.SolveFrom(core, pending.fixes, *pending.start);
         const std::string what = "seed " + std::to_string(seed) + " cycle " +
                                  std::to_string(cycle) + " node " + std::to_string(node);
@@ -840,15 +968,13 @@ TEST(SimplexTest, BoundOverlayMatchesModelCopyPivotForPivot) {
   // Branch-and-bound nodes solve on one shared LpCore with their branching
   // decisions as a bound overlay, reusing one workspace. That must be the
   // same run, pivot for pivot, as SolveLp on a model copy whose bounds were
-  // set — with and without presolve and a parent basis.
+  // set — with and without a parent basis.
   Rng rng(4242);
   std::vector<int> int_vars;
   LpModel model = SchedulerShapedModel(12, 6, 10, rng, &int_vars);
   const LpCore core(model);
   LpWorkspace workspace;
-  SimplexOptions root_options;
-  root_options.presolve = false;
-  const LpSolution root = SolveLp(model, root_options);
+  const LpSolution root = SolveLp(model);
   ASSERT_EQ(root.status, LpStatus::kOptimal);
   for (int trial = 0; trial < 40; ++trial) {
     std::vector<BoundFix> fixes;
@@ -864,7 +990,6 @@ TEST(SimplexTest, BoundOverlayMatchesModelCopyPivotForPivot) {
       copy.SetVariableBounds(fix.var, fix.lower, fix.upper);
     }
     SimplexOptions options;
-    options.presolve = trial % 2 == 0;
     if (trial % 3 != 0) {
       options.start_basis = root.basis;
     }
@@ -876,7 +1001,7 @@ TEST(SimplexTest, BoundOverlayMatchesModelCopyPivotForPivot) {
 // Reads an LP captured from a scheduler run: "n m", n lines "lower upper
 // objective", m lines "sense rhs k (var coeff)*k" (sense as RowSense), then
 // "f" and f lines "var lower upper" (branching fixes), then "presolve s" and
-// s start-basis statuses (as BasisStatus).
+// s start-basis statuses (as BasisStatus). The presolve flag is unused.
 struct CapturedLp {
   LpModel model;
   std::vector<BoundFix> fixes;
@@ -913,9 +1038,9 @@ CapturedLp ReadCapturedLp(const std::string& path) {
   for (BoundFix& fix : lp.fixes) {
     in >> fix.var >> fix.lower >> fix.upper;
   }
-  int presolve = 0;
+  int unused = 0;
   size_t s = 0;
-  in >> presolve >> s;
+  in >> unused >> s;
   lp.start_basis.status.resize(s);
   for (BasisStatus& status : lp.start_basis.status) {
     int code = 0;
@@ -940,12 +1065,10 @@ TEST(SimplexTest, SingularWarmBasisFallsBackToColdStart) {
   ASSERT_EQ(lp.model.num_rows(), 51);
   const LpCore core(lp.model);
   LpWorkspace workspace;
-  SimplexOptions cold_options;
-  cold_options.presolve = false;
-  const LpSolution cold = workspace.Solve(core, lp.fixes, cold_options);
+  const LpSolution cold = workspace.Solve(core, lp.fixes, {});
   ASSERT_EQ(cold.status, LpStatus::kOptimal);
 
-  SimplexOptions warm_options = cold_options;
+  SimplexOptions warm_options;
   warm_options.start_basis = lp.start_basis;
   const LpSolution warm = workspace.Solve(core, lp.fixes, warm_options);
   ASSERT_EQ(warm.status, LpStatus::kOptimal);

@@ -37,8 +37,9 @@ std::string WorkCsv() {
       std::vector<int> int_vars;
       const LpModel model = SchedulerShapedModel(jobs, 12, 24, rng, &int_vars);
       for (const int max_nodes : {6, 64}) {
-        // Warm nodes run on the shared core without presolve; cold nodes
-        // presolve their bound overlay first. Both paths are pinned.
+        // Warm children resume their parent's factored state; cold nodes
+        // solve their bound overlay from a slack basis. Both paths are
+        // pinned.
         for (const bool warm : {true, false}) {
           MilpOptions options;
           options.max_nodes = max_nodes;
