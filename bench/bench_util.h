@@ -5,8 +5,6 @@
 //   THREESIGMA_BENCH_SCALE=quick|default|full   (workload length multiplier;
 //       "full" approximates the paper's 5-hour windows)
 //   THREESIGMA_SEED=<n>
-//   THREESIGMA_SOLVER_THREADS=<n>   (branch-and-bound worker threads for all
-//       e2e benches; the solver is deterministic in this value)
 //   THREESIGMA_FAULT_MTTF=<s>            (node mean time to failure; 0 = off)
 //   THREESIGMA_FAULT_MTTR=<s>            (node mean time to repair)
 //   THREESIGMA_FAULT_KILL_PROB=<p>       (per-run task-fault kill probability)
@@ -91,8 +89,6 @@ inline ExperimentConfig MakeE2EConfig(double base_hours, double load = 1.4) {
   config.sim.reactive_min_gap = 2.0;
   config.sim.seed = BenchSeed();
   config.sched.cycle_period = config.sim.cycle_period;
-  config.sched.solver_threads =
-      static_cast<int>(GetEnvInt("THREESIGMA_SOLVER_THREADS", 1));
   ApplyFaultEnv(&config.sim.faults);
   ApplyObsEnv(&config.obs);
   return config;

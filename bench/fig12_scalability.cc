@@ -73,45 +73,6 @@ int main() {
   std::cout << "\n(b) Solver runtime:\n";
   solver.Print(std::cout);
 
-  // (c) Parallel solver: same workload, sweeping branch-and-bound worker
-  // threads (the returned schedules are identical by construction; only wall
-  // clock moves, and only on multi-core hardware).
-  std::cout << "\n(c) Wave-parallel solver:\n";
-  {
-    TablePrinter par({"config", "mean solver (ms)", "speedup", "nodes/s",
-                      "mean cycle (ms)", "cache hit %"});
-    ExperimentConfig config;
-    config.cluster = ClusterGoogleScale();
-    config.workload.duration = Hours(hours);
-    config.workload.load = 0.95;
-    config.workload.fixed_job_count = static_cast<int>(2000 * hours);
-    config.workload.seed = BenchSeed();
-    config.sim.cycle_period = 10.0;
-    config.sim.reactive_min_gap = 2.0;
-    config.sim.seed = config.workload.seed;
-    config.sched.cycle_period = config.sim.cycle_period;
-    config.sched.solver_time_limit_seconds = 1.0;
-    config.sched.max_pending_considered = 96;
-    const GeneratedWorkload workload = GenerateWorkload(config.cluster, config.workload);
-
-    double base_solver = 0.0;
-    for (const int threads : {1, 2, 4}) {
-      config.sched.solver_threads = threads;
-      const RunMetrics m = RunSystem(SystemKind::kThreeSigma, config, workload);
-      if (threads == 1) {
-        base_solver = m.mean_solver_seconds;
-      }
-      const double speedup =
-          m.mean_solver_seconds > 0.0 ? base_solver / m.mean_solver_seconds : 0.0;
-      par.AddRow({std::to_string(threads) + " thread" + (threads == 1 ? "" : "s"),
-                  Ms(m.mean_solver_seconds), TablePrinter::Fmt(speedup, 2),
-                  TablePrinter::Fmt(m.solver_nodes_per_second, 0),
-                  Ms(m.mean_cycle_seconds),
-                  TablePrinter::Fmt(100.0 * m.capacity_cache_hit_rate, 1)});
-    }
-    par.Print(std::cout);
-  }
-
   // §6.5: 3σPredict latency at job submission. Build a loaded predictor and
   // time lookups.
   std::cout << "\n==== 3σPredict lookup latency (paper: max 14 ms) ====\n";

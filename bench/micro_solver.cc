@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/common/thread_pool.h"
 #include "src/solver/lp_model.h"
 #include "src/solver/milp.h"
 #include "src/solver/simplex.h"
@@ -46,32 +45,6 @@ void BM_MilpSchedulerShaped(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MilpSchedulerShaped)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
-
-// Thread-count sweep over the wave-parallel branch-and-bound (deep node
-// budget so the search is LP-bound). The solution is identical at every
-// thread count (deterministic waves); only the wall clock should move.
-// Speedup is only visible on multi-core hardware.
-void BM_MilpParallel(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  Rng rng(42);
-  std::vector<int> int_vars;
-  const LpModel model = SchedulerShapedModel(64, 12, 24, rng, &int_vars);
-  ThreadPool pool(threads);
-  MilpOptions options;
-  options.max_nodes = 200;
-  options.pool = &pool;
-  int64_t nodes = 0;
-  for (auto _ : state) {
-    MilpSolver solver(model, int_vars);
-    const MilpSolution sol = solver.Solve(options);
-    nodes += sol.nodes_explored;
-    benchmark::DoNotOptimize(sol.objective);
-  }
-  state.counters["nodes/s"] =
-      benchmark::Counter(static_cast<double>(nodes), benchmark::Counter::kIsRate);
-  state.counters["threads"] = threads;
-}
-BENCHMARK(BM_MilpParallel)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 // Warm-start ablation: solving with the previous solution as the incumbent
 // vs from scratch (the paper's primary scalability optimization).

@@ -96,10 +96,14 @@ void BM_TwinSpeculate(benchmark::State& state) {
 }
 BENCHMARK(BM_TwinSpeculate)->Arg(10)->Arg(50)->Unit(benchmark::kMillisecond);
 
-// The full RPC-shaped sweep: K scenarios fanned out on the solver pool,
-// outcomes merged in scenario-index order, advisor verdict, text report.
+// The full RPC-shaped sweep: K scenarios fanned out on the engine's pool of
+// Arg() threads (the live scheduler's solver_threads), outcomes merged in
+// scenario-index order, advisor verdict, text report.
 void BM_TwinWhatIfSweep(benchmark::State& state) {
   Fixture& f = GetFixture();
+  DistSchedulerConfig config = f.sched->config();
+  config.solver_threads = static_cast<int>(state.range(0));
+  f.sched->UpdateConfig(config);
   TwinOptions options;
   options.horizon_cycles = 25;
   WhatIfEngine engine(f.config.cluster, f.sched, options);
@@ -112,8 +116,9 @@ void BM_TwinWhatIfSweep(benchmark::State& state) {
   }
   state.counters["scenarios"] = static_cast<double>(scenarios.size() + 1);
   state.counters["report_bytes"] = static_cast<double>(report_bytes);
+  state.counters["threads"] = static_cast<double>(state.range(0));
 }
-BENCHMARK(BM_TwinWhatIfSweep)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TwinWhatIfSweep)->Arg(1)->Arg(4)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // Report merge + render in isolation: K pre-computed outcomes assembled into
 // the deterministic text payload the WhatIf RPC returns.

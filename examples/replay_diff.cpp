@@ -1,11 +1,11 @@
 // replay_diff — deterministic-replay divergence finder.
 //
-// Resumes two snapshots (or one snapshot twice under different configs),
-// steps both simulations cycle-by-cycle in lockstep, and bisects to the
-// *first* scheduling cycle at which their serialized states diverge,
-// reporting which module's section hash differs ("sched"? "rng"? "sim"?).
-// Wall-clock timings live in their own "timing" section and are ignored, so
-// any reported divergence is a real determinism break.
+// Resumes two snapshots (or one snapshot twice), steps both simulations
+// cycle-by-cycle in lockstep, and bisects to the *first* scheduling cycle at
+// which their serialized states diverge, reporting which module's section
+// hash differs ("sched"? "rng"? "sim"?). Wall-clock timings live in their
+// own "timing" section and are ignored, so any reported divergence is a real
+// determinism break.
 //
 // The scan is two-phase: a coarse pass compares full state buffers every
 // --stride cycles (saving the last matching pair), then on a mismatch both
@@ -14,7 +14,7 @@
 //
 //   ./build/examples/replay_diff --a=ckpt.snap                      # self-check
 //   ./build/examples/replay_diff --a=ckpt.snap --perturb-rng-b      # forced diff
-//   ./build/examples/replay_diff --a=ckpt.snap --solver-threads-b=4 # config A/B
+//   ./build/examples/replay_diff --a=run1.snap --b=run2.snap        # two runs
 
 #include <iostream>
 #include <string>
@@ -37,13 +37,11 @@ struct Replica {
 };
 
 bool BuildReplica(const std::string& path, SystemKind kind, const DistSchedulerConfig& sched,
-                  int solver_threads, Replica* out, std::string* error) {
+                  Replica* out, std::string* error) {
   if (!Simulator::PeekCheckpoint(path, &out->info, error)) {
     return false;
   }
-  DistSchedulerConfig config = sched;
-  config.solver_threads = solver_threads;
-  out->instance = MakeSystem(kind, out->info.cluster, config);
+  out->instance = MakeSystem(kind, out->info.cluster, sched);
   out->sim = std::make_unique<Simulator>(out->info.cluster, out->instance.scheduler.get(),
                                          std::vector<JobSpec>{}, out->info.options);
   return out->sim->TryResumeFrom(path, error);
@@ -106,21 +104,17 @@ int main(int argc, char** argv) {
   std::string a_path;
   std::string b_path;
   std::string system_name = "3Sigma";
-  int64_t solver_threads_a = 1;
-  int64_t solver_threads_b = 1;
   int64_t stride = 8;
   int64_t max_cycles = 0;
   bool perturb_rng_b = false;
 
   FlagParser parser(
-      "replay_diff — resume two snapshots (or one under two configs), step\n"
-      "them in lockstep, and bisect to the first cycle whose module state\n"
-      "hashes diverge.");
+      "replay_diff — resume two snapshots (or one twice), step them in\n"
+      "lockstep, and bisect to the first cycle whose module state hashes\n"
+      "diverge.");
   parser.AddString("a", &a_path, "snapshot file for replica A (required)")
       .AddString("b", &b_path, "snapshot file for replica B (default: same as --a)")
       .AddString("system", &system_name, "Table 1 system that wrote the snapshots")
-      .AddInt("solver-threads-a", &solver_threads_a, "MILP solver threads for replica A")
-      .AddInt("solver-threads-b", &solver_threads_b, "MILP solver threads for replica B")
       .AddInt("stride", &stride, "coarse scan interval in cycles before bisecting")
       .AddInt("max-cycles", &max_cycles, "stop scanning after this many cycles (0 = drain)")
       .AddBool("perturb-rng-b", &perturb_rng_b,
@@ -161,11 +155,11 @@ int main(int argc, char** argv) {
   Replica a;
   Replica b;
   std::string error;
-  if (!BuildReplica(a_path, kind, sched, static_cast<int>(solver_threads_a), &a, &error)) {
+  if (!BuildReplica(a_path, kind, sched, &a, &error)) {
     std::cerr << "cannot resume A from '" << a_path << "': " << error << "\n";
     return 1;
   }
-  if (!BuildReplica(b_path, kind, sched, static_cast<int>(solver_threads_b), &b, &error)) {
+  if (!BuildReplica(b_path, kind, sched, &b, &error)) {
     std::cerr << "cannot resume B from '" << b_path << "': " << error << "\n";
     return 1;
   }

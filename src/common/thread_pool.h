@@ -1,15 +1,14 @@
 // Fixed-size worker pool for data-parallel loops.
 //
-// Built for the parallel branch-and-bound solver: each scheduling cycle runs
-// many short ParallelFor batches (one per tree wave), so workers are
-// persistent and a batch dispatch is one mutex round-trip, not N thread
-// spawns. The calling thread participates as worker 0, so a pool of size N
+// Used by the digital twin's what-if engine to step one forked simulation
+// per scenario concurrently (src/twin). Workers are persistent, so each
+// sweep's batch dispatch is one mutex round-trip, not N thread spawns. The calling thread participates as worker 0, so a pool of size N
 // uses N - 1 background threads and a pool of size 1 degenerates to a plain
 // loop with no locking at all.
 //
 // Indices are handed out through a shared atomic cursor — a lock-free work
-// queue — so uneven item costs (LP solves vary wildly per node) balance
-// across workers automatically. Batch state is heap-shared so a straggling
+// queue — so uneven item costs (scenarios speculate for different numbers of
+// cycles) balance across workers automatically. Batch state is heap-shared so a straggling
 // worker that wakes after a batch drained only ever observes an exhausted
 // cursor; it can never touch the next batch's state by accident.
 
@@ -41,8 +40,7 @@ class ThreadPool {
 
   // Runs fn(worker, index) for every index in [0, n), distributing indices
   // over `size()` workers; `worker` in [0, size()) identifies the executing
-  // worker so callers can keep per-worker scratch state (e.g. a private
-  // LpModel copy). Blocks until all n calls returned. Not reentrant and not
+  // worker so callers can keep per-worker scratch state. Blocks until all n calls returned. Not reentrant and not
   // thread-safe: one ParallelFor at a time.
   void ParallelFor(int n, const std::function<void(int worker, int index)>& fn);
 

@@ -18,8 +18,8 @@ void RegisterExperimentFlags(FlagParser& parser, ExperimentFlags* flags) {
       .AddInt("nodes-per-group", &flags->nodes_per_group, "nodes per group")
       .AddDouble("cycle", &flags->cycle, "scheduling cycle period in seconds")
       .AddInt("solver-threads", &flags->solver_threads,
-              "MILP branch-and-bound worker threads, 1-64 (deterministic: any "
-              "count returns the same solution)")
+              "what-if fan-out threads for serve --twin, 1-64 (the MILP solver "
+              "is single-threaded; any count gives the same reports)")
       .AddInt("solver-max-nodes", &flags->solver_max_nodes,
               "branch-and-bound node budget per solve (0 = unbudgeted)")
       .AddInt("max-pending", &flags->max_pending,

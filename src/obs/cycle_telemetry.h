@@ -47,7 +47,7 @@
   /* Arrived pending jobs and running jobs the cycle saw (set by the simulator). */       \
   X(int64_t, pending, Max)                                                                \
   X(int64_t, running_jobs, Max)                                                           \
-  /* Parallel solver: deepest subproblem queue, incumbent improvements. */                \
+  /* Branch-and-bound: deepest subproblem queue, incumbent improvements. */               \
   X(int64_t, milp_max_queue_depth, Max)                                                   \
   X(int64_t, milp_incumbent_improvements, Sum)                                            \
   /* Expected-capacity cache: running jobs served from their cached survival */           \

@@ -44,16 +44,12 @@ DistributionScheduler::DistributionScheduler(const ClusterConfig& cluster,
   TS_CHECK_GT(config_.planahead, 0.0);
   consumed_.assign(static_cast<size_t>(cluster_.num_groups()),
                    std::vector<double>(static_cast<size_t>(config_.num_start_slots), 0.0));
-  if (config_.solver_threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(config_.solver_threads);
-  }
 }
 
 void DistributionScheduler::UpdateConfig(const DistSchedulerConfig& config) {
   TS_CHECK_GT(config.num_start_slots, 0);
   TS_CHECK_GT(config.planahead, 0.0);
   const bool dist_flip = config.use_distribution != config_.use_distribution;
-  const bool pool_change = config.solver_threads != config_.solver_threads;
   config_ = config;
 
   // The expected-capacity rows, cached survival vectors, planned options,
@@ -88,12 +84,6 @@ void DistributionScheduler::UpdateConfig(const DistSchedulerConfig& config) {
   dirty_ = true;
   last_solve_ = -1e18;
   solves_since_rebuild_ = 0;
-  if (pool_change) {
-    pool_.reset();
-    if (config_.solver_threads > 1) {
-      pool_ = std::make_unique<ThreadPool>(config_.solver_threads);
-    }
-  }
 }
 
 void DistributionScheduler::ApplyOverestimateDecay(JobInfo& info, bool force) const {
@@ -733,7 +723,6 @@ CycleResult DistributionScheduler::RunCycle(Time now, const ClusterStateView& st
   MilpOptions milp_options;
   milp_options.time_limit_seconds = config_.solver_time_limit_seconds;
   milp_options.max_nodes = config_.solver_max_nodes;
-  milp_options.pool = pool_.get();
   if (any_warm) {
     milp_options.warm_start = warm;
   }

@@ -29,13 +29,11 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/cluster/cluster.h"
 #include "src/cluster/job.h"
-#include "src/common/thread_pool.h"
 #include "src/histogram/empirical_distribution.h"
 #include "src/predict/predictor.h"
 #include "src/sched/scheduler.h"
@@ -45,7 +43,7 @@
 namespace threesigma {
 
 // Upper bound on DistSchedulerConfig::solver_threads accepted from the
-// command line and from what-if scenarios (each thread is a pool worker).
+// command line (each thread is a what-if fan-out worker).
 inline constexpr int kMaxSolverThreads = 64;
 
 struct DistSchedulerConfig {
@@ -87,10 +85,10 @@ struct DistSchedulerConfig {
   // last solve (expected capacity drifts as conditional distributions age).
   Duration max_solve_skip = 30.0;
 
-  // Worker threads for the wave-parallel branch-and-bound solver (§4.3.6
-  // time budget stretches further when LP relaxations solve concurrently).
-  // The search is deterministic in this value's *presence*, not its size:
-  // any thread count returns bit-identical solutions.
+  // Worker threads for the digital twin's what-if scenario fan-out
+  // (`serve --twin`; WhatIfEngine). The MILP solver itself always runs on
+  // the scheduling thread, so this never changes a decision. The name
+  // predates the single-threaded solver.
   int solver_threads = 1;
 
   // Debug oracle for the two incremental caches; costs what they save, tests
@@ -151,12 +149,6 @@ class DistributionScheduler : public Scheduler {
   // basis are all reset (they encode the old policy). The cluster and
   // predictor are unchanged; `config.name` is adopted as-is.
   void UpdateConfig(const DistSchedulerConfig& config);
-
-  // The shared solver pool (null when solver_threads <= 1). The digital-twin
-  // engine borrows it for the scenario fan-out while the live cycle is
-  // parked; ParallelFor is one-at-a-time, so the borrow must not overlap a
-  // running cycle.
-  ThreadPool* solver_pool() const { return pool_.get(); }
 
   // Diagnostics.
   int pending_count() const { return static_cast<int>(pending_.size()); }
@@ -279,9 +271,6 @@ class DistributionScheduler : public Scheduler {
   // had no row). capacity_status_ is empty while no basis is kept.
   int64_t basis_epoch_ = 0;
   std::vector<BasisStatus> capacity_status_;
-
-  // Shared across cycles so the parallel solver never re-spawns threads.
-  std::unique_ptr<ThreadPool> pool_;
 
   // Eq. 1 valuation engine state. Mutable because ComputeRunningSurvival is
   // const (pure w.r.t. observable scheduler state) but may populate the

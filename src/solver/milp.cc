@@ -1,7 +1,6 @@
 #include "src/solver/milp.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -17,9 +16,8 @@ namespace threesigma {
 namespace {
 
 // Nodes dispatched per wave. Part of the deterministic schedule: the result
-// depends on this value but never on thread count. Chosen large enough to
-// keep several workers busy once the tree fans out, small enough that the
-// incumbent bound (which only advances at wave commits) stays fresh.
+// depends on this value, since the incumbent bound the dispatch prune reads
+// only advances at wave commits. Changing it moves node counts and goldens.
 constexpr int kBatchWidth = 16;
 // Integrality tolerance.
 constexpr double kIntegralityTol = 1e-6;
@@ -43,8 +41,8 @@ struct Node {
 
 bool IsIntegral(double v, double tol) { return std::fabs(v - std::round(v)) <= tol; }
 
-// LP work counters, added once per solved node LP from the sequential commit
-// loop (so never from a worker thread, and never from a standalone SolveLp).
+// LP work counters, added once per solved node LP from the commit loop (so
+// never from a standalone SolveLp).
 void RecordLpCounters(const LpSolution& result) {
   struct LpCounters {
     obs::Counter* solves;
@@ -190,14 +188,9 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
 
   MilpSolution result;
 
-  // Worker setup. The caller always participates, so `workers` counts it;
-  // the sequential path (workers == 1, no pool) touches no thread machinery.
-  ThreadPool* pool = options.pool;
-  const int workers = pool != nullptr ? pool->size() : 1;
-
-  // Per-worker simplex state; every node LP runs on the shared core_ with
-  // its branching decisions as a bound overlay.
-  std::vector<LpWorkspace> workspaces(static_cast<size_t>(workers));
+  // The simplex state every node LP runs in: on the shared core_, with its
+  // branching decisions as a bound overlay.
+  LpWorkspace workspace;
 
   // Install the warm start as the initial incumbent if it is valid.
   bool have_incumbent = false;
@@ -221,15 +214,15 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
     }
   }
 
-  // The incumbent objective, readable lock-free by workers mid-wave. It only
-  // advances at the sequential wave commits below — that is what makes the
-  // search deterministic (see the header comment).
-  std::atomic<double> incumbent_bound{
-      have_incumbent ? best_obj : -std::numeric_limits<double>::infinity()};
+  // The incumbent objective the dispatch prune reads. It only advances at the
+  // end of each wave, so every node of a wave is pruned against the same
+  // bound (see the header comment).
+  double incumbent_bound =
+      have_incumbent ? best_obj : -std::numeric_limits<double>::infinity();
 
   // Accepts a candidate incumbent under the deterministic total order:
   // higher objective wins; equal objectives go to the lexicographically
-  // smallest id. Only called from the sequential commit phase.
+  // smallest id. Only called from the commit phase.
   const auto consider_incumbent = [&](double obj, const std::string& id,
                                       std::vector<double>&& values, bool from_tree) {
     if (have_incumbent && !(obj > best_obj || (obj == best_obj && id < best_id))) {
@@ -284,52 +277,41 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
       stack.pop_back();
     }
 
-    // --- Solve: LP relaxations in parallel, one workspace per worker. -------
+    // --- Solve: the wave's LP relaxations, in pop order. --------------------
     // Per-node outcome: 0 = unsolved (wall clock expired), 1 = LP solved,
-    // 2 = pruned lock-free against the incumbent bound.
+    // 2 = pruned against the wave-start incumbent bound.
     constexpr char kUnsolved = 0, kSolved = 1, kPruned = 2;
     const int n = static_cast<int>(wave.size());
     relaxations.assign(static_cast<size_t>(n), LpSolution{});
     exported.assign(static_cast<size_t>(n), nullptr);
     solved.assign(static_cast<size_t>(n), kUnsolved);
-    const auto solve_node = [&](int worker, int index) {
+    for (int i = 0; i < n; ++i) {
       if (out_of_time()) {
-        return;  // Left unsolved; requeued by the commit phase.
+        break;  // Left unsolved; requeued by the commit phase.
       }
-      const Node& node = wave[static_cast<size_t>(index)];
-      // Lock-free bound prune. The atomic only advances at wave commits, so
-      // this reads the same value in every run — deterministic.
-      const double bound = incumbent_bound.load(std::memory_order_relaxed);
-      if (node.parent_bound <= bound + 1e-9) {
-        solved[static_cast<size_t>(index)] = kPruned;
-        return;
+      const Node& node = wave[static_cast<size_t>(i)];
+      if (node.parent_bound <= incumbent_bound + 1e-9) {
+        solved[static_cast<size_t>(i)] = kPruned;
+        continue;
       }
-      LpWorkspace& workspace = workspaces[static_cast<size_t>(worker)];
-      LpSolution& relax = relaxations[static_cast<size_t>(index)];
+      LpSolution& relax = relaxations[static_cast<size_t>(i)];
       if (node.start != nullptr) {
         relax = workspace.SolveFrom(core_, node.fixes, *node.start);
       } else {
         relax = workspace.Solve(core_, node.fixes, node.id.empty() ? root_options : node_options);
       }
-      solved[static_cast<size_t>(index)] = kSolved;
+      solved[static_cast<size_t>(i)] = kSolved;
       // A node that will branch hands its end state to its children. The
-      // commit prunes at least as hard as `bound`, so a node that is no
-      // better never branches.
+      // commit prunes at least as hard as `incumbent_bound`, so a node that
+      // is no better never branches.
       if (options.basis_warmstart && relax.status == LpStatus::kOptimal &&
-          relax.objective > bound + 1e-9 && HasFractional(relax.values)) {
-        exported[static_cast<size_t>(index)] = workspace.ExportStart();
-      }
-    };
-    if (pool != nullptr) {
-      pool->ParallelFor(n, solve_node);
-    } else {
-      for (int i = 0; i < n; ++i) {
-        solve_node(0, i);
+          relax.objective > incumbent_bound + 1e-9 && HasFractional(relax.values)) {
+        exported[static_cast<size_t>(i)] = workspace.ExportStart();
       }
     }
 
-    // --- Commit: sequential, in pop order, so every incumbent update,
-    // prune, node count, and child push is deterministic. ------------------
+    // --- Commit: in pop order, so every incumbent update, prune, node
+    // count, and child push is deterministic. ------------------------------
     bool timed_out = false;
     for (int i = 0; i < n; ++i) {
       Node& node = wave[static_cast<size_t>(i)];
@@ -441,7 +423,7 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
     result.max_queue_depth =
         std::max(result.max_queue_depth, static_cast<int>(stack.size()));
     if (have_incumbent) {
-      incumbent_bound.store(best_obj, std::memory_order_relaxed);
+      incumbent_bound = best_obj;
     }
     if (timed_out) {
       break;

@@ -13,23 +13,23 @@
 //
 // Node LPs: the solver builds the model's LpCore (simplex.h) once, and every
 // node LP runs on it with the node's branching decisions as a bound overlay,
-// in a per-worker LpWorkspace whose allocations are reused from node to
-// node. A node that will branch exports its end state (factored basis and
-// reduced costs), and both children resume it with the dual simplex instead
-// of reinverting a basis. The model must not change while the solver lives.
+// in one LpWorkspace whose allocations are reused from node to node. A node
+// that will branch exports its end state (factored basis and reduced costs),
+// and both children resume it with the dual simplex instead of reinverting a
+// basis. The model must not change while the solver lives.
 //
-// Parallel search: the tree is explored in deterministic *waves*. Each wave
-// pops up to a fixed number of nodes off the subproblem stack, solves their LP
-// relaxations concurrently (the borrowed pool's workers sharing the read-only
-// core, pulling node indices from a shared atomic cursor and reading the
-// atomic incumbent bound lock-free to skip dominated nodes), then commits the
-// results sequentially in pop order. Because the wave schedule
-// depends only on the wave width (never on thread count) and the incumbent
-// advances only at the sequential commits — with ties between equal-objective
-// incumbents broken toward the lexicographically smallest node id — the
-// explored tree, node counts, and returned solution are bit-identical for
-// any thread count. Only the wall-clock budget can break this (it truncates
-// the search at a hardware-dependent point).
+// Search order: the tree is explored in deterministic *waves*. Each wave
+// pops up to a fixed number of nodes off the subproblem stack, solves their
+// LP relaxations in pop order (skipping a node whose parent bound does not
+// beat the incumbent bound as it stood when the wave began), then commits the
+// results in pop order. The incumbent bound advances only at the end of each
+// wave, and ties between equal-objective incumbents go to the
+// lexicographically smallest node id, so the explored tree, node counts, and
+// returned solution depend only on the model, the options and the wave width.
+// Only the wall-clock budget can break this (it truncates the search at a
+// hardware-dependent point). The search runs on the calling thread; the wave
+// width stays part of its definition because it fixes which nodes the
+// wave-start prune skips (DESIGN.md, "Wave-ordered branch-and-bound").
 
 #ifndef SRC_SOLVER_MILP_H_
 #define SRC_SOLVER_MILP_H_
@@ -37,7 +37,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/common/thread_pool.h"
 #include "src/solver/lp_model.h"
 #include "src/solver/simplex.h"
 
@@ -98,15 +97,11 @@ struct MilpOptions {
   // Initial incumbent (e.g. the previous scheduling cycle's solution). Used
   // only if it is feasible for the current model.
   std::vector<double> warm_start;
-  // Workers for the wave-parallel search: a borrowed pool (must outlive
-  // Solve), reused across solves; null solves on the calling thread.
-  ThreadPool* pool = nullptr;
   // Hand each branching node's factored end state to its children, which
   // then re-optimize with a few dual pivots instead of a cold two-phase
   // solve. Every relaxation still solves to proven optimality, so bounds,
-  // prunes, and the returned objective are unaffected; thread-count
-  // determinism is fully preserved (the basis flow follows the
-  // thread-count-independent wave schedule). On a degenerate relaxation a
+  // prunes, and the returned objective are unaffected; the basis flow
+  // follows the deterministic wave schedule. On a degenerate relaxation a
   // warm solve may land on a different optimal vertex than a cold one, which
   // can reorder branching — with a unique MILP optimum the returned solution
   // is identical either way.
@@ -131,7 +126,7 @@ class MilpSolver {
   // returns true on success.
   bool GreedyRound(const std::vector<double>& relaxed, std::vector<double>* out);
   // True when an integer variable is fractional at `values` (the node will
-  // branch unless pruned). Read-only: workers call it.
+  // branch unless pruned).
   bool HasFractional(const std::vector<double>& values) const;
 
   // A variable GreedyRound may raise from its floor to `target`.

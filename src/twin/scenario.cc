@@ -6,8 +6,6 @@
 #include <cstdlib>
 #include <limits>
 
-#include "src/sched/distribution_scheduler.h"
-
 namespace threesigma {
 namespace {
 
@@ -53,9 +51,6 @@ std::string Scenario::Describe() const {
   }
   if (oe_probability_threshold >= 0.0) {
     out += ",oe_threshold=" + FmtDouble(oe_probability_threshold);
-  }
-  if (solver_threads > 0) {
-    out += ",solver_threads=" + std::to_string(solver_threads);
   }
   if (padding != 1.0) {
     out += ",padding=" + FmtDouble(padding);
@@ -108,9 +103,6 @@ bool ParseScenario(const std::string& text, Scenario* out, std::string* error) {
     } else if (key == "oe_threshold") {
       ok = ParseDouble(value, &out->oe_probability_threshold) &&
            out->oe_probability_threshold >= 0.0 && out->oe_probability_threshold <= 1.0;
-    } else if (key == "solver_threads") {
-      ok = ParseInt(value, &out->solver_threads) && out->solver_threads > 0 &&
-           out->solver_threads <= kMaxSolverThreads;
     } else if (key == "padding") {
       ok = ParseDouble(value, &out->padding) && out->padding > 0.0;
     } else if (key == "surge") {

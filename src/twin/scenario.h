@@ -12,8 +12,8 @@
 //
 //   name=surge2x,surge=2.0,planahead=600;name=chaos,failures=8
 //
-// Keys: name, system, planahead, oe_threshold, solver_threads, padding,
-// surge, surge_window, failures, failure_after, failure_duration, inflation.
+// Keys: name, system, planahead, oe_threshold, padding, surge,
+// surge_window, failures, failure_after, failure_duration, inflation.
 // Specs arrive over the wire, so numbers must be finite and in range, and
 // the knobs that size allocations are capped below.
 
@@ -31,8 +31,7 @@ namespace threesigma {
 
 // Caps on the scenario knobs that size a fork's resources: its cloned
 // arrivals (surge factor and the trailing window they are cloned from) and
-// its injected fault events. Its solver thread pool is capped by
-// kMaxSolverThreads (distribution_scheduler.h), as on the command line.
+// its injected fault events.
 inline constexpr double kMaxScenarioSurge = 100.0;
 inline constexpr Duration kMaxScenarioSurgeWindow = 86400.0;
 inline constexpr int kMaxScenarioFailures = 100000;
@@ -47,7 +46,6 @@ struct Scenario {
   // --- Policy-config overrides (sentinel = keep the live value) -------------
   Duration planahead = -1.0;              // > 0 overrides.
   double oe_probability_threshold = -1.0; // >= 0 overrides.
-  int solver_threads = 0;                 // > 0 overrides.
   // Scheduler-kind switch within the DistributionScheduler family
   // ("3Sigma", "3SigmaNoDist", "3SigmaNoOE", "3SigmaNoAdapt",
   // "PointRealEst"); empty keeps the live kind.
@@ -74,8 +72,7 @@ struct Scenario {
   // True when any policy-config override is set (the fork then reconfigures
   // its scheduler; otherwise the restored scheduler continues untouched).
   bool HasConfigOverride() const {
-    return planahead > 0.0 || oe_probability_threshold >= 0.0 || solver_threads > 0 ||
-           !system.empty();
+    return planahead > 0.0 || oe_probability_threshold >= 0.0 || !system.empty();
   }
 
   // This scenario's name and policy-config overrides, with every overlay at
@@ -87,7 +84,6 @@ struct Scenario {
     out.system = system;
     out.planahead = planahead;
     out.oe_probability_threshold = oe_probability_threshold;
-    out.solver_threads = solver_threads;
     return out;
   }
 

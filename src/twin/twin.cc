@@ -97,9 +97,6 @@ bool ApplyConfigOverrides(const Scenario& scenario, DistSchedulerConfig* config,
   if (scenario.oe_probability_threshold >= 0.0) {
     config->oe_probability_threshold = scenario.oe_probability_threshold;
   }
-  if (scenario.solver_threads > 0) {
-    config->solver_threads = scenario.solver_threads;
-  }
   return true;
 }
 
@@ -409,7 +406,10 @@ void Advisor::RestoreState(SnapshotReader& reader, DistributionScheduler* live_s
   WalkAdvisorState(reader, state_, spec);
   std::string err;
   if (!ParseScenario(spec, &state_.applied_scenario, &err)) {
+    // E.g. a spec recorded with a key this build no longer accepts: refuse
+    // the snapshot rather than resume under a policy it did not record.
     state_.has_applied_config = false;
+    reader.Fail("advisor applied scenario: " + err);
     return;
   }
   if (!state_.has_applied_config || live_sched == nullptr) {
@@ -435,6 +435,9 @@ WhatIfEngine::WhatIfEngine(const ClusterConfig& cluster, DistributionScheduler* 
       options_(std::move(options)),
       advisor_(options_.auto_apply, options_.min_gain) {
   TS_CHECK(live_sched_ != nullptr);
+  if (live_sched_->config().solver_threads > 1) {
+    pool_ = std::make_unique<ThreadPool>(live_sched_->config().solver_threads);
+  }
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   sweeps_counter_ = registry.GetCounter("twin.sweeps");
   forks_counter_ = registry.GetCounter("twin.forks");
@@ -471,12 +474,10 @@ WhatIfReport WhatIfEngine::Run(Simulator& live, const std::vector<Scenario>& sce
     TwinFork fork(snapshot, cluster_, options_.kind, live_config, scenario);
     report.outcomes[static_cast<size_t>(index)] = fork.Speculate(report.horizon_cycles);
   };
-  // The live cycle is parked while a sweep runs (sweeps dispatch at cycle
-  // boundaries), so the solver pool is free to borrow; outcomes land in
-  // pre-sized index slots, so the merge order never depends on thread count.
-  ThreadPool* pool = live_sched_->solver_pool();
-  if (pool != nullptr) {
-    pool->ParallelFor(n, [&](int /*worker*/, int index) { run_one(index); });
+  // Outcomes land in pre-sized index slots, so the merge order never depends
+  // on thread count.
+  if (pool_ != nullptr) {
+    pool_->ParallelFor(n, [&](int /*worker*/, int index) { run_one(index); });
   } else {
     for (int i = 0; i < n; ++i) {
       run_one(i);

@@ -8,7 +8,7 @@
 // distributions, solver warm-start state and all. A TwinFork is exactly that
 // clone, plus a Scenario delta (policy overrides, arrival surges, extra node
 // failures, predictor mis-estimation). The WhatIfEngine fans K forks out
-// across the solver thread pool, steps each H speculative cycles under
+// across its own thread pool, steps each H speculative cycles under
 // observability suppression (src/obs/speculative.h), and merges per-scenario
 // outcomes in scenario-index order, so a what-if report is byte-identical at
 // any thread count and across checkpoint/restore. The Advisor scores the
@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/thread_pool.h"
 #include "src/core/systems.h"
 #include "src/predict/predictor.h"
 #include "src/sched/distribution_scheduler.h"
@@ -67,10 +68,10 @@ class InflatedPredictor : public RuntimePredictor {
 };
 
 // Applies `scenario`'s policy-config overrides (Scenario::ConfigOverrides) to
-// `config`: the system switch first, then planahead, oe_threshold and
-// solver_threads. Fails with `*error` set, leaving `config` possibly half
-// updated, when the system is unknown or outside the DistributionScheduler
-// family. Forks, the advisor's auto-apply and its resume all go through here.
+// `config`: the system switch first, then planahead and oe_threshold. Fails
+// with `*error` set, leaving `config` possibly half updated, when the system
+// is unknown or outside the DistributionScheduler family. Forks, the
+// advisor's auto-apply and its resume all go through here.
 bool ApplyConfigOverrides(const Scenario& scenario, DistSchedulerConfig* config,
                           std::string* error);
 
@@ -188,7 +189,8 @@ class Advisor {
   // Raw payload within the caller's section (version tag owned by caller).
   void SaveState(SnapshotWriter& writer) const;
   // Restores the state and re-applies any recorded applied config to
-  // `live_sched` (null skips the re-apply).
+  // `live_sched` (null skips the re-apply). An applied spec that no longer
+  // parses fails `reader`.
   void RestoreState(SnapshotReader& reader, DistributionScheduler* live_sched);
 
  private:
@@ -212,9 +214,10 @@ struct TwinOptions {
 // the live run except through the opt-in advisor apply path.
 class WhatIfEngine {
  public:
-  // `live_sched` is the live run's scheduler (its config seeds every fork
-  // and its solver pool, when present, runs the fan-out). Both references
-  // must outlive the engine.
+  // `live_sched` is the live run's scheduler. Its config seeds every fork,
+  // and its solver_threads, when above 1, sizes the engine's fan-out pool
+  // (read once, here): forks then speculate concurrently, each on one
+  // worker. Both references must outlive the engine.
   WhatIfEngine(const ClusterConfig& cluster, DistributionScheduler* live_sched,
                TwinOptions options);
 
@@ -229,6 +232,8 @@ class WhatIfEngine {
 
   const TwinOptions& options() const { return options_; }
   const AdvisorState& advisor_state() const { return advisor_.state(); }
+  // Scenario fan-out workers, the calling thread included.
+  int fanout_threads() const { return pool_ != nullptr ? pool_->size() : 1; }
   std::string AdvisorStatusText() const { return advisor_.state().ToText(advisor_.auto_apply()); }
 
   // Versioned "twin" snapshot section (advisor state); the host's state
@@ -240,6 +245,8 @@ class WhatIfEngine {
   const ClusterConfig& cluster_;
   DistributionScheduler* live_sched_;
   TwinOptions options_;
+  // The scenario fan-out workers; null runs the forks on the calling thread.
+  std::unique_ptr<ThreadPool> pool_;
   Advisor advisor_;
   uint64_t last_advise_cycle_ = 0;
 

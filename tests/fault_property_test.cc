@@ -1,10 +1,10 @@
 // Property tests for fault injection through the full scheduler/simulator
 // stack:
-//   - chaos on: same-seed runs at solver_threads 1 vs 4 are byte-identical
-//     (every fault event is pre-materialized or hash-drawn, so churn cannot
-//     leak thread-count nondeterminism into the trace); the 4-thread run has
-//     the scheduler crosscheck on, so a valuation table left stale by a
-//     fault restart's re-prediction aborts it,
+//   - chaos on: two same-seed runs are byte-identical (every fault event is
+//     pre-materialized or hash-drawn, so churn cannot leak nondeterminism
+//     into the trace); the second run has the scheduler crosscheck on, so a
+//     valuation table left stale by a fault restart's re-prediction aborts
+//     it,
 //   - chaos off: inert fault options (all processes disabled) change nothing
 //     relative to the default-constructed options,
 //   - capacity conservation: at every instant — including the instants of
@@ -54,19 +54,17 @@ TEST(FaultPropertyTest, ChaosRunsAreByteReproducibleAcrossThreadCounts) {
   ExperimentConfig config = ChaosConfig();
   const GeneratedWorkload workload = GenerateWorkload(config.cluster, config.workload);
 
-  config.sched.solver_threads = 1;
-  const SimResult serial = SimulateSystem(SystemKind::kThreeSigma, config, workload);
+  const SimResult first = SimulateSystem(SystemKind::kThreeSigma, config, workload);
   // Fault restarts re-predict the job, which is where valuation tables are
   // really invalidated; crosscheck mode checks every cached table against a
   // fresh rebuild (and must not move a decision).
-  config.sched.solver_threads = 4;
   config.sched.crosscheck = true;
-  const SimResult parallel = SimulateSystem(SystemKind::kThreeSigma, config, workload);
+  const SimResult second = SimulateSystem(SystemKind::kThreeSigma, config, workload);
 
   // The chaos must actually bite for this to prove anything.
-  EXPECT_GT(serial.fault_node_events, 0);
-  EXPECT_GT(serial.tasks_killed_by_faults, 0);
-  EXPECT_EQ(SimTrace(serial), SimTrace(parallel));
+  EXPECT_GT(first.fault_node_events, 0);
+  EXPECT_GT(first.tasks_killed_by_faults, 0);
+  EXPECT_EQ(SimTrace(first), SimTrace(second));
 }
 
 TEST(FaultPropertyTest, InertFaultOptionsAreAStrictNoOp) {

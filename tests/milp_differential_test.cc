@@ -1,14 +1,11 @@
-// Differential test layer for the wave-parallel branch-and-bound solver.
+// Differential test layer for the branch-and-bound solver.
 //
 // Two hundred seeded random 0/1 programs (up to 12 binary variables, mixed
 // <= and >= rows, positive and negative objective coefficients) are solved
-//   (a) by exhaustive 2^n enumeration,
-//   (b) by MilpSolver on 1 thread,
-//   (c) by MilpSolver on 4 threads,
-// and all three must agree on feasibility status and optimal objective to
-// 1e-6. (b) and (c) must additionally agree *exactly* — same values vector,
-// same node count, same incumbent-improvement objectives — because the wave
-// schedule is deterministic in the wave width and independent of thread count.
+// by exhaustive 2^n enumeration and by MilpSolver, which must agree on
+// feasibility status and optimal objective to 1e-6. The other cases check
+// the warm starts (incumbent, cross-cycle root basis, factored child starts)
+// against cold solves.
 
 #include <algorithm>
 #include <cmath>
@@ -18,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
-#include "src/common/thread_pool.h"
 #include "src/solver/lp_model.h"
 #include "src/solver/milp.h"
 #include "src/solver/synthetic.h"
@@ -76,7 +72,7 @@ LpModel RandomBinaryProgram(Rng& rng, std::vector<int>* int_vars) {
     }
     if (rng.Bernoulli(0.25)) {
       // A >= row; a tight rhs sometimes makes the whole program infeasible,
-      // which the solver must also detect at every thread count.
+      // which the solver must also detect.
       model.AddRow(RowSense::kGreaterEqual, rng.Uniform(0.0, 3.0), std::move(terms));
     } else {
       model.AddRow(RowSense::kLessEqual, rng.Uniform(0.5, 6.0), std::move(terms));
@@ -87,7 +83,6 @@ LpModel RandomBinaryProgram(Rng& rng, std::vector<int>* int_vars) {
 
 TEST(MilpDifferentialTest, MatchesBruteForceAt1And4Threads) {
   constexpr int kPrograms = 200;
-  ThreadPool pool(4);
   int infeasible_seen = 0;
   for (int p = 0; p < kPrograms; ++p) {
     Rng rng(1000 + static_cast<uint64_t>(p));
@@ -96,75 +91,31 @@ TEST(MilpDifferentialTest, MatchesBruteForceAt1And4Threads) {
     const BruteForceResult reference = BruteForceBinary(model);
 
     // Unbudgeted search: the solver must prove optimality or infeasibility.
-    MilpOptions serial;
-    MilpOptions parallel;
-    parallel.pool = &pool;
-
-    MilpSolver solver1(model, int_vars);
-    const MilpSolution s1 = solver1.Solve(serial);
-    MilpSolver solver4(model, int_vars);
-    const MilpSolution s4 = solver4.Solve(parallel);
+    MilpSolver solver(model, int_vars);
+    const MilpSolution s1 = solver.Solve();
 
     if (!reference.feasible) {
       ++infeasible_seen;
       EXPECT_EQ(s1.status, MilpStatus::kInfeasible) << "program " << p;
-      EXPECT_EQ(s4.status, MilpStatus::kInfeasible) << "program " << p;
       continue;
     }
     ASSERT_EQ(s1.status, MilpStatus::kOptimal) << "program " << p;
-    ASSERT_EQ(s4.status, MilpStatus::kOptimal) << "program " << p;
     EXPECT_NEAR(s1.objective, reference.objective, 1e-6) << "program " << p;
-    EXPECT_NEAR(s4.objective, reference.objective, 1e-6) << "program " << p;
     // The returned point must itself be feasible and integral.
     EXPECT_TRUE(model.IsFeasible(s1.values)) << "program " << p;
     for (double v : s1.values) {
       EXPECT_NEAR(v, std::round(v), 1e-6) << "program " << p;
     }
-
-    // Thread-count independence is exact, not approximate: identical values,
-    // explored-node count, and incumbent trajectory.
-    EXPECT_EQ(s1.values, s4.values) << "program " << p;
-    EXPECT_EQ(s1.nodes_explored, s4.nodes_explored) << "program " << p;
-    EXPECT_EQ(s1.incumbent_improvements, s4.incumbent_improvements) << "program " << p;
   }
   // The generator must actually exercise the infeasible path.
   EXPECT_GT(infeasible_seen, 0);
   EXPECT_LT(infeasible_seen, kPrograms / 2);
 }
 
-// Node budgets truncate the search identically at every thread count: the
-// wave schedule (and therefore where the budget lands) is thread-independent.
-TEST(MilpDifferentialTest, BudgetedSearchIsThreadCountInvariant) {
-  ThreadPool pool(4);
-  for (int p = 0; p < 40; ++p) {
-    Rng rng(9000 + static_cast<uint64_t>(p));
-    std::vector<int> int_vars;
-    const LpModel model = RandomBinaryProgram(rng, &int_vars);
-
-    MilpOptions serial;
-    serial.max_nodes = 5;
-    MilpOptions parallel = serial;
-    parallel.pool = &pool;
-
-    MilpSolver solver1(model, int_vars);
-    const MilpSolution s1 = solver1.Solve(serial);
-    MilpSolver solver4(model, int_vars);
-    const MilpSolution s4 = solver4.Solve(parallel);
-
-    EXPECT_EQ(s1.status, s4.status) << "program " << p;
-    EXPECT_EQ(s1.nodes_explored, s4.nodes_explored) << "program " << p;
-    EXPECT_EQ(s1.max_queue_depth, s4.max_queue_depth) << "program " << p;
-    if (s1.status != MilpStatus::kInfeasible) {
-      EXPECT_DOUBLE_EQ(s1.objective, s4.objective) << "program " << p;
-      EXPECT_EQ(s1.values, s4.values) << "program " << p;
-    }
-  }
-}
-
-// The warm start must survive parallelization: when it is optimal, every
-// thread count returns it unchanged and reports warm_start_returned.
+// An optimal warm start comes back unchanged: the objective and, since the
+// random objectives make the optimum unique, the exact point. (The tree may
+// re-find that point by rounding, so warm_start_returned is not asserted.)
 TEST(MilpDifferentialTest, WarmStartReturnedIdenticallyAcrossThreadCounts) {
-  ThreadPool pool(4);
   for (int p = 0; p < 20; ++p) {
     Rng rng(500 + static_cast<uint64_t>(p));
     std::vector<int> int_vars;
@@ -174,18 +125,13 @@ TEST(MilpDifferentialTest, WarmStartReturnedIdenticallyAcrossThreadCounts) {
     if (cold.status != MilpStatus::kOptimal) {
       continue;
     }
-    MilpOptions serial;
-    serial.warm_start = cold.values;
-    MilpOptions parallel = serial;
-    parallel.pool = &pool;
-    MilpSolver solver1(model, int_vars);
-    const MilpSolution s1 = solver1.Solve(serial);
-    MilpSolver solver4(model, int_vars);
-    const MilpSolution s4 = solver4.Solve(parallel);
+    MilpOptions options;
+    options.warm_start = cold.values;
+    MilpSolver warm_solver(model, int_vars);
+    const MilpSolution s1 = warm_solver.Solve(options);
     ASSERT_EQ(s1.status, MilpStatus::kOptimal) << "program " << p;
     EXPECT_DOUBLE_EQ(s1.objective, cold.objective) << "program " << p;
-    EXPECT_EQ(s1.values, s4.values) << "program " << p;
-    EXPECT_EQ(s1.warm_start_returned, s4.warm_start_returned) << "program " << p;
+    EXPECT_EQ(s1.values, cold.values) << "program " << p;
   }
 }
 
@@ -224,40 +170,6 @@ TEST(MilpDifferentialTest, BasisWarmstartNeverChangesTheAnswer) {
   }
   // The sweep must actually exercise basis reuse, not just trivially agree.
   EXPECT_GT(warm_nodes_total, 0);
-}
-
-// Basis warm-starting composes with thread-count determinism: warm runs at 1
-// and 4 threads are exactly identical (values, node counts, trajectories),
-// and so are the cold runs the warm ones are measured against.
-TEST(MilpDifferentialTest, BasisWarmstartIsThreadCountInvariant) {
-  ThreadPool pool(4);
-  for (int p = 0; p < 60; ++p) {
-    Rng rng(1000 + static_cast<uint64_t>(p));
-    std::vector<int> int_vars;
-    const LpModel model = RandomBinaryProgram(rng, &int_vars);
-
-    for (const bool warm : {true, false}) {
-      MilpOptions serial;
-      serial.basis_warmstart = warm;
-      MilpOptions parallel = serial;
-      parallel.pool = &pool;
-
-      MilpSolver solver1(model, int_vars);
-      const MilpSolution s1 = solver1.Solve(serial);
-      MilpSolver solver4(model, int_vars);
-      const MilpSolution s4 = solver4.Solve(parallel);
-
-      SCOPED_TRACE(::testing::Message() << "program " << p << (warm ? " warm" : " cold"));
-      EXPECT_EQ(s1.status, s4.status);
-      EXPECT_EQ(s1.nodes_explored, s4.nodes_explored);
-      EXPECT_EQ(s1.lp_iterations, s4.lp_iterations);
-      EXPECT_EQ(s1.warm_started_nodes, s4.warm_started_nodes);
-      if (s1.status != MilpStatus::kInfeasible) {
-        EXPECT_DOUBLE_EQ(s1.objective, s4.objective);
-        EXPECT_EQ(s1.values, s4.values);
-      }
-    }
-  }
 }
 
 // Cross-cycle root warm start: over sequences of perturbed scheduler-shaped
@@ -303,10 +215,8 @@ TEST(MilpDifferentialTest, MappedRootBasisReachesColdObjective) {
 // Children resume their parent's factored state (basis, eta file, reduced
 // costs) instead of reinverting a status vector. Over full trees
 // (max_nodes = 0) of scheduler-shaped models, that search must prove the
-// same optimum as the one with basis warm-starting off, and be the same
-// search at 1 and 4 threads.
+// same optimum as the one with basis warm-starting off.
 TEST(MilpDifferentialTest, FactoredChildStartsReachColdObjectiveOnFullTrees) {
-  ThreadPool pool(4);
   int64_t warm_nodes = 0;
   int64_t nodes = 0;
   for (uint64_t seed = 21; seed <= 40; ++seed) {
@@ -316,23 +226,16 @@ TEST(MilpDifferentialTest, FactoredChildStartsReachColdObjectiveOnFullTrees) {
     cold_options.basis_warmstart = false;
     MilpOptions hot_options;
     hot_options.max_nodes = 0;
-    MilpOptions parallel_options = hot_options;
-    parallel_options.pool = &pool;
     MilpSolver cold_solver(cycles.model(), cycles.int_vars());
     const MilpSolution cold = cold_solver.Solve(cold_options);
     MilpSolver hot_solver(cycles.model(), cycles.int_vars());
     const MilpSolution hot = hot_solver.Solve(hot_options);
-    MilpSolver parallel_solver(cycles.model(), cycles.int_vars());
-    const MilpSolution parallel = parallel_solver.Solve(parallel_options);
 
     SCOPED_TRACE(::testing::Message() << "seed " << seed);
     ASSERT_EQ(cold.status, MilpStatus::kOptimal);
     ASSERT_EQ(hot.status, MilpStatus::kOptimal);
     EXPECT_NEAR(hot.objective, cold.objective, 1e-9 * std::max(1.0, std::fabs(cold.objective)));
     EXPECT_TRUE(cycles.model().IsFeasible(hot.values));
-    EXPECT_EQ(parallel.nodes_explored, hot.nodes_explored);
-    EXPECT_EQ(parallel.lp_iterations, hot.lp_iterations);
-    EXPECT_EQ(parallel.values, hot.values);
     warm_nodes += hot.warm_started_nodes;
     nodes += hot.nodes_explored;
   }

@@ -1,13 +1,11 @@
 // Observability non-perturbation properties:
 //
 //   1. Enabling tracing/profiling/decision logging changes no scheduling
-//      decision: per-job results are byte-identical with obs off vs on, at 1
-//      and 4 solver threads.
-//   2. The deterministic trace sections ("trace_names"/"trace_spans") are
-//      byte-identical across repeated runs and across solver thread counts;
-//      only the quarantined "trace_timing" section may differ.
-//   3. Striped-shard counter aggregation is exact: registry totals are
-//      independent of solver thread count.
+//      decision: per-job results are byte-identical with obs off vs on.
+//   2. The decision log and the deterministic trace sections
+//      ("trace_names"/"trace_spans") are byte-identical across repeated
+//      runs; only the quarantined "trace_timing" section may differ.
+//   3. Registry counter totals are identical across repeated runs.
 //   4. Registry counters are snapshot-aware: a run killed at a checkpoint and
 //      resumed in a fresh process finishes with exactly the counters of an
 //      uninterrupted run (no loss before the checkpoint, no double-counting
@@ -29,7 +27,7 @@
 namespace threesigma {
 namespace {
 
-ExperimentConfig SmallConfig(int solver_threads) {
+ExperimentConfig SmallConfig() {
   ExperimentConfig config;
   config.cluster = ClusterConfig::Uniform(2, 16);
   config.workload.env = EnvironmentKind::kGoogle;
@@ -39,14 +37,13 @@ ExperimentConfig SmallConfig(int solver_threads) {
   config.sim.cycle_period = 10.0;
   config.sim.seed = 7;
   config.sched.cycle_period = 10.0;
-  config.sched.solver_threads = solver_threads;
   return config;
 }
 
 // One full simulation from a clean observability slate. With `obs_on` all
 // three facilities run; either way the collected state (spans, decision log,
 // registry) is left in place for the caller to inspect.
-SimResult RunOnce(int solver_threads, bool obs_on) {
+SimResult RunOnce(bool obs_on) {
   obs::ResetAll();
   if (obs_on) {
     obs::Options options;
@@ -55,7 +52,7 @@ SimResult RunOnce(int solver_threads, bool obs_on) {
     options.decisions = true;
     obs::Configure(options);
   }
-  ExperimentConfig config = SmallConfig(solver_threads);
+  ExperimentConfig config = SmallConfig();
   const GeneratedWorkload workload = GenerateWorkload(config.cluster, config.workload);
   SimResult result = SimulateSystem(SystemKind::kThreeSigma, config, workload);
   // Drop the gates but keep the collected state readable.
@@ -66,46 +63,36 @@ SimResult RunOnce(int solver_threads, bool obs_on) {
 }
 
 TEST(ObsPropertyTest, EnablingObsPerturbsNoDecision) {
-  const std::string baseline = SimTrace(RunOnce(1, /*obs_on=*/false));
+  const std::string baseline = SimTrace(RunOnce(/*obs_on=*/false));
   ASSERT_FALSE(baseline.empty());
-  EXPECT_EQ(baseline, SimTrace(RunOnce(1, /*obs_on=*/true)))
-      << "obs on changed per-job results at 1 solver thread";
-  EXPECT_EQ(baseline, SimTrace(RunOnce(4, /*obs_on=*/false)))
-      << "solver thread count changed per-job results";
-  EXPECT_EQ(baseline, SimTrace(RunOnce(4, /*obs_on=*/true)))
-      << "obs on changed per-job results at 4 solver threads";
+  EXPECT_EQ(baseline, SimTrace(RunOnce(/*obs_on=*/true))) << "obs on changed per-job results";
 }
 
 TEST(ObsPropertyTest, DecisionLogIdenticalAcrossThreadCounts) {
-  RunOnce(1, /*obs_on=*/true);
-  const std::string single = obs::DecisionLog::Global().ToCsvString();
-  RunOnce(4, /*obs_on=*/true);
-  const std::string quad = obs::DecisionLog::Global().ToCsvString();
-  EXPECT_GT(single.size(),
+  RunOnce(/*obs_on=*/true);
+  const std::string first = obs::DecisionLog::Global().ToCsvString();
+  RunOnce(/*obs_on=*/true);
+  const std::string second = obs::DecisionLog::Global().ToCsvString();
+  EXPECT_GT(first.size(),
             std::string("cycle,sim_time,pending,running,starts,preempts,abandons,deferred\n")
                 .size());
-  EXPECT_EQ(single, quad);
+  EXPECT_EQ(first, second);
 }
 
 TEST(ObsPropertyTest, TraceDeterministicAcrossRunsAndThreadCounts) {
-  const auto trace_of = [](int solver_threads) {
-    RunOnce(solver_threads, /*obs_on=*/true);
+  const auto trace_of = [] {
+    RunOnce(/*obs_on=*/true);
     SnapshotWriter writer;
     obs::Tracer::Global().ExportBinary(writer);
     return writer.Finish();
   };
-  const std::string first = trace_of(1);
-  const std::string repeat = trace_of(1);
-  const std::string quad = trace_of(4);
+  const std::string first = trace_of();
+  const std::string repeat = trace_of();
 
   const std::vector<std::string> rerun_diff =
       DiffSnapshotSections(first, repeat, {"trace_timing"});
   EXPECT_TRUE(rerun_diff.empty())
       << "trace section '" << rerun_diff.front() << "' differs across identical runs";
-  const std::vector<std::string> thread_diff =
-      DiffSnapshotSections(first, quad, {"trace_timing"});
-  EXPECT_TRUE(thread_diff.empty())
-      << "trace section '" << thread_diff.front() << "' differs across thread counts";
 
   // The traces are non-trivial: spans were actually retained and none lost.
   EXPECT_FALSE(obs::Tracer::Global().CollectSpans().empty());
@@ -113,26 +100,25 @@ TEST(ObsPropertyTest, TraceDeterministicAcrossRunsAndThreadCounts) {
 }
 
 TEST(ObsPropertyTest, CounterTotalsIndependentOfSolverThreads) {
-  RunOnce(1, /*obs_on=*/false);
-  const auto single = obs::MetricsRegistry::Global().CounterValues();
-  RunOnce(4, /*obs_on=*/false);
-  const auto quad = obs::MetricsRegistry::Global().CounterValues();
-  // Workers publish into thread-local stripes; the aggregate must still be
-  // the logical single-threaded total, counter by counter.
-  ASSERT_EQ(single.size(), quad.size());
-  for (size_t i = 0; i < single.size(); ++i) {
-    EXPECT_EQ(single[i].first, quad[i].first);
-    EXPECT_EQ(single[i].second, quad[i].second) << "counter " << single[i].first;
+  RunOnce(/*obs_on=*/false);
+  const auto first = obs::MetricsRegistry::Global().CounterValues();
+  RunOnce(/*obs_on=*/false);
+  const auto second = obs::MetricsRegistry::Global().CounterValues();
+  // Every counter total is a function of the simulated run alone.
+  ASSERT_EQ(first.size(), second.size());
+  for (size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(first[i].first, second[i].first);
+    EXPECT_EQ(first[i].second, second[i].second) << "counter " << first[i].first;
   }
   bool saw_nonzero = false;
-  for (const auto& [name, value] : single) {
+  for (const auto& [name, value] : first) {
     saw_nonzero = saw_nonzero || value > 0;
   }
   EXPECT_TRUE(saw_nonzero);
 }
 
 TEST(ObsPropertyTest, RegistryCountersContinueAcrossResume) {
-  ExperimentConfig config = SmallConfig(1);
+  ExperimentConfig config = SmallConfig();
   const GeneratedWorkload workload = GenerateWorkload(config.cluster, config.workload);
   const auto pretrain = [&workload](SystemInstance& instance) {
     for (const JobSpec& job : workload.pretrain) {

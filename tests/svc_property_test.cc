@@ -1,8 +1,8 @@
 // Service-vs-batch equivalence: a workload fed through the RPC service layer
 // (loopback transport, admission queue, batched injection) must produce a
 // byte-identical per-cycle decision log to the batch simulator on the same
-// jobs — across solver thread counts and regardless of whether the jobs
-// arrive all upfront or trickle in between scheduling cycles.
+// jobs — whether the jobs arrive all upfront or trickle in between
+// scheduling cycles.
 //
 // This is the service layer's core determinism claim: the transport, queue,
 // and batching machinery may add latency but must never change a scheduling
@@ -37,7 +37,6 @@ ExperimentConfig BaseConfig() {
   config.sim.cycle_period = 10.0;
   config.sim.seed = 7;
   config.sched.cycle_period = 10.0;
-  config.sched.solver_threads = 1;
   return config;
 }
 
@@ -154,7 +153,7 @@ TEST(SvcPropertyTest, UpfrontSessionMatchesBatchSingleThread) {
   ExpectNonTrivial(batch);
   const std::string service = ServiceDecisionCsv(config, /*chunk_seconds=*/0.0);
   EXPECT_EQ(batch, service)
-      << "service-fed decisions diverged from the batch run (1 solver thread)";
+      << "service-fed decisions diverged from the batch run";
 }
 
 TEST(SvcPropertyTest, ChunkedSessionMatchesBatchSingleThread) {
@@ -164,16 +163,6 @@ TEST(SvcPropertyTest, ChunkedSessionMatchesBatchSingleThread) {
   const std::string service = ServiceDecisionCsv(config, /*chunk_seconds=*/60.0);
   EXPECT_EQ(batch, service)
       << "mid-run injection batches changed scheduling decisions";
-}
-
-TEST(SvcPropertyTest, UpfrontSessionMatchesBatchFourThreads) {
-  ExperimentConfig config = BaseConfig();
-  config.sched.solver_threads = 4;
-  const std::string batch = BatchDecisionCsv(config);
-  ExpectNonTrivial(batch);
-  const std::string service = ServiceDecisionCsv(config, /*chunk_seconds=*/0.0);
-  EXPECT_EQ(batch, service)
-      << "service-fed decisions diverged from the batch run (4 solver threads)";
 }
 
 }  // namespace

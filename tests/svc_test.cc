@@ -762,11 +762,12 @@ Reply RawWhatIf(const std::string& scenarios, int64_t horizon) {
 }
 
 TEST(WhatIfServiceTest, OversizedSolverThreadsIsInvalidArgument) {
-  // A remote scenario spec may not size a fork's thread pool: the request
-  // is refused before any fork is built.
+  // A remote scenario spec may not size a thread pool: solver_threads is no
+  // scenario key, so the request is refused before any fork is built.
   const Reply reply = RawWhatIf("name=huge,solver_threads=100000", 0);
   EXPECT_EQ(reply.code, StatusCode::kInvalidArgument);
-  EXPECT_NE(reply.message.find("solver_threads=100000"), std::string::npos) << reply.message;
+  EXPECT_NE(reply.message.find("unknown scenario key: solver_threads"), std::string::npos)
+      << reply.message;
 }
 
 TEST(WhatIfServiceTest, OutOfRangeHorizonIsInvalidArgument) {

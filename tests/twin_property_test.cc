@@ -2,7 +2,8 @@
 //
 //   1. Fork isolation: with auto-apply disabled, running what-if sweeps
 //      mid-flight changes nothing about the live run — the decision log CSV
-//      is byte-identical with the twin on vs off, at 1 and 4 solver threads.
+//      is byte-identical with the twin on vs off, with the sweep's forks
+//      stepped on 1 and on 4 fan-out threads.
 //   2. RPC determinism: two identical WhatIf requests issued back-to-back at
 //      a parked cycle boundary return byte-identical reports.
 //   3. Resume determinism: a server restored from a checkpoint answers WhatIf
@@ -59,7 +60,8 @@ std::vector<JobSpec> Workload(int jobs) {
   return workload;
 }
 
-DistSchedulerConfig Config(int solver_threads) {
+// `fanout_threads` sizes the what-if engine's scenario pool.
+DistSchedulerConfig Config(int fanout_threads) {
   DistSchedulerConfig config;
   config.name = "3Sigma";
   config.use_distribution = true;
@@ -68,7 +70,7 @@ DistSchedulerConfig Config(int solver_threads) {
   config.planahead = 1200.0;
   config.num_start_slots = 6;
   config.cycle_period = 10.0;
-  config.solver_threads = solver_threads;
+  config.solver_threads = fanout_threads;
   return config;
 }
 
@@ -87,7 +89,7 @@ std::unique_ptr<ThreeSigmaPredictor> TrainedPredictor() {
 // a what-if sweep (auto-apply off) runs at every 4th completed cycle —
 // exactly the advisory cadence a serve daemon would use. Returns the live
 // run's decision CSV.
-std::string DecisionCsv(int solver_threads, bool twin_on) {
+std::string DecisionCsv(int fanout_threads, bool twin_on) {
   obs::ResetAll();
   obs::Options obs_options;
   obs_options.decisions = true;
@@ -95,7 +97,7 @@ std::string DecisionCsv(int solver_threads, bool twin_on) {
 
   const ClusterConfig cluster = ClusterConfig::Uniform(2, 4);
   auto predictor = TrainedPredictor();
-  DistributionScheduler sched(cluster, predictor.get(), Config(solver_threads));
+  DistributionScheduler sched(cluster, predictor.get(), Config(fanout_threads));
   SimOptions sim_options;
   sim_options.seed = 11;
   Simulator sim(cluster, &sched, Workload(14), sim_options);
@@ -121,10 +123,10 @@ TEST(TwinPropertyTest, SweepsPerturbNoLiveDecision) {
             std::string("cycle,sim_time,pending,running,starts,preempts,abandons,deferred\n")
                 .size());
   EXPECT_EQ(baseline, DecisionCsv(1, /*twin_on=*/true))
-      << "what-if sweeps changed live decisions at 1 solver thread";
+      << "what-if sweeps changed live decisions at 1 fan-out thread";
   const std::string quad = DecisionCsv(4, /*twin_on=*/false);
   EXPECT_EQ(quad, DecisionCsv(4, /*twin_on=*/true))
-      << "what-if sweeps changed live decisions at 4 solver threads";
+      << "what-if sweeps changed live decisions at 4 fan-out threads";
 }
 
 // --- RPC-level determinism over the loopback service -------------------------

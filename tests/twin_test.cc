@@ -106,7 +106,7 @@ TEST(ScenarioTest, ParseAndDescribeRoundTrip) {
   Scenario scenario;
   std::string error;
   ASSERT_TRUE(ParseScenario(
-      "name=stress,planahead=600,oe_threshold=0.2,solver_threads=2,surge=1.5,"
+      "name=stress,planahead=600,oe_threshold=0.2,surge=1.5,"
       "surge_window=300,failures=2,failure_after=30,failure_duration=120,"
       "inflation=1.25,padding=1.1,system=3SigmaNoOE",
       &scenario, &error))
@@ -114,7 +114,6 @@ TEST(ScenarioTest, ParseAndDescribeRoundTrip) {
   EXPECT_EQ(scenario.name, "stress");
   EXPECT_DOUBLE_EQ(scenario.planahead, 600.0);
   EXPECT_DOUBLE_EQ(scenario.oe_probability_threshold, 0.2);
-  EXPECT_EQ(scenario.solver_threads, 2);
   EXPECT_DOUBLE_EQ(scenario.arrival_surge, 1.5);
   EXPECT_DOUBLE_EQ(scenario.surge_window, 300.0);
   EXPECT_EQ(scenario.extra_node_failures, 2);
@@ -142,7 +141,13 @@ TEST(ScenarioTest, ParseListAndErrors) {
   EXPECT_FALSE(scenarios[1].HasConfigOverride()) << "surge is an overlay, not a config override";
 
   Scenario scenario;
-  EXPECT_FALSE(ParseScenario("bogus_key=1", &scenario, &error));
+  // solver_threads was a key until the solver became single-threaded; a
+  // spec that still carries it is refused like any other unknown key.
+  for (const std::string spec : {"bogus_key=1", "solver_threads=2"}) {
+    error.clear();
+    EXPECT_FALSE(ParseScenario(spec, &scenario, &error)) << spec;
+    EXPECT_NE(error.find("unknown scenario key"), std::string::npos) << spec << ": " << error;
+  }
   EXPECT_FALSE(ParseScenario("planahead=abc", &scenario, &error));
 }
 
@@ -161,14 +166,11 @@ TEST(ScenarioTest, RejectsNonFiniteOutOfRangeAndOversizedValues) {
       "surge_window=nan",
       "surge_window=86400.5",
       "surge_window=1e300",
-      "solver_threads=0",
-      "solver_threads=65",
-      "solver_threads=100000",
-      "solver_threads=4294967297",  // Would narrow to 1.
-      "solver_threads=99999999999999999999",
       "failures=-1",
       "failures=100001",
       "failures=4294967296",  // Would narrow to 0.
+      "failures=4294967297",  // Would narrow to 1.
+      "failures=99999999999999999999",
   };
   for (const std::string& spec : bad) {
     Scenario scenario;
@@ -184,12 +186,10 @@ TEST(ScenarioTest, RejectsNonFiniteOutOfRangeAndOversizedValues) {
   // The caps themselves are accepted.
   Scenario scenario;
   std::string error;
-  EXPECT_TRUE(ParseScenario("solver_threads=" + std::to_string(kMaxSolverThreads) +
-                                ",surge=100,surge_window=86400,failures=" +
-                                std::to_string(kMaxScenarioFailures),
-                            &scenario, &error))
+  EXPECT_TRUE(ParseScenario(
+      "surge=100,surge_window=86400,failures=" + std::to_string(kMaxScenarioFailures),
+      &scenario, &error))
       << error;
-  EXPECT_EQ(scenario.solver_threads, kMaxSolverThreads);
   EXPECT_DOUBLE_EQ(scenario.surge_window, kMaxScenarioSurgeWindow);
   EXPECT_EQ(scenario.extra_node_failures, kMaxScenarioFailures);
 }
@@ -209,7 +209,7 @@ TEST(ScenarioTest, ConfigOverridesApplyByOneRule) {
   Scenario scenario;
   std::string error;
   ASSERT_TRUE(ParseScenario("name=x,system=3SigmaNoOE,planahead=600,oe_threshold=0.2,"
-                            "solver_threads=2,surge=2,failures=3,padding=1.5",
+                            "surge=2,failures=3,padding=1.5",
                             &scenario, &error))
       << error;
   DistSchedulerConfig config;
@@ -218,20 +218,18 @@ TEST(ScenarioTest, ConfigOverridesApplyByOneRule) {
   EXPECT_FALSE(config.overestimate_handling);
   EXPECT_DOUBLE_EQ(config.planahead, 600.0);
   EXPECT_DOUBLE_EQ(config.oe_probability_threshold, 0.2);
-  EXPECT_EQ(config.solver_threads, 2);
 
   // The advisor's record keeps exactly the fields that were applied, so
   // re-applying it on resume reproduces the same config.
   const Scenario record = scenario.ConfigOverrides();
   EXPECT_EQ(record.Describe(),
-            "name=x,system=3SigmaNoOE,planahead=600,oe_threshold=0.2,solver_threads=2");
+            "name=x,system=3SigmaNoOE,planahead=600,oe_threshold=0.2");
   DistSchedulerConfig replayed;
   ASSERT_TRUE(ApplyConfigOverrides(record, &replayed, &error)) << error;
   EXPECT_EQ(replayed.name, config.name);
   EXPECT_EQ(replayed.overestimate_handling, config.overestimate_handling);
   EXPECT_DOUBLE_EQ(replayed.planahead, config.planahead);
   EXPECT_DOUBLE_EQ(replayed.oe_probability_threshold, config.oe_probability_threshold);
-  EXPECT_EQ(replayed.solver_threads, config.solver_threads);
 
   Scenario prio;
   prio.system = "Prio";
@@ -404,8 +402,9 @@ TEST_F(TwinForkTest, EngineThreadCountDoesNotChangeReport) {
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(parallel_sim.Step());
   }
-  ASSERT_NE(parallel_sched.solver_pool(), nullptr);
   WhatIfEngine parallel_engine(cluster_, &parallel_sched, options);
+  ASSERT_EQ(serial_engine.fanout_threads(), 1);
+  ASSERT_EQ(parallel_engine.fanout_threads(), 4);
   const std::string parallel = parallel_engine.Run(parallel_sim, DefaultScenarios(), 40).ToText();
 
   EXPECT_EQ(serial, parallel) << "scenario fan-out must merge in index order";
@@ -496,6 +495,71 @@ TEST_F(TwinForkTest, EngineStateRoundTripsThroughSnapshot) {
   // The cadence clock survives: cycle 4 is still inside the advise window.
   EXPECT_FALSE(restored_engine.MaybeAdvise(*sim_, 4));
   EXPECT_TRUE(restored_engine.MaybeAdvise(*sim_, 6));
+}
+
+// A checkpoint whose advisor had applied a scenario with a key this build no
+// longer accepts (solver_threads, from when the solver ran on a thread pool)
+// must fail to restore with the parse error, not abort and not resume under
+// a policy the snapshot did not record.
+TEST_F(TwinForkTest, AppliedSpecWithRemovedKeyFailsRestoreSoft) {
+  Start();
+  // Hosts the engine's "twin" section the way the svc server does; `old_spec`
+  // non-empty writes an advisor state carrying that applied spec instead.
+  class TwinHost : public SimulatorStateExtension {
+   public:
+    TwinHost(WhatIfEngine* engine, std::string old_spec)
+        : engine_(engine), old_spec_(std::move(old_spec)) {}
+    void SaveState(SnapshotWriter& writer) const override {
+      if (old_spec_.empty()) {
+        engine_->SaveState(writer);
+        return;
+      }
+      writer.BeginSection("twin", 1);
+      writer.Fixed64(3);          // last_advise_cycle
+      writer.VarInt(int64_t{1});  // sweeps
+      writer.VarInt(int64_t{1});  // recommendations
+      writer.VarInt(int64_t{1});  // applied
+      writer.Fixed64(3);          // last_sweep_cycle
+      writer.String("threads4");  // last_best
+      writer.Double(0.5);         // last_gain
+      writer.Bool(true);          // has_applied_config
+      writer.String(old_spec_);
+      writer.EndSection();
+    }
+    void RestoreState(SnapshotReader& reader) override { engine_->RestoreState(reader); }
+
+   private:
+    WhatIfEngine* engine_;
+    std::string old_spec_;
+  };
+
+  TwinOptions options;
+  WhatIfEngine engine(cluster_, sched_.get(), options);
+  SimOptions sim_options;
+  sim_options.seed = 7;
+  std::string error;
+  for (const bool old_key : {false, true}) {
+    TwinHost writer_host(&engine, old_key ? "name=threads4,solver_threads=4" : "");
+    sim_->SetStateExtension(&writer_host);
+    const std::string buffer = sim_->SaveStateToBuffer();
+    sim_->SetStateExtension(nullptr);
+
+    DistributionScheduler sched(cluster_, predictor_.get(), TestConfig());
+    Simulator target(cluster_, &sched, {}, sim_options);
+    WhatIfEngine target_engine(cluster_, &sched, options);
+    TwinHost reader_host(&target_engine, "");
+    target.SetStateExtension(&reader_host);
+    error.clear();
+    const bool restored = target.TryRestoreStateFromBuffer(buffer, &error);
+    target.SetStateExtension(nullptr);
+    if (!old_key) {
+      EXPECT_TRUE(restored) << error;
+      continue;
+    }
+    EXPECT_FALSE(restored);
+    EXPECT_NE(error.find("unknown scenario key: solver_threads"), std::string::npos) << error;
+    EXPECT_FALSE(target_engine.advisor_state().has_applied_config);
+  }
 }
 
 // The serve-shaped case: an open-workload simulation whose submissions are
