@@ -73,4 +73,14 @@ bool ValidateJobSpec(const JobSpec& spec, const ClusterConfig& cluster, std::str
   return true;
 }
 
+bool JobRecord::MissedDeadline() const {
+  if (!spec.is_slo()) {
+    return false;
+  }
+  if (status != JobStatus::kCompleted) {
+    return true;
+  }
+  return finish_time > spec.deadline;
+}
+
 }  // namespace threesigma

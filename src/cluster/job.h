@@ -89,6 +89,43 @@ struct JobSpec {
 //   - a gang that is empty or wider than every node group of `cluster`.
 bool ValidateJobSpec(const JobSpec& spec, const ClusterConfig& cluster, std::string* error);
 
+enum class JobStatus {
+  kPending,
+  kRunning,
+  kCompleted,
+  kAbandoned,  // Scheduler gave up (zero achievable utility).
+  kUnfinished, // Still pending/running when the simulation stopped.
+};
+
+// One contiguous execution of a job's gang on a node group. Preempted jobs
+// have several runs; only the last can be `completed`.
+struct JobRun {
+  int group = -1;
+  Time start = kNever;
+  Time end = kNever;  // Completion, preemption, or the simulation stop.
+  bool completed = false;
+};
+
+// The simulator's record of one job: the job table's single persisted copy
+// of its spec and run state (schedulers re-derive theirs from it at restore).
+struct JobRecord {
+  JobSpec spec;
+  JobStatus status = JobStatus::kPending;
+  Time start_time = kNever;       // Of the current or final (completing) run.
+  Time finish_time = kNever;
+  int group = -1;                 // -1 while pending.
+  int preemptions = 0;
+  // Runs of this job killed by faults (node crashes or injected task kills).
+  int fault_kills = 0;
+  // Machine-seconds of the run that completed (goodput contribution).
+  double completed_work = 0.0;
+  // Full occupancy history, including preempted runs (cluster space-time
+  // provenance; see metrics/timeline.h).
+  std::vector<JobRun> runs;
+
+  bool MissedDeadline() const;
+};
+
 }  // namespace threesigma
 
 #endif  // SRC_CLUSTER_JOB_H_

@@ -66,7 +66,7 @@ bool ResumeSystem(SystemKind kind, const std::string& checkpoint_path,
   options.checkpoint_every = local.checkpoint_every;
   options.checkpoint_dir = local.checkpoint_dir;
   options.max_cycles = local.max_cycles;
-  // The snapshot's workload section replaces this empty placeholder.
+  // The snapshot's job records stand in for this empty workload.
   Simulator sim(info.cluster, instance.scheduler.get(), {}, options);
   if (!sim.TryResumeFrom(checkpoint_path, error)) {
     return false;

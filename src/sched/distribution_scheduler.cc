@@ -22,8 +22,20 @@ constexpr int kCacheRebuildPeriod = 256;
 
 // "sched" section layout version; RestoreState reads no other. v6: the root
 // basis is kept by key (per-job statuses and the capacity-row array) instead
-// of by position.
-constexpr uint32_t kSchedSectionVersion = 6;
+// of by position. v7: jobs are keyed by id, and a job's spec and run state
+// are left to the simulator's records.
+constexpr uint32_t kSchedSectionVersion = 7;
+
+// The predictor features of a job's current attempt: its spec's features,
+// plus "attempts=k" after k > 0 fault restarts, so restarted attempts build
+// their own history population.
+JobFeatures AttemptFeatures(const JobSpec& spec, int attempts) {
+  JobFeatures features = spec.features;
+  if (attempts > 0) {
+    features.push_back("attempts=" + std::to_string(attempts));
+  }
+  return features;
+}
 
 double SecondsSince(std::chrono::steady_clock::time_point t0) {
   const std::chrono::duration<double> d = std::chrono::steady_clock::now() - t0;
@@ -65,14 +77,7 @@ void DistributionScheduler::UpdateConfig(const DistSchedulerConfig& config) {
     info.planned_group = -1;
     info.planned_start = kNever;
     if (dist_flip) {
-      const RuntimePrediction prediction =
-          predictor_->Predict(info.record_features, info.spec.true_runtime);
-      info.point_estimate = prediction.point_estimate;
-      if (config_.use_distribution) {
-        info.sched_dist = prediction.distribution;
-      } else {
-        info.sched_dist = EmpiricalDistribution::Point(prediction.point_estimate);
-      }
+      PredictSchedDist(info);
     }
     // Fault-restarted jobs keep their forced OE decay (the restart verdict
     // outlives any policy change); everyone else re-runs the adaptive gate.
@@ -86,6 +91,16 @@ void DistributionScheduler::UpdateConfig(const DistSchedulerConfig& config) {
   solves_since_rebuild_ = 0;
 }
 
+void DistributionScheduler::PredictSchedDist(JobInfo& info) const {
+  const RuntimePrediction prediction =
+      predictor_->Predict(AttemptFeatures(info.spec, info.attempts), info.spec.true_runtime);
+  if (config_.use_distribution) {
+    info.sched_dist = prediction.distribution;
+  } else {
+    info.sched_dist = EmpiricalDistribution::Point(prediction.point_estimate);
+  }
+}
+
 void DistributionScheduler::ApplyOverestimateDecay(JobInfo& info, bool force) const {
   // §4.2.2/§4.2.3: over-estimate handling turns the SLO utility cliff into a
   // linear decay. Adaptive mode enables it only when the history claims the
@@ -94,7 +109,6 @@ void DistributionScheduler::ApplyOverestimateDecay(JobInfo& info, bool force) co
   // mis-estimates: the pre-restart estimate ignores the lost work).
   const JobSpec& spec = info.spec;
   info.effective_utility = spec.utility;
-  info.oe_enabled = false;
   if (!(spec.is_slo() && spec.deadline != kNever && config_.overestimate_handling)) {
     return;
   }
@@ -107,7 +121,6 @@ void DistributionScheduler::ApplyOverestimateDecay(JobInfo& info, bool force) co
     const double p_meet = info.sched_dist.CdfAtMost(window);
     enable = p_meet < config_.oe_probability_threshold;
   }
-  info.oe_enabled = enable;
   if (enable) {
     // The decay must span the runtimes the history considers plausible,
     // or the "impossible" job would still value to zero everywhere.
@@ -120,16 +133,7 @@ void DistributionScheduler::ApplyOverestimateDecay(JobInfo& info, bool force) co
 void DistributionScheduler::OnJobArrival(const JobSpec& spec, Time now) {
   JobInfo info;
   info.spec = spec;
-  info.record_features = spec.features;
-
-  const RuntimePrediction prediction = predictor_->Predict(spec.features, spec.true_runtime);
-  info.point_estimate = prediction.point_estimate;
-  if (config_.use_distribution) {
-    info.sched_dist = prediction.distribution;
-  } else {
-    info.sched_dist = EmpiricalDistribution::Point(prediction.point_estimate);
-  }
-
+  PredictSchedDist(info);
   ApplyOverestimateDecay(info, /*force=*/false);
 
   valuation_.InvalidateJob(spec.id);  // A reused id must not see stale tables.
@@ -144,7 +148,6 @@ void DistributionScheduler::OnJobStarted(JobId id, int group, Time now) {
   TS_CHECK(it != jobs_.end());
   JobInfo& info = it->second;
   RetireCapacityContribution(info);  // Stale entry from a pre-preemption run.
-  info.running = true;
   info.group = group;
   info.start_time = now;
   info.underest_level = -1;
@@ -158,7 +161,8 @@ void DistributionScheduler::OnJobFinished(JobId id, Time now, Duration observed_
   auto it = jobs_.find(id);
   TS_CHECK(it != jobs_.end());
   RetireCapacityContribution(it->second);
-  predictor_->RecordCompletion(it->second.record_features, observed_runtime);
+  predictor_->RecordCompletion(AttemptFeatures(it->second.spec, it->second.attempts),
+                               observed_runtime);
   valuation_.InvalidateJob(id);
   jobs_.erase(it);
   pending_.erase(std::remove(pending_.begin(), pending_.end(), id), pending_.end());
@@ -170,9 +174,8 @@ void DistributionScheduler::OnJobPreempted(JobId id, Time now) {
   auto it = jobs_.find(id);
   TS_CHECK(it != jobs_.end());
   JobInfo& info = it->second;
-  TS_CHECK(info.running);
+  TS_CHECK_GE(info.group, 0);
   RetireCapacityContribution(info);
-  info.running = false;
   info.group = -1;
   info.start_time = kNever;
   info.underest_level = -1;
@@ -190,7 +193,7 @@ void DistributionScheduler::OnJobCancelled(JobId id, Time now) {
   if (it == jobs_.end()) {
     return;
   }
-  TS_CHECK(!it->second.running);
+  TS_CHECK_LT(it->second.group, 0);
   valuation_.InvalidateJob(id);
   jobs_.erase(it);
   pending_.erase(std::remove(pending_.begin(), pending_.end(), id), pending_.end());
@@ -210,17 +213,7 @@ void DistributionScheduler::OnJobFaultKilled(JobId id, Time now) {
   TS_CHECK(it != jobs_.end());
   JobInfo& info = it->second;
   ++info.attempts;
-  info.record_features = info.spec.features;
-  info.record_features.push_back("attempts=" + std::to_string(info.attempts));
-
-  const RuntimePrediction prediction =
-      predictor_->Predict(info.record_features, info.spec.true_runtime);
-  info.point_estimate = prediction.point_estimate;
-  if (config_.use_distribution) {
-    info.sched_dist = prediction.distribution;
-  } else {
-    info.sched_dist = EmpiricalDistribution::Point(prediction.point_estimate);
-  }
+  PredictSchedDist(info);
 
   // §4.2.2 applied to restarts: whatever the history says, the deadline math
   // for this job is now off by the lost run — treat it as an over-estimate
@@ -243,7 +236,7 @@ void DistributionScheduler::OnCapacityChanged(int group, int available_nodes, Ti
 }
 
 void DistributionScheduler::UpdateUnderestimate(JobInfo& info, Time now) const {
-  TS_CHECK(info.running);
+  TS_CHECK_GE(info.group, 0);
   const double mult = info.spec.RuntimeMultiplier(info.group);
   const double max_known = info.sched_dist.MaxValue() * mult;
   const double elapsed = now - info.start_time;
@@ -265,7 +258,7 @@ void DistributionScheduler::UpdateUnderestimate(JobInfo& info, Time now) const {
 
 void DistributionScheduler::ComputeRunningSurvival(const JobInfo& info, Time now,
                                                    std::vector<double>* out) const {
-  TS_CHECK(info.running);
+  TS_CHECK_GE(info.group, 0);
   const int slots = config_.num_start_slots;
   const double delta = config_.planahead / slots;
   out->resize(static_cast<size_t>(slots));
@@ -421,7 +414,6 @@ void DistributionScheduler::UpdateConsumed(Time now, const ClusterStateView& sta
     auto it = jobs_.find(r.id);
     TS_CHECK_MSG(it != jobs_.end(), "unknown running job " << r.id);
     JobInfo& info = it->second;
-    TS_CHECK(info.running);
     TS_CHECK_MSG(info.group == r.group, "group mismatch for job " << r.id);
     if (incremental && info.capacity_applied && now < info.survival_valid_until) {
       ++result->capacity_cache_hits;
@@ -842,17 +834,9 @@ CycleResult DistributionScheduler::RunCycle(Time now, const ClusterStateView& st
 template <typename Io, typename Self>
 void DistributionScheduler::Walk(Io& io, Self& self) {
   io.Tag("3sigma-sched");
-  io.Values(self.jobs_, [](const JobInfo& info) { return info.spec.id; }, [&](auto& info) {
-    io.Nested(info.spec);
+  io.Map(self.jobs_, [&](auto& id, auto& info) {
+    io.VarInt(id);
     io.Nested(info.sched_dist);
-    io.Double(info.point_estimate);
-    io.Bool(info.oe_enabled);
-    io.Nested(info.effective_utility);
-    io.VarInt(info.attempts);
-    io.Seq(info.record_features, [&](auto& f) { io.String(f); });
-    io.Bool(info.running);
-    io.VarInt(info.group);
-    io.Double(info.start_time);
     io.VarInt(info.underest_level);
     io.Double(info.underest_finish);
     io.VarInt(info.planned_group);
@@ -899,50 +883,35 @@ void DistributionScheduler::RestoreState(SnapshotReader& reader) {
     return;
   }
   Walk(reader, *this);
-  // The cycle indexes consumed_ by group and jobs_ by every pending id.
+  // The cycle indexes consumed_ by group and start slot.
   const int num_groups = cluster_.num_groups();
-  if (reader.ok() && consumed_.size() != static_cast<size_t>(num_groups)) {
+  const size_t slots = static_cast<size_t>(config_.num_start_slots);
+  if (reader.ok() &&
+      (consumed_.size() != static_cast<size_t>(num_groups) ||
+       std::any_of(consumed_.begin(), consumed_.end(),
+                   [&](const std::vector<double>& row) { return row.size() != slots; }))) {
     reader.Fail("snapshot cluster shape does not match this scheduler");
   }
   // The keyed basis is indexed by g * slots + slot.
-  const size_t keyed_size = static_cast<size_t>(num_groups * config_.num_start_slots);
+  const size_t keyed_size = static_cast<size_t>(num_groups) * slots;
   if (basis_epoch_ < 0 || (!capacity_status_.empty() && capacity_status_.size() != keyed_size)) {
     reader.Fail("keyed basis does not match this scheduler");
   }
-  std::string invalid;
   for (const auto& [id, info] : jobs_) {
-    if (!ValidateJobSpec(info.spec, cluster_, &invalid)) {
-      reader.Fail("snapshot " + invalid);
-    }
-    if (info.group < -1 || info.group >= num_groups || info.planned_group < -1 ||
-        info.planned_group >= num_groups) {
-      reader.Fail("job " + std::to_string(id) + " group out of range");
+    if (info.planned_group < -1 || info.planned_group >= num_groups) {
+      reader.Fail("job " + std::to_string(id) + " planned group out of range");
     }
     if (info.basis_epoch > basis_epoch_ ||
         (info.basis_epoch == basis_epoch_ && info.option_status.size() != keyed_size)) {
       reader.Fail("job " + std::to_string(id) + " keyed basis shape mismatch");
     }
   }
-  for (const JobId id : pending_) {
-    if (jobs_.count(id) == 0) {
-      reader.Fail("pending job " + std::to_string(id) + " has no state");
-    }
-  }
-  // Rebuild the cached tables from the restored job state; a key whose job
-  // exited between save and restore (impossible today, but harmless) is
-  // simply dropped.
-  valuation_.Clear();
-  for (const auto& [job, scale] : ValuationEngine::ReadSavedKeys(reader)) {
+  // The tables are rebuilt by OnJobsRestored, once the job state they are
+  // pure functions of is whole again.
+  restored_table_keys_ = ValuationEngine::ReadSavedKeys(reader);
+  for (const auto& [job, scale] : restored_table_keys_) {
     if (!(scale > 0.0 && std::isfinite(scale))) {  // Scaled() requires it.
       reader.Fail("valuation scale out of range");
-    }
-    if (!reader.ok()) {
-      break;
-    }
-    const auto it = jobs_.find(job);
-    if (it != jobs_.end()) {
-      valuation_.Tables(job, scale, it->second.sched_dist, it->second.effective_utility,
-                        /*counters=*/nullptr);
     }
   }
   reader.EndSection();
@@ -950,6 +919,46 @@ void DistributionScheduler::RestoreState(SnapshotReader& reader) {
   reader.BeginSection("predict");
   predictor_->RestoreState(reader);
   reader.EndSection();
+}
+
+void DistributionScheduler::OnJobsRestored(const std::vector<const JobRecord*>& live,
+                                           SnapshotReader& reader) {
+  // The job table must hold exactly the live records (the simulator has
+  // already validated each one and rejected duplicate ids), and a capacity
+  // cache entry is applied only for a running job, one term per start slot.
+  if (jobs_.size() != live.size() || !PendingQueueMatches(pending_, live)) {
+    reader.Fail("scheduler job table does not match the simulator's live jobs");
+    return;
+  }
+  for (const JobRecord* rec : live) {
+    const auto it = jobs_.find(rec->spec.id);
+    if (it == jobs_.end() ||
+        (it->second.capacity_applied &&
+         (rec->status != JobStatus::kRunning ||
+          it->second.cached_survival.size() != static_cast<size_t>(config_.num_start_slots)))) {
+      reader.Fail("scheduler state disagrees with the simulator about job " +
+                  std::to_string(rec->spec.id));
+      return;
+    }
+    JobInfo& info = it->second;
+    info.spec = rec->spec;
+    info.group = rec->group;
+    info.start_time = rec->start_time;
+    info.attempts = rec->fault_kills;
+    ApplyOverestimateDecay(info, /*force=*/info.attempts > 0);
+  }
+  // Rebuild the cached tables from the derived job state; a key whose job
+  // exited between save and restore (impossible today, but harmless) is
+  // simply dropped.
+  valuation_.Clear();
+  for (const auto& [job, scale] : restored_table_keys_) {
+    const auto it = jobs_.find(job);
+    if (it != jobs_.end()) {
+      valuation_.Tables(job, scale, it->second.sched_dist, it->second.effective_utility,
+                        /*counters=*/nullptr);
+    }
+  }
+  restored_table_keys_.clear();
 }
 
 }  // namespace threesigma

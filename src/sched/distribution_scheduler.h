@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cluster/cluster.h"
@@ -129,16 +130,17 @@ class DistributionScheduler : public Scheduler {
   CycleResult RunCycle(Time now, const ClusterStateView& state) override;
   std::string name() const override { return config_.name; }
 
-  // Checkpointing: serializes the full scheduler state (job table with
-  // conditioned distributions and cached survival vectors, pending order,
-  // solve-skip state, consumed_ rows, the keyed root basis, and the
-  // valuation cache's key set) into a "sched" section, then the predictor into a
-  // "predict" section. RestoreState accepts only the current section version
-  // and fails the reader soft on any other.
-  // RestoreState requires a scheduler constructed with the same config and
-  // predictor graph; the cluster shape is validated via consumed_ geometry.
+  // Checkpointing: serializes what only the scheduler knows (the persisted
+  // JobInfo fields by job id, pending order, solve-skip state, consumed_
+  // rows, the keyed root basis, and the valuation cache's key set) into a
+  // "sched" section, then the predictor into a "predict" section.
+  // RestoreState accepts only the current section version and fails the
+  // reader soft on any other. It requires a scheduler constructed with the
+  // same config and predictor graph; the cluster shape is validated via
+  // consumed_ geometry. OnJobsRestored re-derives the rest (see JobInfo).
   void SaveState(SnapshotWriter& writer) const override;
   void RestoreState(SnapshotReader& reader) override;
+  void OnJobsRestored(const std::vector<const JobRecord*>& live, SnapshotReader& reader) override;
 
   // Replaces the policy configuration of a live scheduler at a cycle
   // boundary (digital-twin scenario overrides and opt-in advisor
@@ -158,24 +160,23 @@ class DistributionScheduler : public Scheduler {
   const std::vector<std::vector<double>>& expected_consumed() const { return consumed_; }
 
  private:
+  // OnJobsRestored re-derives spec, group, start_time, attempts (the
+  // record's fault_kills) and effective_utility from the simulator's record;
+  // the other fields are persisted.
   struct JobInfo {
     JobSpec spec;
     // Distribution actually used for scheduling: the predictor's histogram
     // distribution, or a point mass in NoDist/point modes.
     EmpiricalDistribution sched_dist;
-    double point_estimate = 0.0;
-    bool oe_enabled = false;
+    // Always ApplyOverestimateDecay(info, /*force=*/attempts > 0).
     UtilityFunction effective_utility = UtilityFunction::BestEffortLinear(1.0, 0.0, 1.0);
 
     // Fault restarts of this job so far; > 0 appends an "attempts=k" feature
-    // to record_features so the predictor's history keys on attempt counts.
+    // to the features it is predicted and recorded under (AttemptFeatures),
+    // so the predictor's history keys on attempt counts.
     int attempts = 0;
-    // Features used for re-prediction and completion recording (spec.features
-    // until the first fault restart).
-    JobFeatures record_features;
 
-    bool running = false;
-    int group = -1;
+    int group = -1;  // >= 0 exactly while running.
     Time start_time = kNever;
 
     // §4.2.1 exponential under-estimate extension state.
@@ -209,9 +210,14 @@ class DistributionScheduler : public Scheduler {
   template <typename Io, typename Self>
   static void Walk(Io& io, Self& self);
 
-  // Recomputes info.effective_utility / info.oe_enabled from the current
-  // sched_dist (§4.2.2/§4.2.3). `force` bypasses the adaptive gate (used for
-  // fault restarts, which are treated as likely mis-estimates).
+  // Re-predicts info.sched_dist from the job's attempt features under the
+  // current policy (the histogram distribution, or a point mass at its
+  // estimate).
+  void PredictSchedDist(JobInfo& info) const;
+
+  // Recomputes info.effective_utility from the current sched_dist
+  // (§4.2.2/§4.2.3). `force` bypasses the adaptive gate (used for fault
+  // restarts, which are treated as likely mis-estimates).
   void ApplyOverestimateDecay(JobInfo& info, bool force) const;
 
   // Refreshes the under-estimate extension state of a running job (§4.2.1).
@@ -276,6 +282,8 @@ class DistributionScheduler : public Scheduler {
   // const (pure w.r.t. observable scheduler state) but may populate the
   // memoized table cache on a lookup miss.
   mutable ValuationEngine valuation_;
+  // The valuation cache's saved keys, from RestoreState to OnJobsRestored.
+  std::vector<std::pair<JobId, double>> restored_table_keys_;
   // Per-considered-job option slots (the MILP's options point into their
   // consumption arenas) and the survival staging buffer; cleared and
   // refilled each cycle, capacity retained, so steady-state valuation does

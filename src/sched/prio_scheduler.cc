@@ -141,30 +141,43 @@ CycleResult PrioScheduler::RunCycle(Time now, const ClusterStateView& state) {
   return result;
 }
 
+// "sched" section layout version. v2: the pending order only; the specs come
+// from the simulator's records.
+constexpr uint32_t kPrioSectionVersion = 2;
+
 template <typename Io, typename Self>
 void PrioScheduler::Walk(Io& io, Self& self) {
   io.Tag("prio");
-  io.Values(self.jobs_, [](const JobSpec& spec) { return spec.id; },
-            [&](auto& spec) { io.Nested(spec); });
   io.Seq(self.pending_, [&](auto& id) { io.VarInt(id); });
 }
 
 void PrioScheduler::SaveState(SnapshotWriter& writer) const {
-  writer.BeginSection("sched", 1);
+  writer.BeginSection("sched", kPrioSectionVersion);
   Walk(writer, *this);
   writer.EndSection();
 }
 
 void PrioScheduler::RestoreState(SnapshotReader& reader) {
-  reader.BeginSection("sched");
-  Walk(reader, *this);
-  // RunCycle looks every pending id up in jobs_.
-  for (const JobId id : pending_) {
-    if (reader.ok() && jobs_.count(id) == 0) {
-      reader.Fail("pending job " + std::to_string(id) + " has no spec");
-    }
+  uint32_t version = 0;
+  reader.BeginSection("sched", &version);
+  if (reader.ok() && version != kPrioSectionVersion) {
+    reader.Fail("unsupported sched section version " + std::to_string(version));
+    return;
   }
+  Walk(reader, *this);
   reader.EndSection();
+}
+
+void PrioScheduler::OnJobsRestored(const std::vector<const JobRecord*>& live,
+                                   SnapshotReader& reader) {
+  jobs_.clear();
+  for (const JobRecord* rec : live) {
+    jobs_[rec->spec.id] = rec->spec;
+  }
+  // RunCycle looks every pending id up in jobs_.
+  if (!PendingQueueMatches(pending_, live)) {
+    reader.Fail("scheduler pending queue does not match the simulator's live jobs");
+  }
 }
 
 }  // namespace threesigma

@@ -35,8 +35,11 @@ class PrioScheduler : public Scheduler {
   CycleResult RunCycle(Time now, const ClusterStateView& state) override;
   std::string name() const override { return config_.name; }
 
+  // Checkpointing: the "sched" section holds the pending order only; the
+  // specs of the pending and running jobs come from the simulator's records.
   void SaveState(SnapshotWriter& writer) const override;
   void RestoreState(SnapshotReader& reader) override;
+  void OnJobsRestored(const std::vector<const JobRecord*>& live, SnapshotReader& reader) override;
 
  private:
   template <typename Io, typename Self>

@@ -8,6 +8,7 @@
 #ifndef SRC_SCHED_SCHEDULER_H_
 #define SRC_SCHED_SCHEDULER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -135,7 +136,31 @@ class Scheduler {
     reader.Tag("stateless");
     reader.EndSection();
   }
+  // Called right after RestoreState with the simulator's records of every
+  // arrived job that is pending or running, in job-index order: the only
+  // persisted copy of a job's spec and run state. A scheduler re-derives its
+  // copy here and latches `reader.Fail` on a mismatch. Default: nothing to
+  // derive (stateless schedulers).
+  virtual void OnJobsRestored(const std::vector<const JobRecord*>& live, SnapshotReader& reader) {
+    (void)live;
+    (void)reader;
+  }
 };
+
+// OnJobsRestored's queue check: `pending` holds each pending record of
+// `live` exactly once, and no other id.
+inline bool PendingQueueMatches(std::vector<JobId> pending,
+                                const std::vector<const JobRecord*>& live) {
+  std::vector<JobId> records;
+  for (const JobRecord* rec : live) {
+    if (rec->status == JobStatus::kPending) {
+      records.push_back(rec->spec.id);
+    }
+  }
+  std::sort(pending.begin(), pending.end());
+  std::sort(records.begin(), records.end());
+  return pending == records;
+}
 
 }  // namespace threesigma
 

@@ -113,8 +113,9 @@ struct Event {
 // bookkeeping (submissions_closed, last_arrival), and the per-job arrived
 // flag. v5: the per-cycle record lost its two shard counts ("metrics"
 // section) and the scheduler's "sched" section its shard-basis map. v6: the
-// per-cycle record gained lp_pivots, root_pivots and root_warm.
-constexpr uint32_t kSnapshotVersion = 6;
+// per-cycle record gained lp_pivots, root_pivots and root_warm. v7: no
+// "workload" section (the "sim" section's job records carry every spec).
+constexpr uint32_t kSnapshotVersion = 7;
 // The "metrics" and "timing" sections walk kCycleFields, so any change to the
 // per-cycle record changes their layout.
 static_assert(std::size(kCycleFields) == 17,
@@ -200,11 +201,6 @@ void WalkJobRecord(Io& io, Record& rec) {
   }, 8);
 }
 
-template <typename Io, typename Workload>
-void WalkWorkload(Io& io, Workload& workload) {
-  io.Seq(workload, [&](auto& spec) { io.Nested(spec); }, 8);
-}
-
 // The "faults" section: the schedule plus the stall-draw key.
 template <typename Io, typename State>
 void WalkFaults(Io& io, State& s) {
@@ -282,16 +278,6 @@ void WalkTiming(Io& io, Cycles& cycles) {
 
 }  // namespace
 
-bool JobRecord::MissedDeadline() const {
-  if (!spec.is_slo()) {
-    return false;
-  }
-  if (status != JobStatus::kCompleted) {
-    return true;
-  }
-  return finish_time > spec.deadline;
-}
-
 // All mutable run state, so a run can pause between events, serialize, and
 // resume. The event queue is an explicit binary min-heap (push_heap/pop_heap
 // over operator>, a total order on (time, seq)) instead of a
@@ -368,20 +354,18 @@ void Simulator::EnsureStarted() {
   RunState& s = *state_;
   s.rng = Rng(options_.seed);
 
-  std::sort(workload_.begin(), workload_.end(),
+  std::vector<JobSpec> workload = std::move(workload_);  // Leaves workload_ empty.
+  std::sort(workload.begin(), workload.end(),
             [](const JobSpec& a, const JobSpec& b) { return a.submit_time < b.submit_time; });
 
-  s.jobs.resize(workload_.size());
-  for (size_t i = 0; i < workload_.size(); ++i) {
-    s.jobs[i].record.spec = workload_[i];
-    TS_CHECK_MSG(s.index_by_id.emplace(workload_[i].id, i).second,
-                 "duplicate job id " << workload_[i].id);
-    TS_CHECK_MSG(workload_[i].num_tasks <= cluster_.max_group_size(),
-                 "job " << workload_[i].id << " larger than any group");
-  }
-
-  for (size_t i = 0; i < workload_.size(); ++i) {
-    s.PushEvent(Event{workload_[i].submit_time, s.seq++, EventKind::kArrival, i, 0});
+  s.jobs.resize(workload.size());
+  for (size_t i = 0; i < workload.size(); ++i) {
+    TS_CHECK_MSG(s.index_by_id.emplace(workload[i].id, i).second,
+                 "duplicate job id " << workload[i].id);
+    TS_CHECK_MSG(workload[i].num_tasks <= cluster_.max_group_size(),
+                 "job " << workload[i].id << " larger than any group");
+    s.PushEvent(Event{workload[i].submit_time, s.seq++, EventKind::kArrival, i, 0});
+    s.jobs[i].record.spec = std::move(workload[i]);
   }
 
   s.free_nodes.reserve(static_cast<size_t>(cluster_.num_groups()));
@@ -389,8 +373,8 @@ void Simulator::EnsureStarted() {
     s.free_nodes.push_back(g.node_count);
   }
 
-  s.live_jobs = static_cast<int>(workload_.size());
-  s.last_arrival = workload_.empty() ? 0.0 : workload_.back().submit_time;
+  s.live_jobs = static_cast<int>(s.jobs.size());
+  s.last_arrival = s.jobs.empty() ? 0.0 : s.jobs.back().record.spec.submit_time;
   // Open mode has no known last arrival yet: the run stays alive until
   // CloseSubmissions() converts the stop back to last_arrival + drain_limit.
   s.hard_stop = options_.open_workload ? std::numeric_limits<double>::infinity()
@@ -875,9 +859,6 @@ bool Simulator::InjectJob(JobSpec spec, std::string* error) {
   spec.submit_time = std::max(spec.submit_time, s.now);
 
   const size_t idx = s.jobs.size();
-  // workload_ and s.jobs stay index-aligned, exactly as EnsureStarted built
-  // them, so checkpoints taken mid-service round-trip unchanged.
-  workload_.push_back(spec);
   RunState::LiveJob job;
   job.record.spec = spec;
   s.jobs.push_back(std::move(job));
@@ -971,6 +952,13 @@ bool Simulator::QueryJob(JobId id, JobStatusInfo* info) {
   return true;
 }
 
+void Simulator::ForEachJob(const std::function<void(const JobRecord&)>& visit) {
+  EnsureStarted();
+  for (const RunState::LiveJob& job : state_->jobs) {
+    visit(job.record);
+  }
+}
+
 SimStateInfo Simulator::StateNow() {
   EnsureStarted();
   RunState& s = *state_;
@@ -1025,13 +1013,6 @@ std::string Simulator::SaveStateToBuffer() {
   s.rng.SaveState(writer);
   writer.EndSection();
 
-  // The full (sorted) workload doubles as the generator cursor: which jobs
-  // already arrived is implied by the event queue, and a resumed run never
-  // re-consults the generator.
-  writer.BeginSection("workload", kSnapshotVersion);
-  WalkWorkload(writer, workload_);
-  writer.EndSection();
-
   writer.BeginSection("faults", kSnapshotVersion);
   WalkFaults(writer, s);
   writer.EndSection();
@@ -1052,7 +1033,7 @@ std::string Simulator::SaveStateToBuffer() {
 
   // Registry aggregates, so a resumed run continues its counters instead of
   // restarting them at zero (the pre-registry RunMetrics plumbing lost
-  // counter state across ResumeFrom).
+  // counter state across TryResumeFrom).
   writer.BeginSection("obs", kSnapshotVersion);
   obs::MetricsRegistry::Global().SaveState(writer);
   writer.EndSection();
@@ -1072,40 +1053,35 @@ bool Simulator::WriteCheckpoint(const std::string& path, std::string* error) {
 }
 
 bool Simulator::TryRestoreStateFromBuffer(const std::string& buffer, std::string* error) {
-  const auto fail = [error](const std::string& message) {
-    if (error != nullptr) {
-      *error = message;
-    }
-    return false;
-  };
-
   // Borrowed: restore reads straight out of the caller's buffer (the twin
   // engine restores many forks from one live snapshot; no copy per fork).
   SnapshotReader reader(SnapshotReader::Borrowed{}, buffer);
   if (!reader.ok()) {
-    return fail(reader.error());
+    return FailWith(error, reader.error());
   }
 
   uint32_t version = 0;
   reader.BeginSection("meta", &version);
   if (reader.ok() && version != kSnapshotVersion) {
-    return fail("unsupported snapshot version " + std::to_string(version));
+    return FailWith(error, "unsupported snapshot version " + std::to_string(version));
   }
   CheckpointInfo meta;
   ReadMeta(reader, &meta);
   reader.EndSection();
   if (!reader.ok()) {
-    return fail(reader.error());
+    return FailWith(error, reader.error());
   }
   if (meta.cluster.num_groups() != cluster_.num_groups()) {
-    return fail("snapshot cluster has " + std::to_string(meta.cluster.num_groups()) +
-                " groups, this simulator has " + std::to_string(cluster_.num_groups()));
+    return FailWith(error, "snapshot cluster has " + std::to_string(meta.cluster.num_groups()) +
+                               " groups, this simulator has " +
+                               std::to_string(cluster_.num_groups()));
   }
   for (int g = 0; g < cluster_.num_groups(); ++g) {
     if (meta.cluster.group(g).node_count != cluster_.group(g).node_count) {
-      return fail("snapshot cluster group " + std::to_string(g) + " has " +
-                  std::to_string(meta.cluster.group(g).node_count) + " nodes, expected " +
-                  std::to_string(cluster_.group(g).node_count));
+      return FailWith(error, "snapshot cluster group " + std::to_string(g) + " has " +
+                                 std::to_string(meta.cluster.group(g).node_count) +
+                                 " nodes, expected " +
+                                 std::to_string(cluster_.group(g).node_count));
     }
   }
   // The simulation's options come from the snapshot; the local-run knobs
@@ -1121,11 +1097,6 @@ bool Simulator::TryRestoreStateFromBuffer(const std::string& buffer, std::string
 
   reader.BeginSection("rng");
   reader.Nested(s.rng);
-  reader.EndSection();
-
-  reader.BeginSection("workload");
-  std::vector<JobSpec> snap_workload;
-  WalkWorkload(reader, snap_workload);
   reader.EndSection();
 
   reader.BeginSection("faults");
@@ -1149,71 +1120,91 @@ bool Simulator::TryRestoreStateFromBuffer(const std::string& buffer, std::string
   }
   reader.EndSection();
   if (reader.ok()) {
-    CheckRestoredState(snap_workload, s, &reader);
+    CheckRestoredState(s, &reader);
   }
 
-  // Optional registry section (snapshots predating the registry lack it).
-  // Restore is absolute, so the resumed process continues the saved totals.
-  if (reader.ok() && reader.PeekSectionName() == "obs") {
-    reader.BeginSection("obs");
-    // A speculative fork shares the process-global registry with the live
-    // run; applying the section would clobber live totals. Consume it
-    // unapplied (EndSection skips the payload).
-    if (!options_.speculative) {
-      obs::MetricsRegistry::Global().RestoreState(reader);
+  // Registry totals. Restore is absolute, so the resumed process continues
+  // the saved totals. A speculative fork shares the process-global registry
+  // with the live run; applying the section would clobber live totals, so it
+  // is consumed unapplied (EndSection skips the payload).
+  reader.BeginSection("obs");
+  if (reader.ok() && !options_.speculative) {
+    obs::MetricsRegistry::Global().RestoreState(reader);
+  }
+  reader.EndSection();
+
+  for (size_t i = 0; i < s.jobs.size() && reader.ok(); ++i) {
+    if (!s.index_by_id.emplace(s.jobs[i].record.spec.id, i).second) {
+      reader.Fail("snapshot has duplicate job id " + std::to_string(s.jobs[i].record.spec.id));
     }
-    reader.EndSection();
   }
-
   if (!reader.ok()) {
-    return fail(reader.error());
-  }
-  for (size_t i = 0; i < s.jobs.size(); ++i) {
-    s.index_by_id.emplace(s.jobs[i].record.spec.id, i);
+    return FailWith(error, reader.error());
   }
 
-  // Commit the simulator, then hand the tail of the snapshot to the
-  // scheduler and the host.
-  options_ = std::move(snap_options);
-  workload_ = std::move(snap_workload);
-  state_ = std::move(state);
+  // The scheduler, its derivation hook (before the host: an advisor host
+  // re-predicts from the derived specs), then the host; the staged state is
+  // committed only once all of them succeed.
   scheduler_->RestoreState(reader);
-  if (!reader.ok()) {
-    return fail(reader.error());
-  }
-  if (extension_ != nullptr) {
-    extension_->RestoreState(reader);
-    if (!reader.ok()) {
-      return fail(reader.error());
+  if (reader.ok()) {
+    std::vector<const JobRecord*> live;
+    for (const RunState::LiveJob& job : s.jobs) {
+      if (job.arrived && (job.record.status == JobStatus::kPending ||
+                          job.record.status == JobStatus::kRunning)) {
+        live.push_back(&job.record);
+      }
     }
+    scheduler_->OnJobsRestored(live, reader);
   }
+  if (reader.ok() && extension_ != nullptr) {
+    extension_->RestoreState(reader);
+  }
+  if (!reader.ok()) {
+    return FailWith(error, reader.error());
+  }
+  options_ = std::move(snap_options);
+  state_ = std::move(state);
   return true;
 }
 
-void Simulator::CheckRestoredState(const std::vector<JobSpec>& workload, const RunState& s,
-                                   SnapshotReader* reader) const {
+void Simulator::CheckRestoredState(const RunState& s, SnapshotReader* reader) const {
   const size_t num_groups = static_cast<size_t>(cluster_.num_groups());
   const size_t num_faults = s.fault_schedule.node_events().size();
   // Step() indexes these by group, job index and fault index, requires a
   // monotone event clock, and schedules completions from the job specs.
   if (s.free_nodes.size() != num_groups || s.down.size() != num_groups ||
-      s.jobs.size() != workload.size() ||
       !std::is_heap(s.queue.begin(), s.queue.end(), std::greater<Event>())) {
-    reader->Fail("snapshot state does not match the cluster or the workload");
+    reader->Fail("snapshot state does not match the cluster");
     return;
   }
   std::string invalid;
   const auto in_groups = [&](int g) { return g >= 0 && static_cast<size_t>(g) < num_groups; };
-  for (size_t i = 0; i < s.jobs.size(); ++i) {
-    const JobRecord& rec = s.jobs[i].record;
-    if (!ValidateJobSpec(workload[i], cluster_, &invalid) ||
-        !ValidateJobSpec(rec.spec, cluster_, &invalid)) {
+  std::vector<int> occupied(num_groups, 0);
+  for (const RunState::LiveJob& job : s.jobs) {
+    const JobRecord& rec = job.record;
+    if (!ValidateJobSpec(rec.spec, cluster_, &invalid)) {
       reader->Fail("snapshot " + invalid);
       return;
     }
+    // A pending job holds no group; a running one arrived and started by
+    // the restored clock (a completion reports now - start_time).
+    const bool running = rec.status == JobStatus::kRunning;
     if ((rec.group != -1 && !in_groups(rec.group)) ||
-        (rec.status == JobStatus::kRunning && !in_groups(rec.group))) {
-      reader->Fail("snapshot job " + std::to_string(rec.spec.id) + " group out of range");
+        (rec.status == JobStatus::kPending && rec.group != -1) ||
+        (running && (!in_groups(rec.group) || !job.arrived || !(rec.start_time <= s.now)))) {
+      reader->Fail("snapshot job " + std::to_string(rec.spec.id) + " run state is inconsistent");
+      return;
+    }
+    if (running) {
+      occupied[static_cast<size_t>(rec.group)] += rec.spec.num_tasks;
+    }
+  }
+  // free_nodes[g] counts unoccupied nodes, crashed ones included; a crash
+  // evicts running gangs until its nodes are vacated.
+  for (size_t g = 0; g < num_groups; ++g) {
+    if (s.free_nodes[g] != cluster_.group(static_cast<int>(g)).node_count - occupied[g] ||
+        s.down[g] < 0 || s.down[g] > s.free_nodes[g]) {
+      reader->Fail("snapshot node ledger of group " + std::to_string(g) + " is inconsistent");
       return;
     }
   }
@@ -1245,11 +1236,6 @@ bool Simulator::TryResumeFrom(const std::string& path, std::string* error) {
 void Simulator::RestoreStateFromBuffer(const std::string& buffer) {
   std::string error;
   TS_CHECK_MSG(TryRestoreStateFromBuffer(buffer, &error), "snapshot restore failed: " << error);
-}
-
-void Simulator::ResumeFrom(const std::string& path) {
-  std::string error;
-  TS_CHECK_MSG(TryResumeFrom(path, &error), "resume failed: " << error);
 }
 
 bool Simulator::PeekCheckpoint(const std::string& path, CheckpointInfo* info,

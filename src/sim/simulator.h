@@ -15,6 +15,7 @@
 #define SRC_SIM_SIMULATOR_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -78,7 +79,7 @@ struct SimOptions {
 
   // Checkpoint cadence: every `checkpoint_every` completed scheduling cycles
   // Run() writes `<checkpoint_dir>/checkpoint_<cycle>.snap`. 0 disables.
-  // These knobs describe the *local* run, not the simulation: ResumeFrom
+  // These knobs describe the *local* run, not the simulation: a restore
   // keeps the caller's values rather than adopting the snapshot's.
   int64_t checkpoint_every = 0;
   std::string checkpoint_dir;
@@ -95,41 +96,6 @@ struct SimOptions {
   // knobs this describes the local run, not the simulation — it is never
   // serialized and restore keeps the caller's value.
   bool speculative = false;
-};
-
-enum class JobStatus {
-  kPending,
-  kRunning,
-  kCompleted,
-  kAbandoned,  // Scheduler gave up (zero achievable utility).
-  kUnfinished, // Still pending/running when the simulation stopped.
-};
-
-// One contiguous execution of a job's gang on a node group. Preempted jobs
-// have several runs; only the last can be `completed`.
-struct JobRun {
-  int group = -1;
-  Time start = kNever;
-  Time end = kNever;  // Completion, preemption, or the simulation stop.
-  bool completed = false;
-};
-
-struct JobRecord {
-  JobSpec spec;
-  JobStatus status = JobStatus::kPending;
-  Time start_time = kNever;       // Of the final (completing) run.
-  Time finish_time = kNever;
-  int group = -1;
-  int preemptions = 0;
-  // Runs of this job killed by faults (node crashes or injected task kills).
-  int fault_kills = 0;
-  // Machine-seconds of the run that completed (goodput contribution).
-  double completed_work = 0.0;
-  // Full occupancy history, including preempted runs (cluster space-time
-  // provenance; see metrics/timeline.h).
-  std::vector<JobRun> runs;
-
-  bool MissedDeadline() const;
 };
 
 // One executed cycle: its simulated time and telemetry.
@@ -257,9 +223,9 @@ class Simulator {
 
   // Read-only accessors (valid in both modes).
   bool QueryJob(JobId id, JobStatusInfo* info);
-  // Every job spec this run knows about, arrival-event index order (batch
-  // workload first, then injections). Scenario surge overlays sample this.
-  const std::vector<JobSpec>& workload() const { return workload_; }
+  // Visits every job record, arrival-event index order (batch workload
+  // first, then injections). Scenario surge overlays sample the specs.
+  void ForEachJob(const std::function<void(const JobRecord&)>& visit);
   SimStateInfo StateNow();
   Time now();
   bool drained();
@@ -271,9 +237,10 @@ class Simulator {
 
   // --- Checkpoint / restore -------------------------------------------------
   // The snapshot serializes the complete run state by module section:
-  //   meta, rng, workload, faults, sim, metrics, timing, sched [, predict]
+  //   meta, rng, faults, sim, metrics, timing, obs, sched [, predict] [, host]
   // ("timing" carries the wall-clock per-cycle solver/cycle seconds so every
-  // other section is bit-deterministic and diffable).
+  // other section is bit-deterministic and diffable). Each job's spec and
+  // run state is persisted once, in the "sim" section's job records.
   std::string SaveStateToBuffer();
   bool WriteCheckpoint(const std::string& path, std::string* error = nullptr);
 
@@ -281,12 +248,13 @@ class Simulator {
   // predictor) must be configured identically to the checkpointing run; the
   // snapshot's SimOptions are adopted except the local-run knobs
   // (checkpoint_every / checkpoint_dir / max_cycles), and the cluster shape
-  // is validated against cluster_. Try* returns false with `*error` set;
-  // the unchecked forms TS_CHECK-abort on a bad snapshot.
+  // is validated against cluster_. Try* returns false with `*error` set and
+  // this simulator untouched; the scheduler (then Scheduler::OnJobsRestored)
+  // and the extension restore in place, so a caller discards them on false.
+  // The unchecked form TS_CHECK-aborts on a bad snapshot.
   bool TryRestoreStateFromBuffer(const std::string& buffer, std::string* error = nullptr);
   bool TryResumeFrom(const std::string& path, std::string* error = nullptr);
   void RestoreStateFromBuffer(const std::string& buffer);
-  void ResumeFrom(const std::string& path);
 
   // Reads a snapshot's "meta" section only (no scheduler needed): the
   // cluster, options, and position a resuming caller must match.
@@ -305,13 +273,12 @@ class Simulator {
   // Restore-time consistency checks of a walked state against this
   // simulator's cluster; latches `reader`'s failure instead of letting a
   // CRC-valid but inconsistent snapshot abort a later Step().
-  void CheckRestoredState(const std::vector<JobSpec>& workload, const RunState& s,
-                          SnapshotReader* reader) const;
+  void CheckRestoredState(const RunState& s, SnapshotReader* reader) const;
   void MaybeCheckpoint();
 
   const ClusterConfig& cluster_;
   Scheduler* scheduler_;
-  std::vector<JobSpec> workload_;
+  std::vector<JobSpec> workload_;  // Constructor input; EnsureStarted consumes it.
   SimOptions options_;
   SimulatorStateExtension* extension_ = nullptr;
   std::unique_ptr<RunState> state_;

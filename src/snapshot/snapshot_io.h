@@ -35,7 +35,7 @@
 //
 // Layouts are written once. SnapshotWriter and SnapshotReader share one set
 // of field verbs (Double, Bool, String, VarInt, VarUint, Fixed64, Enum, Tag,
-// Nested, Seq, Map, Values); a type lists its fields once, in order, as
+// Nested, Seq, Map); a type lists its fields once, in order, as
 //
 //   template <typename Io, typename Self> static void Walk(Io& io, Self& self);
 //
@@ -149,15 +149,6 @@ class SnapshotWriter {
     WriteVarU64(entries.size());
     for (const auto* entry : entries) {
       each(entry->first, entry->second);
-    }
-  }
-  // A map whose key is a function of its value: count, then `each(value)`
-  // in key order; the reader rebuilds each key with `key_of(value)`.
-  template <typename M, typename KeyOf, typename F>
-  void Values(const M& m, KeyOf&& /*key_of*/, F&& each, size_t /*min_elem_bytes*/ = 1) {
-    WriteVarU64(m.size());
-    for (const auto& [key, value] : m) {
-      each(value);
     }
   }
 
@@ -289,18 +280,6 @@ class SnapshotReader {
       typename M::mapped_type value{};
       each(key, value);
       if (ok_) {
-        m.insert_or_assign(std::move(key), std::move(value));
-      }
-    }
-  }
-  template <typename M, typename KeyOf, typename F>
-  void Values(M& m, KeyOf&& key_of, F&& each, size_t min_elem_bytes = 1) {
-    m.clear();
-    for (uint64_t n = ReadVarCount(min_elem_bytes); n > 0 && ok_; --n) {
-      typename M::mapped_type value{};
-      each(value);
-      if (ok_) {
-        auto key = key_of(value);
         m.insert_or_assign(std::move(key), std::move(value));
       }
     }

@@ -167,16 +167,16 @@ void TwinFork::ApplyScenario() {
   // so the speculative arrival rate is ~surge x the recent live rate.
   if (scenario_.arrival_surge > 1.0) {
     const Time now = sim_->now();
-    // Copies, not pointers: each InjectJob below appends to the same workload
-    // vector these entries live in, which can reallocate it.
+    // Copies, not pointers: each InjectJob below appends to the simulator's
+    // job records these specs live in, which can reallocate them.
     std::vector<JobSpec> recent;
     JobId max_id = 0;
-    for (const JobSpec& spec : sim_->workload()) {
-      max_id = std::max(max_id, spec.id);
-      if (spec.submit_time > now - scenario_.surge_window && spec.submit_time <= now) {
-        recent.push_back(spec);
+    sim_->ForEachJob([&](const JobRecord& job) {
+      max_id = std::max(max_id, job.spec.id);
+      if (job.spec.submit_time > now - scenario_.surge_window && job.spec.submit_time <= now) {
+        recent.push_back(job.spec);
       }
-    }
+    });
     if (!recent.empty()) {
       const int clones = static_cast<int>(
           (scenario_.arrival_surge - 1.0) * static_cast<double>(recent.size()) + 0.5);

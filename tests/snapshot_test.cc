@@ -535,13 +535,16 @@ void Pretrain(SystemInstance& instance, const GeneratedWorkload& workload) {
   }
 }
 
-TEST(CheckpointResumeTest, ResumeAtRandomCyclesIsByteIdentical) {
+// Both checkpointing scheduler families: 3Sigma persists its own per-job
+// state beside the simulator's records, Prio only its pending order.
+void ExpectResumeAtRandomCyclesIsByteIdentical(SystemKind kind) {
+  SCOPED_TRACE(SystemName(kind));
   const ExperimentConfig config = CheckpointChaosConfig();
   const GeneratedWorkload workload =
       GenerateWorkload(config.cluster, config.workload);
 
   // Uninterrupted reference run.
-  SystemInstance reference = MakeSystem(SystemKind::kThreeSigma, config.cluster, config.sched);
+  SystemInstance reference = MakeSystem(kind, config.cluster, config.sched);
   Pretrain(reference, workload);
   Simulator ref_sim(config.cluster, reference.scheduler.get(), workload.jobs, config.sim);
   const SimResult ref_result = ref_sim.Run();
@@ -556,7 +559,7 @@ TEST(CheckpointResumeTest, ResumeAtRandomCyclesIsByteIdentical) {
     // Run a fresh system up to the checkpoint cycle, snapshot, and "kill" it.
     std::string buffer;
     {
-      SystemInstance doomed = MakeSystem(SystemKind::kThreeSigma, config.cluster, config.sched);
+      SystemInstance doomed = MakeSystem(kind, config.cluster, config.sched);
       Pretrain(doomed, workload);
       Simulator sim(config.cluster, doomed.scheduler.get(), workload.jobs, config.sim);
       while (sim.cycles_completed() < checkpoint_cycle) {
@@ -568,7 +571,7 @@ TEST(CheckpointResumeTest, ResumeAtRandomCyclesIsByteIdentical) {
 
     // Resume into a freshly built system. Pretraining again is deliberately
     // harmless — RestoreState replaces predictor histories wholesale.
-    SystemInstance resumed = MakeSystem(SystemKind::kThreeSigma, config.cluster, config.sched);
+    SystemInstance resumed = MakeSystem(kind, config.cluster, config.sched);
     Pretrain(resumed, workload);
     Simulator sim(config.cluster, resumed.scheduler.get(), {}, config.sim);
     sim.RestoreStateFromBuffer(buffer);
@@ -577,6 +580,12 @@ TEST(CheckpointResumeTest, ResumeAtRandomCyclesIsByteIdentical) {
 
     EXPECT_EQ(SimTrace(result), ref_trace)
         << "divergence after resuming at cycle " << checkpoint_cycle;
+  }
+}
+
+TEST(CheckpointResumeTest, ResumeAtRandomCyclesIsByteIdentical) {
+  for (const SystemKind kind : {SystemKind::kThreeSigma, SystemKind::kPrio}) {
+    ExpectResumeAtRandomCyclesIsByteIdentical(kind);
   }
 }
 
@@ -638,23 +647,33 @@ TEST(CheckpointResumeTest, GracefulRejection) {
 }
 
 TEST(CheckpointResumeTest, OtherSchedSectionVersionsFailSoft) {
-  // The 3Sigma scheduler reads only the current "sched" layout (v6); older
-  // and newer versions latch a reader error instead of being misread.
+  // Each scheduler reads only its current "sched" layout (3Sigma v7, Prio
+  // v2); older and newer versions latch a reader error instead of being
+  // misread.
   const ExperimentConfig config = CheckpointChaosConfig();
-  for (const uint32_t version : {4u, 5u, 7u}) {
-    SnapshotWriter writer;
-    writer.BeginSection("sched", version);
-    writer.WriteString("3sigma-sched");
-    writer.WriteVarU64(0);
-    writer.EndSection();
-    SnapshotReader reader(writer.Finish());
-    ASSERT_TRUE(reader.ok());
-    SystemInstance instance = MakeSystem(SystemKind::kThreeSigma, config.cluster, config.sched);
-    instance.scheduler->RestoreState(reader);
-    EXPECT_FALSE(reader.ok()) << "version " << version;
-    EXPECT_NE(reader.error().find("unsupported sched section version " + std::to_string(version)),
-              std::string::npos)
-        << reader.error();
+  const struct {
+    SystemKind kind;
+    const char* tag;
+    std::vector<uint32_t> versions;
+  } cases[] = {{SystemKind::kThreeSigma, "3sigma-sched", {5u, 6u, 8u}},
+               {SystemKind::kPrio, "prio", {1u, 3u}}};
+  for (const auto& c : cases) {
+    for (const uint32_t version : c.versions) {
+      SnapshotWriter writer;
+      writer.BeginSection("sched", version);
+      writer.WriteString(c.tag);
+      writer.WriteVarU64(0);
+      writer.EndSection();
+      SnapshotReader reader(writer.Finish());
+      ASSERT_TRUE(reader.ok());
+      SystemInstance instance = MakeSystem(c.kind, config.cluster, config.sched);
+      instance.scheduler->RestoreState(reader);
+      EXPECT_FALSE(reader.ok()) << c.tag << " version " << version;
+      EXPECT_NE(
+          reader.error().find("unsupported sched section version " + std::to_string(version)),
+          std::string::npos)
+          << reader.error();
+    }
   }
 }
 
@@ -700,7 +719,7 @@ TEST(SnapshotDeathTest, BadCrcSnapshotAborts) {
 // restore-time checks stand between the bytes and the simulator. Every
 // mutant must either be refused by TryRestoreStateFromBuffer or restore into
 // a state that steps without aborting.
-TEST(CheckpointFuzzTest, CrcValidMutationsFailSoftOrStep) {
+void ExpectCrcValidMutationsFailSoftOrStep(uint64_t seed, int trials) {
   ExperimentConfig config = CheckpointChaosConfig();
   const GeneratedWorkload workload = GenerateWorkload(config.cluster, config.workload);
   std::string buffer;
@@ -714,10 +733,9 @@ TEST(CheckpointFuzzTest, CrcValidMutationsFailSoftOrStep) {
     buffer = sim.SaveStateToBuffer();
   }
 
-  Rng rng(77);
+  Rng rng(seed);
   int restored = 0;
-  constexpr int kTrials = 600;
-  for (int trial = 0; trial < kTrials; ++trial) {
+  for (int trial = 0; trial < trials; ++trial) {
     std::string mutant = buffer;
     const int64_t last = static_cast<int64_t>(mutant.size()) - 5;
     for (int k = 0; k < 4; ++k) {
@@ -739,9 +757,26 @@ TEST(CheckpointFuzzTest, CrcValidMutationsFailSoftOrStep) {
   }
   // Most mutations land in doubles and restore fine; the loop above must
   // have exercised the stepping path, not only the rejections.
-  EXPECT_GT(restored, kTrials / 4);
+  EXPECT_GT(restored, trials / 4);
   obs::ResetAll();
 }
+
+TEST(CheckpointFuzzTest, CrcValidMutationsFailSoftOrStep) {
+  ExpectCrcValidMutationsFailSoftOrStep(77, 600);
+}
+
+// The same property over more seeds and trials (label "property"), enough
+// to reach mutants whose "sim" and "sched" sections disagree about a job.
+class CheckpointFuzzSeedTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(CheckpointFuzzSeedTest, CrcValidMutationsFailSoftOrStep) {
+  ExpectCrcValidMutationsFailSoftOrStep(GetParam(), 1500);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CheckpointFuzzSeedTest, ::testing::Range<uint64_t>(78, 87),
+                         [](const ::testing::TestParamInfo<uint64_t>& seed) {
+                           return "seed" + std::to_string(seed.param);
+                         });
 
 }  // namespace
 }  // namespace threesigma

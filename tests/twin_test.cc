@@ -550,6 +550,7 @@ TEST_F(TwinForkTest, AppliedSpecWithRemovedKeyFailsRestoreSoft) {
     TwinHost reader_host(&target_engine, "");
     target.SetStateExtension(&reader_host);
     error.clear();
+    const uint64_t cycles_before = target.cycles_completed();
     const bool restored = target.TryRestoreStateFromBuffer(buffer, &error);
     target.SetStateExtension(nullptr);
     if (!old_key) {
@@ -559,6 +560,9 @@ TEST_F(TwinForkTest, AppliedSpecWithRemovedKeyFailsRestoreSoft) {
     EXPECT_FALSE(restored);
     EXPECT_NE(error.find("unknown scenario key: solver_threads"), std::string::npos) << error;
     EXPECT_FALSE(target_engine.advisor_state().has_applied_config);
+    // The simulator is committed only after the extension restored: a
+    // failed restore leaves it as it was.
+    EXPECT_EQ(target.cycles_completed(), cycles_before);
   }
 }
 
