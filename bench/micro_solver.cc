@@ -39,7 +39,7 @@ void BM_MilpSchedulerShaped(benchmark::State& state) {
   options.max_nodes = 6;
   options.time_limit_seconds = 0.1;
   for (auto _ : state) {
-    MilpSolver solver(model, int_vars);
+    MilpSolver solver(LpCore(model), int_vars);
     const MilpSolution sol = solver.Solve(options);
     benchmark::DoNotOptimize(sol.objective);
   }
@@ -53,7 +53,7 @@ void BM_MilpWarmStart(benchmark::State& state) {
   Rng rng(42);
   std::vector<int> int_vars;
   const LpModel model = SchedulerShapedModel(32, 12, 24, rng, &int_vars);
-  MilpSolver solver(model, int_vars);
+  MilpSolver solver(LpCore(model), int_vars);
   MilpOptions cold;
   cold.max_nodes = 40;
   const MilpSolution reference = solver.Solve(cold);
@@ -63,7 +63,7 @@ void BM_MilpWarmStart(benchmark::State& state) {
     options.warm_start = reference.values;
   }
   for (auto _ : state) {
-    MilpSolver s(model, int_vars);
+    MilpSolver s(LpCore(model), int_vars);
     const MilpSolution sol = s.Solve(options);
     benchmark::DoNotOptimize(sol.objective);
   }
@@ -91,7 +91,7 @@ void BM_BnbNodeStreamBasis(benchmark::State& state) {
   int64_t pivots = 0, ftran = 0, btran = 0, refactor = 0;
   int64_t dual = 0, warm_nodes = 0, replays = 0;
   for (auto _ : state) {
-    MilpSolver solver(model, int_vars);
+    MilpSolver solver(LpCore(model), int_vars);
     const MilpSolution sol = solver.Solve(options);
     pivots += sol.lp_iterations;
     ftran += sol.ftran_count;

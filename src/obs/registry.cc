@@ -174,18 +174,6 @@ void MetricsRegistry::WriteText(std::ostream& os) const {
 
 namespace {
 
-// The registry's persisted form: every metric's aggregate, in name order.
-struct RegistryImage {
-  struct HistogramImage {
-    std::string name;
-    std::vector<double> edges;
-    std::vector<int64_t> counts;
-  };
-  std::vector<std::pair<std::string, int64_t>> counters;
-  std::vector<std::pair<std::string, double>> gauges;
-  std::vector<HistogramImage> histograms;
-};
-
 template <typename Io, typename Image>
 void WalkImage(Io& io, Image& image) {
   io.Seq(image.counters, [&](auto& c) {
@@ -222,28 +210,27 @@ void MetricsRegistry::SaveState(SnapshotWriter& writer) const {
   WalkImage(writer, image);
 }
 
-void MetricsRegistry::RestoreState(SnapshotReader& reader) {
+RegistryImage MetricsRegistry::ReadState(SnapshotReader& reader) const {
   RegistryImage image;
   WalkImage(reader, image);
   // GetHistogram aborts on edges that differ from a registered histogram's,
   // and the Histogram constructor on empty or unsorted edges.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const std::string* previous = nullptr;
-    for (const RegistryImage::HistogramImage& h : image.histograms) {
-      const auto it = histograms_.find(h.name);
-      if (h.edges.empty() || !std::is_sorted(h.edges.begin(), h.edges.end()) ||
-          (it != histograms_.end() && it->second->edges() != h.edges) ||
-          (previous != nullptr && h.name <= *previous)) {
-        reader.Fail("histogram " + h.name + " does not match this registry");
-        return;
-      }
-      previous = &h.name;
+  std::lock_guard<std::mutex> lock(mu_);
+  const std::string* previous = nullptr;
+  for (const RegistryImage::HistogramImage& h : image.histograms) {
+    const auto it = histograms_.find(h.name);
+    if (h.edges.empty() || !std::is_sorted(h.edges.begin(), h.edges.end()) ||
+        (it != histograms_.end() && it->second->edges() != h.edges) ||
+        (previous != nullptr && h.name <= *previous)) {
+      reader.Fail("histogram " + h.name + " does not match this registry");
+      break;
     }
+    previous = &h.name;
   }
-  if (!reader.ok()) {
-    return;
-  }
+  return image;
+}
+
+void MetricsRegistry::ApplyState(const RegistryImage& image) {
   for (const auto& [name, value] : image.counters) {
     GetCounter(name)->Set(value);
   }
@@ -258,6 +245,13 @@ void MetricsRegistry::RestoreState(SnapshotReader& reader) {
     for (size_t b = 0; b < h.counts.size() && b < histogram->base_.size(); ++b) {
       histogram->base_[b].store(h.counts[b], std::memory_order_relaxed);
     }
+  }
+}
+
+void MetricsRegistry::RestoreState(SnapshotReader& reader) {
+  const RegistryImage image = ReadState(reader);
+  if (reader.ok()) {
+    ApplyState(image);
   }
 }
 

@@ -36,6 +36,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/obs/speculative.h"
@@ -140,6 +141,18 @@ class Histogram {
   std::vector<std::atomic<int64_t>> base_;
 };
 
+// The registry's persisted form: every metric's aggregate, in name order.
+struct RegistryImage {
+  struct HistogramImage {
+    std::string name;
+    std::vector<double> edges;
+    std::vector<int64_t> counts;
+  };
+  std::vector<std::pair<std::string, int64_t>> counters;
+  std::vector<std::pair<std::string, double>> gauges;
+  std::vector<HistogramImage> histograms;
+};
+
 class MetricsRegistry {
  public:
   static MetricsRegistry& Global();
@@ -159,8 +172,15 @@ class MetricsRegistry {
   void WriteText(std::ostream& os) const;
 
   // Snapshot payload (no section framing; the caller owns the section).
-  // Restore Set()s absolute values, creating metrics as needed.
+  // Restore Set()s absolute values, creating metrics as needed. It runs in
+  // two steps, so a caller can stage the payload and apply it only once the
+  // rest of its restore has succeeded: ReadState reads and validates it
+  // without touching the registry (failing `reader` soft on a histogram the
+  // registry cannot take), and ApplyState installs a validated image.
+  // RestoreState is the two in a row.
   void SaveState(SnapshotWriter& writer) const;
+  RegistryImage ReadState(SnapshotReader& reader) const;
+  void ApplyState(const RegistryImage& image);
   void RestoreState(SnapshotReader& reader);
 
   // Point-in-time aggregate of every counter, sorted by name (tests).

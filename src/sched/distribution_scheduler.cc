@@ -515,8 +515,11 @@ CycleResult DistributionScheduler::RunCycle(Time now, const ClusterStateView& st
   std::vector<JobId> considered;
   {
     TS_OBS_SPAN("sched.select", obs::Phase::kSelect);
-    std::vector<JobId> slo;
-    std::vector<JobId> be;
+    // (key, id) pairs compared by key only: std::sort sees the comparisons
+    // a comparator reading the key out of jobs_ would, so the order is the
+    // same without a map lookup per comparison.
+    std::vector<std::pair<Time, JobId>> slo;  // (deadline, id)
+    std::vector<std::pair<Time, JobId>> be;   // (submit time, id)
     for (JobId id : pending_) {
       JobInfo& info = jobs_.at(id);
       // A job whose utility is already zero for *any* completion time can
@@ -525,18 +528,21 @@ CycleResult DistributionScheduler::RunCycle(Time now, const ClusterStateView& st
         result.abandon.push_back(id);
         continue;
       }
-      (info.spec.is_slo() ? slo : be).push_back(id);
+      if (info.spec.is_slo()) {
+        slo.emplace_back(info.spec.deadline, id);
+      } else {
+        be.emplace_back(info.spec.submit_time, id);
+      }
     }
-    std::sort(slo.begin(), slo.end(), [&](JobId a, JobId b) {
-      return jobs_.at(a).spec.deadline < jobs_.at(b).spec.deadline;
-    });
-    std::sort(be.begin(), be.end(), [&](JobId a, JobId b) {
-      return jobs_.at(a).spec.submit_time < jobs_.at(b).spec.submit_time;
-    });
-    for (JobId id : slo) {
+    const auto by_key = [](const std::pair<Time, JobId>& a, const std::pair<Time, JobId>& b) {
+      return a.first < b.first;
+    };
+    std::sort(slo.begin(), slo.end(), by_key);
+    std::sort(be.begin(), be.end(), by_key);
+    for (const auto& [key, id] : slo) {
       considered.push_back(id);
     }
-    for (JobId id : be) {
+    for (const auto& [key, id] : be) {
       considered.push_back(id);
     }
     if (static_cast<int>(considered.size()) > config_.max_pending_considered) {
@@ -564,13 +570,23 @@ CycleResult DistributionScheduler::RunCycle(Time now, const ClusterStateView& st
     // the per-job staging arena (value_stage_), stable for the cycle.
     const double* cons = nullptr;
     int cons_len = 0;
+    int demand_row = -1;
     int var = -1;  // MILP indicator variable.
   };
   std::vector<Option> options;
-  // Remaining expected capacity per (group, slot). Supply is the *available*
-  // node count (nominal minus crashed nodes) so fault churn shrinks what the
-  // MILP may hand out; with no faults this equals the nominal count.
-  std::vector<std::vector<double>> cap(num_groups, std::vector<double>(slots));
+  // A job with at least one option and its options' range; its demand row
+  // is its rank in job-id order.
+  struct DemandRow {
+    JobId job;
+    JobInfo* info;
+    size_t begin, end;
+  };
+  std::vector<DemandRow> demand;
+  // Remaining expected capacity per (group, slot), at g * slots + slot.
+  // Supply is the *available* node count (nominal minus crashed nodes) so
+  // fault churn shrinks what the MILP may hand out; with no faults this
+  // equals the nominal count.
+  std::vector<double> cap(static_cast<size_t>(num_groups * slots));
   {
   TS_OBS_SPAN("sched.value", obs::Phase::kValuation);
 
@@ -586,6 +602,10 @@ CycleResult DistributionScheduler::RunCycle(Time now, const ClusterStateView& st
     JobValuation& staged = value_stage_[static_cast<size_t>(i)];
     JobInfo& info = jobs_.at(id);
     ValueJobOptions(info, now, &counters, &staged);
+    if (!staged.options.empty()) {
+      const size_t begin = options.size();
+      demand.push_back(DemandRow{id, &info, begin, begin + staged.options.size()});
+    }
     for (const ValuedOption& vo : staged.options) {
       Option opt;
       opt.job = id;
@@ -605,79 +625,86 @@ CycleResult DistributionScheduler::RunCycle(Time now, const ClusterStateView& st
   for (int g = 0; g < num_groups; ++g) {
     const double supply = state.AvailableNodes(g);
     for (int i = 0; i < slots; ++i) {
-      cap[g][i] = supply - consumed_[static_cast<size_t>(g)][static_cast<size_t>(i)];
+      cap[static_cast<size_t>(g * slots + i)] =
+          supply - consumed_[static_cast<size_t>(g)][static_cast<size_t>(i)];
     }
   }
   }  // sched.value span.
 
-  // --- 4. MILP compilation (§4.3.3). ---------------------------------------
-  LpModel model;
+  // --- 4. MILP compilation (§4.3.3), straight into the solver's core. ----
+  // Columns: the options in order, then the preemption candidates. Rows: the
+  // demand rows in job-id order, then the capacity rows that carry an entry,
+  // by key g * slots + slot. A column's entries (its demand row, then its
+  // capacity rows by ascending key) thus ascend by row.
+  LpCore core;
   std::vector<int> preempt_vars(preemptables.size(), -1);
-  // Row keys, in row order: demand rows (by job), then capacity rows (by
-  // g * slots + i).
-  std::vector<JobInfo*> demand_jobs;
-  std::vector<int> capacity_keys;
+  std::vector<int> capacity_keys;  // In row order.
   {
   TS_OBS_SPAN("sched.build", obs::Phase::kBuild);
-  // capacity_terms[g][i]: accumulating LHS of the capacity row.
-  std::vector<std::vector<std::vector<LpTerm>>> capacity_terms(
-      num_groups, std::vector<std::vector<LpTerm>>(slots));
-  struct DemandRow {
-    JobInfo* info = nullptr;
-    std::vector<int> vars;
-  };
-  std::map<JobId, DemandRow> job_vars;
-  for (Option& opt : options) {
-    opt.var = model.AddVariable(0.0, 1.0, opt.eu);
-    DemandRow& demand = job_vars[opt.job];
-    demand.info = opt.info;
-    demand.vars.push_back(opt.var);
+  // The capacity row of each key, -1 where the row is empty (the count pass
+  // marks a used key 0 until the rows are numbered).
+  std::vector<int> capacity_row(static_cast<size_t>(num_groups * slots), -1);
+  std::sort(demand.begin(), demand.end(),
+            [](const DemandRow& a, const DemandRow& b) { return a.job < b.job; });
+  // Count pass: mark every capacity row an option consumes from or a
+  // preemption credits back to (§4.3.5).
+  for (const Option& opt : options) {
     for (int d = 0; d < opt.cons_len; ++d) {
       if (opt.cons[d] > 1e-9) {
-        capacity_terms[opt.group][opt.slot + d].push_back(LpTerm{opt.var, opt.cons[d]});
+        capacity_row[static_cast<size_t>(opt.group * slots + opt.slot + d)] = 0;
+      }
+    }
+  }
+  for (const PreemptCandidate& cand : preemptables) {
+    for (int i = 0; i < slots; ++i) {
+      if (cand.k * cand.survival[i] > 1e-9) {
+        capacity_row[static_cast<size_t>(cand.group * slots + i)] = 0;
       }
     }
   }
 
+  LpCoreBuilder builder;
+  // Demand rows: at most one option per job.
+  for (size_t r = 0; r < demand.size(); ++r) {
+    const int row = builder.NewRow(RowSense::kLessEqual, 1.0);
+    for (size_t o = demand[r].begin; o < demand[r].end; ++o) {
+      options[o].demand_row = row;
+    }
+  }
+  // Capacity rows (Eq. 3).
+  for (size_t key = 0; key < capacity_row.size(); ++key) {
+    if (capacity_row[key] >= 0) {
+      capacity_row[key] = builder.NewRow(RowSense::kLessEqual, cap[key]);
+      capacity_keys.push_back(static_cast<int>(key));
+    }
+  }
+  for (Option& opt : options) {
+    opt.var = builder.NewColumn(0.0, 1.0, opt.eu);
+    builder.AddEntry(opt.demand_row, 1.0);
+    for (int d = 0; d < opt.cons_len; ++d) {
+      if (opt.cons[d] > 1e-9) {
+        builder.AddEntry(capacity_row[static_cast<size_t>(opt.group * slots + opt.slot + d)],
+                         opt.cons[d]);
+      }
+    }
+  }
   // Preemption variables: credit the victim's expected consumption back to
   // capacity, pay its cost in the objective (§4.3.5).
   for (size_t p = 0; p < preemptables.size(); ++p) {
     const PreemptCandidate& cand = preemptables[p];
-    const int var = model.AddVariable(0.0, 1.0, -cand.cost);
-    preempt_vars[p] = var;
+    preempt_vars[p] = builder.NewColumn(0.0, 1.0, -cand.cost);
     for (int i = 0; i < slots; ++i) {
       const double credit = cand.k * cand.survival[i];
       if (credit > 1e-9) {
-        capacity_terms[cand.group][i].push_back(LpTerm{var, -credit});
+        builder.AddEntry(capacity_row[static_cast<size_t>(cand.group * slots + i)], -credit);
       }
     }
   }
-
-  // Demand rows: at most one option per job.
-  demand_jobs.reserve(job_vars.size());
-  for (const auto& [id, demand] : job_vars) {
-    std::vector<LpTerm> terms;
-    terms.reserve(demand.vars.size());
-    for (int v : demand.vars) {
-      terms.push_back(LpTerm{v, 1.0});
-    }
-    model.AddRow(RowSense::kLessEqual, 1.0, std::move(terms));
-    demand_jobs.push_back(demand.info);
-  }
-  // Capacity rows (Eq. 3).
-  for (int g = 0; g < num_groups; ++g) {
-    for (int i = 0; i < slots; ++i) {
-      if (capacity_terms[g][i].empty()) {
-        continue;
-      }
-      model.AddRow(RowSense::kLessEqual, cap[g][i], std::move(capacity_terms[g][i]));
-      capacity_keys.push_back(g * slots + i);
-    }
-  }
+  core = builder.Build();
   }  // sched.build span.
 
-  result.milp_variables = model.num_variables();
-  result.milp_rows = model.num_rows();
+  result.milp_variables = core.num_variables;
+  result.milp_rows = core.num_rows;
 
   if (options.empty()) {
     result.cycle_seconds = SecondsSince(cycle_start);
@@ -685,7 +712,7 @@ CycleResult DistributionScheduler::RunCycle(Time now, const ClusterStateView& st
   }
 
   // Warm start: re-propose last cycle's plan (§4.3.6's seeding).
-  std::vector<double> warm(model.num_variables(), 0.0);
+  std::vector<double> warm(static_cast<size_t>(core.num_variables), 0.0);
   bool any_warm = false;
   std::vector<int> int_vars;
   {
@@ -724,7 +751,7 @@ CycleResult DistributionScheduler::RunCycle(Time now, const ClusterStateView& st
   // basic count, and starts from whatever mix of feasibility this leaves.
   if (!capacity_status_.empty()) {
     std::vector<BasisStatus>& status = milp_options.root_basis.status;
-    status.reserve(static_cast<size_t>(model.num_variables() + model.num_rows()));
+    status.reserve(static_cast<size_t>(core.num_variables + core.num_rows));
     for (const Option& opt : options) {
       const JobInfo& info = *opt.info;
       status.push_back(info.basis_epoch == basis_epoch_
@@ -735,27 +762,27 @@ CycleResult DistributionScheduler::RunCycle(Time now, const ClusterStateView& st
       status.push_back(cand.info->basis_epoch == basis_epoch_ ? cand.info->preempt_status
                                                               : BasisStatus::kAtLower);
     }
-    for (const JobInfo* info : demand_jobs) {
-      status.push_back(info->basis_epoch == basis_epoch_ ? info->demand_status
-                                                         : BasisStatus::kBasic);
+    for (const DemandRow& d : demand) {
+      status.push_back(d.info->basis_epoch == basis_epoch_ ? d.info->demand_status
+                                                           : BasisStatus::kBasic);
     }
     for (const int key : capacity_keys) {
       status.push_back(capacity_status_[static_cast<size_t>(key)]);
     }
-    TS_CHECK_EQ(status.size(), static_cast<size_t>(model.num_variables() + model.num_rows()));
+    TS_CHECK_EQ(status.size(), static_cast<size_t>(core.num_variables + core.num_rows));
   }
+  MilpSolver solver(std::move(core), std::move(int_vars));
   const auto solve_start = std::chrono::steady_clock::now();
   MilpSolution solution;
   {
     TS_OBS_SPAN("sched.solve", obs::Phase::kSolve);
-    MilpSolver solver(model, int_vars);
     solution = solver.Solve(milp_options);
   }
   result.solver_seconds = SecondsSince(solve_start);
   if (!solution.root_basis.empty()) {
     if (config_.crosscheck) {
       // The root, warm or cold, must reach a cold re-solve's optimum.
-      const LpSolution cold = SolveLp(model);
+      const LpSolution cold = SolveLp(solver.core());
       TS_CHECK(cold.status == LpStatus::kOptimal);
       TS_CHECK_MSG(std::fabs(solution.root_objective - cold.objective) <=
                        1e-9 * std::max(1.0, std::fabs(cold.objective)),
@@ -782,9 +809,9 @@ CycleResult DistributionScheduler::RunCycle(Time now, const ClusterStateView& st
       keyed(*preemptables[p].info).preempt_status =
           status[static_cast<size_t>(preempt_vars[p])];
     }
-    size_t row = static_cast<size_t>(model.num_variables());
-    for (JobInfo* info : demand_jobs) {
-      keyed(*info).demand_status = status[row++];
+    size_t row = static_cast<size_t>(solver.core().num_variables);
+    for (const DemandRow& d : demand) {
+      keyed(*d.info).demand_status = status[row++];
     }
     capacity_status_.assign(static_cast<size_t>(num_groups * slots), BasisStatus::kBasic);
     for (const int key : capacity_keys) {

@@ -157,10 +157,15 @@ double ValuationEngine::ExpectedUtility(const ValuationTables& t, const UtilityF
       break;
     }
     case UtilityFunction::Kind::kLinear: {
-      // No prefix shortcut (the 0.02 floor keeps every term positive), but
-      // the direct call replaces the std::function indirection per atom.
+      // No prefix shortcut (the 0.02 floor keeps every term positive).
+      // ValueAtCompletion's kLinear branch, inline: the same operations in
+      // the same order, so each term is bit for bit the generic one.
+      const double origin = u.start();
+      const double window = u.window();
+      const double peak = u.peak_value();
       for (size_t k = 0; k < t.size(); ++k) {
-        eu += u.ValueAtCompletion(start + t.value[k]) * t.prob[k];
+        const double elapsed = std::max(start + t.value[k] - origin, 0.0);
+        eu += peak * std::max(0.02, 1.0 - elapsed / window) * t.prob[k];
       }
       break;
     }

@@ -35,8 +35,9 @@
 //               utility reaches 0.0 (it is monotone non-increasing, so all
 //               later generic terms are +0.0 no-ops).
 //   kLinear:    a per-atom replay of the whole array — no prefix shortcut
-//               exists, but the devirtualized direct call still beats the
-//               std::function loop and the per-cycle Scaled() allocation.
+//               exists — with the utility's linear decay evaluated inline
+//               (ValueAtCompletion's operations, in its order) instead of
+//               one out-of-line call per atom.
 // Survival(t) = 1.0 − prefix_mass[idx] with idx from a partition_point using
 // CdfAtMost's inclusion predicate !(value > t) — which also replicates its
 // NaN behavior (the break never fires, so all mass is included).

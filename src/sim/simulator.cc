@@ -1123,13 +1123,16 @@ bool Simulator::TryRestoreStateFromBuffer(const std::string& buffer, std::string
     CheckRestoredState(s, &reader);
   }
 
-  // Registry totals. Restore is absolute, so the resumed process continues
-  // the saved totals. A speculative fork shares the process-global registry
-  // with the live run; applying the section would clobber live totals, so it
-  // is consumed unapplied (EndSection skips the payload).
+  // Registry totals, staged here and applied at commit. Restore is absolute,
+  // so the resumed process continues the saved totals. A speculative fork
+  // shares the process-global registry with the live run; applying the
+  // section would clobber live totals, so it is consumed unapplied
+  // (EndSection skips the payload).
+  const bool apply_obs = !options_.speculative;
+  obs::RegistryImage registry;
   reader.BeginSection("obs");
-  if (reader.ok() && !options_.speculative) {
-    obs::MetricsRegistry::Global().RestoreState(reader);
+  if (reader.ok() && apply_obs) {
+    registry = obs::MetricsRegistry::Global().ReadState(reader);
   }
   reader.EndSection();
 
@@ -1161,6 +1164,9 @@ bool Simulator::TryRestoreStateFromBuffer(const std::string& buffer, std::string
   }
   if (!reader.ok()) {
     return FailWith(error, reader.error());
+  }
+  if (apply_obs) {
+    obs::MetricsRegistry::Global().ApplyState(registry);
   }
   options_ = std::move(snap_options);
   state_ = std::move(state);

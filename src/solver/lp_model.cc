@@ -6,6 +6,18 @@
 
 namespace threesigma {
 
+bool RowSatisfied(RowSense sense, double lhs, double rhs, double tol) {
+  switch (sense) {
+    case RowSense::kLessEqual:
+      return !(lhs > rhs + tol);
+    case RowSense::kGreaterEqual:
+      return !(lhs < rhs - tol);
+    case RowSense::kEqual:
+      return !(std::fabs(lhs - rhs) > tol);
+  }
+  return true;
+}
+
 int LpModel::AddVariable(double lower, double upper, double objective, std::string name) {
   TS_CHECK_LE(lower, upper);
   lower_.push_back(lower);
@@ -82,22 +94,8 @@ bool LpModel::IsFeasible(const std::vector<double>& x, double tol) const {
     for (const LpTerm& t : row.terms) {
       lhs += t.coeff * x[t.var];
     }
-    switch (row.sense) {
-      case RowSense::kLessEqual:
-        if (lhs > row.rhs + tol) {
-          return false;
-        }
-        break;
-      case RowSense::kGreaterEqual:
-        if (lhs < row.rhs - tol) {
-          return false;
-        }
-        break;
-      case RowSense::kEqual:
-        if (std::fabs(lhs - row.rhs) > tol) {
-          return false;
-        }
-        break;
+    if (!RowSatisfied(row.sense, lhs, row.rhs, tol)) {
+      return false;
     }
   }
   return true;

@@ -3,8 +3,8 @@
 // 3σSched compiles each scheduling cycle into a 0/1 MILP (§4.3.3): one binary
 // indicator per placement option, at-most-one-option demand rows per job, and
 // expected-capacity rows per (resource group, time slot). LpModel is the
-// shared representation consumed by both the simplex LP solver and the
-// branch-and-bound MILP solver.
+// row-wise builder that tests and the synthetic generators use; the solvers
+// run on its LpCore (simplex.h), which the scheduler emits directly.
 //
 // Conventions: the objective is always MAXIMIZED; variables have explicit
 // [lower, upper] bounds (use kLpInfinity for unbounded).
@@ -36,6 +36,10 @@ struct LpRow {
   std::vector<LpTerm> terms;
   std::string name;
 };
+
+// True when a row with activity `lhs` meets its sense and right-hand side
+// within `tol` (LpModel::IsFeasible and LpCore::IsFeasible).
+bool RowSatisfied(RowSense sense, double lhs, double rhs, double tol);
 
 class LpModel {
  public:

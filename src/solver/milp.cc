@@ -80,14 +80,14 @@ void RecordLpCounters(const LpSolution& result) {
 
 }  // namespace
 
-MilpSolver::MilpSolver(const LpModel& model, std::vector<int> integer_vars)
-    : model_(model), integer_vars_(std::move(integer_vars)), core_(model) {
+MilpSolver::MilpSolver(LpCore core, std::vector<int> integer_vars)
+    : core_(std::move(core)), integer_vars_(std::move(integer_vars)) {
   for (int v : integer_vars_) {
     TS_CHECK_GE(v, 0);
-    TS_CHECK_LT(v, model_.num_variables());
+    TS_CHECK_LT(v, core_.num_variables);
   }
-  for (const LpRow& row : model_.rows()) {
-    all_rows_le_ = all_rows_le_ && row.sense == RowSense::kLessEqual;
+  for (int r = 0; r < core_.num_rows; ++r) {
+    all_rows_le_ = all_rows_le_ && core_.row_sense(r) == RowSense::kLessEqual;
   }
 }
 
@@ -107,19 +107,14 @@ bool MilpSolver::GreedyRound(const std::vector<double>& relaxed, std::vector<dou
   for (int v : integer_vars_) {
     const double floor_v = std::floor(relaxed[v] + 1e-9);
     x[v] = floor_v;
-    const double target = std::min(std::ceil(relaxed[v] - 1e-9), model_.upper(v));
-    if (target - floor_v > 0.0 && model_.objective(v) >= 0.0) {
-      order.push_back(RoundCandidate{relaxed[v] - floor_v, model_.objective(v), v, target});
+    const double target = std::min(std::ceil(relaxed[v] - 1e-9), core_.upper[v]);
+    if (target - floor_v > 0.0 && core_.objective[v] >= 0.0) {
+      order.push_back(RoundCandidate{relaxed[v] - floor_v, core_.objective[v], v, target});
     }
   }
   // Row activities for the floored point.
   std::vector<double>& activity = round_activity_;
-  activity.assign(static_cast<size_t>(model_.num_rows()), 0.0);
-  for (int r = 0; r < model_.num_rows(); ++r) {
-    for (const LpTerm& t : model_.row(r).terms) {
-      activity[static_cast<size_t>(r)] += t.coeff * x[t.var];
-    }
-  }
+  core_.RowActivities(x, &activity);
   // Try raising the candidates toward their relaxed value, most-fractional
   // and highest-objective first; the index makes the order total, so it does
   // not depend on which variables were filtered out.
@@ -157,7 +152,7 @@ bool MilpSolver::GreedyRound(const std::vector<double>& relaxed, std::vector<dou
           core_.col_value[static_cast<size_t>(k)] * delta;
     }
   }
-  if (!model_.IsFeasible(x)) {
+  if (!core_.IsFeasible(x)) {
     return false;
   }
   *out = std::move(x);
@@ -198,7 +193,7 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
   double best_obj = 0.0;
   std::string best_id = "~";  // Sorts after every tree id.
   if (!options.warm_start.empty() &&
-      static_cast<int>(options.warm_start.size()) == model_.num_variables()) {
+      static_cast<int>(options.warm_start.size()) == core_.num_variables) {
     bool integral = true;
     for (int v : integer_vars_) {
       if (!IsIntegral(options.warm_start[v], kIntegralityTol)) {
@@ -206,9 +201,9 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
         break;
       }
     }
-    if (integral && model_.IsFeasible(options.warm_start)) {
+    if (integral && core_.IsFeasible(options.warm_start)) {
       best = options.warm_start;
-      best_obj = model_.ObjectiveValue(best);
+      best_obj = core_.ObjectiveValue(best);
       have_incumbent = true;
       result.warm_start_returned = true;
     }
@@ -388,8 +383,8 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
         for (int v : integer_vars_) {
           snapped[v] = std::round(snapped[v]);
         }
-        if (model_.IsFeasible(snapped)) {
-          const double obj = model_.ObjectiveValue(snapped);
+        if (core_.IsFeasible(snapped)) {
+          const double obj = core_.ObjectiveValue(snapped);
           consider_incumbent(obj, node.id, std::move(snapped), /*from_tree=*/true);
         }
         continue;
@@ -398,7 +393,7 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
       // Use a rounding pass for an early incumbent before descending.
       std::vector<double> rounded;
       if (GreedyRound(relax.values, &rounded)) {
-        const double obj = model_.ObjectiveValue(rounded);
+        const double obj = core_.ObjectiveValue(rounded);
         consider_incumbent(obj, node.id + "r", std::move(rounded), /*from_tree=*/true);
       }
 
@@ -409,9 +404,9 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
       const double floor_v = std::floor(value);
       const double ceil_v = std::ceil(value);
       Node down{node.id + "0", node.fixes, relax.objective, child_start};
-      down.fixes.push_back(BoundFix{branch_var, model_.lower(branch_var), floor_v});
+      down.fixes.push_back(BoundFix{branch_var, core_.lower[branch_var], floor_v});
       Node up{node.id + "1", node.fixes, relax.objective, child_start};
-      up.fixes.push_back(BoundFix{branch_var, ceil_v, model_.upper(branch_var)});
+      up.fixes.push_back(BoundFix{branch_var, ceil_v, core_.upper[branch_var]});
       if (value - floor_v >= 0.5) {
         stack.push_back(std::move(down));
         stack.push_back(std::move(up));

@@ -1,4 +1,4 @@
-// Branch-and-bound mixed-integer solver over LpModel.
+// Branch-and-bound mixed-integer solver over an LpCore.
 //
 // The scheduler's problems are pure 0/1 programs: one binary indicator per
 // placement/preemption option (§4.3.3). The solver mirrors the scalability
@@ -11,12 +11,12 @@
 //   - a greedy rounding pass on each LP relaxation supplies incumbents early
 //     so pruning is effective.
 //
-// Node LPs: the solver builds the model's LpCore (simplex.h) once, and every
-// node LP runs on it with the node's branching decisions as a bound overlay,
-// in one LpWorkspace whose allocations are reused from node to node. A node
+// Node LPs: the solver owns the program's LpCore (simplex.h), and every node
+// LP runs on it with the node's branching decisions as a bound overlay, in
+// one LpWorkspace whose allocations are reused from node to node. A node
 // that will branch exports its end state (factored basis and reduced costs),
 // and both children resume it with the dual simplex instead of reinverting a
-// basis. The model must not change while the solver lives.
+// basis. Rounding, incumbent checks and objective values read the same core.
 //
 // Search order: the tree is explored in deterministic *waves*. Each wave
 // pops up to a fixed number of nodes off the subproblem stack, solves their
@@ -117,9 +117,11 @@ class MilpSolver {
  public:
   // `integer_vars` lists the variables constrained to integral values; for
   // the scheduler these are all the [0,1] indicator variables.
-  MilpSolver(const LpModel& model, std::vector<int> integer_vars);
+  MilpSolver(LpCore core, std::vector<int> integer_vars);
 
   MilpSolution Solve(const MilpOptions& options = {});
+
+  const LpCore& core() const { return core_; }
 
  private:
   // Rounds an LP-relaxation point to a feasible integral point greedily;
@@ -137,11 +139,10 @@ class MilpSolver {
     double target;
   };
 
-  const LpModel& model_;
-  std::vector<int> integer_vars_;
-  // The model in solver form, built once: every node LP of every Solve runs
-  // on it, and GreedyRound walks its columns.
+  // Every node LP of every Solve runs on it, and GreedyRound walks its
+  // columns.
   LpCore core_;
+  std::vector<int> integer_vars_;
   // GreedyRound supports only all-<= models.
   bool all_rows_le_ = true;
   // GreedyRound scratch, reused across calls.

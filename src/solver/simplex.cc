@@ -1184,7 +1184,7 @@ LpSolution SimplexSolver::Finish(LpStatus status) {
           std::clamp(value_[static_cast<size_t>(j)], lower_[static_cast<size_t>(j)],
                      upper_[static_cast<size_t>(j)]);
     }
-    result.objective = core_->model.ObjectiveValue(result.values);
+    result.objective = core_->ObjectiveValue(result.values);
     result.basis.status.resize(static_cast<size_t>(n_ + m_));
     for (int j = 0; j < n_ + m_; ++j) {
       result.basis.status[static_cast<size_t>(j)] = status_[static_cast<size_t>(j)];
@@ -1337,65 +1337,144 @@ LpSolution SimplexSolver::SolveCold() {
   return Finish(RunPrimal(/*phase1=*/false));
 }
 
-LpCore::LpCore(const LpModel& lp)
-    : model(lp), num_rows(lp.num_rows()), num_variables(lp.num_variables()) {
-  const int m = num_rows;
-  const int n = num_variables;
-  // CSC structural columns; scanning rows in order leaves each column's
-  // entries in ascending row order.
-  col_start.assign(static_cast<size_t>(n) + 1, 0);
-  for (int r = 0; r < m; ++r) {
+LpCore::LpCore(const LpModel& lp) {
+  // Each column's (row, value) entries, gathered by scanning the rows in
+  // order, which leaves them in ascending row order.
+  std::vector<std::vector<std::pair<int, double>>> columns(
+      static_cast<size_t>(lp.num_variables()));
+  LpCoreBuilder builder;
+  for (int r = 0; r < lp.num_rows(); ++r) {
+    builder.NewRow(lp.row(r).sense, lp.row(r).rhs);
     for (const LpTerm& t : lp.row(r).terms) {
-      ++col_start[static_cast<size_t>(t.var) + 1];
+      columns[static_cast<size_t>(t.var)].emplace_back(r, t.coeff);
     }
   }
-  for (int j = 0; j < n; ++j) {
-    col_start[static_cast<size_t>(j) + 1] += col_start[static_cast<size_t>(j)];
-  }
-  col_row.resize(static_cast<size_t>(col_start[static_cast<size_t>(n)]));
-  col_value.resize(col_row.size());
-  {
-    std::vector<int> fill(col_start.begin(), col_start.end() - 1);
-    for (int r = 0; r < m; ++r) {
-      for (const LpTerm& t : lp.row(r).terms) {
-        const int k = fill[static_cast<size_t>(t.var)]++;
-        col_row[static_cast<size_t>(k)] = r;
-        col_value[static_cast<size_t>(k)] = t.coeff;
-      }
+  for (int j = 0; j < lp.num_variables(); ++j) {
+    builder.NewColumn(lp.lower(j), lp.upper(j), lp.objective(j));
+    for (const auto& [row, value] : columns[static_cast<size_t>(j)]) {
+      builder.AddEntry(row, value);
     }
   }
+  *this = builder.Build();
+}
 
-  row_start.reserve(static_cast<size_t>(m) + 1);
-  row_start.push_back(0);
-  row_col.reserve(col_row.size());
-  row_value.reserve(col_row.size());
-  rhs.resize(static_cast<size_t>(m));
+RowSense LpCore::row_sense(int r) const {
+  const size_t slack = static_cast<size_t>(num_variables + r);
+  if (upper[slack] >= kLpInfinity) {
+    return RowSense::kLessEqual;
+  }
+  return lower[slack] <= -kLpInfinity ? RowSense::kGreaterEqual : RowSense::kEqual;
+}
+
+void LpCore::RowActivities(const std::vector<double>& x, std::vector<double>* activity) const {
+  activity->assign(static_cast<size_t>(num_rows), 0.0);
+  for (int j = 0; j < num_variables; ++j) {
+    const double xj = x[static_cast<size_t>(j)];
+    if (xj == 0.0) {
+      continue;
+    }
+    for (int k = col_start[static_cast<size_t>(j)]; k < col_start[static_cast<size_t>(j) + 1];
+         ++k) {
+      (*activity)[static_cast<size_t>(col_row[static_cast<size_t>(k)])] +=
+          col_value[static_cast<size_t>(k)] * xj;
+    }
+  }
+}
+
+double LpCore::ObjectiveValue(const std::vector<double>& x) const {
+  TS_CHECK_EQ(static_cast<int>(x.size()), num_variables);
+  double total = 0.0;
+  for (int j = 0; j < num_variables; ++j) {
+    total += objective[static_cast<size_t>(j)] * x[static_cast<size_t>(j)];
+  }
+  return total;
+}
+
+bool LpCore::IsFeasible(const std::vector<double>& x, double tol) const {
+  if (static_cast<int>(x.size()) != num_variables) {
+    return false;
+  }
+  for (int j = 0; j < num_variables; ++j) {
+    const size_t i = static_cast<size_t>(j);
+    if (x[i] < lower[i] - tol || x[i] > upper[i] + tol) {
+      return false;
+    }
+  }
+  std::vector<double> activity;
+  RowActivities(x, &activity);
+  for (int r = 0; r < num_rows; ++r) {
+    if (!RowSatisfied(row_sense(r), activity[static_cast<size_t>(r)], rhs[static_cast<size_t>(r)],
+                      tol)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+int LpCoreBuilder::NewRow(RowSense sense, double rhs) {
+  sense_.push_back(sense);
+  core_.rhs.push_back(rhs);
+  return core_.num_rows++;
+}
+
+int LpCoreBuilder::NewColumn(double lower, double upper, double objective) {
+  TS_CHECK_LE(lower, upper);
+  TS_CHECK_MSG(lower > -kLpInfinity || upper < kLpInfinity,
+               "variable " << core_.num_variables << " must have a finite bound");
+  core_.lower.push_back(lower);
+  core_.upper.push_back(upper);
+  core_.objective.push_back(objective);
+  core_.col_start.push_back(core_.col_start.back());
+  return core_.num_variables++;
+}
+
+void LpCoreBuilder::AddEntry(int row, double value) {
+  TS_CHECK_GT(core_.num_variables, 0);
+  TS_CHECK_GE(row, 0);
+  TS_CHECK_LT(row, core_.num_rows);
+  const int begin = core_.col_start[core_.col_start.size() - 2];
+  TS_CHECK_MSG(core_.col_start.back() == begin || core_.col_row.back() < row,
+               "column " << core_.num_variables - 1 << " rows must ascend");
+  if (value == 0.0) {
+    return;
+  }
+  core_.col_row.push_back(row);
+  core_.col_value.push_back(value);
+  ++core_.col_start.back();
+}
+
+LpCore LpCoreBuilder::Build() {
+  LpCore& core = core_;
+  const int m = core.num_rows;
+  const int n = core.num_variables;
+  // CSR as the CSC's transpose: scanning the columns in order leaves each
+  // row's entries in ascending column order.
+  core.row_start.assign(static_cast<size_t>(m) + 1, 0);
+  for (const int r : core.col_row) {
+    ++core.row_start[static_cast<size_t>(r) + 1];
+  }
   for (int r = 0; r < m; ++r) {
-    for (const LpTerm& t : lp.row(r).terms) {
-      row_col.push_back(t.var);
-      row_value.push_back(t.coeff);
-    }
-    row_start.push_back(static_cast<int>(row_col.size()));
-    rhs[static_cast<size_t>(r)] = lp.row(r).rhs;
+    core.row_start[static_cast<size_t>(r) + 1] += core.row_start[static_cast<size_t>(r)];
   }
-
-  lower.reserve(static_cast<size_t>(n + m));
-  upper.reserve(static_cast<size_t>(n + m));
-  objective.reserve(static_cast<size_t>(n + m));
+  core.row_col.resize(core.col_row.size());
+  core.row_value.resize(core.col_row.size());
+  std::vector<int> fill(core.row_start.begin(), core.row_start.end() - 1);
   for (int j = 0; j < n; ++j) {
-    TS_CHECK_MSG(lp.lower(j) > -kLpInfinity || lp.upper(j) < kLpInfinity,
-                 "variable " << j << " must have a finite bound");
-    lower.push_back(lp.lower(j));
-    upper.push_back(lp.upper(j));
-    objective.push_back(lp.objective(j));
+    for (int k = core.col_start[static_cast<size_t>(j)];
+         k < core.col_start[static_cast<size_t>(j) + 1]; ++k) {
+      const int at = fill[static_cast<size_t>(core.col_row[static_cast<size_t>(k)])]++;
+      core.row_col[static_cast<size_t>(at)] = j;
+      core.row_value[static_cast<size_t>(at)] = core.col_value[static_cast<size_t>(k)];
+    }
   }
   // Slack variables: row sense becomes a bound on the slack.
-  for (int r = 0; r < m; ++r) {
-    const RowSense sense = lp.row(r).sense;
-    lower.push_back(sense == RowSense::kGreaterEqual ? -kLpInfinity : 0.0);
-    upper.push_back(sense == RowSense::kLessEqual ? kLpInfinity : 0.0);
-    objective.push_back(0.0);
+  for (const RowSense sense : sense_) {
+    core.lower.push_back(sense == RowSense::kGreaterEqual ? -kLpInfinity : 0.0);
+    core.upper.push_back(sense == RowSense::kLessEqual ? kLpInfinity : 0.0);
+    core.objective.push_back(0.0);
   }
+  sense_.clear();
+  return std::exchange(core_, LpCore());
 }
 
 LpWorkspace::LpWorkspace() : solver_(std::make_unique<SimplexSolver>()) {}
@@ -1413,10 +1492,13 @@ LpSolution LpWorkspace::SolveFrom(const LpCore& core, const std::vector<BoundFix
 
 std::shared_ptr<const FactoredStart> LpWorkspace::ExportStart() { return solver_->Export(); }
 
-LpSolution SolveLp(const LpModel& model, const SimplexOptions& options) {
-  const LpCore core(model);
+LpSolution SolveLp(const LpCore& core, const SimplexOptions& options) {
   LpWorkspace workspace;
   return workspace.Solve(core, {}, options);
+}
+
+LpSolution SolveLp(const LpModel& model, const SimplexOptions& options) {
+  return SolveLp(LpCore(model), options);
 }
 
 }  // namespace threesigma

@@ -113,24 +113,36 @@ struct SimplexOptions {
   LpBasis start_basis;
 };
 
-// Solves the LP relaxation of `model` (integrality is ignored).
-LpSolution SolveLp(const LpModel& model, const SimplexOptions& options = {});
-
-// A model's constraint data in the simplex's working form, built once and
+// A program's constraint data in the simplex's working form, built once and
 // then shared read-only: the structural matrix by column (CSC, each column's
-// entries in ascending row order) and by row, row right-hand sides, and
+// entries in ascending row order) and by row (CSR, the CSC's transpose, so
+// each row's entries in ascending column order), row right-hand sides, and
 // bounds and objective over the structural variables followed by one slack
 // per row (a row's sense becomes its slack's bounds). Branch-and-bound nodes
-// differ from their model only in variable bounds, so every node LP of a
-// MILP solve runs on one core plus a bound overlay. Holds `model` by
-// reference; the model must outlive the core and not change while it lives.
+// differ from their program only in variable bounds, so every node LP of a
+// MILP solve runs on one core plus a bound overlay. The scheduler emits its
+// cycle's core column by column (LpCoreBuilder); LpModel builds one through
+// the same builder. The core owns its arrays.
 struct LpCore {
+  LpCore() = default;
   explicit LpCore(const LpModel& model);
 
-  const LpModel& model;
-  int num_rows;
-  int num_variables;
-  std::vector<int> col_start;  // num_variables + 1 offsets into col_row/col_value.
+  // The sense of row r, read back from its slack's bounds.
+  RowSense row_sense(int r) const;
+  // A x over the structural variables: the CSC columns of the nonzero
+  // entries of x, in ascending variable order. Each row thus sums its
+  // nonzero terms in ascending variable order, bit for bit the row-by-row
+  // sum over an LpModel whose row terms ascend by variable.
+  void RowActivities(const std::vector<double>& x, std::vector<double>* activity) const;
+  // Objective value of an assignment (no feasibility check).
+  double ObjectiveValue(const std::vector<double>& x) const;
+  // True when `x` satisfies all bounds and rows within `tol`: LpModel's
+  // comparisons, on RowActivities' sums.
+  bool IsFeasible(const std::vector<double>& x, double tol = 1e-6) const;
+
+  int num_rows = 0;
+  int num_variables = 0;
+  std::vector<int> col_start{0};  // num_variables + 1 offsets into col_row/col_value.
   std::vector<int> col_row;
   std::vector<double> col_value;
   std::vector<int> row_start;  // num_rows + 1 offsets into row_col/row_value.
@@ -140,7 +152,30 @@ struct LpCore {
   std::vector<double> lower, upper, objective;  // num_variables + num_rows.
 };
 
-// One variable-bound override applied over the model's bounds (a branching
+// Assembles an LpCore column by column: NewRow declares a row, NewColumn
+// starts a structural column, and AddEntry adds an entry to the column last
+// started. A column's entries come in strictly ascending row order and name
+// declared rows; every column has a finite bound. Zero entries are dropped,
+// as LpModel::AddRow drops them. Build makes the CSR as the CSC's transpose
+// and appends one slack per row.
+class LpCoreBuilder {
+ public:
+  int NewRow(RowSense sense, double rhs);
+  int NewColumn(double lower, double upper, double objective);
+  void AddEntry(int row, double value);
+  LpCore Build();
+
+ private:
+  LpCore core_;
+  std::vector<RowSense> sense_;
+};
+
+// Solves the LP relaxation of `core` (integrality is ignored).
+LpSolution SolveLp(const LpCore& core, const SimplexOptions& options = {});
+// The same on LpCore(model).
+LpSolution SolveLp(const LpModel& model, const SimplexOptions& options = {});
+
+// One variable-bound override applied over the core's bounds (a branching
 // decision). Overrides apply in order, so a later one for the same variable
 // wins.
 struct BoundFix {
@@ -165,9 +200,9 @@ class LpWorkspace {
   LpWorkspace();
   ~LpWorkspace();  // Out of line: SimplexSolver is complete only in simplex.cc.
 
-  // Solves the relaxation of core.model with `fixes` applied over its
-  // variable bounds. Pivot for pivot the same as SolveLp on a copy of the
-  // model whose bounds were set to `fixes`.
+  // Solves the relaxation of `core` with `fixes` applied over its variable
+  // bounds. Pivot for pivot the same as SolveLp on a copy of the program
+  // whose bounds were set to `fixes`.
   LpSolution Solve(const LpCore& core, const std::vector<BoundFix>& fixes,
                    const SimplexOptions& options);
 

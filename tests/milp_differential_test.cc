@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -91,7 +92,7 @@ TEST(MilpDifferentialTest, MatchesBruteForceAt1And4Threads) {
     const BruteForceResult reference = BruteForceBinary(model);
 
     // Unbudgeted search: the solver must prove optimality or infeasibility.
-    MilpSolver solver(model, int_vars);
+    MilpSolver solver(LpCore(model), int_vars);
     const MilpSolution s1 = solver.Solve();
 
     if (!reference.feasible) {
@@ -120,14 +121,14 @@ TEST(MilpDifferentialTest, WarmStartReturnedIdenticallyAcrossThreadCounts) {
     Rng rng(500 + static_cast<uint64_t>(p));
     std::vector<int> int_vars;
     const LpModel model = RandomBinaryProgram(rng, &int_vars);
-    MilpSolver solver(model, int_vars);
+    MilpSolver solver(LpCore(model), int_vars);
     const MilpSolution cold = solver.Solve();
     if (cold.status != MilpStatus::kOptimal) {
       continue;
     }
     MilpOptions options;
     options.warm_start = cold.values;
-    MilpSolver warm_solver(model, int_vars);
+    MilpSolver warm_solver(LpCore(model), int_vars);
     const MilpSolution s1 = warm_solver.Solve(options);
     ASSERT_EQ(s1.status, MilpStatus::kOptimal) << "program " << p;
     EXPECT_DOUBLE_EQ(s1.objective, cold.objective) << "program " << p;
@@ -153,9 +154,9 @@ TEST(MilpDifferentialTest, BasisWarmstartNeverChangesTheAnswer) {
     MilpOptions cold_options;
     cold_options.basis_warmstart = false;
 
-    MilpSolver warm_solver(model, int_vars);
+    MilpSolver warm_solver(LpCore(model), int_vars);
     const MilpSolution warm = warm_solver.Solve(warm_options);
-    MilpSolver cold_solver(model, int_vars);
+    MilpSolver cold_solver(LpCore(model), int_vars);
     const MilpSolution cold = cold_solver.Solve(cold_options);
 
     ASSERT_EQ(warm.status, cold.status) << "program " << p;
@@ -190,9 +191,9 @@ TEST(MilpDifferentialTest, MappedRootBasisReachesColdObjective) {
       cold_options.max_nodes = 0;
       MilpOptions warm_options = cold_options;
       warm_options.root_basis = cycles.MapBasis(kept);
-      MilpSolver cold_solver(cycles.model(), cycles.int_vars());
+      MilpSolver cold_solver(LpCore(cycles.model()), cycles.int_vars());
       const MilpSolution cold = cold_solver.Solve(cold_options);
-      MilpSolver warm_solver(cycles.model(), cycles.int_vars());
+      MilpSolver warm_solver(LpCore(cycles.model()), cycles.int_vars());
       const MilpSolution warm = warm_solver.Solve(warm_options);
 
       SCOPED_TRACE(::testing::Message() << "seed " << seed << " cycle " << cycle);
@@ -226,9 +227,9 @@ TEST(MilpDifferentialTest, FactoredChildStartsReachColdObjectiveOnFullTrees) {
     cold_options.basis_warmstart = false;
     MilpOptions hot_options;
     hot_options.max_nodes = 0;
-    MilpSolver cold_solver(cycles.model(), cycles.int_vars());
+    MilpSolver cold_solver(LpCore(cycles.model()), cycles.int_vars());
     const MilpSolution cold = cold_solver.Solve(cold_options);
-    MilpSolver hot_solver(cycles.model(), cycles.int_vars());
+    MilpSolver hot_solver(LpCore(cycles.model()), cycles.int_vars());
     const MilpSolution hot = hot_solver.Solve(hot_options);
 
     SCOPED_TRACE(::testing::Message() << "seed " << seed);
@@ -242,6 +243,236 @@ TEST(MilpDifferentialTest, FactoredChildStartsReachColdObjectiveOnFullTrees) {
   // Every node but the roots (and children of a parent that could not
   // export) resumes a factored start.
   EXPECT_GE(warm_nodes * 10, nodes * 9) << warm_nodes << " of " << nodes;
+}
+
+// The core of `model` assembled the way the scheduler assembles its own:
+// straight through LpCoreBuilder, one column at a time, each column's
+// entries in ascending row order.
+LpCore ColumnWiseCore(const LpModel& model) {
+  LpCoreBuilder builder;
+  for (const LpRow& row : model.rows()) {
+    builder.NewRow(row.sense, row.rhs);
+  }
+  for (int j = 0; j < model.num_variables(); ++j) {
+    builder.NewColumn(model.lower(j), model.upper(j), model.objective(j));
+    for (int r = 0; r < model.num_rows(); ++r) {
+      for (const LpTerm& t : model.row(r).terms) {
+        if (t.var == j) {
+          builder.AddEntry(r, t.coeff);
+        }
+      }
+    }
+  }
+  return builder.Build();
+}
+
+// `core` holds exactly `model`: each CSR row is the model row's terms (which
+// ascend by variable in every generator here), each CSC column the model's
+// entries of that variable by ascending row, and a row's sense its slack's
+// bounds.
+void ExpectCoreHoldsModel(const LpCore& core, const LpModel& model) {
+  const int n = model.num_variables();
+  const int m = model.num_rows();
+  ASSERT_EQ(core.num_variables, n);
+  ASSERT_EQ(core.num_rows, m);
+  std::vector<std::vector<std::pair<int, double>>> columns(static_cast<size_t>(n));
+  for (int r = 0; r < m; ++r) {
+    const LpRow& row = model.row(r);
+    ASSERT_EQ(core.row_start[static_cast<size_t>(r) + 1] - core.row_start[static_cast<size_t>(r)],
+              static_cast<int>(row.terms.size()));
+    for (size_t t = 0; t < row.terms.size(); ++t) {
+      const size_t k = static_cast<size_t>(core.row_start[static_cast<size_t>(r)]) + t;
+      EXPECT_EQ(core.row_col[k], row.terms[t].var);
+      EXPECT_EQ(core.row_value[k], row.terms[t].coeff);
+      columns[static_cast<size_t>(row.terms[t].var)].emplace_back(r, row.terms[t].coeff);
+    }
+    EXPECT_EQ(core.rhs[static_cast<size_t>(r)], row.rhs);
+    EXPECT_EQ(core.row_sense(r), row.sense);
+  }
+  for (int j = 0; j < n; ++j) {
+    const std::vector<std::pair<int, double>>& column = columns[static_cast<size_t>(j)];
+    ASSERT_EQ(core.col_start[static_cast<size_t>(j) + 1] - core.col_start[static_cast<size_t>(j)],
+              static_cast<int>(column.size()));
+    for (size_t e = 0; e < column.size(); ++e) {
+      const size_t k = static_cast<size_t>(core.col_start[static_cast<size_t>(j)]) + e;
+      EXPECT_EQ(core.col_row[k], column[e].first);
+      EXPECT_EQ(core.col_value[k], column[e].second);
+    }
+    EXPECT_EQ(core.lower[static_cast<size_t>(j)], model.lower(j));
+    EXPECT_EQ(core.upper[static_cast<size_t>(j)], model.upper(j));
+    EXPECT_EQ(core.objective[static_cast<size_t>(j)], model.objective(j));
+  }
+}
+
+void ExpectSameCore(const LpCore& a, const LpCore& b) {
+  EXPECT_EQ(a.num_rows, b.num_rows);
+  EXPECT_EQ(a.num_variables, b.num_variables);
+  EXPECT_EQ(a.col_start, b.col_start);
+  EXPECT_EQ(a.col_row, b.col_row);
+  EXPECT_EQ(a.col_value, b.col_value);
+  EXPECT_EQ(a.row_start, b.row_start);
+  EXPECT_EQ(a.row_col, b.row_col);
+  EXPECT_EQ(a.row_value, b.row_value);
+  EXPECT_EQ(a.rhs, b.rhs);
+  EXPECT_EQ(a.lower, b.lower);
+  EXPECT_EQ(a.upper, b.upper);
+  EXPECT_EQ(a.objective, b.objective);
+}
+
+// A random program of RandomBinaryProgram's shape with = rows appended
+// (x_i + x_j = 1, or a random row pinned to its value at a random point).
+LpModel RandomProgramWithEqualities(Rng& rng, std::vector<int>* int_vars) {
+  LpModel model = RandomBinaryProgram(rng, int_vars);
+  const int n = model.num_variables();
+  const int rows = static_cast<int>(rng.UniformInt(1, 3));
+  for (int r = 0; r < rows; ++r) {
+    std::vector<LpTerm> terms;
+    for (int i = 0; i < n; ++i) {
+      if (rng.Bernoulli(0.4)) {
+        terms.push_back({i, rng.Uniform(-2.0, 4.0)});
+      }
+    }
+    const double rhs = rng.Bernoulli(0.5) ? rng.Uniform(-1.0, 3.0) : 1.0;
+    model.AddRow(RowSense::kEqual, rhs, std::move(terms));
+  }
+  return model;
+}
+
+// The scheduler emits its core column by column; tests and the synthetic
+// generators build theirs from an LpModel. Both must give the same arrays.
+TEST(LpCoreBuilderTest, ColumnWiseCoreEqualsModelCore) {
+  int cores = 0;
+  for (uint64_t seed = 51; seed <= 54; ++seed) {
+    SchedulerShapedCycles cycles(12, 3, 5, seed);
+    for (int cycle = 0; cycle < 5; ++cycle) {
+      if (cycle > 0) {
+        cycles.Next();
+      }
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << " cycle " << cycle);
+      const LpCore from_model(cycles.model());
+      ExpectCoreHoldsModel(from_model, cycles.model());
+      ExpectSameCore(ColumnWiseCore(cycles.model()), from_model);
+      ++cores;
+    }
+  }
+  int equality_rows = 0;
+  int greater_rows = 0;
+  for (int p = 0; p < 100; ++p) {
+    Rng rng(3000 + static_cast<uint64_t>(p));
+    std::vector<int> int_vars;
+    const LpModel model = RandomProgramWithEqualities(rng, &int_vars);
+    SCOPED_TRACE(::testing::Message() << "program " << p);
+    const LpCore from_model(model);
+    ExpectCoreHoldsModel(from_model, model);
+    ExpectSameCore(ColumnWiseCore(model), from_model);
+    for (const LpRow& row : model.rows()) {
+      equality_rows += row.sense == RowSense::kEqual ? 1 : 0;
+      greater_rows += row.sense == RowSense::kGreaterEqual ? 1 : 0;
+    }
+    ++cores;
+  }
+  EXPECT_EQ(cores, 120);
+  EXPECT_GT(equality_rows, 0);
+  EXPECT_GT(greater_rows, 0);
+}
+
+// The builder keeps LpModel's construction checks.
+TEST(LpCoreBuilderDeathTest, RejectsMalformedColumns) {
+  EXPECT_DEATH(
+      {
+        LpCoreBuilder builder;
+        builder.NewColumn(1.0, 0.0, 0.0);
+      },
+      "");
+  EXPECT_DEATH(
+      {
+        LpCoreBuilder builder;
+        builder.NewColumn(-kLpInfinity, kLpInfinity, 0.0);
+      },
+      "finite bound");
+  EXPECT_DEATH(
+      {
+        LpCoreBuilder builder;
+        builder.NewRow(RowSense::kLessEqual, 1.0);
+        builder.NewColumn(0.0, 1.0, 0.0);
+        builder.AddEntry(1, 1.0);
+      },
+      "");
+  EXPECT_DEATH(
+      {
+        LpCoreBuilder builder;
+        builder.NewRow(RowSense::kLessEqual, 1.0);
+        builder.NewRow(RowSense::kLessEqual, 1.0);
+        builder.NewColumn(0.0, 1.0, 0.0);
+        builder.AddEntry(1, 1.0);
+        builder.AddEntry(0, 1.0);
+      },
+      "ascend");
+}
+
+// LpCore's feasibility test and objective agree with LpModel's, on random
+// points and on points placed a hair inside and outside a bound or a row's
+// tolerance band: the core sums each row's nonzero terms in the order the
+// model does, so even the boundary comparisons come out the same.
+TEST(LpCoreBuilderTest, FeasibilityAndObjectiveAgreeWithModel) {
+  int feasible = 0;
+  int infeasible = 0;
+  for (int p = 0; p < 200; ++p) {
+    Rng rng(4000 + static_cast<uint64_t>(p));
+    std::vector<int> int_vars;
+    const LpModel base = RandomProgramWithEqualities(rng, &int_vars);
+    const int n = base.num_variables();
+    const double tol = rng.Bernoulli(0.5) ? 1e-6 : 1e-9;
+    for (int trial = 0; trial < 10; ++trial) {
+      std::vector<double> x(static_cast<size_t>(n));
+      for (double& v : x) {
+        v = rng.Bernoulli(0.3) ? 0.0 : rng.Uniform(0.0, 1.0);
+      }
+      // Sometimes put one variable right at a bound's tolerance edge.
+      if (rng.Bernoulli(0.5)) {
+        const int j = static_cast<int>(rng.UniformInt(0, n - 1));
+        const double edge = tol * static_cast<double>(rng.UniformInt(-1, 1));
+        x[static_cast<size_t>(j)] =
+            rng.Bernoulli(0.5) ? base.lower(j) - edge : base.upper(j) + edge;
+      }
+      // Re-aim every row's right-hand side at its activity at x: with room
+      // to spare, except one row that sits on its tolerance boundary, give
+      // or take an ulp.
+      LpModel model;
+      for (int j = 0; j < n; ++j) {
+        model.AddVariable(base.lower(j), base.upper(j), base.objective(j));
+      }
+      const int aimed = static_cast<int>(rng.UniformInt(0, base.num_rows() - 1));
+      for (int r = 0; r < base.num_rows(); ++r) {
+        const LpRow& row = base.row(r);
+        double lhs = 0.0;
+        for (const LpTerm& t : row.terms) {
+          lhs += t.coeff * x[static_cast<size_t>(t.var)];
+        }
+        double rhs = lhs;
+        if (r == aimed) {
+          rhs += tol * static_cast<double>(rng.UniformInt(-1, 1));
+          if (rng.Bernoulli(0.5)) {
+            rhs = std::nextafter(rhs, rng.Bernoulli(0.5) ? kLpInfinity : -kLpInfinity);
+          }
+        } else if (row.sense == RowSense::kLessEqual) {
+          rhs += rng.Uniform(0.0, 1.0);
+        } else if (row.sense == RowSense::kGreaterEqual) {
+          rhs -= rng.Uniform(0.0, 1.0);
+        }
+        model.AddRow(row.sense, rhs, row.terms);
+      }
+      const LpCore core(model);
+      SCOPED_TRACE(::testing::Message() << "program " << p << " trial " << trial);
+      const bool expected = model.IsFeasible(x, tol);
+      EXPECT_EQ(core.IsFeasible(x, tol), expected);
+      EXPECT_EQ(core.IsFeasible(x), model.IsFeasible(x));
+      EXPECT_EQ(core.ObjectiveValue(x), model.ObjectiveValue(x));
+      (expected ? feasible : infeasible) += 1;
+    }
+  }
+  EXPECT_GT(feasible, 100);
+  EXPECT_GT(infeasible, 100);
 }
 
 }  // namespace

@@ -281,7 +281,7 @@ TEST(MilpTest, SimpleKnapsack) {
   const int b = m.AddVariable(0.0, 1.0, 6.0);
   const int c = m.AddVariable(0.0, 1.0, 4.0);
   m.AddRow(RowSense::kLessEqual, 2.0, {{a, 1.0}, {b, 1.0}, {c, 1.0}});
-  MilpSolver solver(m, {a, b, c});
+  MilpSolver solver(LpCore(m), {a, b, c});
   const MilpSolution sol = solver.Solve();
   ASSERT_EQ(sol.status, MilpStatus::kOptimal);
   EXPECT_NEAR(sol.objective, 16.0, 1e-6);
@@ -296,7 +296,7 @@ TEST(MilpTest, FractionalLpForcedIntegral) {
   const int x = m.AddVariable(0.0, 1.0, 5.0);
   const int y = m.AddVariable(0.0, 1.0, 4.0);
   m.AddRow(RowSense::kLessEqual, 1.4, {{x, 1.0}, {y, 1.0}});
-  MilpSolver solver(m, {x, y});
+  MilpSolver solver(LpCore(m), {x, y});
   const MilpSolution sol = solver.Solve();
   ASSERT_EQ(sol.status, MilpStatus::kOptimal);
   EXPECT_NEAR(sol.objective, 5.0, 1e-6);
@@ -306,7 +306,7 @@ TEST(MilpTest, InfeasibleModel) {
   LpModel m;
   const int x = m.AddVariable(0.0, 1.0, 1.0);
   m.AddRow(RowSense::kGreaterEqual, 2.0, {{x, 1.0}});
-  MilpSolver solver(m, {x});
+  MilpSolver solver(LpCore(m), {x});
   const MilpSolution sol = solver.Solve();
   EXPECT_EQ(sol.status, MilpStatus::kInfeasible);
 }
@@ -316,7 +316,7 @@ TEST(MilpTest, WarmStartAccepted) {
   const int a = m.AddVariable(0.0, 1.0, 3.0);
   const int b = m.AddVariable(0.0, 1.0, 2.0);
   m.AddRow(RowSense::kLessEqual, 1.0, {{a, 1.0}, {b, 1.0}});
-  MilpSolver solver(m, {a, b});
+  MilpSolver solver(LpCore(m), {a, b});
   MilpOptions opts;
   opts.warm_start = {0.0, 1.0};  // Feasible but suboptimal.
   opts.max_nodes = 1000;
@@ -331,7 +331,7 @@ TEST(MilpTest, WarmStartReturnedUnderZeroNodeBudget) {
   const int a = m.AddVariable(0.0, 1.0, 3.0);
   const int b = m.AddVariable(0.0, 1.0, 2.0);
   m.AddRow(RowSense::kLessEqual, 1.0, {{a, 1.0}, {b, 1.0}});
-  MilpSolver solver(m, {a, b});
+  MilpSolver solver(LpCore(m), {a, b});
   MilpOptions opts;
   opts.warm_start = {0.0, 1.0};
   opts.max_nodes = -1;  // No search at all... (<=0 disables the limit)
@@ -346,7 +346,7 @@ TEST(MilpTest, InfeasibleWarmStartIgnored) {
   LpModel m;
   const int a = m.AddVariable(0.0, 1.0, 3.0);
   m.AddRow(RowSense::kLessEqual, 0.0, {{a, 1.0}});
-  MilpSolver solver(m, {a});
+  MilpSolver solver(LpCore(m), {a});
   MilpOptions opts;
   opts.warm_start = {1.0};  // Violates the row.
   const MilpSolution sol = solver.Solve(opts);
@@ -368,7 +368,7 @@ TEST(MilpTest, AtMostOneRowsLikeScheduler) {
   m.AddRow(RowSense::kLessEqual, 1.0, {{j1o1, 1.0}, {j2o1, 1.0}});
   // Slot 1 capacity: deferred options collide.
   m.AddRow(RowSense::kLessEqual, 1.0, {{j1o2, 1.0}, {j2o2, 1.0}});
-  MilpSolver solver(m, {j1o1, j1o2, j2o1, j2o2});
+  MilpSolver solver(LpCore(m), {j1o1, j1o2, j2o1, j2o2});
   const MilpSolution sol = solver.Solve();
   ASSERT_EQ(sol.status, MilpStatus::kOptimal);
   // Best: SLO now (1.0) + BE deferred (0.2).
@@ -399,7 +399,7 @@ TEST_P(MilpBruteForceTest, MatchesExhaustiveEnumeration) {
     }
     m.AddRow(RowSense::kLessEqual, rng.Uniform(0.5, 5.0), std::move(terms));
   }
-  MilpSolver solver(m, ints);
+  MilpSolver solver(LpCore(m), ints);
   const MilpSolution sol = solver.Solve();
   const BruteForceResult brute = BruteForceBinary(m);
   ASSERT_TRUE(brute.feasible);  // All-zeros is always feasible here.
@@ -436,7 +436,7 @@ TEST_P(MilpMixedSenseTest, MatchesExhaustiveEnumeration) {
     const RowSense sense = rng.Bernoulli(0.5) ? RowSense::kLessEqual : RowSense::kGreaterEqual;
     m.AddRow(sense, rng.Uniform(-1.0, 3.0), std::move(terms));
   }
-  MilpSolver solver(m, ints);
+  MilpSolver solver(LpCore(m), ints);
   const MilpSolution sol = solver.Solve();
   const BruteForceResult brute = BruteForceBinary(m);
   if (!brute.feasible) {
@@ -1115,9 +1115,9 @@ TEST(MilpTest, BasisWarmstartSlashesLpIterations) {
   MilpOptions cold_options = warm_options;
   cold_options.basis_warmstart = false;
 
-  MilpSolver warm_solver(m, ints);
+  MilpSolver warm_solver(LpCore(m), ints);
   const MilpSolution warm = warm_solver.Solve(warm_options);
-  MilpSolver cold_solver(m, ints);
+  MilpSolver cold_solver(LpCore(m), ints);
   const MilpSolution cold = cold_solver.Solve(cold_options);
 
   ASSERT_NE(warm.status, MilpStatus::kInfeasible);
@@ -1149,7 +1149,7 @@ TEST(MilpTest, NodeBudgetReturnsIncumbent) {
     }
     m.AddRow(RowSense::kLessEqual, 8.0, std::move(terms));
   }
-  MilpSolver solver(m, ints);
+  MilpSolver solver(LpCore(m), ints);
   MilpOptions opts;
   opts.max_nodes = 5;
   const MilpSolution sol = solver.Solve(opts);

@@ -44,7 +44,7 @@ std::string WorkCsv() {
           MilpOptions options;
           options.max_nodes = max_nodes;
           options.basis_warmstart = warm;
-          MilpSolver solver(model, int_vars);
+          MilpSolver solver(LpCore(model), int_vars);
           const MilpSolution s = solver.Solve(options);
           char objective[32];
           std::snprintf(objective, sizeof(objective), "%.17g", s.objective);

@@ -10,6 +10,7 @@
 
 #include "src/cluster/cluster.h"
 #include "src/core/config_flags.h"
+#include "src/obs/registry.h"
 #include "src/predict/predictor.h"
 #include "src/sched/distribution_scheduler.h"
 #include "src/sim/simulator.h"
@@ -551,6 +552,9 @@ TEST_F(TwinForkTest, AppliedSpecWithRemovedKeyFailsRestoreSoft) {
     target.SetStateExtension(&reader_host);
     error.clear();
     const uint64_t cycles_before = target.cycles_completed();
+    // The snapshot's registry totals apply only with the rest of the state.
+    obs::Counter* sim_cycles = obs::MetricsRegistry::Global().GetCounter("sim.cycles");
+    sim_cycles->Set(12345);
     const bool restored = target.TryRestoreStateFromBuffer(buffer, &error);
     target.SetStateExtension(nullptr);
     if (!old_key) {
@@ -560,9 +564,10 @@ TEST_F(TwinForkTest, AppliedSpecWithRemovedKeyFailsRestoreSoft) {
     EXPECT_FALSE(restored);
     EXPECT_NE(error.find("unknown scenario key: solver_threads"), std::string::npos) << error;
     EXPECT_FALSE(target_engine.advisor_state().has_applied_config);
-    // The simulator is committed only after the extension restored: a
-    // failed restore leaves it as it was.
+    // The simulator and the registry are committed only after the extension
+    // restored: a failed restore leaves both as they were.
     EXPECT_EQ(target.cycles_completed(), cycles_before);
+    EXPECT_EQ(sim_cycles->Value(), 12345);
   }
 }
 
