@@ -58,11 +58,17 @@
   X(int64_t, valuation_cache_hits, Sum)                                                   \
   X(int64_t, valuation_cache_misses, Sum)                                                 \
   X(int64_t, valuation_kernel_calls, Sum)                                                 \
-  /* Solver: LP pivots over every node, the root relaxation's share, and */                \
+  /* Solver: LP pivots over every node, the root relaxation's share, and */               \
   /* whether the root started from last cycle's mapped basis (0/1). */                    \
   X(int64_t, lp_pivots, Sum)                                                              \
   X(int64_t, root_pivots, Sum)                                                            \
   X(int64_t, root_warm, Sum)                                                              \
+  /* Solver: FTRAN/BTRAN solves and basis reinversions over every node, and */            \
+  /* the nodes whose LP resumed a start basis without a cold restart. */                  \
+  X(int64_t, ftran, Sum)                                                                  \
+  X(int64_t, btran, Sum)                                                                  \
+  X(int64_t, refactorizations, Sum)                                                       \
+  X(int64_t, warm_started_nodes, Sum)                                                     \
   /* New fields go above this line. */
 
 namespace threesigma {

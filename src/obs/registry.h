@@ -2,13 +2,13 @@
 // histograms with lock-free striped cells.
 //
 // This is the unified counter plumbing for the whole stack (simulator event
-// loop, scheduler phases, simplex work counters, fault delivery, predictor
-// traffic). Handles are stable pointers obtained once (typically at module
-// init or construction) and incremented on the hot path:
+// loop, the per-cycle scheduler record including the solver's LP work, fault
+// delivery, predictor traffic). Handles are stable pointers obtained once
+// (typically at module init or construction) and incremented on the hot path:
 //
-//   static obs::Counter* const kLpSolves =
-//       obs::MetricsRegistry::Global().GetCounter("solver.lp_solves");
-//   kLpSolves->Increment();
+//   static obs::Counter* const kEvents =
+//       obs::MetricsRegistry::Global().GetCounter("sim.events");
+//   kEvents->Increment();
 //
 // Concurrency and determinism. Each metric owns a small fixed array of
 // cache-line-padded atomic cells; a thread picks its cell by a thread-local

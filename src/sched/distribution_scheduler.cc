@@ -820,11 +820,14 @@ CycleResult DistributionScheduler::RunCycle(Time now, const ClusterStateView& st
   }
   result.milp_nodes = solution.nodes_explored;
   result.lp_pivots = solution.lp_iterations;
+  result.ftran = solution.ftran_count;
+  result.btran = solution.btran_count;
+  result.refactorizations = solution.refactorizations;
+  result.warm_started_nodes = solution.warm_started_nodes;
   result.root_pivots = solution.root_iterations;
   result.root_warm = solution.root_warm ? 1 : 0;
   result.milp_max_queue_depth = solution.max_queue_depth;
-  result.milp_incumbent_improvements =
-      static_cast<int64_t>(solution.incumbent_improvements.size());
+  result.milp_incumbent_improvements = solution.incumbent_improvements;
 
   if (solution.status != MilpStatus::kInfeasible) {
     TS_OBS_SPAN("sched.place", obs::Phase::kPlacement);

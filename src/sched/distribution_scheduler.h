@@ -100,8 +100,7 @@ struct DistSchedulerConfig {
   // and utility (bitwise) — so a missed InvalidateJob aborts. Each cycle's
   // root LP, started from the mapped basis, is also re-solved cold and its
   // objective TS_CHECKed to 1e-9 relative. Decisions and per-cycle counters
-  // are unchanged (the process-wide solver.* registry totals count the
-  // re-solves).
+  // are unchanged: the re-solves reach no per-cycle record.
   bool crosscheck = false;
 };
 

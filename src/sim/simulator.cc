@@ -114,11 +114,13 @@ struct Event {
 // flag. v5: the per-cycle record lost its two shard counts ("metrics"
 // section) and the scheduler's "sched" section its shard-basis map. v6: the
 // per-cycle record gained lp_pivots, root_pivots and root_warm. v7: no
-// "workload" section (the "sim" section's job records carry every spec).
-constexpr uint32_t kSnapshotVersion = 7;
+// "workload" section (the "sim" section's job records carry every spec). v8:
+// the per-cycle record gained ftran, btran, refactorizations and
+// warm_started_nodes.
+constexpr uint32_t kSnapshotVersion = 8;
 // The "metrics" and "timing" sections walk kCycleFields, so any change to the
 // per-cycle record changes their layout.
-static_assert(std::size(kCycleFields) == 17,
+static_assert(std::size(kCycleFields) == 21,
               "the per-cycle record changed: bump kSnapshotVersion, then update this count");
 
 template <typename Io, typename Options>

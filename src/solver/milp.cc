@@ -9,15 +9,14 @@
 #include <utility>
 
 #include "src/common/check.h"
-#include "src/obs/registry.h"
 #include "src/obs/trace.h"
 
 namespace threesigma {
 namespace {
 
-// Nodes dispatched per wave. Part of the deterministic schedule: the result
-// depends on this value, since the incumbent bound the dispatch prune reads
-// only advances at wave commits. Changing it moves node counts and goldens.
+// Nodes popped per wave. Part of the deterministic schedule: the result
+// depends on this value, since the incumbent bound the wave's prune reads is
+// taken only at wave start. Changing it moves node counts and goldens.
 constexpr int kBatchWidth = 16;
 // Integrality tolerance.
 constexpr double kIntegralityTol = 1e-6;
@@ -40,43 +39,6 @@ struct Node {
 };
 
 bool IsIntegral(double v, double tol) { return std::fabs(v - std::round(v)) <= tol; }
-
-// LP work counters, added once per solved node LP from the commit loop (so
-// never from a standalone SolveLp).
-void RecordLpCounters(const LpSolution& result) {
-  struct LpCounters {
-    obs::Counter* solves;
-    obs::Counter* pivots;
-    obs::Counter* ftran;
-    obs::Counter* btran;
-    obs::Counter* refactorizations;
-    obs::Counter* warm_basis_used;
-    obs::Histogram* pivots_hist;
-  };
-  static const LpCounters* const counters = [] {
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-    auto* c = new LpCounters();
-    c->solves = reg.GetCounter("solver.lp_solves");
-    c->pivots = reg.GetCounter("solver.lp_pivots");
-    c->ftran = reg.GetCounter("solver.ftran");
-    c->btran = reg.GetCounter("solver.btran");
-    c->refactorizations = reg.GetCounter("solver.refactorizations");
-    c->warm_basis_used = reg.GetCounter("solver.warm_basis_used");
-    c->pivots_hist = reg.GetHistogram(
-        "solver.lp_pivots_per_solve", {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0,
-                                       256.0, 512.0, 1024.0});
-    return c;
-  }();
-  counters->solves->Increment();
-  counters->pivots->Add(result.iterations);
-  counters->ftran->Add(result.stats.ftran);
-  counters->btran->Add(result.stats.btran);
-  counters->refactorizations->Add(result.stats.refactorizations);
-  if (result.stats.warm_basis_used) {
-    counters->warm_basis_used->Increment();
-  }
-  counters->pivots_hist->Observe(static_cast<double>(result.iterations));
-}
 
 }  // namespace
 
@@ -170,15 +132,12 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
   TS_OBS_SPAN("solver.milp", obs::Phase::kOther);
   using Clock = std::chrono::steady_clock;
   const auto start_time = Clock::now();
-  const auto seconds_elapsed = [&]() {
-    const std::chrono::duration<double> elapsed = Clock::now() - start_time;
-    return elapsed.count();
-  };
   const auto out_of_time = [&]() {
     if (options.time_limit_seconds <= 0.0) {
       return false;
     }
-    return seconds_elapsed() >= options.time_limit_seconds;
+    const std::chrono::duration<double> elapsed = Clock::now() - start_time;
+    return elapsed.count() >= options.time_limit_seconds;
   };
 
   MilpSolution result;
@@ -209,17 +168,11 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
     }
   }
 
-  // The incumbent objective the dispatch prune reads. It only advances at the
-  // end of each wave, so every node of a wave is pruned against the same
-  // bound (see the header comment).
-  double incumbent_bound =
-      have_incumbent ? best_obj : -std::numeric_limits<double>::infinity();
-
   // Accepts a candidate incumbent under the deterministic total order:
   // higher objective wins; equal objectives go to the lexicographically
-  // smallest id. Only called from the commit phase.
+  // smallest id.
   const auto consider_incumbent = [&](double obj, const std::string& id,
-                                      std::vector<double>&& values, bool from_tree) {
+                                      std::vector<double>&& values) {
     if (have_incumbent && !(obj > best_obj || (obj == best_obj && id < best_id))) {
       return;
     }
@@ -227,10 +180,8 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
     best_obj = obj;
     best_id = id;
     have_incumbent = true;
-    if (from_tree) {
-      result.warm_start_returned = false;
-    }
-    result.incumbent_improvements.push_back(obj);
+    result.warm_start_returned = false;
+    ++result.incumbent_improvements;
   };
 
   // Every node LP runs on the shared core plus its bound overlay, so a
@@ -249,17 +200,20 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
   result.max_queue_depth = 1;
 
   std::vector<Node> wave;
-  std::vector<LpSolution> relaxations;
-  std::vector<std::shared_ptr<const FactoredStart>> exported;
-  std::vector<char> solved;
+  // Set when a budget stops the search before the stack empties: the
+  // incumbent is then only the best found, not proven optimal.
+  bool truncated = false;
 
-  while (!stack.empty()) {
+  while (!stack.empty() && !truncated) {
     if ((options.max_nodes > 0 && result.nodes_explored >= options.max_nodes) ||
         out_of_time()) {
+      truncated = true;
       break;
     }
 
-    // --- Dispatch: pop the wave, pruning against the committed incumbent. --
+    // Pop the wave and take the incumbent bound it prunes against. The bound
+    // stays fixed for the whole wave even as incumbents improve within it
+    // (see the header comment).
     int budget_room = std::numeric_limits<int>::max();
     if (options.max_nodes > 0) {
       budget_room = options.max_nodes - result.nodes_explored;
@@ -271,61 +225,32 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
       wave.push_back(std::move(stack.back()));
       stack.pop_back();
     }
+    const double wave_bound =
+        have_incumbent ? best_obj : -std::numeric_limits<double>::infinity();
 
-    // --- Solve: the wave's LP relaxations, in pop order. --------------------
-    // Per-node outcome: 0 = unsolved (wall clock expired), 1 = LP solved,
-    // 2 = pruned against the wave-start incumbent bound.
-    constexpr char kUnsolved = 0, kSolved = 1, kPruned = 2;
-    const int n = static_cast<int>(wave.size());
-    relaxations.assign(static_cast<size_t>(n), LpSolution{});
-    exported.assign(static_cast<size_t>(n), nullptr);
-    solved.assign(static_cast<size_t>(n), kUnsolved);
-    for (int i = 0; i < n; ++i) {
+    // Solve and commit each node in pop order, so every incumbent update,
+    // prune, node count, and child push is deterministic.
+    for (Node& node : wave) {
       if (out_of_time()) {
-        break;  // Left unsolved; requeued by the commit phase.
-      }
-      const Node& node = wave[static_cast<size_t>(i)];
-      if (node.parent_bound <= incumbent_bound + 1e-9) {
-        solved[static_cast<size_t>(i)] = kPruned;
-        continue;
-      }
-      LpSolution& relax = relaxations[static_cast<size_t>(i)];
-      if (node.start != nullptr) {
-        relax = workspace.SolveFrom(core_, node.fixes, *node.start);
-      } else {
-        relax = workspace.Solve(core_, node.fixes, node.id.empty() ? root_options : node_options);
-      }
-      solved[static_cast<size_t>(i)] = kSolved;
-      // A node that will branch hands its end state to its children. The
-      // commit prunes at least as hard as `incumbent_bound`, so a node that
-      // is no better never branches.
-      if (options.basis_warmstart && relax.status == LpStatus::kOptimal &&
-          relax.objective > incumbent_bound + 1e-9 && HasFractional(relax.values)) {
-        exported[static_cast<size_t>(i)] = workspace.ExportStart();
-      }
-    }
-
-    // --- Commit: in pop order, so every incumbent update, prune, node
-    // count, and child push is deterministic. ------------------------------
-    bool timed_out = false;
-    for (int i = 0; i < n; ++i) {
-      Node& node = wave[static_cast<size_t>(i)];
-      if (solved[static_cast<size_t>(i)] == kPruned) {
-        continue;  // Dominated subtree; not counted, exactly like a pop-prune.
-      }
-      if (solved[static_cast<size_t>(i)] == kUnsolved) {
-        // Ran out of wall clock mid-wave: requeue this and the remaining
-        // unsolved nodes (reverse order keeps the pop order intact).
-        for (int j = n - 1; j >= i; --j) {
-          if (solved[static_cast<size_t>(j)] == kUnsolved) {
-            stack.push_back(std::move(wave[static_cast<size_t>(j)]));
-          }
-        }
-        timed_out = true;
+        truncated = true;  // The rest of the wave is dropped.
         break;
       }
-      const LpSolution& relax = relaxations[static_cast<size_t>(i)];
-      RecordLpCounters(relax);
+      if (node.parent_bound <= wave_bound + 1e-9) {
+        continue;  // Dominated subtree; not counted.
+      }
+      const LpSolution relax =
+          node.start != nullptr
+              ? workspace.SolveFrom(core_, node.fixes, *node.start)
+              : workspace.Solve(core_, node.fixes, node.id.empty() ? root_options : node_options);
+      // A node that will branch hands its end state to its children. The
+      // incumbent only rises within a wave, so a node no better than
+      // `wave_bound` never branches.
+      std::shared_ptr<const FactoredStart> child_start;
+      if (options.basis_warmstart && relax.status == LpStatus::kOptimal &&
+          relax.objective > wave_bound + 1e-9 && HasFractional(relax.values)) {
+        child_start = workspace.ExportStart();
+      }
+
       ++result.nodes_explored;
       result.lp_iterations += relax.iterations;
       result.lp_phase1_iterations += relax.stats.phase1_iterations;
@@ -385,7 +310,7 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
         }
         if (core_.IsFeasible(snapped)) {
           const double obj = core_.ObjectiveValue(snapped);
-          consider_incumbent(obj, node.id, std::move(snapped), /*from_tree=*/true);
+          consider_incumbent(obj, node.id, std::move(snapped));
         }
         continue;
       }
@@ -394,18 +319,17 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
       std::vector<double> rounded;
       if (GreedyRound(relax.values, &rounded)) {
         const double obj = core_.ObjectiveValue(rounded);
-        consider_incumbent(obj, node.id + "r", std::move(rounded), /*from_tree=*/true);
+        consider_incumbent(obj, node.id + "r", std::move(rounded));
       }
 
       // Branch: explore the nearest integer side first (pushed last). Both
       // children resume this node's exported end state.
-      const std::shared_ptr<const FactoredStart>& child_start = exported[static_cast<size_t>(i)];
       const double value = relax.values[branch_var];
       const double floor_v = std::floor(value);
       const double ceil_v = std::ceil(value);
       Node down{node.id + "0", node.fixes, relax.objective, child_start};
       down.fixes.push_back(BoundFix{branch_var, core_.lower[branch_var], floor_v});
-      Node up{node.id + "1", node.fixes, relax.objective, child_start};
+      Node up{node.id + "1", node.fixes, relax.objective, std::move(child_start)};
       up.fixes.push_back(BoundFix{branch_var, ceil_v, core_.upper[branch_var]});
       if (value - floor_v >= 0.5) {
         stack.push_back(std::move(down));
@@ -417,46 +341,13 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
     }
     result.max_queue_depth =
         std::max(result.max_queue_depth, static_cast<int>(stack.size()));
-    if (have_incumbent) {
-      incumbent_bound = best_obj;
-    }
-    if (timed_out) {
-      break;
-    }
   }
 
-  result.solve_seconds = seconds_elapsed();
-  {
-    struct MilpCounters {
-      obs::Counter* solves;
-      obs::Counter* nodes;
-      obs::Counter* warm_started_nodes;
-      obs::Counter* incumbent_improvements;
-      obs::Histogram* nodes_hist;
-    };
-    static const MilpCounters* const counters = [] {
-      obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-      auto* c = new MilpCounters();
-      c->solves = reg.GetCounter("solver.milp_solves");
-      c->nodes = reg.GetCounter("solver.milp_nodes");
-      c->warm_started_nodes = reg.GetCounter("solver.milp_warm_started_nodes");
-      c->incumbent_improvements = reg.GetCounter("solver.milp_incumbent_improvements");
-      c->nodes_hist = reg.GetHistogram("solver.milp_nodes_per_solve",
-                                       {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0});
-      return c;
-    }();
-    counters->solves->Increment();
-    counters->nodes->Add(result.nodes_explored);
-    counters->warm_started_nodes->Add(result.warm_started_nodes);
-    counters->incumbent_improvements->Add(
-        static_cast<int64_t>(result.incumbent_improvements.size()));
-    counters->nodes_hist->Observe(static_cast<double>(result.nodes_explored));
-  }
   if (!have_incumbent) {
     result.status = MilpStatus::kInfeasible;
     return result;
   }
-  result.status = stack.empty() ? MilpStatus::kOptimal : MilpStatus::kFeasible;
+  result.status = truncated ? MilpStatus::kFeasible : MilpStatus::kOptimal;
   result.objective = best_obj;
   result.values = std::move(best);
   return result;

@@ -19,17 +19,18 @@
 // basis. Rounding, incumbent checks and objective values read the same core.
 //
 // Search order: the tree is explored in deterministic *waves*. Each wave
-// pops up to a fixed number of nodes off the subproblem stack, solves their
-// LP relaxations in pop order (skipping a node whose parent bound does not
-// beat the incumbent bound as it stood when the wave began), then commits the
-// results in pop order. The incumbent bound advances only at the end of each
-// wave, and ties between equal-objective incumbents go to the
+// pops up to a fixed number of nodes off the subproblem stack and takes the
+// incumbent objective as it stands as the wave's bound. It then solves and
+// commits each node in pop order: a node whose parent bound does not beat
+// the wave's bound is skipped; any other node's LP relaxation is solved, and
+// the node updates the incumbent, is pruned, or pushes its children before
+// the next node is solved. Ties between equal-objective incumbents go to the
 // lexicographically smallest node id, so the explored tree, node counts, and
-// returned solution depend only on the model, the options and the wave width.
-// Only the wall-clock budget can break this (it truncates the search at a
-// hardware-dependent point). The search runs on the calling thread; the wave
-// width stays part of its definition because it fixes which nodes the
-// wave-start prune skips (DESIGN.md, "Wave-ordered branch-and-bound").
+// returned solution depend only on the model, the options and the wave
+// width. Only the wall-clock budget can break this (it truncates the search
+// at a hardware-dependent point). The search runs on the calling thread; the
+// wave width stays part of its definition because it fixes which nodes the
+// wave-start bound skips (DESIGN.md, "Wave-ordered branch-and-bound").
 
 #ifndef SRC_SOLVER_MILP_H_
 #define SRC_SOLVER_MILP_H_
@@ -77,13 +78,12 @@ struct MilpSolution {
   // True when the returned incumbent came from the warm start and was never
   // improved (diagnostic for the warm-start ablation bench).
   bool warm_start_returned = false;
-  // Deepest the subproblem stack ever got (work-queue depth diagnostic).
+  // Deepest the subproblem stack got, sampled at the start (1) and after each
+  // wave (work-queue depth diagnostic).
   int max_queue_depth = 0;
-  // Wall-clock time spent inside Solve.
-  double solve_seconds = 0.0;
-  // The objective of every incumbent replacement, in commit order
-  // (deterministic: how quickly the solver closes in on its final answer).
-  std::vector<double> incumbent_improvements;
+  // How many times a tree node replaced the incumbent (deterministic: how
+  // much the search improved on its first answer).
+  int incumbent_improvements = 0;
 };
 
 struct MilpOptions {
@@ -100,8 +100,9 @@ struct MilpOptions {
   // Hand each branching node's factored end state to its children, which
   // then re-optimize with a few dual pivots instead of a cold two-phase
   // solve. Every relaxation still solves to proven optimality, so bounds,
-  // prunes, and the returned objective are unaffected; the basis flow
-  // follows the deterministic wave schedule. On a degenerate relaxation a
+  // prunes, and the returned objective are unaffected; a node exports only
+  // when it beats its wave's bound and is fractional, so the basis flow is
+  // as deterministic as the wave schedule. On a degenerate relaxation a
   // warm solve may land on a different optimal vertex than a cold one, which
   // can reorder branching — with a unique MILP optimum the returned solution
   // is identical either way.

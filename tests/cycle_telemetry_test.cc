@@ -16,6 +16,8 @@
 #include "src/obs/profiler.h"
 #include "src/obs/registry.h"
 #include "src/sim/simulator.h"
+#include "src/solver/lp_model.h"
+#include "src/solver/milp.h"
 
 namespace threesigma {
 namespace {
@@ -150,6 +152,21 @@ TEST(CycleTelemetryTest, EveryFieldReachesEveryExport) {
     }
   }
   EXPECT_EQ(counters.at("sched.cycles"), static_cast<int64_t>(result.cycles.size()));
+
+  // The solver reports its work only through the per-cycle record: a
+  // branching solve registers no solver.* counter or histogram of its own.
+  LpModel model;
+  const int x = model.AddVariable(0.0, 1.0, 5.0);
+  const int y = model.AddVariable(0.0, 1.0, 4.0);
+  model.AddRow(RowSense::kLessEqual, 1.4, {{x, 1.0}, {y, 1.0}});
+  ASSERT_GT(MilpSolver(LpCore(model), {x, y}).Solve().nodes_explored, 1);
+  std::ostringstream dump;
+  registry.WriteText(dump);
+  std::istringstream lines(dump.str());
+  for (std::string line; std::getline(lines, line);) {
+    EXPECT_NE(line.rfind("counter solver.", 0), 0u) << line;
+    EXPECT_NE(line.rfind("histogram solver.", 0), 0u) << line;
+  }
 }
 
 }  // namespace
