@@ -28,10 +28,10 @@ void RegisterExperimentFlags(FlagParser& parser, ExperimentFlags* flags) {
       .AddInt("start-slots", &flags->start_slots,
               "candidate deferred-start slots per (job, group) option")
       .AddBool("crosscheck", &flags->crosscheck,
-               "debug: check the capacity rows against a full Eq. 3 recompute, "
-               "every valuation kernel against the generic per-atom loop, and "
-               "every valuation-table cache hit against a fresh rebuild; abort "
-               "on any divergence (decisions unchanged)")
+               "debug: check every valuation kernel against the generic per-atom "
+               "loop, every valuation-table cache hit against a fresh rebuild, "
+               "and each root LP against a cold re-solve; abort on any "
+               "divergence (decisions unchanged)")
       .AddBool("high-fidelity", &flags->high_fidelity, "use the noisy 'RC256' simulator mode")
       .AddDouble("fault-mttf", &flags->fault_mttf,
                  "mean time to failure per node in seconds (0 = no node churn)")

@@ -79,9 +79,6 @@ RunMetrics ComputeMetrics(const SimResult& result, const std::string& system_nam
   m.mean_cycle_seconds = ratio(sum.cycle_seconds, cycles);
   m.mean_solver_seconds = ratio(sum.solver_seconds, cycles);
   m.solver_nodes_per_second = ratio(static_cast<double>(sum.milp_nodes), sum.solver_seconds);
-  m.capacity_cache_hit_rate =
-      ratio(static_cast<double>(sum.capacity_cache_hits),
-            static_cast<double>(sum.capacity_cache_hits + sum.capacity_cache_misses));
   m.valuation_cache_hit_rate =
       ratio(static_cast<double>(sum.valuation_cache_hits),
             static_cast<double>(sum.valuation_cache_hits + sum.valuation_cache_misses));

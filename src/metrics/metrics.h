@@ -51,13 +51,11 @@ struct RunMetrics {
   CycleTelemetry cycle_sum;
   CycleTelemetry cycle_max;
   // Derived means and rates (0 when the denominator is 0): per-cycle mean
-  // latencies, B&B nodes per solver second, and the share of capacity
-  // (running-job survival) and valuation (Eq. 1 table) lookups served from
-  // cache.
+  // latencies, B&B nodes per solver second, and the share of valuation
+  // (Eq. 1 table) lookups served from cache.
   double mean_cycle_seconds = 0.0;
   double mean_solver_seconds = 0.0;
   double solver_nodes_per_second = 0.0;
-  double capacity_cache_hit_rate = 0.0;
   double valuation_cache_hit_rate = 0.0;
 
   // Fault-injection observability (all zero when chaos is off).

@@ -50,10 +50,6 @@
   /* Branch-and-bound: deepest subproblem queue, incumbent improvements. */               \
   X(int64_t, milp_max_queue_depth, Max)                                                   \
   X(int64_t, milp_incumbent_improvements, Sum)                                            \
-  /* Expected-capacity cache: running jobs served from their cached survival */           \
-  /* vector vs. recomputed. */                                                            \
-  X(int64_t, capacity_cache_hits, Sum)                                                    \
-  X(int64_t, capacity_cache_misses, Sum)                                                  \
   /* Valuation engine: Eq. 1 table cache traffic and kernel evaluations. */               \
   X(int64_t, valuation_cache_hits, Sum)                                                   \
   X(int64_t, valuation_cache_misses, Sum)                                                 \

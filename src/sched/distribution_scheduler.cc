@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <limits>
 #include <utility>
 
 #include "src/common/check.h"
@@ -16,15 +15,12 @@ namespace {
 // Options below this expected utility are pruned from the MILP (§4.3.6).
 constexpr double kMinOptionUtility = 1e-6;
 
-// Full consumed_ rebuild period (in solves); squashes accumulated
-// add/subtract float drift.
-constexpr int kCacheRebuildPeriod = 256;
-
 // "sched" section layout version; RestoreState reads no other. v6: the root
 // basis is kept by key (per-job statuses and the capacity-row array) instead
 // of by position. v7: jobs are keyed by id, and a job's spec and run state
-// are left to the simulator's records.
-constexpr uint32_t kSchedSectionVersion = 7;
+// are left to the simulator's records. v8: no expected-capacity rows or
+// per-job survival vectors (RunCycle recomputes Eq. 3 at every solve).
+constexpr uint32_t kSchedSectionVersion = 8;
 
 // The predictor features of a job's current attempt: its spec's features,
 // plus "attempts=k" after k > 0 fault restarts, so restarted attempts build
@@ -54,8 +50,6 @@ DistributionScheduler::DistributionScheduler(const ClusterConfig& cluster,
   TS_CHECK(predictor_ != nullptr);
   TS_CHECK_GT(config_.num_start_slots, 0);
   TS_CHECK_GT(config_.planahead, 0.0);
-  consumed_.assign(static_cast<size_t>(cluster_.num_groups()),
-                   std::vector<double>(static_cast<size_t>(config_.num_start_slots), 0.0));
 }
 
 void DistributionScheduler::UpdateConfig(const DistSchedulerConfig& config) {
@@ -64,16 +58,11 @@ void DistributionScheduler::UpdateConfig(const DistSchedulerConfig& config) {
   const bool dist_flip = config.use_distribution != config_.use_distribution;
   config_ = config;
 
-  // The expected-capacity rows, cached survival vectors, planned options,
-  // and valuation tables all encode the old (planahead, slots, distribution)
-  // policy; drop them and let the next cycle rebuild from scratch.
-  consumed_.assign(static_cast<size_t>(cluster_.num_groups()),
-                   std::vector<double>(static_cast<size_t>(config_.num_start_slots), 0.0));
+  // The planned options and valuation tables encode the old (planahead,
+  // slots, distribution) policy; drop them and let the next cycle rebuild
+  // from scratch.
   for (auto& [id, info] : jobs_) {
     (void)id;
-    info.capacity_applied = false;
-    info.cached_survival.clear();
-    info.survival_valid_until = -1e18;
     info.planned_group = -1;
     info.planned_start = kNever;
     if (dist_flip) {
@@ -88,7 +77,6 @@ void DistributionScheduler::UpdateConfig(const DistSchedulerConfig& config) {
   capacity_status_.clear();  // ...and no basis is kept.
   dirty_ = true;
   last_solve_ = -1e18;
-  solves_since_rebuild_ = 0;
 }
 
 void DistributionScheduler::PredictSchedDist(JobInfo& info) const {
@@ -147,12 +135,10 @@ void DistributionScheduler::OnJobStarted(JobId id, int group, Time now) {
   auto it = jobs_.find(id);
   TS_CHECK(it != jobs_.end());
   JobInfo& info = it->second;
-  RetireCapacityContribution(info);  // Stale entry from a pre-preemption run.
   info.group = group;
   info.start_time = now;
   info.underest_level = -1;
   info.underest_finish = kNever;
-  info.survival_valid_until = -1e18;
   pending_.erase(std::remove(pending_.begin(), pending_.end(), id), pending_.end());
   dirty_ = true;
 }
@@ -160,7 +146,6 @@ void DistributionScheduler::OnJobStarted(JobId id, int group, Time now) {
 void DistributionScheduler::OnJobFinished(JobId id, Time now, Duration observed_runtime) {
   auto it = jobs_.find(id);
   TS_CHECK(it != jobs_.end());
-  RetireCapacityContribution(it->second);
   predictor_->RecordCompletion(AttemptFeatures(it->second.spec, it->second.attempts),
                                observed_runtime);
   valuation_.InvalidateJob(id);
@@ -175,14 +160,12 @@ void DistributionScheduler::OnJobPreempted(JobId id, Time now) {
   TS_CHECK(it != jobs_.end());
   JobInfo& info = it->second;
   TS_CHECK_GE(info.group, 0);
-  RetireCapacityContribution(info);
   info.group = -1;
   info.start_time = kNever;
   info.underest_level = -1;
   info.underest_finish = kNever;
   info.planned_group = -1;
   info.planned_start = kNever;
-  info.survival_valid_until = -1e18;
   pending_.push_back(id);
   dirty_ = true;
   (void)now;
@@ -227,8 +210,8 @@ void DistributionScheduler::OnJobFaultKilled(JobId id, Time now) {
 
 void DistributionScheduler::OnCapacityChanged(int group, int available_nodes, Time now) {
   // The last plan (and any solve-skip decision) was drawn against the old
-  // capacity; force a full re-solve next cycle. consumed_ needs no surgery:
-  // RunCycle charges Eq. 3 consumption against the view's available nodes.
+  // capacity; force a full re-solve next cycle. RunCycle charges Eq. 3
+  // consumption against the view's available nodes.
   dirty_ = true;
   (void)group;
   (void)available_nodes;
@@ -292,54 +275,6 @@ void DistributionScheduler::ComputeRunningSurvival(const JobInfo& info, Time now
   }
 }
 
-void DistributionScheduler::RefreshRunningSurvival(JobInfo& info, Time now) {
-  UpdateUnderestimate(info, now);
-  ComputeRunningSurvival(info, now, &info.cached_survival);
-
-  // Validity horizon: the vector stays exact until one of the per-slot query
-  // points crosses a step of the survival function.
-  const int slots = config_.num_start_slots;
-  const double delta = config_.planahead / slots;
-  constexpr Time kForever = std::numeric_limits<double>::infinity();
-  if (info.underest_level >= 0) {
-    // Steps at now' + i·delta == underest_finish; the earliest future one
-    // bounds validity (i == 0 guarantees a future boundary: UpdateUnderestimate
-    // leaves underest_finish > now).
-    Time valid_until = kForever;
-    for (int i = 0; i < slots; ++i) {
-      const Time boundary = info.underest_finish - i * delta;
-      if (boundary > now) {
-        valid_until = std::min(valid_until, boundary);
-      }
-    }
-    info.survival_valid_until = valid_until;
-    return;
-  }
-  const double mult = info.spec.RuntimeMultiplier(info.group);
-  const double elapsed = now - info.start_time;
-  if (info.sched_dist.empty() || info.sched_dist.MaxValue() * mult <= elapsed) {
-    info.survival_valid_until = now;  // Fallback branch: recompute every cycle.
-    return;
-  }
-  // Survival steps at each atom value; slot i's query point elapsed + i·delta
-  // crosses atom v when elapsed reaches v − i·delta. The smallest such future
-  // elapsed bounds validity; per atom that is the *largest* i whose crossing
-  // is still ahead (larger i crosses earlier). The max atom's i == 0 crossing
-  // also covers the switch into under-estimate extension.
-  double next_elapsed = kForever;
-  for (const EmpiricalDistribution::Atom& atom : info.sched_dist.atoms()) {
-    const double v = atom.value * mult;
-    for (int i = slots - 1; i >= 0; --i) {
-      const double boundary = v - i * delta;
-      if (boundary > elapsed + 1e-9) {
-        next_elapsed = std::min(next_elapsed, boundary);
-        break;
-      }
-    }
-  }
-  info.survival_valid_until = info.start_time + next_elapsed;
-}
-
 void DistributionScheduler::ValueJobOptions(const JobInfo& info, Time now,
                                             ValuationCounters* counters, JobValuation* out) {
   out->Clear();
@@ -384,77 +319,6 @@ void DistributionScheduler::ValueJobOptions(const JobInfo& info, Time now,
   }
 }
 
-void DistributionScheduler::RetireCapacityContribution(JobInfo& info) {
-  if (!info.capacity_applied) {
-    return;
-  }
-  const double k = info.spec.num_tasks;
-  std::vector<double>& row = consumed_[static_cast<size_t>(info.group)];
-  for (size_t i = 0; i < info.cached_survival.size(); ++i) {
-    row[i] -= k * info.cached_survival[i];
-  }
-  info.capacity_applied = false;
-}
-
-void DistributionScheduler::UpdateConsumed(Time now, const ClusterStateView& state,
-                                           CycleResult* result) {
-  const bool incremental = solves_since_rebuild_ < kCacheRebuildPeriod;
-  if (!incremental) {
-    solves_since_rebuild_ = 0;
-    for (std::vector<double>& row : consumed_) {
-      std::fill(row.begin(), row.end(), 0.0);
-    }
-    for (auto& [id, info] : jobs_) {
-      info.capacity_applied = false;
-    }
-  }
-  ++solves_since_rebuild_;
-
-  for (const RunningJobView& r : state.running) {
-    auto it = jobs_.find(r.id);
-    TS_CHECK_MSG(it != jobs_.end(), "unknown running job " << r.id);
-    JobInfo& info = it->second;
-    TS_CHECK_MSG(info.group == r.group, "group mismatch for job " << r.id);
-    if (incremental && info.capacity_applied && now < info.survival_valid_until) {
-      ++result->capacity_cache_hits;
-      continue;
-    }
-    RetireCapacityContribution(info);
-    RefreshRunningSurvival(info, now);
-    const double k = info.spec.num_tasks;
-    std::vector<double>& row = consumed_[static_cast<size_t>(info.group)];
-    for (size_t i = 0; i < info.cached_survival.size(); ++i) {
-      row[i] += k * info.cached_survival[i];
-    }
-    info.capacity_applied = true;
-    ++result->capacity_cache_misses;
-  }
-
-  if (config_.crosscheck) {
-    // The cache invariant: delta-updated rows must equal a from-scratch
-    // recompute (up to float accumulation noise).
-    std::vector<std::vector<double>> expected(
-        consumed_.size(), std::vector<double>(static_cast<size_t>(config_.num_start_slots), 0.0));
-    std::vector<double> survival;
-    for (const RunningJobView& r : state.running) {
-      const JobInfo& info = jobs_.at(r.id);
-      ComputeRunningSurvival(info, now, &survival);
-      for (size_t i = 0; i < survival.size(); ++i) {
-        expected[static_cast<size_t>(r.group)][i] += info.spec.num_tasks * survival[i];
-      }
-    }
-    for (size_t g = 0; g < consumed_.size(); ++g) {
-      for (size_t i = 0; i < consumed_[g].size(); ++i) {
-        const double diff = std::fabs(consumed_[g][i] - expected[g][i]);
-        TS_CHECK_MSG(diff <= 1e-6 * std::max(1.0, std::fabs(expected[g][i])),
-                     "capacity cache drift at group " << g << " slot " << i << ": cached "
-                                                      << consumed_[g][i] << " vs recomputed "
-                                                      << expected[g][i]);
-      }
-    }
-  }
-}
-
 CycleResult DistributionScheduler::RunCycle(Time now, const ClusterStateView& state) {
   const auto cycle_start = std::chrono::steady_clock::now();
   CycleResult result;
@@ -483,10 +347,9 @@ CycleResult DistributionScheduler::RunCycle(Time now, const ClusterStateView& st
   const double delta = config_.planahead / slots;
 
   // --- 1. Running jobs: conditional consumption per (group, slot). ---------
-  // Brings consumed_[g][i] up to date incrementally (see UpdateConsumed);
-  // every running job's cached_survival is fresh as of `now` afterwards —
-  // either because it was just recomputed or because its validity horizon has
-  // not expired.
+  // Eq. 3 from the running set alone: consumed_[g][i] = Σ k·S_i over the
+  // jobs running on g, each S conditioned on its elapsed time (Eq. 2),
+  // summed in view order into freshly zeroed rows.
   struct PreemptCandidate {
     JobId id;
     JobInfo* info;
@@ -498,16 +361,27 @@ CycleResult DistributionScheduler::RunCycle(Time now, const ClusterStateView& st
   std::vector<PreemptCandidate> preemptables;
   {
     TS_OBS_SPAN("sched.capacity", obs::Phase::kCapacity);
-    UpdateConsumed(now, state, &result);
-    // Preemption candidates: running best-effort jobs (§4.3.5).
+    consumed_.assign(static_cast<size_t>(num_groups),
+                     std::vector<double>(static_cast<size_t>(slots), 0.0));
+    std::vector<double> survival;
     for (const RunningJobView& r : state.running) {
-      if (!(config_.enable_preemption && r.type == JobType::kBestEffort)) {
-        continue;
+      auto it = jobs_.find(r.id);
+      TS_CHECK_MSG(it != jobs_.end(), "unknown running job " << r.id);
+      JobInfo& info = it->second;
+      TS_CHECK_MSG(info.group == r.group, "group mismatch for job " << r.id);
+      UpdateUnderestimate(info, now);
+      ComputeRunningSurvival(info, now, &survival);
+      const double k = info.spec.num_tasks;
+      std::vector<double>& row = consumed_[static_cast<size_t>(r.group)];
+      for (int i = 0; i < slots; ++i) {
+        row[static_cast<size_t>(i)] += k * survival[static_cast<size_t>(i)];
       }
-      JobInfo& info = jobs_.at(r.id);
-      preemptables.push_back(PreemptCandidate{
-          r.id, &info, r.group, static_cast<double>(r.num_tasks), info.cached_survival,
-          config_.preemption_cost_factor * info.effective_utility.peak_value()});
+      // Preemption candidates: running best-effort jobs (§4.3.5).
+      if (config_.enable_preemption && r.type == JobType::kBestEffort) {
+        preemptables.push_back(PreemptCandidate{
+            r.id, &info, r.group, static_cast<double>(r.num_tasks), std::move(survival),
+            config_.preemption_cost_factor * info.effective_utility.peak_value()});
+      }
     }
   }
 
@@ -871,9 +745,6 @@ void DistributionScheduler::Walk(Io& io, Self& self) {
     io.Double(info.underest_finish);
     io.VarInt(info.planned_group);
     io.Double(info.planned_start);
-    io.Seq(info.cached_survival, [&](auto& v) { io.Double(v); }, sizeof(double));
-    io.Double(info.survival_valid_until);
-    io.Bool(info.capacity_applied);
     io.Seq(info.option_status, [&](auto& st) { io.Enum(st, BasisStatus::kAtUpper); });
     io.Enum(info.demand_status, BasisStatus::kAtUpper);
     io.Enum(info.preempt_status, BasisStatus::kAtUpper);
@@ -882,10 +753,6 @@ void DistributionScheduler::Walk(Io& io, Self& self) {
   io.Seq(self.pending_, [&](auto& id) { io.VarInt(id); });
   io.Bool(self.dirty_);
   io.Double(self.last_solve_);
-  io.Seq(self.consumed_, [&](auto& row) {
-    io.Seq(row, [&](auto& v) { io.Double(v); }, sizeof(double));
-  });
-  io.VarInt(self.solves_since_rebuild_);
   io.VarInt(self.basis_epoch_);
   io.Seq(self.capacity_status_, [&](auto& st) { io.Enum(st, BasisStatus::kAtUpper); });
 }
@@ -913,17 +780,10 @@ void DistributionScheduler::RestoreState(SnapshotReader& reader) {
     return;
   }
   Walk(reader, *this);
-  // The cycle indexes consumed_ by group and start slot.
-  const int num_groups = cluster_.num_groups();
-  const size_t slots = static_cast<size_t>(config_.num_start_slots);
-  if (reader.ok() &&
-      (consumed_.size() != static_cast<size_t>(num_groups) ||
-       std::any_of(consumed_.begin(), consumed_.end(),
-                   [&](const std::vector<double>& row) { return row.size() != slots; }))) {
-    reader.Fail("snapshot cluster shape does not match this scheduler");
-  }
   // The keyed basis is indexed by g * slots + slot.
-  const size_t keyed_size = static_cast<size_t>(num_groups) * slots;
+  const int num_groups = cluster_.num_groups();
+  const size_t keyed_size =
+      static_cast<size_t>(num_groups) * static_cast<size_t>(config_.num_start_slots);
   if (basis_epoch_ < 0 || (!capacity_status_.empty() && capacity_status_.size() != keyed_size)) {
     reader.Fail("keyed basis does not match this scheduler");
   }
@@ -954,18 +814,14 @@ void DistributionScheduler::RestoreState(SnapshotReader& reader) {
 void DistributionScheduler::OnJobsRestored(const std::vector<const JobRecord*>& live,
                                            SnapshotReader& reader) {
   // The job table must hold exactly the live records (the simulator has
-  // already validated each one and rejected duplicate ids), and a capacity
-  // cache entry is applied only for a running job, one term per start slot.
+  // already validated each one and rejected duplicate ids).
   if (jobs_.size() != live.size() || !PendingQueueMatches(pending_, live)) {
     reader.Fail("scheduler job table does not match the simulator's live jobs");
     return;
   }
   for (const JobRecord* rec : live) {
     const auto it = jobs_.find(rec->spec.id);
-    if (it == jobs_.end() ||
-        (it->second.capacity_applied &&
-         (rec->status != JobStatus::kRunning ||
-          it->second.cached_survival.size() != static_cast<size_t>(config_.num_start_slots)))) {
+    if (it == jobs_.end()) {
       reader.Fail("scheduler state disagrees with the simulator about job " +
                   std::to_string(rec->spec.id));
       return;

@@ -92,15 +92,14 @@ struct DistSchedulerConfig {
   // predates the single-threaded solver.
   int solver_threads = 1;
 
-  // Debug oracle for the two incremental caches; costs what they save, tests
-  // only. Every cycle the expected-capacity rows are TS_CHECKed against a
-  // from-scratch Eq. 3 recompute, every valuation kernel and survival answer
-  // against the generic per-atom loop (bitwise), and every valuation table
-  // cache hit against a table rebuilt from the job's current distribution
-  // and utility (bitwise) — so a missed InvalidateJob aborts. Each cycle's
-  // root LP, started from the mapped basis, is also re-solved cold and its
-  // objective TS_CHECKed to 1e-9 relative. Decisions and per-cycle counters
-  // are unchanged: the re-solves reach no per-cycle record.
+  // Debug oracle for the valuation engine and the warm root; tests only.
+  // Every valuation kernel and survival answer is TS_CHECKed against the
+  // generic per-atom loop (bitwise), and every valuation table cache hit
+  // against a table rebuilt from the job's current distribution and utility
+  // (bitwise) — so a missed InvalidateJob aborts. Each cycle's root LP,
+  // started from the mapped basis, is also re-solved cold and its objective
+  // TS_CHECKed to 1e-9 relative. Decisions and per-cycle counters are
+  // unchanged: the re-solves reach no per-cycle record.
   bool crosscheck = false;
 };
 
@@ -130,13 +129,13 @@ class DistributionScheduler : public Scheduler {
   std::string name() const override { return config_.name; }
 
   // Checkpointing: serializes what only the scheduler knows (the persisted
-  // JobInfo fields by job id, pending order, solve-skip state, consumed_
-  // rows, the keyed root basis, and the valuation cache's key set) into a
-  // "sched" section, then the predictor into a "predict" section.
-  // RestoreState accepts only the current section version and fails the
-  // reader soft on any other. It requires a scheduler constructed with the
-  // same config and predictor graph; the cluster shape is validated via
-  // consumed_ geometry. OnJobsRestored re-derives the rest (see JobInfo).
+  // JobInfo fields by job id, pending order, solve-skip state, the keyed
+  // root basis, and the valuation cache's key set) into a "sched" section,
+  // then the predictor into a "predict" section. RestoreState accepts only
+  // the current section version and fails the reader soft on any other. It
+  // requires a scheduler constructed with the same config and predictor
+  // graph (the simulator checks the cluster). OnJobsRestored re-derives the
+  // rest (see JobInfo); the next solve recomputes Eq. 3 from the running set.
   void SaveState(SnapshotWriter& writer) const override;
   void RestoreState(SnapshotReader& reader) override;
   void OnJobsRestored(const std::vector<const JobRecord*>& live, SnapshotReader& reader) override;
@@ -146,16 +145,17 @@ class DistributionScheduler : public Scheduler {
   // auto-apply). The job table survives; derived per-job state is rebuilt
   // under the new policy: sched_dist is re-predicted when use_distribution
   // flips, the OE decay gate is re-evaluated for every job, and the
-  // expected-capacity rows, valuation tables, solve-skip plan, and warm-start
-  // basis are all reset (they encode the old policy). The cluster and
-  // predictor are unchanged; `config.name` is adopted as-is.
+  // valuation tables, solve-skip plan, and warm-start basis are all reset
+  // (they encode the old policy). The cluster and predictor are unchanged;
+  // `config.name` is adopted as-is.
   void UpdateConfig(const DistSchedulerConfig& config);
 
   // Diagnostics.
   int pending_count() const { return static_cast<int>(pending_.size()); }
   const DistSchedulerConfig& config() const { return config_; }
-  // Eq. 3 running-job consumption per (group, slot) as of the last full
-  // cycle: expected free capacity is node_count − expected_consumed()[g][i].
+  // Eq. 3 running-job consumption per (group, slot) as of the last solve
+  // (empty before the first): expected free capacity is
+  // node_count − expected_consumed()[g][i].
   const std::vector<std::vector<double>>& expected_consumed() const { return consumed_; }
 
  private:
@@ -186,14 +186,6 @@ class DistributionScheduler : public Scheduler {
     int planned_group = -1;
     Time planned_start = kNever;
 
-    // Expected-capacity cache entry: this job's per-slot survival vector,
-    // exact for any cycle time in [when it was computed, survival_valid_until).
-    // `capacity_applied` marks that k·cached_survival is currently summed
-    // into consumed_[group] and must be subtracted before any change.
-    std::vector<double> cached_survival;
-    Time survival_valid_until = -1e18;
-    bool capacity_applied = false;
-
     // This job's part of the kept root basis (see basis_epoch_), current
     // only while basis_epoch == basis_epoch_: the status of its option
     // column for (group g, start slot s) at option_status[g * slots + s],
@@ -222,10 +214,11 @@ class DistributionScheduler : public Scheduler {
   // Refreshes the under-estimate extension state of a running job (§4.2.1).
   void UpdateUnderestimate(JobInfo& info, Time now) const;
 
-  // Pure per-slot survival vector of a running job at `now` (no cache or
-  // under-estimate state mutation; shared by the cache refresh and the
-  // crosscheck recompute). The Eq. 2 ratios are served from the job's
-  // prefix-sum tables (zero-copy; may populate the mutable table cache).
+  // Per-slot survival vector of a running job at `now`, conditioned on its
+  // elapsed time (Eq. 2), or its under-estimate extension's point estimate;
+  // reads the under-estimate state, so RunCycle calls UpdateUnderestimate
+  // first. The Eq. 2 ratios are served from the job's prefix-sum tables
+  // (zero-copy; may populate the mutable table cache).
   void ComputeRunningSurvival(const JobInfo& info, Time now, std::vector<double>* out) const;
 
   // Values one considered job's (group, slot) options into `out`, building
@@ -233,15 +226,6 @@ class DistributionScheduler : public Scheduler {
   // cache traffic and kernel calls.
   void ValueJobOptions(const JobInfo& info, Time now, ValuationCounters* counters,
                        JobValuation* out);
-  // Recomputes a job's cached survival vector and its validity horizon
-  // (calls UpdateUnderestimate first).
-  void RefreshRunningSurvival(JobInfo& info, Time now);
-  // Removes a job's applied contribution from consumed_ (no-op if none).
-  void RetireCapacityContribution(JobInfo& info);
-  // Step 1 of RunCycle: brings consumed_ up to date for `now` by delta
-  // updates (with a periodic full rebuild); fills the cycle's hit/miss
-  // counters.
-  void UpdateConsumed(Time now, const ClusterStateView& state, CycleResult* result);
 
   const ClusterConfig& cluster_;
   RuntimePredictor* predictor_;
@@ -254,16 +238,10 @@ class DistributionScheduler : public Scheduler {
   bool dirty_ = true;
   Time last_solve_ = -1e18;
 
-  // Incremental Eq. 3 state: consumed_[g][i] = Σ k·(1 − CDF) over running
-  // jobs. Rows are updated by delta when a running job starts, completes, or
-  // needs reconditioning, instead of being re-summed every cycle: each job's
-  // per-slot survival vector carries a validity horizon (the next time an
-  // atom of its conditioned distribution crosses a slot boundary), and rows
-  // stay untouched until a horizon expires.
+  // Eq. 3 as of the last solve: consumed_[g][i] = Σ k·(1 − CDF) over the
+  // jobs running on group g, at slot offset i. RunCycle re-sums it from the
+  // running set at every solve; it is never persisted.
   std::vector<std::vector<double>> consumed_;
-  // Delta updates accumulate float error; a periodic full rebuild squashes
-  // any drift long before it can reach the cross-check tolerance.
-  int solves_since_rebuild_ = 0;
 
   // The last solved root relaxation's basis, kept by key and mapped onto the
   // next cycle's model as its root hint (§4.3.6 "seeding the solver with the

@@ -75,6 +75,10 @@ struct CycleResult : CycleTelemetry {
   std::vector<JobId> abandon;
   // Deferred reservations (observability only; nothing to execute).
   std::vector<PlannedPlacement> deferred;
+  // Never set: Eq. 3 has no cache. Kept only for perfbench's probes, which
+  // still read them (the benchmark's next revision drops both).
+  int64_t capacity_cache_hits = 0;
+  int64_t capacity_cache_misses = 0;
 };
 
 class Scheduler {

@@ -116,11 +116,13 @@ struct Event {
 // per-cycle record gained lp_pivots, root_pivots and root_warm. v7: no
 // "workload" section (the "sim" section's job records carry every spec). v8:
 // the per-cycle record gained ftran, btran, refactorizations and
-// warm_started_nodes.
-constexpr uint32_t kSnapshotVersion = 8;
+// warm_started_nodes. v9: the per-cycle record lost capacity_cache_hits and
+// capacity_cache_misses, and the "sched" section (own version 8) its
+// expected-capacity rows and per-job survival vectors.
+constexpr uint32_t kSnapshotVersion = 9;
 // The "metrics" and "timing" sections walk kCycleFields, so any change to the
 // per-cycle record changes their layout.
-static_assert(std::size(kCycleFields) == 21,
+static_assert(std::size(kCycleFields) == 19,
               "the per-cycle record changed: bump kSnapshotVersion, then update this count");
 
 template <typename Io, typename Options>

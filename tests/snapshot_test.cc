@@ -647,7 +647,7 @@ TEST(CheckpointResumeTest, GracefulRejection) {
 }
 
 TEST(CheckpointResumeTest, OtherSchedSectionVersionsFailSoft) {
-  // Each scheduler reads only its current "sched" layout (3Sigma v7, Prio
+  // Each scheduler reads only its current "sched" layout (3Sigma v8, Prio
   // v2); older and newer versions latch a reader error instead of being
   // misread.
   const ExperimentConfig config = CheckpointChaosConfig();
@@ -655,7 +655,7 @@ TEST(CheckpointResumeTest, OtherSchedSectionVersionsFailSoft) {
     SystemKind kind;
     const char* tag;
     std::vector<uint32_t> versions;
-  } cases[] = {{SystemKind::kThreeSigma, "3sigma-sched", {5u, 6u, 8u}},
+  } cases[] = {{SystemKind::kThreeSigma, "3sigma-sched", {6u, 7u, 9u}},
                {SystemKind::kPrio, "prio", {1u, 3u}}};
   for (const auto& c : cases) {
     for (const uint32_t version : c.versions) {
