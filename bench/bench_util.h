@@ -18,7 +18,7 @@
 //   THREESIGMA_OBS_PHASE_CSV=<path>      (per-cycle phase-latency CSV sink)
 //   THREESIGMA_OBS_DECISIONS_CSV=<path>  (per-cycle decision-log CSV sink)
 //   THREESIGMA_OBS_METRICS=<path>        (metrics-registry text dump sink)
-//   THREESIGMA_OBS_RING=<n>              (per-thread span ring capacity)
+//   THREESIGMA_OBS_RING=<n>              (span ring capacity)
 
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_

@@ -2,7 +2,7 @@
 //
 // The subsystem's compiled-in-but-gated contract is: with every facility
 // disabled, an instrumentation site costs one relaxed atomic load and branch
-// (spans) or one striped relaxed fetch_add (counters). This bench measures
+// (spans) or one relaxed fetch_add (counters). This bench measures
 // those site costs directly, then scales them by the number of sites a
 // fig06_e2e-configuration run actually executes to report the headline
 //
@@ -13,7 +13,7 @@
 // to track the trajectory (wall clock on shared runners is noisy; the site
 // counts are deterministic).
 //
-// Supporting series: per-site disabled/enabled span cost, striped counter
+// Supporting series: per-site disabled/enabled span cost, counter
 // increment cost, and the full e2e run with observability off vs fully on.
 
 #include <chrono>

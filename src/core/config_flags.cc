@@ -58,8 +58,7 @@ void RegisterExperimentFlags(FlagParser& parser, ExperimentFlags* flags) {
                  "or ui.perfetto.dev); enables span tracing")
       .AddString("trace-bin-out", &flags->trace_bin_out,
                  "write the binary span trace here (snapshot codec; the "
-                 "deterministic sections are byte-identical across runs and "
-                 "thread counts)")
+                 "deterministic sections are byte-identical across runs)")
       .AddString("obs-phase-csv", &flags->obs_phase_csv,
                  "write the per-cycle scheduler phase-latency CSV here; enables "
                  "the cycle profiler")
@@ -69,7 +68,7 @@ void RegisterExperimentFlags(FlagParser& parser, ExperimentFlags* flags) {
       .AddString("obs-metrics-out", &flags->obs_metrics_out,
                  "write a text dump of the metrics registry here")
       .AddInt("obs-ring-capacity", &flags->obs_ring_capacity,
-              "span ring capacity per thread (oldest spans drop on overflow)");
+              "span ring capacity (oldest spans drop on overflow)");
 }
 
 namespace {

@@ -44,7 +44,7 @@ struct Options {
   bool profiler = false;
   bool decisions = false;
 
-  // Per-thread span ring capacity (records); oldest spans drop on wrap.
+  // Span ring capacity (records); oldest spans drop on wrap.
   int64_t ring_capacity = 1 << 16;
 
   // Export sinks, written by Flush(). Empty = not written.

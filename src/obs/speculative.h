@@ -11,10 +11,10 @@
 //
 // SpeculativeScope raises a process-wide suppression depth for its lifetime;
 // while the depth is nonzero, Tracer/CycleProfiler/DecisionLog::enabled()
-// report false and Counter/Gauge/Histogram writes drop on the floor. The
-// depth is a plain atomic rather than thread_local on purpose: the what-if
-// engine steps its forks on its fan-out ThreadPool's worker threads, and
-// those threads must be suppressed too. This is sound because speculation only ever runs while
+// report false and Counter/Gauge writes drop on the floor. The depth is one
+// process-wide atomic, not a per-thread flag, on purpose: the what-if engine
+// steps its forks on its fan-out ThreadPool's worker threads, and those
+// threads must be suppressed too. This is sound because speculation only ever runs while
 // the live driver is idle at a cycle boundary (the serve loop is a
 // single-threaded event loop), so there is no concurrent live instrumentation
 // to accidentally silence. The depth counter nests, so an advisory sweep can

@@ -1,10 +1,8 @@
 #include "src/obs/trace.h"
 
-#include <algorithm>
 #include <chrono>
 #include <ostream>
 
-#include "src/common/check.h"
 #include "src/obs/profiler.h"
 #include "src/snapshot/snapshot_io.h"
 
@@ -18,7 +16,8 @@ int64_t SteadyNowNs() {
       .count();
 }
 
-constexpr uint32_t kTraceSectionVersion = 1;
+// v2: spans lost their thread ordinal (the tracer has one ring).
+constexpr uint32_t kTraceSectionVersion = 2;
 
 }  // namespace
 
@@ -50,34 +49,6 @@ const char* PhaseName(Phase phase) {
   return "unknown";
 }
 
-// Per-thread span storage. Owned by the tracer (so rings outlive pool
-// threads); written lock-free by the owning thread only. CollectSpans /
-// Clear must not race with emission — in this codebase spans are emitted
-// from the simulation driver thread and collected after the run.
-struct Tracer::ThreadState {
-  uint16_t thread_ord = 0;
-  std::vector<SpanRecord> ring;
-  size_t head = 0;       // Next write position.
-  size_t count = 0;      // Records currently retained (<= ring.size()).
-  uint64_t order = 0;    // Emission ordinal (monotone per thread).
-  uint64_t dropped = 0;  // Overwritten records.
-  uint16_t depth = 0;    // Open-span nesting depth.
-
-  void Push(const SpanRecord& record) {
-    if (ring.empty()) {
-      ++dropped;
-      return;
-    }
-    if (count == ring.size()) {
-      ++dropped;
-    } else {
-      ++count;
-    }
-    ring[head] = record;
-    head = (head + 1) % ring.size();
-  }
-};
-
 std::atomic<bool> Tracer::enabled_{false};
 
 Tracer::Tracer() { epoch_ns_ = SteadyNowNs(); }
@@ -89,25 +60,25 @@ Tracer& Tracer::Global() {
 
 void Tracer::SetEnabled(bool enabled) { enabled_.store(enabled, std::memory_order_relaxed); }
 
-void Tracer::SetRingCapacity(size_t capacity) {
-  ring_capacity_.store(capacity, std::memory_order_relaxed);
-}
-
-Tracer::ThreadState* Tracer::ThisThread() {
-  thread_local ThreadState* state = nullptr;
-  if (state == nullptr) {
-    auto owned = std::make_unique<ThreadState>();
-    state = owned.get();
-    std::lock_guard<std::mutex> lock(mu_);
-    state->thread_ord = static_cast<uint16_t>(threads_.size());
-    state->ring.resize(ring_capacity_.load(std::memory_order_relaxed));
-    threads_.push_back(std::move(owned));
+void Tracer::Push(const SpanRecord& record) {
+  if (ring_.empty()) {
+    ring_.resize(ring_capacity_);
+    if (ring_.empty()) {
+      ++dropped_;
+      return;
+    }
   }
-  return state;
+  if (count_ == ring_.size()) {
+    ++dropped_;
+  } else {
+    ++count_;
+  }
+  ring_[head_] = record;
+  head_ = (head_ + 1) % ring_.size();
 }
 
 uint32_t Tracer::InternName(const char* name, Phase phase) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(names_mu_);
   names_.emplace_back(name, phase);
   return static_cast<uint32_t>(names_.size() - 1);
 }
@@ -117,50 +88,27 @@ double Tracer::WallNow() const {
 }
 
 void Tracer::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  const size_t capacity = ring_capacity_.load(std::memory_order_relaxed);
-  for (auto& thread : threads_) {
-    thread->ring.assign(capacity, SpanRecord{});
-    thread->head = 0;
-    thread->count = 0;
-    thread->order = 0;
-    thread->dropped = 0;
-    thread->depth = 0;
-  }
+  ring_ = {};
+  head_ = 0;
+  count_ = 0;
+  order_ = 0;
+  dropped_ = 0;
+  depth_ = 0;
   epoch_ns_ = SteadyNowNs();
 }
 
 std::vector<SpanRecord> Tracer::CollectSpans() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<SpanRecord> out;
-  for (const auto& thread : threads_) {
-    const size_t n = thread->count;
-    const size_t size = thread->ring.size();
-    // Oldest-first: the ring holds the last `count` records ending at head.
-    for (size_t i = 0; i < n; ++i) {
-      out.push_back(thread->ring[(thread->head + size - n + i) % size]);
-    }
+  out.reserve(count_);
+  // Oldest-first: the ring holds the last `count_` records ending at head_.
+  for (size_t i = 0; i < count_; ++i) {
+    out.push_back(ring_[(head_ + ring_.size() - count_ + i) % ring_.size()]);
   }
-  std::sort(out.begin(), out.end(), [](const SpanRecord& a, const SpanRecord& b) {
-    if (a.thread_ord != b.thread_ord) {
-      return a.thread_ord < b.thread_ord;
-    }
-    return a.order < b.order;
-  });
   return out;
 }
 
-uint64_t Tracer::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t total = 0;
-  for (const auto& thread : threads_) {
-    total += thread->dropped;
-  }
-  return total;
-}
-
 std::vector<std::pair<std::string, Phase>> Tracer::names() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(names_mu_);
   return names_;
 }
 
@@ -179,8 +127,8 @@ void Tracer::ExportChromeJson(std::ostream& os) const {
                                   : std::string("unknown");
     // Complete ("X") events; timestamps are microseconds of quarantined
     // wall clock since the tracer epoch.
-    os << "{\"name\":\"" << name << "\",\"ph\":\"X\",\"pid\":1,\"tid\":" << span.thread_ord
-       << ",\"ts\":" << span.wall_start * 1e6 << ",\"dur\":" << span.wall_dur * 1e6
+    os << "{\"name\":\"" << name << "\",\"ph\":\"X\",\"pid\":1,\"tid\":0,\"ts\":"
+       << span.wall_start * 1e6 << ",\"dur\":" << span.wall_dur * 1e6
        << ",\"args\":{\"cycle\":" << span.cycle << ",\"sim_time\":" << span.sim_time
        << ",\"phase\":\"" << PhaseName(static_cast<Phase>(span.phase)) << "\"}}";
   }
@@ -199,13 +147,12 @@ void Tracer::ExportBinary(SnapshotWriter& writer) const {
   }
   writer.EndSection();
 
-  // Deterministic fields only: byte-identical across runs and thread counts.
+  // Deterministic fields only: byte-identical across runs.
   writer.BeginSection("trace_spans", kTraceSectionVersion);
   writer.WriteVarU64(spans.size());
   for (const SpanRecord& span : spans) {
     writer.WriteVarU64(span.name_id);
     writer.WriteU8(span.phase);
-    writer.WriteVarU64(span.thread_ord);
     writer.WriteVarU64(span.depth);
     writer.WriteVarI64(span.cycle);
     writer.WriteDouble(span.sim_time);
@@ -231,28 +178,26 @@ void Span::Begin(const SpanName& name) {
   begun_ = true;
   name_id_ = name.id();
   phase_ = name.phase();
-  ++tracer.ThisThread()->depth;
+  ++tracer.depth_;
   wall_start_ = tracer.WallNow();
 }
 
 void Span::End() {
   Tracer& tracer = Tracer::Global();
   const double wall_dur = tracer.WallNow() - wall_start_;
-  Tracer::ThreadState* thread = tracer.ThisThread();
-  if (thread->depth > 0) {
-    --thread->depth;
+  if (tracer.depth_ > 0) {
+    --tracer.depth_;
   }
   SpanRecord record;
   record.name_id = name_id_;
   record.phase = static_cast<uint8_t>(phase_);
-  record.thread_ord = thread->thread_ord;
-  record.depth = thread->depth;
+  record.depth = tracer.depth_;
   record.cycle = tracer.cycle();
   record.sim_time = tracer.sim_now();
-  record.order = thread->order++;
+  record.order = tracer.order_++;
   record.wall_start = wall_start_;
   record.wall_dur = wall_dur;
-  thread->Push(record);
+  tracer.Push(record);
   if (phase_ != Phase::kOther && CycleProfiler::enabled()) {
     CycleProfiler::Global().AddPhase(phase_, wall_dur);
   }

@@ -1,12 +1,12 @@
-// Scoped RAII span tracer with per-thread ring buffers.
+// Scoped RAII span tracer with one ring buffer.
 //
 // Spans are stamped with the *simulation clock* (set by the simulator's
-// event loop) plus a per-thread emission ordinal, so the deterministic part
-// of a trace is byte-identical across runs, machines, and solver thread
-// counts. Wall-clock start/duration are recorded too, but quarantined in
-// their own export section — exactly the discipline the snapshot format uses
-// for its "timing" section — so diffing two traces ignores the only
-// non-reproducible state.
+// event loop) plus an emission ordinal, so the deterministic part of a trace
+// is byte-identical across runs, machines, and what-if thread counts.
+// Wall-clock start/duration are recorded too, but quarantined in their own
+// export section — exactly the discipline the snapshot format uses for its
+// "timing" section — so diffing two traces ignores the only non-reproducible
+// state.
 //
 // Usage (the macro interns the name once per site via a function-local
 // static; the span itself is a stack object):
@@ -18,10 +18,12 @@
 //
 // Cost model. When tracing is disabled the span constructor is a single
 // relaxed atomic load and branch; nothing else runs. When enabled, Begin
-// reads two clocks and End writes one fixed-size record into a preallocated
-// per-thread ring (oldest records are overwritten once the ring wraps;
-// `dropped()` counts the overwrites). Spans tagged with a Phase also feed
-// the cycle profiler (src/obs/profiler.h).
+// reads two clocks and End writes one fixed-size record into the ring,
+// allocated on the first span (oldest records are overwritten once the ring
+// wraps; `dropped()` counts the overwrites). The scheduler loop is the one
+// writer: speculative (digital twin) threads read the gate as disabled.
+// Spans tagged with a Phase also feed the cycle profiler
+// (src/obs/profiler.h).
 //
 // Exports:
 //   - ExportChromeJson: Chrome trace_event JSON (load via chrome://tracing
@@ -38,7 +40,6 @@
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -74,7 +75,8 @@ const char* PhaseName(Phase phase);
 // a function-local static); construction registers the name in a global
 // table and assigns a dense id in registration order, which is deterministic
 // because instrumentation sites execute in deterministic order on the driver
-// thread.
+// thread. (A site's static may first run on a what-if worker, so the table
+// takes a lock.)
 class SpanName {
  public:
   explicit SpanName(const char* name, Phase phase = Phase::kOther);
@@ -90,11 +92,10 @@ class SpanName {
 struct SpanRecord {
   uint32_t name_id = 0;
   uint8_t phase = static_cast<uint8_t>(Phase::kOther);
-  uint16_t thread_ord = 0;
   uint16_t depth = 0;        // Nesting depth at emission.
   int64_t cycle = -1;        // Profiler cycle ordinal; -1 outside any cycle.
   double sim_time = 0.0;     // Simulation clock at span end.
-  uint64_t order = 0;        // Per-thread emission ordinal.
+  uint64_t order = 0;        // Emission ordinal.
   // Quarantined wall clock (never part of the deterministic export).
   double wall_start = 0.0;   // Seconds since the tracer epoch.
   double wall_dur = 0.0;
@@ -111,9 +112,9 @@ class Tracer {
   }
   void SetEnabled(bool enabled);
 
-  // Ring capacity per thread (records). Takes effect for rings created
-  // after the call; Clear() re-creates existing rings.
-  void SetRingCapacity(size_t capacity);
+  // Ring capacity (records). The ring is allocated at this capacity on the
+  // first span after construction or Clear().
+  void SetRingCapacity(size_t capacity) { ring_capacity_ = capacity; }
 
   // Simulation clock and cycle ordinal, maintained by the simulator /
   // profiler on the driver thread.
@@ -122,14 +123,13 @@ class Tracer {
   void SetCycle(int64_t cycle) { cycle_.store(cycle, std::memory_order_relaxed); }
   int64_t cycle() const { return cycle_.load(std::memory_order_relaxed); }
 
-  // Drops all recorded spans and resets the wall-clock epoch.
+  // Drops all recorded spans (and the ring) and resets the wall-clock epoch.
   void Clear();
 
-  // All retained spans, ordered by (thread_ord, order) — deterministic for
-  // driver-thread instrumentation.
+  // All retained spans, oldest first.
   std::vector<SpanRecord> CollectSpans() const;
-  // Records overwritten because a ring wrapped.
-  uint64_t dropped() const;
+  // Records overwritten because the ring wrapped.
+  uint64_t dropped() const { return dropped_; }
 
   void ExportChromeJson(std::ostream& os) const;
   void ExportBinary(SnapshotWriter& writer) const;
@@ -141,10 +141,8 @@ class Tracer {
   friend class Span;
   friend class SpanName;
 
-  struct ThreadState;
-
   Tracer();
-  ThreadState* ThisThread();
+  void Push(const SpanRecord& record);
   uint32_t InternName(const char* name, Phase phase);
   double WallNow() const;  // Seconds since the tracer epoch.
 
@@ -152,12 +150,19 @@ class Tracer {
 
   std::atomic<double> sim_now_{0.0};
   std::atomic<int64_t> cycle_{-1};
-  std::atomic<size_t> ring_capacity_{1 << 16};
+  size_t ring_capacity_ = 1 << 16;
 
-  mutable std::mutex mu_;  // Guards threads_, names_, epoch_.
-  std::vector<std::unique_ptr<ThreadState>> threads_;
+  mutable std::mutex names_mu_;  // Guards names_.
   std::vector<std::pair<std::string, Phase>> names_;
   int64_t epoch_ns_ = 0;
+
+  // The span ring, written by the scheduler loop only.
+  std::vector<SpanRecord> ring_;
+  size_t head_ = 0;       // Next write position.
+  size_t count_ = 0;      // Records currently retained (<= ring_.size()).
+  uint64_t order_ = 0;    // Emission ordinal.
+  uint64_t dropped_ = 0;  // Overwritten records.
+  uint16_t depth_ = 0;    // Open-span nesting depth.
 };
 
 // RAII span. Constructed disabled it does nothing; constructed enabled it

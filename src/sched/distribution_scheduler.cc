@@ -15,6 +15,10 @@ namespace {
 // Options below this expected utility are pruned from the MILP (§4.3.6).
 constexpr double kMinOptionUtility = 1e-6;
 
+// §4.3.5: preempting a running best-effort job costs this fraction of its
+// peak utility.
+constexpr double kPreemptionCostFactor = 0.5;
+
 // "sched" section layout version; RestoreState reads no other. v6: the root
 // basis is kept by key (per-job statuses and the capacity-row array) instead
 // of by position. v7: jobs are keyed by id, and a job's spec and run state
@@ -110,10 +114,11 @@ void DistributionScheduler::ApplyOverestimateDecay(JobInfo& info, bool force) co
     enable = p_meet < config_.oe_probability_threshold;
   }
   if (enable) {
-    // The decay must span the runtimes the history considers plausible,
-    // or the "impossible" job would still value to zero everywhere.
+    // The decay window (Fig. 3d) must span the runtimes the history
+    // considers plausible, or the "impossible" job would still value to zero
+    // everywhere.
     const double span = std::max(window, info.sched_dist.MaxValue());
-    const double decay = std::max(span * config_.oe_decay_factor, config_.cycle_period);
+    const double decay = std::max(span, config_.cycle_period);
     info.effective_utility = spec.utility.WithOverestimateDecay(decay);
   }
 }
@@ -380,7 +385,7 @@ CycleResult DistributionScheduler::RunCycle(Time now, const ClusterStateView& st
       if (config_.enable_preemption && r.type == JobType::kBestEffort) {
         preemptables.push_back(PreemptCandidate{
             r.id, &info, r.group, static_cast<double>(r.num_tasks), std::move(survival),
-            config_.preemption_cost_factor * info.effective_utility.peak_value()});
+            kPreemptionCostFactor * info.effective_utility.peak_value()});
       }
     }
   }

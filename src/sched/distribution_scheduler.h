@@ -56,14 +56,9 @@ struct DistSchedulerConfig {
   bool adaptive_oe = true;
   // §4.2.3: enable OE handling when P(T <= deadline window) is below this.
   double oe_probability_threshold = 0.05;
-  // The decay window of the extended utility (Fig. 3d) as a multiple of the
-  // job's deadline window.
-  double oe_decay_factor = 1.0;
 
   // §4.3.5 preemption of running best-effort jobs.
   bool enable_preemption = true;
-  // Preemption cost as a fraction of the victim's peak utility.
-  double preemption_cost_factor = 0.5;
 
   // Plan-ahead window (§4.3.3) and its start-slot discretization.
   Duration planahead = 1200.0;

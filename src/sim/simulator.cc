@@ -17,7 +17,7 @@ namespace threesigma {
 namespace {
 
 // Simulator traffic counters in the process-wide metrics registry. Handles
-// are resolved once; increments are lock-free striped adds.
+// are resolved once; each increment is one relaxed atomic add.
 struct SimCounters {
   obs::Counter* events;
   obs::Counter* arrivals;
@@ -118,8 +118,10 @@ struct Event {
 // the per-cycle record gained ftran, btran, refactorizations and
 // warm_started_nodes. v9: the per-cycle record lost capacity_cache_hits and
 // capacity_cache_misses, and the "sched" section (own version 8) its
-// expected-capacity rows and per-job survival vectors.
-constexpr uint32_t kSnapshotVersion = 9;
+// expected-capacity rows and per-job survival vectors. v10: the "obs"
+// section has no histograms, and SimOptions ("meta") lost the runtime
+// jitter and launch overhead, which became constants.
+constexpr uint32_t kSnapshotVersion = 10;
 // The "metrics" and "timing" sections walk kCycleFields, so any change to the
 // per-cycle record changes their layout.
 static_assert(std::size(kCycleFields) == 19,
@@ -132,8 +134,6 @@ void WalkSimOptions(Io& io, Options& o) {
   io.Enum(o.fidelity, SimFidelity::kHighFidelity);
   io.Double(o.drain_limit);
   io.Fixed64(o.seed);
-  io.Double(o.runtime_jitter_stddev);
-  io.Double(o.launch_overhead_max);
   io.Double(o.heartbeat);
   io.Bool(o.preemption_resumes);
   WalkFaultOptions(io, o.faults);
@@ -716,8 +716,8 @@ bool Simulator::ProcessEvent() {
         }
         if (options_.fidelity == SimFidelity::kHighFidelity) {
           const double jitter =
-              std::max(0.5, s.rng.Normal(1.0, options_.runtime_jitter_stddev));
-          duration = duration * jitter + s.rng.Uniform(1.0, options_.launch_overhead_max);
+              std::max(0.5, s.rng.Normal(1.0, kRuntimeJitterStddev));
+          duration = duration * jitter + s.rng.Uniform(1.0, kLaunchOverheadMax);
           // Completions surface at the next heartbeat.
           const Time raw_finish = s.now + duration;
           const Time beat = options_.heartbeat;
@@ -1136,7 +1136,7 @@ bool Simulator::TryRestoreStateFromBuffer(const std::string& buffer, std::string
   obs::RegistryImage registry;
   reader.BeginSection("obs");
   if (reader.ok() && apply_obs) {
-    registry = obs::MetricsRegistry::Global().ReadState(reader);
+    registry = obs::MetricsRegistry::ReadState(reader);
   }
   reader.EndSection();
 

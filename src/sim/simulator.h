@@ -35,6 +35,11 @@ enum class SimFidelity {
   kHighFidelity,
 };
 
+// High-fidelity noise: a task's runtime is scaled by ~N(1, stddev) (at
+// least 0.5) and its launch takes ~U(1, max) seconds.
+inline constexpr double kRuntimeJitterStddev = 0.05;
+inline constexpr Duration kLaunchOverheadMax = 3.0;
+
 struct SimOptions {
   Duration cycle_period = 10.0;
   // Reactive scheduling: arrivals and completions trigger an extra cycle at
@@ -50,10 +55,9 @@ struct SimOptions {
   Duration drain_limit = 900.0;
   uint64_t seed = 1;
 
-  // High-fidelity noise knobs.
-  double runtime_jitter_stddev = 0.05;   // Multiplicative ~N(1, sigma).
-  Duration launch_overhead_max = 3.0;    // Task launch ~U(1, max) seconds.
-  Duration heartbeat = 3.0;              // Completion detection quantum.
+  // High-fidelity completion detection quantum (the runtime jitter and
+  // launch overhead are kRuntimeJitterStddev and kLaunchOverheadMax).
+  Duration heartbeat = 3.0;
 
   // Preemption semantics. false = kill-and-requeue (container clusters,
   // §2.2 "killing"); true = migration-style resume that preserves progress

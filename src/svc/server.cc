@@ -11,12 +11,6 @@ namespace threesigma::svc {
 
 namespace {
 
-// RPC handling wall latency buckets: 1 µs .. 1 s.
-const std::vector<double>& RpcLatencyEdges() {
-  static const std::vector<double> edges = {1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0};
-  return edges;
-}
-
 SimOptions ForceOpenWorkload(SimOptions sim) {
   sim.open_workload = true;
   return sim;
@@ -44,7 +38,6 @@ Server::Server(const ClusterConfig& cluster, Scheduler* scheduler, SimOptions si
   injected_ = registry.GetCounter("svc.injected");
   duplicate_tokens_ = registry.GetCounter("svc.duplicate_tokens");
   queue_depth_gauge_ = registry.GetGauge("svc.admission_queue_depth");
-  rpc_wall_seconds_ = registry.GetHistogram("svc.rpc_wall_seconds", RpcLatencyEdges());
 }
 
 Server::~Server() {
@@ -88,7 +81,6 @@ void Server::HandleReady() {
 }
 
 void Server::HandleFrame(const InboundFrame& frame) {
-  const auto start = std::chrono::steady_clock::now();
   Request request;
   std::string error;
   Reply reply;
@@ -101,8 +93,6 @@ void Server::HandleFrame(const InboundFrame& frame) {
     reply = Dispatch(request);
   }
   transport_->Send(frame.client, EncodeReply(reply));
-  const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
-  rpc_wall_seconds_->Observe(elapsed.count());
 }
 
 Reply Server::Dispatch(const Request& request) {

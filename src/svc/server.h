@@ -150,7 +150,6 @@ class Server : public SimulatorStateExtension {
   obs::Counter* injected_;
   obs::Counter* duplicate_tokens_;
   obs::Gauge* queue_depth_gauge_;
-  obs::Histogram* rpc_wall_seconds_;
 };
 
 }  // namespace threesigma::svc

@@ -65,14 +65,6 @@ TEST_F(RegistryTest, GetCounterReturnsStablePointer) {
   EXPECT_EQ(a->name(), "test.counter_stable");
 }
 
-TEST_F(RegistryTest, ThreadStripeInRange) {
-  const int stripe = ThreadStripe();
-  EXPECT_GE(stripe, 0);
-  EXPECT_LT(stripe, kMetricStripes);
-  // Stable within a thread.
-  EXPECT_EQ(ThreadStripe(), stripe);
-}
-
 TEST_F(RegistryTest, ConcurrentCounterAddsSumExactly) {
   Counter* c = MetricsRegistry::Global().GetCounter("test.counter_mt");
   constexpr int kThreads = 8;
@@ -89,7 +81,7 @@ TEST_F(RegistryTest, ConcurrentCounterAddsSumExactly) {
   for (std::thread& t : threads) {
     t.join();
   }
-  // Integer stripes make the aggregate exactly the single-threaded total.
+  // One atomic cell: concurrent adds sum exactly to the single-threaded total.
   EXPECT_EQ(c->Value(), int64_t{kThreads} * kAddsPerThread);
 }
 
@@ -101,46 +93,6 @@ TEST_F(RegistryTest, GaugeLastWriteWins) {
   EXPECT_DOUBLE_EQ(g->Value(), -1.25);
   g->Reset();
   EXPECT_DOUBLE_EQ(g->Value(), 0.0);
-}
-
-TEST_F(RegistryTest, HistogramBucketsInclusiveUpperBound) {
-  Histogram* h =
-      MetricsRegistry::Global().GetHistogram("test.hist_edges", {1.0, 2.0, 4.0});
-  h->Observe(0.5);   // bucket 0 (<= 1).
-  h->Observe(1.0);   // bucket 0 (edges are inclusive upper bounds).
-  h->Observe(1.5);   // bucket 1.
-  h->Observe(4.0);   // bucket 2.
-  h->Observe(100.0);  // overflow bucket.
-  EXPECT_EQ(h->TotalCount(), 5);
-  const std::vector<int64_t> counts = h->BucketCounts();
-  ASSERT_EQ(counts.size(), 4u);
-  EXPECT_EQ(counts[0], 2);
-  EXPECT_EQ(counts[1], 1);
-  EXPECT_EQ(counts[2], 1);
-  EXPECT_EQ(counts[3], 1);
-  h->Reset();
-  EXPECT_EQ(h->TotalCount(), 0);
-}
-
-TEST_F(RegistryTest, ConcurrentHistogramObservesSumExactly) {
-  Histogram* h = MetricsRegistry::Global().GetHistogram("test.hist_mt", {10.0});
-  constexpr int kThreads = 4;
-  constexpr int kObsPerThread = 5000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([h, t] {
-      for (int i = 0; i < kObsPerThread; ++i) {
-        h->Observe(t < 2 ? 1.0 : 100.0);
-      }
-    });
-  }
-  for (std::thread& t : threads) {
-    t.join();
-  }
-  const std::vector<int64_t> counts = h->BucketCounts();
-  ASSERT_EQ(counts.size(), 2u);
-  EXPECT_EQ(counts[0], 2 * kObsPerThread);
-  EXPECT_EQ(counts[1], 2 * kObsPerThread);
 }
 
 TEST_F(RegistryTest, WriteTextIsSortedAndDeterministic) {
@@ -189,9 +141,6 @@ TEST_F(RegistryTest, SaveRestoreRoundTripIsAbsolute) {
   MetricsRegistry& reg = MetricsRegistry::Global();
   reg.GetCounter("test.rt_counter")->Add(42);
   reg.GetGauge("test.rt_gauge")->Set(1.5);
-  Histogram* h = reg.GetHistogram("test.rt_hist", {1.0, 2.0});
-  h->Observe(0.5);
-  h->Observe(5.0);
 
   SnapshotWriter writer;
   writer.BeginSection("obs", 1);
@@ -202,23 +151,19 @@ TEST_F(RegistryTest, SaveRestoreRoundTripIsAbsolute) {
   // Mutate after the save; restore must overwrite, not accumulate.
   reg.GetCounter("test.rt_counter")->Add(1000);
   reg.GetGauge("test.rt_gauge")->Set(-9.0);
-  h->Observe(0.1);
 
   SnapshotReader reader(buffer);
   ASSERT_TRUE(reader.ok());
   ASSERT_TRUE(reader.BeginSection("obs"));
-  reg.RestoreState(reader);
+  const RegistryImage image = MetricsRegistry::ReadState(reader);
   reader.EndSection();
   ASSERT_TRUE(reader.ok());
+  // Reading touches no registry; only ApplyState installs the values.
+  EXPECT_EQ(reg.GetCounter("test.rt_counter")->Value(), 1042);
+  reg.ApplyState(image);
 
   EXPECT_EQ(reg.GetCounter("test.rt_counter")->Value(), 42);
   EXPECT_DOUBLE_EQ(reg.GetGauge("test.rt_gauge")->Value(), 1.5);
-  EXPECT_EQ(h->TotalCount(), 2);
-  const std::vector<int64_t> counts = h->BucketCounts();
-  ASSERT_EQ(counts.size(), 3u);
-  EXPECT_EQ(counts[0], 1);
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_EQ(counts[2], 1);
 }
 
 TEST_F(RegistryTest, RestoreCreatesMissingMetrics) {
@@ -237,7 +182,7 @@ TEST_F(RegistryTest, RestoreCreatesMissingMetrics) {
 
   SnapshotReader reader(writer.Finish());
   ASSERT_TRUE(reader.BeginSection("obs"));
-  reg.RestoreState(reader);
+  reg.ApplyState(MetricsRegistry::ReadState(reader));
   reader.EndSection();
   EXPECT_EQ(reg.GetCounter("test.rc_counter")->Value(), 11);
 }
@@ -246,18 +191,9 @@ TEST_F(RegistryTest, ResetZeroesEverything) {
   MetricsRegistry& reg = MetricsRegistry::Global();
   reg.GetCounter("test.reset_c")->Add(5);
   reg.GetGauge("test.reset_g")->Set(5.0);
-  Histogram* h = reg.GetHistogram("test.reset_h", {1.0});
-  h->Observe(0.5);
   reg.Reset();
   EXPECT_EQ(reg.GetCounter("test.reset_c")->Value(), 0);
   EXPECT_DOUBLE_EQ(reg.GetGauge("test.reset_g")->Value(), 0.0);
-  EXPECT_EQ(h->TotalCount(), 0);
-}
-
-TEST(RegistryDeathTest, MismatchedHistogramEdgesDie) {
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  reg.GetHistogram("test.hist_mismatch", {1.0, 2.0});
-  EXPECT_DEATH(reg.GetHistogram("test.hist_mismatch", {3.0}), "edges");
 }
 
 TEST_F(TracerTest, DisabledSpanRecordsNothing) {
@@ -301,7 +237,7 @@ TEST_F(TracerTest, RecordsSpansWithNamesPhasesAndNesting) {
 TEST_F(TracerTest, RingWrapDropsOldestAndCounts) {
   Tracer& tracer = Tracer::Global();
   tracer.SetRingCapacity(4);
-  tracer.Clear();  // Re-creates this thread's ring at the new capacity.
+  tracer.Clear();  // The next span allocates the ring at the new capacity.
   tracer.SetEnabled(true);
   for (int i = 0; i < 10; ++i) {
     TS_OBS_SPAN("test.wrap", Phase::kOther);

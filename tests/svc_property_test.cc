@@ -14,12 +14,14 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/common/env.h"
 #include "src/core/experiment.h"
 #include "src/obs/obs.h"
+#include "src/snapshot/snapshot_io.h"
 #include "src/svc/client.h"
 #include "src/svc/server.h"
 #include "src/svc/transport.h"
@@ -56,6 +58,37 @@ std::string BatchDecisionCsv(const ExperimentConfig& config) {
   return csv;
 }
 
+// A 3Sigma system pretrained on the workload's history, behind a loopback
+// server whose admission queue and injection batches hold every job, and one
+// client whose every RPC pumps the server.
+struct LoopbackService {
+  LoopbackService(const ExperimentConfig& config, const GeneratedWorkload& workload)
+      : instance(MakeSystem(SystemKind::kThreeSigma, config.cluster, config.sched)),
+        server(config.cluster, instance.scheduler.get(), config.sim,
+               Options(workload.jobs.size()), &transport),
+        channel(transport.Connect()),
+        client(channel.get(), svc::ClientOptions{.sleep_on_backoff = false}) {
+    for (const JobSpec& job : workload.pretrain) {
+      instance.predictor->RecordCompletion(job.features, job.true_runtime);
+    }
+    channel->SetPump([this] { server.HandleReady(); });
+  }
+
+  static svc::ServiceOptions Options(size_t jobs) {
+    svc::ServiceOptions service;
+    service.admission_capacity = jobs + 16;
+    service.max_batch_per_cycle = jobs + 16;
+    service.drain_linger_seconds = 0.0;
+    return service;
+  }
+
+  SystemInstance instance;
+  svc::LoopbackTransport transport;
+  svc::Server server;
+  std::unique_ptr<svc::LoopbackTransport::Client> channel;
+  svc::Client client;
+};
+
 // The same workload through the service: pretrain identically, submit over
 // the loopback client (sorted by submit time, matching the batch simulator's
 // internal sort), drain, and collect the same decision log.
@@ -70,27 +103,13 @@ std::string ServiceDecisionCsv(const ExperimentConfig& config, double chunk_seco
   obs::Configure(obs_options);
 
   const GeneratedWorkload workload = GenerateWorkload(config.cluster, config.workload);
-  SystemInstance instance = MakeSystem(SystemKind::kThreeSigma, config.cluster, config.sched);
-  for (const JobSpec& job : workload.pretrain) {
-    instance.predictor->RecordCompletion(job.features, job.true_runtime);
-  }
+  LoopbackService session(config, workload);
+  svc::Server& server = session.server;
+  svc::Client& client = session.client;
 
   std::vector<JobSpec> jobs = workload.jobs;
   std::sort(jobs.begin(), jobs.end(),
             [](const JobSpec& a, const JobSpec& b) { return a.submit_time < b.submit_time; });
-
-  svc::LoopbackTransport transport;
-  svc::ServiceOptions service;
-  service.admission_capacity = jobs.size() + 16;
-  service.max_batch_per_cycle = jobs.size() + 16;
-  service.drain_linger_seconds = 0.0;
-  svc::Server server(config.cluster, instance.scheduler.get(), config.sim, service,
-                     &transport);
-  auto channel = transport.Connect();
-  channel->SetPump([&server] { server.HandleReady(); });
-  svc::ClientOptions client_options;
-  client_options.sleep_on_backoff = false;
-  svc::Client client(channel.get(), client_options);
 
   std::string error;
   size_t next = 0;
@@ -143,6 +162,34 @@ std::string ServiceDecisionCsv(const ExperimentConfig& config, double chunk_seco
   return csv;
 }
 
+// A loopback session that submits every job upfront and steps `cycles`
+// scheduling cycles, then checkpoints the whole service. The registry is
+// reset first, so two calls start from the same counters.
+std::string ServiceCheckpointAfter(const ExperimentConfig& config, int cycles) {
+  obs::ResetAll();
+  const GeneratedWorkload workload = GenerateWorkload(config.cluster, config.workload);
+  LoopbackService session(config, workload);
+  std::string error;
+  for (size_t i = 0; i < workload.jobs.size(); ++i) {
+    JobId assigned = 0;
+    if (!session.client.SubmitJob(workload.jobs[i], "ckpt-" + std::to_string(i), &assigned,
+                                  &error)) {
+      ADD_FAILURE() << "submit failed: " << error;
+      return "";
+    }
+  }
+  for (int c = 0; c < cycles; ++c) {
+    session.server.HandleReady();
+    if (!session.server.StepCycle()) {
+      ADD_FAILURE() << "no cycle to step at cycle " << c;
+      return "";
+    }
+  }
+  std::string checkpoint = session.server.simulator().SaveStateToBuffer();
+  obs::ResetAll();
+  return checkpoint;
+}
+
 void ExpectNonTrivial(const std::string& csv) {
   ASSERT_GT(csv.size(), kCsvHeader.size()) << "decision log came back empty";
 }
@@ -163,6 +210,19 @@ TEST(SvcPropertyTest, ChunkedSessionMatchesBatchSingleThread) {
   const std::string service = ServiceDecisionCsv(config, /*chunk_seconds=*/60.0);
   EXPECT_EQ(batch, service)
       << "mid-run injection batches changed scheduling decisions";
+}
+
+// Only the `timing` section may differ between two checkpoints of the same
+// service session: RPC handling time, however long a loaded host makes it,
+// must not reach any other section (the `obs` registry totals included).
+TEST(SvcPropertyTest, ServiceCheckpointDeterministicOutsideTiming) {
+  const ExperimentConfig config = BaseConfig();
+  const std::string first = ServiceCheckpointAfter(config, /*cycles=*/10);
+  const std::string second = ServiceCheckpointAfter(config, /*cycles=*/10);
+  ASSERT_FALSE(first.empty());
+  const std::vector<std::string> differing = DiffSnapshotSections(first, second, {"timing"});
+  EXPECT_TRUE(differing.empty()) << "sections differ between identical sessions: "
+                                 << differing.front();
 }
 
 }  // namespace
