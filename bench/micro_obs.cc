@@ -87,10 +87,9 @@ BENCHMARK(BM_EnabledSpanSite);
 
 // A registry counter bump (ungated; identical on disabled and enabled runs).
 void BM_CounterIncrement(benchmark::State& state) {
-  obs::Counter* counter =
-      obs::MetricsRegistry::Global().GetCounter("bench.counter_site");
+  obs::Counter& counter = obs::Metrics().sim_events;
   for (auto _ : state) {
-    counter->Increment();
+    counter.Increment();
   }
   obs::ResetAll();
 }
@@ -111,28 +110,37 @@ void BM_E2EObsDisabled(benchmark::State& state) {
     benchmark::DoNotOptimize(result.jobs.data());
   }
 
-  // Per-site disabled cost, measured inline on this machine.
+  // Per-site disabled costs, measured inline on this machine: the span gate
+  // and one counter add (a fetch_add, several times the gate's cost).
   obs::ResetAll();
   constexpr int64_t kProbe = 8'000'000;
-  const auto probe_start = std::chrono::steady_clock::now();
+  auto probe_start = std::chrono::steady_clock::now();
   for (int64_t i = 0; i < kProbe; ++i) {
     TS_OBS_SPAN("bench.probe_site", obs::Phase::kOther);
   }
   const double site_seconds = SecondsSince(probe_start) / static_cast<double>(kProbe);
+  obs::Counter& probe = obs::Metrics().sim_events;
+  probe_start = std::chrono::steady_clock::now();
+  for (int64_t i = 0; i < kProbe; ++i) {
+    probe.Increment();
+  }
+  const double add_seconds = SecondsSince(probe_start) / static_cast<double>(kProbe);
+  obs::ResetAll();
 
-  // How many gated sites one run executes: spans emitted (retained +
-  // overwritten) from a traced replay, counter adds from the registry (an
-  // upper bound — Add(n) counts n — and a fetch_add costs about the same as
-  // the span gate, so the estimate stays conservative).
+  // How many sites one run executes: spans emitted (retained + overwritten)
+  // from a traced replay, and counter writes from the registry. A batch run
+  // writes each sched.* counter once per executed cycle and every other
+  // counter only by Increment, so that counter's value is its write count.
   ConfigureAllOn();
   obs::Tracer::Global().Clear();
   (void)SimulateSystem(SystemKind::kThreeSigma, f.config, f.workload);
   const double span_sites =
       static_cast<double>(obs::Tracer::Global().CollectSpans().size()) +
       static_cast<double>(obs::Tracer::Global().dropped());
+  const int64_t cycles = obs::Metrics().sched_cycles.Value();
   double counter_adds = 0.0;
   for (const auto& [name, value] : obs::MetricsRegistry::Global().CounterValues()) {
-    counter_adds += static_cast<double>(value);
+    counter_adds += static_cast<double>(name.rfind("sched.", 0) == 0 ? cycles : value);
   }
   obs::ResetAll();
 
@@ -141,8 +149,9 @@ void BM_E2EObsDisabled(benchmark::State& state) {
   state.counters["span_sites"] = span_sites;
   state.counters["counter_adds"] = counter_adds;
   state.counters["site_ns"] = site_seconds * 1e9;
+  state.counters["add_ns"] = add_seconds * 1e9;
   state.counters["disabled_overhead_percent"] =
-      100.0 * (span_sites + counter_adds) * site_seconds / e2e_seconds;
+      100.0 * (span_sites * site_seconds + counter_adds * add_seconds) / e2e_seconds;
 }
 BENCHMARK(BM_E2EObsDisabled)->Unit(benchmark::kMillisecond);
 

@@ -124,6 +124,10 @@ int main(int argc, char** argv) {
     std::cerr << error << "\n";
     return 1;
   }
+  if (!RejectRunOnlyFlags(flags, &error)) {
+    std::cerr << error << "; loadgen checkpoints the server with --checkpoint-at\n";
+    return 1;
+  }
   if (unix_socket.empty() && tcp_port < 0) {
     std::cerr << "need --unix-socket or --tcp-port\n";
     return 1;

@@ -126,6 +126,10 @@ int main(int argc, char** argv) {
     std::cerr << error << "\n";
     return 1;
   }
+  if (!RejectRunOnlyFlags(flags, &error)) {
+    std::cerr << error << "; serve checkpoints with --svc-checkpoint and --svc-checkpoint-every\n";
+    return 1;
+  }
   SystemKind kind;
   if (!ParseSystemName(system_name, &kind)) {
     std::cerr << "unknown --system '" << system_name << "'\n";

@@ -158,6 +158,18 @@ bool BuildExperimentConfig(const ExperimentFlags& flags, ExperimentConfig* confi
   return true;
 }
 
+bool RejectRunOnlyFlags(const ExperimentFlags& flags, std::string* error) {
+  const char* flag = flags.checkpoint_every != 0    ? "checkpoint-every"
+                     : !flags.checkpoint_dir.empty() ? "checkpoint-dir"
+                     : flags.max_cycles != 0         ? "max-cycles"
+                                                     : nullptr;
+  if (flag == nullptr) {
+    return true;
+  }
+  *error = std::string("flag --") + flag + ": only batch runs (run_experiment) read it";
+  return false;
+}
+
 bool ParseEnvironmentName(const std::string& name, EnvironmentKind* out) {
   if (name == "google") {
     *out = EnvironmentKind::kGoogle;

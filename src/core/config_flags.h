@@ -61,6 +61,12 @@ void RegisterExperimentFlags(FlagParser& parser, ExperimentFlags* flags);
 bool BuildExperimentConfig(const ExperimentFlags& flags, ExperimentConfig* config,
                            std::string* error);
 
+// --checkpoint-every, --checkpoint-dir and --max-cycles are read only by
+// Simulator::Run, which the service tools (serve, loadgen) never call. False
+// + `*error` naming the first of them that is set, for those tools to
+// refuse.
+bool RejectRunOnlyFlags(const ExperimentFlags& flags, std::string* error);
+
 // Name parsers shared by the tools ("google"/"hedgefund"/"mustang",
 // Table 1 system names). False on an unknown name.
 bool ParseEnvironmentName(const std::string& name, EnvironmentKind* out);

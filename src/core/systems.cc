@@ -24,52 +24,56 @@ const char* SystemName(SystemKind kind) {
   return "unknown";
 }
 
+bool ApplySystemPolicy(SystemKind kind, DistSchedulerConfig* config) {
+  switch (kind) {
+    case SystemKind::kThreeSigma:
+      config->use_distribution = true;
+      config->overestimate_handling = true;
+      config->adaptive_oe = true;
+      break;
+    case SystemKind::kThreeSigmaNoDist:
+      config->use_distribution = false;
+      config->overestimate_handling = true;
+      config->adaptive_oe = true;
+      break;
+    case SystemKind::kThreeSigmaNoOE:
+      config->use_distribution = true;
+      config->overestimate_handling = false;
+      break;
+    case SystemKind::kThreeSigmaNoAdapt:
+      config->use_distribution = true;
+      config->overestimate_handling = true;
+      config->adaptive_oe = false;
+      break;
+    case SystemKind::kPointPerfEst:
+    case SystemKind::kPointRealEst:
+      config->use_distribution = false;
+      config->overestimate_handling = false;
+      break;
+    case SystemKind::kPrio:
+      return false;
+  }
+  config->name = SystemName(kind);
+  return true;
+}
+
+std::unique_ptr<RuntimePredictor> MakeSystemPredictor(SystemKind kind) {
+  if (kind == SystemKind::kPointPerfEst || kind == SystemKind::kPrio) {
+    return std::make_unique<PerfectPredictor>();  // Prio's is unused.
+  }
+  return std::make_unique<ThreeSigmaPredictor>();
+}
+
 SystemInstance MakeSystem(SystemKind kind, const ClusterConfig& cluster,
                           const DistSchedulerConfig& base) {
   SystemInstance out;
+  out.predictor = MakeSystemPredictor(kind);
   DistSchedulerConfig config = base;
-  config.name = SystemName(kind);
-  switch (kind) {
-    case SystemKind::kThreeSigma:
-      config.use_distribution = true;
-      config.overestimate_handling = true;
-      config.adaptive_oe = true;
-      out.predictor = std::make_unique<ThreeSigmaPredictor>();
-      break;
-    case SystemKind::kThreeSigmaNoDist:
-      config.use_distribution = false;
-      config.overestimate_handling = true;
-      config.adaptive_oe = true;
-      out.predictor = std::make_unique<ThreeSigmaPredictor>();
-      break;
-    case SystemKind::kThreeSigmaNoOE:
-      config.use_distribution = true;
-      config.overestimate_handling = false;
-      out.predictor = std::make_unique<ThreeSigmaPredictor>();
-      break;
-    case SystemKind::kThreeSigmaNoAdapt:
-      config.use_distribution = true;
-      config.overestimate_handling = true;
-      config.adaptive_oe = false;
-      out.predictor = std::make_unique<ThreeSigmaPredictor>();
-      break;
-    case SystemKind::kPointPerfEst:
-      config.use_distribution = false;
-      config.overestimate_handling = false;
-      out.predictor = std::make_unique<PerfectPredictor>();
-      break;
-    case SystemKind::kPointRealEst:
-      config.use_distribution = false;
-      config.overestimate_handling = false;
-      out.predictor = std::make_unique<ThreeSigmaPredictor>();
-      break;
-    case SystemKind::kPrio: {
-      out.predictor = std::make_unique<PerfectPredictor>();  // Unused.
-      PrioSchedulerConfig prio;
-      prio.name = SystemName(kind);
-      out.scheduler = std::make_unique<PrioScheduler>(cluster, prio);
-      return out;
-    }
+  if (!ApplySystemPolicy(kind, &config)) {
+    PrioSchedulerConfig prio;
+    prio.name = SystemName(kind);
+    out.scheduler = std::make_unique<PrioScheduler>(cluster, prio);
+    return out;
   }
   out.scheduler =
       std::make_unique<DistributionScheduler>(cluster, out.predictor.get(), config);

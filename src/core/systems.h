@@ -38,6 +38,15 @@ struct SystemInstance {
   std::unique_ptr<RuntimePredictor> inner_predictor;
 };
 
+// Applies `kind`'s policy toggles (Table 1) and display name to `config`.
+// False, with `config` untouched, for Prio, which is not a
+// DistributionScheduler.
+bool ApplySystemPolicy(SystemKind kind, DistSchedulerConfig* config);
+
+// The predictor `kind` runs: oracle estimates for PointPerfEst (and for Prio,
+// which never reads them), the history-based 3Sigma predictor otherwise.
+std::unique_ptr<RuntimePredictor> MakeSystemPredictor(SystemKind kind);
+
 // Builds a named system against `cluster`. `base` supplies the shared
 // scheduler knobs (plan-ahead, budgets, ...); policy toggles and the display
 // name are overridden per system. The cluster reference must outlive the

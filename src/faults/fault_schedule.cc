@@ -116,9 +116,7 @@ bool FaultSchedule::TaskKill(int64_t job, int attempt, double* kill_fraction) co
   }
   // Keep the kill strictly inside the run so it always truncates work.
   *kill_fraction = 0.05 + 0.9 * U01(Mix(h));
-  static obs::Counter* const kill_draws =
-      obs::MetricsRegistry::Global().GetCounter("faults.task_kill_draws");
-  kill_draws->Increment();
+  obs::Metrics().faults_task_kill_draws.Increment();
   return true;
 }
 
@@ -131,9 +129,7 @@ double FaultSchedule::StragglerMultiplier(int64_t job, int attempt) const {
   if (U01(h) >= options_.straggler_prob) {
     return 1.0;
   }
-  static obs::Counter* const straggler_draws =
-      obs::MetricsRegistry::Global().GetCounter("faults.straggler_draws");
-  straggler_draws->Increment();
+  obs::Metrics().faults_straggler_draws.Increment();
   return 1.0 + (options_.straggler_factor - 1.0) * U01(Mix(h));
 }
 
@@ -146,9 +142,7 @@ bool FaultSchedule::CycleStall(int64_t ordinal, Duration* stall) const {
     return false;
   }
   *stall = options_.cycle_stall;
-  static obs::Counter* const stall_draws =
-      obs::MetricsRegistry::Global().GetCounter("faults.cycle_stall_draws");
-  stall_draws->Increment();
+  obs::Metrics().faults_cycle_stall_draws.Increment();
   return true;
 }
 

@@ -6,9 +6,10 @@
 // scheduling decision (property-tested in tests/obs_property_test.cc).
 //
 // Three independently gated facilities share the gates set by Configure():
-//   - metrics registry  (src/obs/registry.h) — always collecting; counter
-//     adds happen at solve/cycle/event granularity, far below the <1%
-//     overhead budget (bench/micro_obs.cc measures it).
+//   - metrics registry  (src/obs/registry.h) — a fixed schema of counters
+//     declared once, always collecting; counter adds happen at
+//     solve/cycle/event granularity, far below the <1% overhead budget
+//     (bench/micro_obs.cc measures it).
 //   - span tracer       (src/obs/trace.h)    — options.tracing/profiler.
 //   - cycle profiler + decision log (src/obs/profiler.h).
 //
@@ -73,7 +74,8 @@ const Options& CurrentOptions();
 bool Flush(std::string* error = nullptr);
 
 // Disables all gates and clears collected spans, profiler rows, decision
-// records, and registry values. For tests and run scoping.
+// records, and zeroes every registry counter (the schema itself is fixed).
+// For tests and run scoping.
 void ResetAll();
 
 // Overlays THREESIGMA_OBS_* environment knobs (unset leaves the field):

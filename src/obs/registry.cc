@@ -1,123 +1,82 @@
 #include "src/obs/registry.h"
 
-#include <cstring>
+#include <algorithm>
+#include <array>
+#include <numeric>
 #include <ostream>
+#include <string_view>
 
 #include "src/snapshot/snapshot_io.h"
 
 namespace threesigma {
 namespace obs {
 
-void Gauge::Set(double value) {
-  if (SpeculativeSuppressed()) {
-    return;
-  }
-  uint64_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  bits_.store(bits, std::memory_order_relaxed);
-}
+namespace {
 
-double Gauge::Value() const {
-  const uint64_t bits = bits_.load(std::memory_order_relaxed);
-  double value;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
-}
+// kCounterSchema's indices in name order, for the sorted exports.
+constexpr std::array<size_t, kNumCounters> kNameOrder = [] {
+  std::array<size_t, kNumCounters> order{};
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [](size_t a, size_t b) {
+    return std::string_view(kCounterSchema[a].name) < std::string_view(kCounterSchema[b].name);
+  });
+  return order;
+}();
 
-MetricsRegistry& MetricsRegistry::Global() {
-  static MetricsRegistry* const registry = new MetricsRegistry();
-  return *registry;
-}
+}  // namespace
 
 Counter* MetricsRegistry::GetCounter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    it = counters_.emplace(name, std::unique_ptr<Counter>(new Counter(name))).first;
+  for (const CounterSchemaEntry& entry : kCounterSchema) {
+    if (name == entry.name) {
+      return &(counters_.*entry.member);
+    }
   }
-  return it->second.get();
-}
-
-Gauge* MetricsRegistry::GetGauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(name, std::unique_ptr<Gauge>(new Gauge(name))).first;
-  }
-  return it->second.get();
+  return nullptr;
 }
 
 void MetricsRegistry::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, counter] : counters_) {
-    counter->Reset();
-  }
-  for (auto& [name, gauge] : gauges_) {
-    gauge->Reset();
+  for (const CounterSchemaEntry& entry : kCounterSchema) {
+    (counters_.*entry.member).Reset();
   }
 }
 
 void MetricsRegistry::WriteText(std::ostream& os) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [name, counter] : counters_) {
-    os << "counter " << name << " " << counter->Value() << "\n";
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    os << "gauge " << name << " " << gauge->Value() << "\n";
+  for (const size_t i : kNameOrder) {
+    os << "counter " << kCounterSchema[i].name << " "
+       << (counters_.*kCounterSchema[i].member).Value() << "\n";
   }
 }
-
-namespace {
-
-template <typename Io, typename Image>
-void WalkImage(Io& io, Image& image) {
-  io.Seq(image.counters, [&](auto& c) {
-    io.String(c.first);
-    io.VarInt(c.second);
-  });
-  io.Seq(image.gauges, [&](auto& g) {
-    io.String(g.first);
-    io.Double(g.second);
-  });
-}
-
-}  // namespace
 
 void MetricsRegistry::SaveState(SnapshotWriter& writer) const {
   RegistryImage image;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [name, counter] : counters_) {
-      image.counters.emplace_back(name, counter->Value());
-    }
-    for (const auto& [name, gauge] : gauges_) {
-      image.gauges.emplace_back(name, gauge->Value());
-    }
+  image.values.reserve(kNumCounters);
+  for (const CounterSchemaEntry& entry : kCounterSchema) {
+    image.values.push_back((counters_.*entry.member).Value());
   }
-  WalkImage(writer, image);
+  writer.Seq(image.values, [&](int64_t v) { writer.VarInt(v); });
 }
 
 RegistryImage MetricsRegistry::ReadState(SnapshotReader& reader) {
   RegistryImage image;
-  WalkImage(reader, image);
+  reader.Seq(image.values, [&](int64_t& v) { reader.VarInt(v); });
+  if (reader.ok() && image.values.size() != kNumCounters) {
+    reader.Fail("obs section holds " + std::to_string(image.values.size()) +
+                " counters, this binary declares " + std::to_string(kNumCounters));
+  }
   return image;
 }
 
 void MetricsRegistry::ApplyState(const RegistryImage& image) {
-  for (const auto& [name, value] : image.counters) {
-    GetCounter(name)->Set(value);
-  }
-  for (const auto& [name, value] : image.gauges) {
-    GetGauge(name)->Set(value);
+  for (size_t i = 0; i < kNumCounters && i < image.values.size(); ++i) {
+    (counters_.*kCounterSchema[i].member).Set(image.values[i]);
   }
 }
 
 std::vector<std::pair<std::string, int64_t>> MetricsRegistry::CounterValues() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::pair<std::string, int64_t>> out;
-  out.reserve(counters_.size());
-  for (const auto& [name, counter] : counters_) {
-    out.emplace_back(name, counter->Value());
+  out.reserve(kNumCounters);
+  for (const size_t i : kNameOrder) {
+    out.emplace_back(kCounterSchema[i].name, (counters_.*kCounterSchema[i].member).Value());
   }
   return out;
 }

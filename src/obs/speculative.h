@@ -3,7 +3,7 @@
 // The digital-twin engine (src/twin) steps forked Simulator clones through
 // speculative cycles while a live run is parked at a cycle boundary. Those
 // clones execute the exact same instrumented code paths as the live run —
-// SimCounters increments, TS_OBS_SPAN brackets, CycleProfiler phase rows,
+// registry counter increments, TS_OBS_SPAN brackets, CycleProfiler phase rows,
 // DecisionLog records — and all of that plumbing is process-global. Without a
 // gate, every speculative cycle would pollute the live run's metrics registry
 // and decision CSV, breaking the twin's read-only contract (and the
@@ -11,7 +11,7 @@
 //
 // SpeculativeScope raises a process-wide suppression depth for its lifetime;
 // while the depth is nonzero, Tracer/CycleProfiler/DecisionLog::enabled()
-// report false and Counter/Gauge writes drop on the floor. The depth is one
+// report false and counter adds and high-water marks drop on the floor. The depth is one
 // process-wide atomic, not a per-thread flag, on purpose: the what-if engine
 // steps its forks on its fan-out ThreadPool's worker threads, and those
 // threads must be suppressed too. This is sound because speculation only ever runs while

@@ -67,23 +67,12 @@ RuntimePrediction ThreeSigmaPredictor::Predict(const JobFeatures& features,
     best_expert = fallback->BestExpert();
   }
 
-  struct PredictCounters {
-    obs::Counter* predictions;
-    obs::Counter* cold_starts;
-  };
-  static const PredictCounters* const counters = [] {
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-    auto* c = new PredictCounters();
-    c->predictions = reg.GetCounter("predict.predictions");
-    c->cold_starts = reg.GetCounter("predict.cold_starts");
-    return c;
-  }();
-  counters->predictions->Increment();
+  obs::Metrics().predict_predictions.Increment();
 
   RuntimePrediction result;
   if (best_history == nullptr) {
     // Cold start: no relevant history anywhere.
-    counters->cold_starts->Increment();
+    obs::Metrics().predict_cold_starts.Increment();
     result.distribution = EmpiricalDistribution::Point(options_.default_runtime);
     result.point_estimate = options_.default_runtime;
     result.source = "cold-start";
@@ -102,9 +91,7 @@ RuntimePrediction ThreeSigmaPredictor::Predict(const JobFeatures& features,
 void ThreeSigmaPredictor::RecordCompletion(const JobFeatures& features, double runtime) {
   TS_CHECK_GE(runtime, 0.0);
   TS_OBS_SPAN("predict.record", obs::Phase::kPredict);
-  static obs::Counter* const recordings =
-      obs::MetricsRegistry::Global().GetCounter("predict.recordings");
-  recordings->Increment();
+  obs::Metrics().predict_recordings.Increment();
   for (const std::string& feature : features) {
     auto [it, inserted] = histories_.try_emplace(feature, options_.history);
     it->second.Record(runtime);

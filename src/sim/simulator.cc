@@ -16,75 +16,25 @@
 namespace threesigma {
 namespace {
 
-// Simulator traffic counters in the process-wide metrics registry. Handles
-// are resolved once; each increment is one relaxed atomic add.
-struct SimCounters {
-  obs::Counter* events;
-  obs::Counter* arrivals;
-  obs::Counter* completions;
-  obs::Counter* node_faults;
-  obs::Counter* task_kills;
-  obs::Counter* cycles;
-  obs::Counter* stalled_cycles;
-  obs::Counter* fault_job_kills;
-  obs::Counter* preemptions;
-  obs::Counter* rejected_placements;
-  // Per executed cycle: sched.<name> for every count field of its telemetry
-  // (indexed like kCycleFields) and the decision sizes.
-  obs::Counter* sched_fields[std::size(kCycleFields)] = {};
-  obs::Counter* sched_cycles;
-  obs::Counter* sched_starts;
-  obs::Counter* sched_preempt_decisions;
-  obs::Counter* sched_abandons;
-  obs::Counter* sched_deferred;
-
-  static const SimCounters& Get() {
-    static const SimCounters* const counters = [] {
-      obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-      auto* c = new SimCounters();
-      c->events = reg.GetCounter("sim.events");
-      c->arrivals = reg.GetCounter("sim.arrivals");
-      c->completions = reg.GetCounter("sim.completions");
-      c->node_faults = reg.GetCounter("sim.node_fault_events");
-      c->task_kills = reg.GetCounter("sim.task_kill_events");
-      c->cycles = reg.GetCounter("sim.cycles");
-      c->stalled_cycles = reg.GetCounter("sim.stalled_cycles");
-      c->fault_job_kills = reg.GetCounter("sim.fault_job_kills");
-      c->preemptions = reg.GetCounter("sim.preemptions");
-      c->rejected_placements = reg.GetCounter("sim.rejected_placements");
-      for (size_t i = 0; i < std::size(kCycleFields); ++i) {
-        if (kCycleFields[i].count != nullptr) {
-          c->sched_fields[i] = reg.GetCounter(std::string("sched.") + kCycleFields[i].name);
-        }
-      }
-      c->sched_cycles = reg.GetCounter("sched.cycles");
-      c->sched_starts = reg.GetCounter("sched.starts");
-      c->sched_preempt_decisions = reg.GetCounter("sched.preempt_decisions");
-      c->sched_abandons = reg.GetCounter("sched.abandons");
-      c->sched_deferred = reg.GetCounter("sched.deferred");
-      return c;
-    }();
-    return *counters;
-  }
-
-  // Publishes one executed cycle: Sum fields are added, Max fields raise
-  // their high-water mark, wall-clock fields stay out.
-  void PublishCycle(const CycleStats& stats, const CycleResult& decision) const {
-    for (size_t i = 0; i < std::size(kCycleFields); ++i) {
-      const CycleField& f = kCycleFields[i];
-      if (f.rollup == Rollup::kSum) {
-        sched_fields[i]->Add(stats.*f.count);
-      } else if (f.rollup == Rollup::kMax) {
-        sched_fields[i]->RaiseTo(stats.*f.count);
-      }
-    }
-    sched_cycles->Increment();
-    sched_starts->Add(static_cast<int64_t>(decision.start.size()));
-    sched_preempt_decisions->Add(static_cast<int64_t>(decision.preempt.size()));
-    sched_abandons->Add(static_cast<int64_t>(decision.abandon.size()));
-    sched_deferred->Add(static_cast<int64_t>(decision.deferred.size()));
-  }
-};
+// Publishes one executed cycle to the registry: Sum fields are added, Max
+// fields raise their high-water mark, wall-clock fields stay out.
+void PublishCycle(const CycleStats& stats, const CycleResult& decision) {
+  obs::Counters& c = obs::Metrics();
+#define THREESIGMA_PUBLISH_FIELD(type, name, rollup) THREESIGMA_PUBLISH_##rollup(name)
+#define THREESIGMA_PUBLISH_Sum(name) c.sched_##name.Add(stats.name);
+#define THREESIGMA_PUBLISH_Max(name) c.sched_##name.RaiseTo(stats.name);
+#define THREESIGMA_PUBLISH_WallClock(name)
+  THREESIGMA_CYCLE_TELEMETRY(THREESIGMA_PUBLISH_FIELD)
+#undef THREESIGMA_PUBLISH_WallClock
+#undef THREESIGMA_PUBLISH_Max
+#undef THREESIGMA_PUBLISH_Sum
+#undef THREESIGMA_PUBLISH_FIELD
+  c.sched_cycles.Increment();
+  c.sched_starts.Add(static_cast<int64_t>(decision.start.size()));
+  c.sched_preempt_decisions.Add(static_cast<int64_t>(decision.preempt.size()));
+  c.sched_abandons.Add(static_cast<int64_t>(decision.abandon.size()));
+  c.sched_deferred.Add(static_cast<int64_t>(decision.deferred.size()));
+}
 
 enum class EventKind {
   kArrival,
@@ -120,12 +70,16 @@ struct Event {
 // capacity_cache_misses, and the "sched" section (own version 8) its
 // expected-capacity rows and per-job survival vectors. v10: the "obs"
 // section has no histograms, and SimOptions ("meta") lost the runtime
-// jitter and launch overhead, which became constants.
-constexpr uint32_t kSnapshotVersion = 10;
-// The "metrics" and "timing" sections walk kCycleFields, so any change to the
-// per-cycle record changes their layout.
+// jitter and launch overhead, which became constants. v11: the "obs"
+// section holds the registry schema's values in list order, with no names.
+constexpr uint32_t kSnapshotVersion = 11;
+// The "metrics" and "timing" sections walk kCycleFields, and the "obs"
+// section the registry schema, so any change to either list changes their
+// layout.
 static_assert(std::size(kCycleFields) == 19,
               "the per-cycle record changed: bump kSnapshotVersion, then update this count");
+static_assert(obs::kNumCounters == 58,
+              "the registry schema changed: bump kSnapshotVersion, then update this count");
 
 template <typename Io, typename Options>
 void WalkSimOptions(Io& io, Options& o) {
@@ -461,7 +415,7 @@ bool Simulator::ProcessEvent() {
     ++rec.fault_kills;
     ++job.run_epoch;
     ++result.tasks_killed_by_faults;
-    SimCounters::Get().fault_job_kills->Increment();
+    obs::Metrics().sim_fault_job_kills.Increment();
     scheduler_->OnJobFaultKilled(rec.spec.id, at);
   };
 
@@ -515,7 +469,7 @@ bool Simulator::ProcessEvent() {
   if (obs::Tracer::enabled()) {
     obs::Tracer::Global().SetSimNow(s.now);
   }
-  SimCounters::Get().events->Increment();
+  obs::Metrics().sim_events.Increment();
 
   switch (ev.kind) {
     case EventKind::kArrival: {
@@ -524,7 +478,7 @@ bool Simulator::ProcessEvent() {
         break;  // Cancelled before its submit time; the scheduler never sees it.
       }
       TS_OBS_SPAN("sim.arrival", obs::Phase::kSimEvents);
-      SimCounters::Get().arrivals->Increment();
+      obs::Metrics().sim_arrivals.Increment();
       job.arrived = true;
       scheduler_->OnJobArrival(job.record.spec, s.now);
       schedule_reactive_cycle();
@@ -536,14 +490,14 @@ bool Simulator::ProcessEvent() {
         break;  // Stale completion from a preempted run.
       }
       TS_OBS_SPAN("sim.completion", obs::Phase::kSimEvents);
-      SimCounters::Get().completions->Increment();
+      obs::Metrics().sim_completions.Increment();
       finish_job(ev.job_index, s.now);
       schedule_reactive_cycle();
       break;
     }
     case EventKind::kNodeFault: {
       TS_OBS_SPAN("sim.node_fault", obs::Phase::kFaultDelivery);
-      SimCounters::Get().node_faults->Increment();
+      obs::Metrics().sim_node_fault_events.Increment();
       apply_node_fault(s.fault_schedule.node_events()[ev.job_index], s.now);
       schedule_reactive_cycle();
       break;
@@ -554,7 +508,7 @@ bool Simulator::ProcessEvent() {
         break;  // Stale kill: the run already completed or was preempted.
       }
       TS_OBS_SPAN("sim.task_kill", obs::Phase::kFaultDelivery);
-      SimCounters::Get().task_kills->Increment();
+      obs::Metrics().sim_task_kill_events.Increment();
       fault_kill_job(ev.job_index, s.now);
       schedule_reactive_cycle();
       break;
@@ -574,7 +528,7 @@ bool Simulator::ProcessEvent() {
           // The scheduler process is stalled: this cycle is lost; the next
           // chance to schedule comes once the stall clears.
           ++result.stalled_cycles;
-          SimCounters::Get().stalled_cycles->Increment();
+          obs::Metrics().sim_stalled_cycles.Increment();
           schedule_cycle(s.now + stall);
           break;
         }
@@ -609,7 +563,7 @@ bool Simulator::ProcessEvent() {
       // Observability brackets. The cycle ordinal is the index of the row
       // this cycle appends to result.cycles.
       const int64_t cycle_index = static_cast<int64_t>(result.cycles.size());
-      SimCounters::Get().cycles->Increment();
+      obs::Metrics().sim_cycles.Increment();
       if (obs::Tracer::enabled()) {
         obs::Tracer::Global().SetCycle(cycle_index);
       }
@@ -626,7 +580,7 @@ bool Simulator::ProcessEvent() {
       if (obs::CycleProfiler::enabled()) {
         obs::CycleProfiler::Global().EndCycle(stats);
       }
-      SimCounters::Get().PublishCycle(stats, decision);
+      PublishCycle(stats, decision);
       if (obs::Tracer::enabled()) {
         obs::Tracer::Global().SetCycle(-1);
       }
@@ -673,7 +627,7 @@ bool Simulator::ProcessEvent() {
         ++job.record.preemptions;
         ++job.run_epoch;
         ++result.total_preemptions;
-        SimCounters::Get().preemptions->Increment();
+        obs::Metrics().sim_preemptions.Increment();
         scheduler_->OnJobPreempted(id, s.now);
       }
       // 2. Abandonments retire jobs the scheduler will never run.
@@ -696,7 +650,7 @@ bool Simulator::ProcessEvent() {
             s.free_nodes[p.group] - s.down[static_cast<size_t>(p.group)] <
                 rec.spec.num_tasks) {
           ++result.rejected_placements;
-          SimCounters::Get().rejected_placements->Increment();
+          obs::Metrics().sim_rejected_placements.Increment();
           continue;
         }
         rec.status = JobStatus::kRunning;

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/obs/registry.h"
 
 namespace threesigma::svc {
 
@@ -25,19 +26,6 @@ Server::Server(const ClusterConfig& cluster, Scheduler* scheduler, SimOptions si
       transport_(transport),
       sim_(cluster, scheduler, {}, ForceOpenWorkload(std::move(sim))) {
   sim_.SetStateExtension(this);
-  auto& registry = obs::MetricsRegistry::Global();
-  for (const Verb verb :
-       {Verb::kSubmitJob, Verb::kJobStatus, Verb::kCancelJob, Verb::kClusterState,
-        Verb::kMetricsDump, Verb::kTriggerCheckpoint, Verb::kShutdown, Verb::kWhatIf,
-        Verb::kAdvisorStatus}) {
-    verb_counters_[verb] = registry.GetCounter(std::string("svc.rpc.") + VerbName(verb));
-  }
-  malformed_frames_ = registry.GetCounter("svc.malformed_frames");
-  retry_later_ = registry.GetCounter("svc.retry_later");
-  admitted_ = registry.GetCounter("svc.admitted");
-  injected_ = registry.GetCounter("svc.injected");
-  duplicate_tokens_ = registry.GetCounter("svc.duplicate_tokens");
-  queue_depth_gauge_ = registry.GetGauge("svc.admission_queue_depth");
 }
 
 Server::~Server() {
@@ -48,12 +36,12 @@ bool Server::RestoreFromFile(const std::string& path, std::string* error) {
   if (!sim_.TryResumeFrom(path, error)) {
     return false;
   }
-  UpdateQueueGauge();
+  UpdateQueueDepth();
   return true;
 }
 
-void Server::UpdateQueueGauge() {
-  queue_depth_gauge_->Set(static_cast<double>(queue_.size()));
+void Server::UpdateQueueDepth() {
+  obs::Metrics().svc_admission_queue_depth.Set(static_cast<int64_t>(queue_.size()));
 }
 
 bool Server::IdInUse(JobId id) {
@@ -85,11 +73,10 @@ void Server::HandleFrame(const InboundFrame& frame) {
   std::string error;
   Reply reply;
   if (!DecodeRequest(frame.payload, &request, &error)) {
-    malformed_frames_->Increment();
+    obs::Metrics().svc_malformed_frames.Increment();
     reply.code = StatusCode::kMalformed;
     reply.message = error;
   } else {
-    verb_counters_[request.verb]->Increment();
     reply = Dispatch(request);
   }
   transport_->Send(frame.client, EncodeReply(reply));
@@ -98,32 +85,42 @@ void Server::HandleFrame(const InboundFrame& frame) {
 Reply Server::Dispatch(const Request& request) {
   Reply reply;
   reply.request_id = request.request_id;
+  obs::Counters& counters = obs::Metrics();
   switch (request.verb) {
     case Verb::kSubmitJob:
+      counters.svc_rpc_submit_job.Increment();
       reply = HandleSubmit(request);
       break;
     case Verb::kJobStatus:
+      counters.svc_rpc_job_status.Increment();
       reply = HandleStatus(request);
       break;
     case Verb::kCancelJob:
+      counters.svc_rpc_cancel_job.Increment();
       reply = HandleCancel(request);
       break;
     case Verb::kClusterState:
+      counters.svc_rpc_cluster_state.Increment();
       reply = HandleClusterState(request);
       break;
     case Verb::kMetricsDump:
+      counters.svc_rpc_metrics_dump.Increment();
       reply = HandleMetricsDump(request);
       break;
     case Verb::kTriggerCheckpoint:
+      counters.svc_rpc_trigger_checkpoint.Increment();
       reply = HandleCheckpoint(request);
       break;
     case Verb::kShutdown:
+      counters.svc_rpc_shutdown.Increment();
       reply = HandleShutdown(request);
       break;
     case Verb::kWhatIf:
+      counters.svc_rpc_whatif.Increment();
       reply = HandleWhatIf(request);
       break;
     case Verb::kAdvisorStatus:
+      counters.svc_rpc_advisor_status.Increment();
       reply = HandleAdvisorStatus(request);
       break;
   }
@@ -143,7 +140,7 @@ Reply Server::HandleSubmit(const Request& request) {
   if (!request.token.empty()) {
     auto it = token_to_id_.find(request.token);
     if (it != token_to_id_.end()) {
-      duplicate_tokens_->Increment();
+      obs::Metrics().svc_duplicate_tokens.Increment();
       reply.code = StatusCode::kOk;
       reply.job_id = it->second;
       reply.message = "duplicate token";
@@ -155,7 +152,7 @@ Reply Server::HandleSubmit(const Request& request) {
     return reply;
   }
   if (queue_.size() >= options_.admission_capacity) {
-    retry_later_->Increment();
+    obs::Metrics().svc_retry_later.Increment();
     reply.code = StatusCode::kRetryLater;
     reply.message = "admission queue full";
     return reply;
@@ -173,8 +170,8 @@ Reply Server::HandleSubmit(const Request& request) {
   if (!request.token.empty()) {
     token_to_id_[request.token] = spec.id;
   }
-  admitted_->Increment();
-  UpdateQueueGauge();
+  obs::Metrics().svc_admitted.Increment();
+  UpdateQueueDepth();
   reply.code = StatusCode::kOk;
   reply.job_id = spec.id;
   return reply;
@@ -220,7 +217,7 @@ Reply Server::HandleCancel(const Request& request) {
                  queue_.end());
     queued_ids_.erase(request.job_id);
     cancelled_before_injection_.insert(request.job_id);
-    UpdateQueueGauge();
+    UpdateQueueDepth();
     reply.code = StatusCode::kOk;
     return reply;
   }
@@ -356,11 +353,11 @@ void Server::InjectBatch() {
     std::string error;
     const bool ok = sim_.InjectJob(std::move(spec), &error);
     TS_CHECK_MSG(ok, "admission-validated job rejected by the simulator: " + error);
-    injected_->Increment();
+    obs::Metrics().svc_injected.Increment();
     ++injected;
   }
   if (injected > 0) {
-    UpdateQueueGauge();
+    UpdateQueueDepth();
   }
 }
 

@@ -28,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "src/obs/registry.h"
 #include "src/sim/simulator.h"
 #include "src/svc/transport.h"
 #include "src/svc/wire.h"
@@ -118,7 +117,7 @@ class Server : public SimulatorStateExtension {
   bool IdInUse(JobId id);
   void InjectBatch();
   void MaybeCheckpoint();
-  void UpdateQueueGauge();
+  void UpdateQueueDepth();
   template <typename Io, typename Self>
   static void Walk(Io& io, Self& self);
 
@@ -141,15 +140,6 @@ class Server : public SimulatorStateExtension {
   bool submissions_closed_ = false;
   uint64_t last_checkpoint_cycle_ = 0;
   double linger_until_ = 0.0;  // Monotonic deadline; 0 = drain not seen yet.
-
-  // Observability handles (obtained once; see src/obs/registry.h).
-  std::map<Verb, obs::Counter*> verb_counters_;
-  obs::Counter* malformed_frames_;
-  obs::Counter* retry_later_;
-  obs::Counter* admitted_;
-  obs::Counter* injected_;
-  obs::Counter* duplicate_tokens_;
-  obs::Gauge* queue_depth_gauge_;
 };
 
 }  // namespace threesigma::svc

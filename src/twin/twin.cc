@@ -37,36 +37,10 @@ bool ApplySystemToggles(const std::string& system, DistSchedulerConfig* config,
     *error = "unknown system: " + system;
     return false;
   }
-  switch (kind) {
-    case SystemKind::kThreeSigma:
-      config->use_distribution = true;
-      config->overestimate_handling = true;
-      config->adaptive_oe = true;
-      break;
-    case SystemKind::kThreeSigmaNoDist:
-      config->use_distribution = false;
-      config->overestimate_handling = true;
-      config->adaptive_oe = true;
-      break;
-    case SystemKind::kThreeSigmaNoOE:
-      config->use_distribution = true;
-      config->overestimate_handling = false;
-      break;
-    case SystemKind::kThreeSigmaNoAdapt:
-      config->use_distribution = true;
-      config->overestimate_handling = true;
-      config->adaptive_oe = false;
-      break;
-    case SystemKind::kPointPerfEst:
-    case SystemKind::kPointRealEst:
-      config->use_distribution = false;
-      config->overestimate_handling = false;
-      break;
-    case SystemKind::kPrio:
-      *error = "scenario system switch must stay within the DistributionScheduler family";
-      return false;
+  if (!ApplySystemPolicy(kind, config)) {
+    *error = "scenario system switch must stay within the DistributionScheduler family";
+    return false;
   }
-  config->name = SystemName(kind);
   return true;
 }
 
@@ -133,11 +107,7 @@ TwinFork::TwinFork(const std::string& snapshot, const ClusterConfig& cluster, Sy
   // The predictor stack must mirror the live system's so the "predict"
   // section's kind tag matches on restore; the inflation wrapper is
   // snapshot-transparent on top.
-  if (kind == SystemKind::kPointPerfEst) {
-    inner_predictor_ = std::make_unique<PerfectPredictor>();
-  } else {
-    inner_predictor_ = std::make_unique<ThreeSigmaPredictor>();
-  }
+  inner_predictor_ = MakeSystemPredictor(kind);
   predictor_ = std::make_unique<InflatedPredictor>(
       inner_predictor_.get(), scenario.padding * scenario.predictor_inflation);
   sched_ = std::make_unique<DistributionScheduler>(cluster_, predictor_.get(), live_config);
@@ -438,12 +408,6 @@ WhatIfEngine::WhatIfEngine(const ClusterConfig& cluster, DistributionScheduler* 
   if (live_sched_->config().solver_threads > 1) {
     pool_ = std::make_unique<ThreadPool>(live_sched_->config().solver_threads);
   }
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  sweeps_counter_ = registry.GetCounter("twin.sweeps");
-  forks_counter_ = registry.GetCounter("twin.forks");
-  cycles_counter_ = registry.GetCounter("twin.speculative_cycles");
-  recommendations_counter_ = registry.GetCounter("twin.recommendations");
-  applied_counter_ = registry.GetCounter("twin.applied");
 }
 
 WhatIfReport WhatIfEngine::Run(Simulator& live, const std::vector<Scenario>& scenarios,
@@ -493,11 +457,12 @@ WhatIfReport WhatIfEngine::Run(Simulator& live, const std::vector<Scenario>& sce
 
   // Instrumentation lands outside any suppression scope (the forks' scopes
   // closed with them), so live observability sees the sweep as one unit.
-  sweeps_counter_->Increment();
-  forks_counter_->Add(n);
-  cycles_counter_->Add(total_cycles);
-  recommendations_counter_->Add(advisor_.state().recommendations - rec_before);
-  applied_counter_->Add(advisor_.state().applied - applied_before);
+  obs::Counters& counters = obs::Metrics();
+  counters.twin_sweeps.Increment();
+  counters.twin_forks.Add(n);
+  counters.twin_speculative_cycles.Add(total_cycles);
+  counters.twin_recommendations.Add(advisor_.state().recommendations - rec_before);
+  counters.twin_applied.Add(advisor_.state().applied - applied_before);
   obs::CycleProfiler::Global().AddTwinSweep(WallSeconds() - wall_start);
   return report;
 }

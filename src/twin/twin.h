@@ -249,12 +249,6 @@ class WhatIfEngine {
   std::unique_ptr<ThreadPool> pool_;
   Advisor advisor_;
   uint64_t last_advise_cycle_ = 0;
-
-  obs::Counter* sweeps_counter_;
-  obs::Counter* forks_counter_;
-  obs::Counter* cycles_counter_;
-  obs::Counter* recommendations_counter_;
-  obs::Counter* applied_counter_;
 };
 
 }  // namespace threesigma

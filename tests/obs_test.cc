@@ -37,36 +37,39 @@ using DecisionLogTest = ObsTest;
 using FrontDoorTest = ObsTest;
 
 TEST_F(RegistryTest, CounterAddAndValue) {
-  Counter* c = MetricsRegistry::Global().GetCounter("test.counter_basic");
-  EXPECT_EQ(c->Value(), 0);
-  c->Increment();
-  c->Add(41);
-  EXPECT_EQ(c->Value(), 42);
-  c->Add(-2);
-  EXPECT_EQ(c->Value(), 40);
+  Counter& c = Metrics().sim_events;
+  EXPECT_EQ(c.Value(), 0);
+  c.Increment();
+  c.Add(41);
+  EXPECT_EQ(c.Value(), 42);
+  c.Add(-2);
+  EXPECT_EQ(c.Value(), 40);
 }
 
 TEST_F(RegistryTest, CounterSetIsAbsolute) {
-  Counter* c = MetricsRegistry::Global().GetCounter("test.counter_set");
-  c->Add(100);
-  c->Set(7);  // Snapshot-restore semantics: replaces, never adds.
-  EXPECT_EQ(c->Value(), 7);
-  c->Increment();
-  EXPECT_EQ(c->Value(), 8);
-  c->Reset();
-  EXPECT_EQ(c->Value(), 0);
+  Counter& c = Metrics().sim_arrivals;
+  c.Add(100);
+  c.Set(7);  // Snapshot-restore semantics: replaces, never adds.
+  EXPECT_EQ(c.Value(), 7);
+  c.Increment();
+  EXPECT_EQ(c.Value(), 8);
+  c.Reset();
+  EXPECT_EQ(c.Value(), 0);
 }
 
 TEST_F(RegistryTest, GetCounterReturnsStablePointer) {
   MetricsRegistry& reg = MetricsRegistry::Global();
-  Counter* a = reg.GetCounter("test.counter_stable");
-  Counter* b = reg.GetCounter("test.counter_stable");
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(a->name(), "test.counter_stable");
+  EXPECT_EQ(reg.GetCounter("sim.events"), &Metrics().sim_events);
+  EXPECT_EQ(reg.GetCounter("sched.milp_nodes"), &Metrics().sched_milp_nodes);
+  EXPECT_EQ(reg.GetCounter("twin.speculative_cycles"), reg.GetCounter("twin.speculative_cycles"));
+  // A name the schema does not declare is not created.
+  EXPECT_EQ(reg.GetCounter("test.undeclared"), nullptr);
+  EXPECT_EQ(reg.GetCounter("sched.cycle_seconds"), nullptr);  // Wall clock stays out.
+  EXPECT_EQ(reg.CounterValues().size(), kNumCounters);
 }
 
 TEST_F(RegistryTest, ConcurrentCounterAddsSumExactly) {
-  Counter* c = MetricsRegistry::Global().GetCounter("test.counter_mt");
+  Counter* c = &Metrics().sim_completions;
   constexpr int kThreads = 8;
   constexpr int kAddsPerThread = 20000;
   std::vector<std::thread> threads;
@@ -85,63 +88,63 @@ TEST_F(RegistryTest, ConcurrentCounterAddsSumExactly) {
   EXPECT_EQ(c->Value(), int64_t{kThreads} * kAddsPerThread);
 }
 
-TEST_F(RegistryTest, GaugeLastWriteWins) {
-  Gauge* g = MetricsRegistry::Global().GetGauge("test.gauge");
-  EXPECT_DOUBLE_EQ(g->Value(), 0.0);
-  g->Set(2.5);
-  g->Set(-1.25);
-  EXPECT_DOUBLE_EQ(g->Value(), -1.25);
-  g->Reset();
-  EXPECT_DOUBLE_EQ(g->Value(), 0.0);
+TEST_F(RegistryTest, LevelCounterLastSetWins) {
+  // A level (the service's admission queue depth) is a counter written with
+  // Set: the last write is the value.
+  Counter& depth = Metrics().svc_admission_queue_depth;
+  depth.Set(5);
+  depth.Set(2);
+  EXPECT_EQ(depth.Value(), 2);
+  std::ostringstream text;
+  MetricsRegistry::Global().WriteText(text);
+  EXPECT_NE(text.str().find("counter svc.admission_queue_depth 2\n"), std::string::npos);
 }
 
 TEST_F(RegistryTest, WriteTextIsSortedAndDeterministic) {
   MetricsRegistry& reg = MetricsRegistry::Global();
-  reg.GetCounter("test.z_counter")->Add(3);
-  reg.GetCounter("test.a_counter")->Add(1);
-  reg.GetGauge("test.m_gauge")->Set(0.5);
+  Metrics().twin_applied.Add(3);
+  Metrics().predict_predictions.Add(1);
   std::ostringstream first;
   reg.WriteText(first);
   std::ostringstream second;
   reg.WriteText(second);
   EXPECT_EQ(first.str(), second.str());
+  // One line per declared counter, in name order; untouched counters read 0.
+  std::istringstream lines(first.str());
+  std::string prev;
+  size_t count = 0;
+  for (std::string line; std::getline(lines, line); ++count) {
+    EXPECT_EQ(line.rfind("counter ", 0), 0u) << line;
+    EXPECT_LT(prev, line);
+    prev = line;
+  }
+  EXPECT_EQ(count, kNumCounters);
   const std::string text = first.str();
-  const size_t a = text.find("test.a_counter");
-  const size_t z = text.find("test.z_counter");
-  ASSERT_NE(a, std::string::npos);
-  ASSERT_NE(z, std::string::npos);
-  EXPECT_LT(a, z);
-  EXPECT_NE(text.find("test.m_gauge"), std::string::npos);
+  EXPECT_NE(text.find("counter predict.predictions 1\n"), std::string::npos);
+  EXPECT_NE(text.find("counter twin.applied 3\n"), std::string::npos);
+  EXPECT_NE(text.find("counter sim.events 0\n"), std::string::npos);
 }
 
 TEST_F(RegistryTest, CounterValuesSortedSnapshot) {
   MetricsRegistry& reg = MetricsRegistry::Global();
-  reg.GetCounter("test.cv_b")->Add(2);
-  reg.GetCounter("test.cv_a")->Add(1);
-  bool saw_a = false;
-  bool saw_b = false;
+  Metrics().svc_admitted.Add(2);
+  Metrics().faults_straggler_draws.Add(1);
+  const auto values = reg.CounterValues();
+  ASSERT_EQ(values.size(), kNumCounters);
   std::string prev;
-  for (const auto& [name, value] : reg.CounterValues()) {
-    EXPECT_LE(prev, name);  // Sorted by name.
+  for (const auto& [name, value] : values) {
+    EXPECT_LT(prev, name);  // Sorted by name, each name once.
     prev = name;
-    if (name == "test.cv_a") {
-      saw_a = true;
-      EXPECT_EQ(value, 1);
-    }
-    if (name == "test.cv_b") {
-      saw_b = true;
-      EXPECT_EQ(value, 2);
-    }
+    const int64_t expected =
+        name == "svc.admitted" ? 2 : name == "faults.straggler_draws" ? 1 : 0;
+    EXPECT_EQ(value, expected) << name;
   }
-  EXPECT_TRUE(saw_a);
-  EXPECT_TRUE(saw_b);
 }
 
 TEST_F(RegistryTest, SaveRestoreRoundTripIsAbsolute) {
   MetricsRegistry& reg = MetricsRegistry::Global();
-  reg.GetCounter("test.rt_counter")->Add(42);
-  reg.GetGauge("test.rt_gauge")->Set(1.5);
-
+  Metrics().sim_cycles.Add(42);
+  Metrics().svc_admission_queue_depth.Set(6);
   SnapshotWriter writer;
   writer.BeginSection("obs", 1);
   reg.SaveState(writer);
@@ -149,51 +152,55 @@ TEST_F(RegistryTest, SaveRestoreRoundTripIsAbsolute) {
   const std::string buffer = writer.Finish();
 
   // Mutate after the save; restore must overwrite, not accumulate.
-  reg.GetCounter("test.rt_counter")->Add(1000);
-  reg.GetGauge("test.rt_gauge")->Set(-9.0);
+  Metrics().sim_cycles.Add(1000);
+  Metrics().svc_admission_queue_depth.Set(9);
+  Metrics().twin_forks.Add(5);
 
   SnapshotReader reader(buffer);
   ASSERT_TRUE(reader.ok());
   ASSERT_TRUE(reader.BeginSection("obs"));
   const RegistryImage image = MetricsRegistry::ReadState(reader);
   reader.EndSection();
-  ASSERT_TRUE(reader.ok());
+  ASSERT_TRUE(reader.ok()) << reader.error();
   // Reading touches no registry; only ApplyState installs the values.
-  EXPECT_EQ(reg.GetCounter("test.rt_counter")->Value(), 1042);
+  EXPECT_EQ(Metrics().sim_cycles.Value(), 1042);
   reg.ApplyState(image);
 
-  EXPECT_EQ(reg.GetCounter("test.rt_counter")->Value(), 42);
-  EXPECT_DOUBLE_EQ(reg.GetGauge("test.rt_gauge")->Value(), 1.5);
+  EXPECT_EQ(Metrics().sim_cycles.Value(), 42);
+  EXPECT_EQ(Metrics().svc_admission_queue_depth.Value(), 6);
+  EXPECT_EQ(Metrics().twin_forks.Value(), 0);
 }
 
-TEST_F(RegistryTest, RestoreCreatesMissingMetrics) {
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  // Save from a registry that has a uniquely-named counter, then restore and
-  // verify lookups recreate it with the saved value. (The global registry
-  // never deletes metrics, so "missing" is simulated by a fresh name: the
-  // save/restore path must not depend on prior GetCounter calls — this is
-  // what lets an old binary resume a newer snapshot.)
-  SnapshotWriter writer;
-  writer.BeginSection("obs", 1);
-  reg.GetCounter("test.rc_counter")->Set(11);
-  reg.SaveState(writer);
-  writer.EndSection();
-  reg.GetCounter("test.rc_counter")->Set(0);
-
-  SnapshotReader reader(writer.Finish());
-  ASSERT_TRUE(reader.BeginSection("obs"));
-  reg.ApplyState(MetricsRegistry::ReadState(reader));
-  reader.EndSection();
-  EXPECT_EQ(reg.GetCounter("test.rc_counter")->Value(), 11);
+TEST_F(RegistryTest, RestoreRejectsWrongCounterCount) {
+  // The payload is the schema's values behind their count. One value too
+  // many or too few fails the reader instead of guessing which counter each
+  // value belongs to.
+  for (const size_t count : {kNumCounters - 1, kNumCounters + 1}) {
+    SCOPED_TRACE(count);
+    SnapshotWriter writer;
+    writer.BeginSection("obs", 1);
+    writer.VarUint(count);
+    for (size_t i = 0; i < count; ++i) {
+      writer.VarInt(int64_t{7});
+    }
+    writer.EndSection();
+    SnapshotReader reader(writer.Finish());
+    ASSERT_TRUE(reader.BeginSection("obs"));
+    (void)MetricsRegistry::ReadState(reader);
+    EXPECT_FALSE(reader.ok());
+    EXPECT_NE(reader.error().find("counters"), std::string::npos) << reader.error();
+  }
 }
 
 TEST_F(RegistryTest, ResetZeroesEverything) {
   MetricsRegistry& reg = MetricsRegistry::Global();
-  reg.GetCounter("test.reset_c")->Add(5);
-  reg.GetGauge("test.reset_g")->Set(5.0);
+  for (const CounterSchemaEntry& entry : kCounterSchema) {
+    (Metrics().*entry.member).Add(5);
+  }
   reg.Reset();
-  EXPECT_EQ(reg.GetCounter("test.reset_c")->Value(), 0);
-  EXPECT_DOUBLE_EQ(reg.GetGauge("test.reset_g")->Value(), 0.0);
+  for (const auto& [name, value] : reg.CounterValues()) {
+    EXPECT_EQ(value, 0) << name;
+  }
 }
 
 TEST_F(TracerTest, DisabledSpanRecordsNothing) {
@@ -418,7 +425,7 @@ TEST_F(FrontDoorTest, FlushWritesEverySink) {
   CycleProfiler::Global().BeginCycle(0, 0.0);
   CycleProfiler::Global().EndCycle(CycleTelemetry{0.001});
   DecisionLog::Global().Record(DecisionRecord{});
-  MetricsRegistry::Global().GetCounter("test.flush_counter")->Increment();
+  Metrics().sim_events.Increment();
   std::string error;
   ASSERT_TRUE(Flush(&error)) << error;
   for (const std::string& path :
@@ -472,7 +479,7 @@ TEST_F(FrontDoorTest, ResetAllDisablesAndClears) {
   CycleProfiler::Global().BeginCycle(0, 0.0);
   CycleProfiler::Global().EndCycle(CycleTelemetry{0.001});
   DecisionLog::Global().Record(DecisionRecord{});
-  MetricsRegistry::Global().GetCounter("test.resetall_counter")->Increment();
+  Metrics().sim_events.Increment();
   ResetAll();
   EXPECT_FALSE(Tracer::enabled());
   EXPECT_FALSE(CycleProfiler::enabled());
@@ -480,7 +487,7 @@ TEST_F(FrontDoorTest, ResetAllDisablesAndClears) {
   EXPECT_TRUE(Tracer::Global().CollectSpans().empty());
   EXPECT_TRUE(CycleProfiler::Global().rows().empty());
   EXPECT_TRUE(DecisionLog::Global().records().empty());
-  EXPECT_EQ(MetricsRegistry::Global().GetCounter("test.resetall_counter")->Value(), 0);
+  EXPECT_EQ(Metrics().sim_events.Value(), 0);
 }
 
 }  // namespace

@@ -714,11 +714,20 @@ TEST(SnapshotDeathTest, BadCrcSnapshotAborts) {
 // ---------------------------------------------------------------------------
 // CRC-valid but inconsistent payloads.
 
+std::vector<std::string> CounterNames() {
+  std::vector<std::string> names;
+  for (const auto& [name, value] : obs::MetricsRegistry::Global().CounterValues()) {
+    names.push_back(name);
+  }
+  return names;
+}
+
 // Fixed-seed mutations of a real checkpoint, in-process: each overwrites 4
 // random bytes and re-seals the CRC, so the envelope verifies and only the
 // restore-time checks stand between the bytes and the simulator. Every
 // mutant must either be refused by TryRestoreStateFromBuffer or restore into
-// a state that steps without aborting.
+// a state that steps without aborting, and no mutant may add a counter name
+// to the registry.
 void ExpectCrcValidMutationsFailSoftOrStep(uint64_t seed, int trials) {
   ExperimentConfig config = CheckpointChaosConfig();
   const GeneratedWorkload workload = GenerateWorkload(config.cluster, config.workload);
@@ -733,6 +742,7 @@ void ExpectCrcValidMutationsFailSoftOrStep(uint64_t seed, int trials) {
     buffer = sim.SaveStateToBuffer();
   }
 
+  const std::vector<std::string> names_before = CounterNames();
   Rng rng(seed);
   int restored = 0;
   for (int trial = 0; trial < trials; ++trial) {
@@ -758,6 +768,67 @@ void ExpectCrcValidMutationsFailSoftOrStep(uint64_t seed, int trials) {
   // Most mutations land in doubles and restore fine; the loop above must
   // have exercised the stepping path, not only the rejections.
   EXPECT_GT(restored, trials / 4);
+  EXPECT_EQ(CounterNames(), names_before);
+  obs::ResetAll();
+}
+
+// `buffer` with its "obs" payload replaced by kNumCounters + `extra` values
+// of 1, resealed.
+std::string WithObsValueCount(const std::string& buffer, int extra) {
+  std::vector<SnapshotSection> sections;
+  EXPECT_TRUE(ListSnapshotSections(buffer, &sections));
+  SnapshotWriter writer;
+  for (const SnapshotSection& section : sections) {
+    writer.BeginSection(section.name, section.version);
+    if (section.name == "obs") {
+      const size_t count = obs::kNumCounters + extra;
+      writer.VarUint(count);
+      for (size_t i = 0; i < count; ++i) {
+        writer.VarInt(int64_t{1});
+      }
+    } else {
+      for (uint64_t i = 0; i < section.payload_size; ++i) {
+        writer.WriteU8(static_cast<uint8_t>(buffer[section.payload_offset + i]));
+      }
+    }
+    writer.EndSection();
+  }
+  return writer.Finish();
+}
+
+TEST(CheckpointFuzzTest, ObsSectionOfWrongSizeFailsSoft) {
+  ExperimentConfig config = CheckpointChaosConfig();
+  config.workload.duration = Minutes(3.0);
+  const GeneratedWorkload workload = GenerateWorkload(config.cluster, config.workload);
+  obs::ResetAll();
+  SystemInstance instance = MakeSystem(SystemKind::kThreeSigma, config.cluster, config.sched);
+  Pretrain(instance, workload);
+  Simulator sim(config.cluster, instance.scheduler.get(), workload.jobs, config.sim);
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(sim.Step());
+  }
+  const std::string buffer = sim.SaveStateToBuffer();
+  const auto live = obs::MetricsRegistry::Global().CounterValues();
+
+  // One value too few or too many: refused, with the live totals untouched.
+  for (const int extra : {-1, 1}) {
+    SCOPED_TRACE(extra);
+    SystemInstance fresh = MakeSystem(SystemKind::kThreeSigma, config.cluster, config.sched);
+    Simulator target(config.cluster, fresh.scheduler.get(), {}, config.sim);
+    std::string error;
+    EXPECT_FALSE(target.TryRestoreStateFromBuffer(WithObsValueCount(buffer, extra), &error));
+    EXPECT_NE(error.find("counters"), std::string::npos) << error;
+    EXPECT_EQ(obs::MetricsRegistry::Global().CounterValues(), live);
+  }
+
+  // The same rewrite at the right size restores every value.
+  SystemInstance fresh = MakeSystem(SystemKind::kThreeSigma, config.cluster, config.sched);
+  Simulator target(config.cluster, fresh.scheduler.get(), {}, config.sim);
+  std::string error;
+  ASSERT_TRUE(target.TryRestoreStateFromBuffer(WithObsValueCount(buffer, 0), &error)) << error;
+  for (const auto& [name, value] : obs::MetricsRegistry::Global().CounterValues()) {
+    EXPECT_EQ(value, 1) << name;
+  }
   obs::ResetAll();
 }
 

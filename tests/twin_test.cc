@@ -553,7 +553,7 @@ TEST_F(TwinForkTest, AppliedSpecWithRemovedKeyFailsRestoreSoft) {
     error.clear();
     const uint64_t cycles_before = target.cycles_completed();
     // The snapshot's registry totals apply only with the rest of the state.
-    obs::Counter* sim_cycles = obs::MetricsRegistry::Global().GetCounter("sim.cycles");
+    obs::Counter* sim_cycles = &obs::Metrics().sim_cycles;
     sim_cycles->Set(12345);
     const bool restored = target.TryRestoreStateFromBuffer(buffer, &error);
     target.SetStateExtension(nullptr);
