@@ -96,7 +96,7 @@ template <typename Message, typename WalkFn>
 bool Decode(const char* name, const std::string& payload, Message* out, WalkFn walk,
             std::string* error) {
   *out = Message();
-  SnapshotReader reader(payload);
+  SnapshotReader reader(SnapshotReader::Borrowed{}, payload);
   uint32_t version = 0;
   if (reader.BeginSection(name, &version) && version != 1) {
     reader.Fail(std::string("unsupported ") + name + " version");

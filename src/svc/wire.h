@@ -99,7 +99,8 @@ std::string EncodeRequest(const Request& request);
 std::string EncodeReply(const Reply& reply);
 
 // Fail-soft decoders: false + `*error` on any malformed payload; `*out` is
-// default-initialized first and unspecified on failure.
+// default-initialized first and unspecified on failure. They read `payload`
+// in place, so it must not live inside `*out`.
 bool DecodeRequest(const std::string& payload, Request* out, std::string* error);
 bool DecodeReply(const std::string& payload, Reply* out, std::string* error);
 
